@@ -25,10 +25,10 @@ from . import loop as LO
 from . import moyal_matrix as MM
 from . import twist as TW
 from .liestructure import StructureConstants, jacobi_check, recover_from_group_law
-from .momentum import (delta_solve_nonplanar, group_preset, haar_invariance_check,
-                       modular_identity_residuals)
+from .momentum import (add, delta_solve_nonplanar, group_preset, haar_invariance_check, inv,
+                       modular, modular_identity_residuals)
 from .polyfield import Poly
-from .waves import plane_wave, twisted_trace_check
+from .waves import WavePacket, plane_wave, twisted_trace_check
 
 SUITES = ("group", "hopf", "twist", "trace", "matrix", "mixing", "gauge", "causality", "all")
 
@@ -110,6 +110,14 @@ def _row(suite, check, passed, residual=0.0, detail=""):
             "residual": float(residual), "detail": detail}
 
 
+def _worst(*residuals):
+    """Largest of the residuals, scalars or arrays; NaN if any of them is NaN.
+
+    A NaN residual must fail its row: the builtin max would drop it.
+    """
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
+
+
 def _pmap(fn, items, jobs):
     """Deterministic parallel map: results returned in input order."""
     if jobs <= 1:
@@ -122,12 +130,13 @@ def _pmap(fn, items, jobs):
 # suite bodies
 
 def _preset_groups(cfg: RunConfig):
+    """(label, group) pairs; the label makes the group suite's check ids unique."""
     return [
-        group_preset("kappa_minkowski", kappa=cfg.kappa, d=1),
-        group_preset("kappa_minkowski", kappa=cfg.kappa, d=3),
-        group_preset("moyal_extended", theta=cfg.theta),
-        group_preset("rho_minkowski", rho=cfg.rho),
-        group_preset("su2_lambda", lam=cfg.lam),
+        ("kappa_minkowski-d1", group_preset("kappa_minkowski", kappa=cfg.kappa, d=1)),
+        ("kappa_minkowski", group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)),
+        ("moyal_extended", group_preset("moyal_extended", theta=cfg.theta)),
+        ("rho_minkowski", group_preset("rho_minkowski", rho=cfg.rho)),
+        ("su2_lambda", group_preset("su2_lambda", lam=cfg.lam)),
     ]
 
 
@@ -138,38 +147,29 @@ def suite_group(cfg: RunConfig):
     tol_i = cfg.tolerances["group.identity"]
     tol_h = cfg.tolerances["group.haar"]
     tol_m = cfg.tolerances["group.modular"]
-    for g in _preset_groups(cfg):
+    for label, g in _preset_groups(cfg):
         scale = 0.3 if g.name == "su2_lambda" else 1.0
-        worst_a = worst_i = 0.0
-        for _ in range(cfg.samples):
-            p, q, r = (rng.normal(size=g.dim) * scale for _ in range(3))
-            lhs = np.asarray(g.add(g.add(p, q), r))
-            rhs = np.asarray(g.add(p, g.add(q, r)))
-            den = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-            worst_a = max(worst_a, float(np.max(np.abs(lhs - rhs))) / den)
-            worst_i = max(
-                worst_i,
-                float(np.max(np.abs(np.asarray(g.add(p, g.inv(p)))))),
-                float(np.max(np.abs(np.asarray(g.add(p, np.zeros(g.dim))) - p))),
-            )
-        rows.append(_row("group", f"associativity-{g.name}", worst_a < tol_a, worst_a))
-        rows.append(_row("group", f"identity-inverse-{g.name}", worst_i < tol_i, worst_i))
-        worst_h = worst_mod = 0.0
-        for _ in range(max(10, cfg.samples // 10)):
-            p, q = (rng.normal(size=g.dim) * scale for _ in range(2))
-            worst_h = max(worst_h,
-                          haar_invariance_check(g, q, p, "left"),
-                          haar_invariance_check(g, q, p, "right"))
-            m = modular_identity_residuals(g, p, q)
-            worst_mod = max(worst_mod, m["homomorphism"], m["inverse"], m["identity"])
-        rows.append(_row("group", f"haar-invariance-{g.name}", worst_h < tol_h, worst_h))
-        rows.append(_row("group", f"modular-homomorphism-{g.name}", worst_mod < tol_m, worst_mod))
+        # sample-major draws: the same stream as one (p, q, r) triple per sample
+        p, q, r = np.moveaxis(rng.normal(size=(cfg.samples, 3, g.dim)) * scale, 1, 0)
+        lhs = g.add(g.add(p, q), r)
+        rhs = g.add(p, g.add(q, r))
+        den = 1.0 + np.maximum(np.max(np.abs(lhs), axis=-1), np.max(np.abs(rhs), axis=-1))
+        worst_a = _worst(np.max(np.abs(lhs - rhs), axis=-1) / den)
+        worst_i = _worst(np.abs(g.add(p, g.inv(p))), np.abs(g.add(p, np.zeros_like(p)) - p))
+        rows.append(_row("group", f"associativity-{label}", worst_a < tol_a, worst_a))
+        rows.append(_row("group", f"identity-inverse-{label}", worst_i < tol_i, worst_i))
+        p, q = np.moveaxis(rng.normal(size=(max(10, cfg.samples // 10), 2, g.dim)) * scale, 1, 0)
+        worst_h = _worst(haar_invariance_check(g, q, p, "left"),
+                         haar_invariance_check(g, q, p, "right"))
+        worst_mod = _worst(*modular_identity_residuals(g, p, q).values())
+        rows.append(_row("group", f"haar-invariance-{label}", worst_h < tol_h, worst_h))
+        rows.append(_row("group", f"modular-homomorphism-{label}", worst_mod < tol_m, worst_mod))
         sc = g.structure
         jc = jacobi_check(sc)
-        rows.append(_row("group", f"jacobi-{g.name}", jc["passed"], jc["max_violation"]))
+        rows.append(_row("group", f"jacobi-{label}", jc["passed"], jc["max_violation"]))
         rec = recover_from_group_law(g)
         err = float(np.max(np.abs(rec.C - sc.C)))
-        rows.append(_row("group", f"structure-roundtrip-{g.name}", err < 1e-6, err))
+        rows.append(_row("group", f"structure-roundtrip-{label}", err < 1e-6, err))
     # noncommutativity witness on kappa
     gk = group_preset("kappa_minkowski", kappa=cfg.kappa, d=1)
     p = np.array([np.log(2.0), 0.0])
@@ -181,7 +181,7 @@ def suite_group(cfg: RunConfig):
         anti = cfg.inline_structure.antisymmetry_violation()
         rows.append(_row("group", "jacobi-inline-structure",
                          jc["passed"] and anti <= 1e-12,
-                         max(jc["max_violation"], anti)))
+                         _worst(jc["max_violation"], anti)))
     return rows
 
 
@@ -214,18 +214,15 @@ def suite_twist(cfg: RunConfig):
 
 
 def _random_packets(g, rng, n_terms=5, with_inverses=True):
-    moms = [rng.normal(size=g.dim) for _ in range(n_terms)]
-    f = None
-    for m in moms:
-        t = plane_wave(g, m, rng.normal() + 1j * rng.normal())
-        f = t if f is None else f + t
-    h = None
-    pool = [g.inv(m) for m in moms[: n_terms // 2 + 1]] if with_inverses else []
-    pool += [rng.normal(size=g.dim) for _ in range(n_terms - len(pool))]
-    for m in pool:
-        t = plane_wave(g, m, rng.normal() + 1j * rng.normal())
-        h = t if h is None else h + t
-    return f, h
+    def packet(moms):
+        amps = rng.normal(size=(len(moms), 2))  # (re, im) per term, in term order
+        return WavePacket(g, list(zip(moms, amps[:, 0] + 1j * amps[:, 1])))
+
+    moms = rng.normal(size=(n_terms, g.dim))
+    f = packet(moms)
+    pool = list(g.inv(moms[: n_terms // 2 + 1])) if with_inverses else []
+    pool += list(rng.normal(size=(n_terms - len(pool), g.dim)))
+    return f, packet(pool)
 
 
 def suite_trace(cfg: RunConfig):
@@ -286,24 +283,25 @@ def suite_gauge(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     g = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
     tol = cfg.tolerances["gauge.residual"]
-    worst_l = worst_r = 0.0
+    leibniz, reality = [], []
     for _ in range(20):
         f = plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
         h = plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
         for mu in range(4):
-            worst_l = max(worst_l, GA.twisted_leibniz_residual(mu, f, h))
-            worst_r = max(worst_r, GA.twisted_reality_residual(mu, f + h))
+            leibniz.append(GA.twisted_leibniz_residual(mu, f, h))
+            reality.append(GA.twisted_reality_residual(mu, f + h))
+    worst_l, worst_r = _worst(leibniz), _worst(reality)
     rows.append(_row("gauge", "twisted-leibniz", worst_l < tol, worst_l))
     rows.append(_row("gauge", "twisted-reality", worst_r < tol, worst_r))
-    worst_c = worst_f = 0.0
+    covariance, flatness = [], []
     for _ in range(5):
         u = plane_wave(g, rng.normal(size=4))
         A = GA.GaugeField([plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
                            for _ in range(4)])
-        worst_c = max(worst_c, GA.covariance_residual(A, u))
-        from .waves import WavePacket
+        covariance.append(GA.covariance_residual(A, u))
         F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WavePacket(g)] * 4), u))
-        worst_f = max(worst_f, max(F[m][n].norm() for m in range(4) for n in range(4)))
+        flatness += [F[m][n].norm() for m in range(4) for n in range(4)]
+    worst_c, worst_f = _worst(covariance), _worst(flatness)
     rows.append(_row("gauge", "field-strength-covariance", worst_c < tol, worst_c))
     rows.append(_row("gauge", "pure-gauge-flatness", worst_f < tol, worst_f))
     scan = GA.dimension_constraint_scan(range(1, 9), cfg.kappa, [0.25, 0.5, 1.0, -0.75])
@@ -434,8 +432,61 @@ def _group_for(cfg: RunConfig):
     return group_preset(cfg.spacetime, **kw)
 
 
-def _parse_momentum(text: str):
-    return np.array([float(x) for x in text.split(",")])
+def _parse_momentum(text, flag: str):
+    if text is None:
+        raise ValueError(f"{flag} is required")
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated reals, got {text!r}") from None
+
+
+def _group_op(args, cfg: RunConfig) -> dict:
+    """The `group` command's result; ValueError on bad input (validated laws)."""
+    grp = group_preset(args.space, kappa=cfg.kappa, theta=cfg.theta,
+                       rho=cfg.rho, lam=cfg.lam, d=cfg.d) \
+        if args.space != "inline" else _group_for(cfg)
+    p = _parse_momentum(args.p, "--p")
+    if args.op == "inv":
+        res = np.asarray(inv(grp, p), dtype=float)
+        return {"result": list(res), "residual": float(np.max(np.abs(add(grp, p, res))))}
+    if args.op == "modular":
+        return {"result": modular(grp, p), "residual": 0.0}
+    q = _parse_momentum(args.q, "--q")
+    if args.op == "add":
+        return {"result": list(np.asarray(add(grp, p, q), dtype=float)), "residual": 0.0}
+    if args.op == "haar-check":
+        return {"result": None,
+                "residual": max(haar_invariance_check(grp, q, p, "left"),
+                                haar_invariance_check(grp, q, p, "right"))}
+    r = delta_solve_nonplanar(grp, p, q, args.k0)
+    return {"result": None if r.k is None else list(map(float, r.k)),
+            "residual": r.residual, "ok": r.ok, "reason": r.reason}
+
+
+MAX_V_POINTS = 1000
+
+
+def _parse_v_range(text: str) -> list:
+    """The velocities lo, lo + step, ... up to hi of a `--v lo:hi:step` range."""
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--v: expected lo:hi:step, got {text!r}") from None
+    if not (np.isfinite([lo, hi, step]).all() and step > 0):
+        raise ValueError(f"--v: lo and hi must be finite and step positive, got {text!r}")
+    vs, v = [], lo
+    while v <= hi + 1e-12:
+        if len(vs) == MAX_V_POINTS:
+            raise ValueError(f"--v: {text!r} gives more than {MAX_V_POINTS} velocities")
+        vs.append(v)
+        v += step
+    return vs
+
+
+def _usage_error(exc) -> int:
+    sys.stderr.write(f"error: {exc}\n")
+    return 2
 
 
 def main(argv=None) -> int:
@@ -497,8 +548,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         cfg = _base_config(args)
     except (ConfigError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _usage_error(exc)
 
     if args.cmd == "suite":
         code, report = run_suite(args.name, cfg)
@@ -506,30 +556,11 @@ def main(argv=None) -> int:
         return code
 
     if args.cmd == "group":
-        grp = group_preset(args.space, kappa=cfg.kappa, theta=cfg.theta,
-                           rho=cfg.rho, lam=cfg.lam, d=cfg.d) \
-            if args.space != "inline" else _group_for(cfg)
-        p = _parse_momentum(args.p)
-        if args.op == "add":
-            q = _parse_momentum(args.q)
-            out = {"result": list(np.asarray(grp.add(p, q), dtype=float)), "residual": 0.0}
-        elif args.op == "inv":
-            res = np.asarray(grp.inv(p), dtype=float)
-            out = {"result": list(res),
-                   "residual": float(np.max(np.abs(np.asarray(grp.add(p, res)))))}
-        elif args.op == "modular":
-            out = {"result": grp.modular(p), "residual": 0.0}
-        elif args.op == "haar-check":
-            q = _parse_momentum(args.q)
-            out = {"result": None,
-                   "residual": max(haar_invariance_check(grp, q, p, "left"),
-                                   haar_invariance_check(grp, q, p, "right"))}
-        else:
-            q = _parse_momentum(args.q)
-            r = delta_solve_nonplanar(grp, p, q, args.k0)
-            out = {"result": None if r.k is None else list(map(float, r.k)),
-                   "residual": r.residual, "ok": r.ok, "reason": r.reason}
-        _emit(out, cfg.fmt if cfg.fmt == "json" else "json", cfg.out)
+        try:
+            out = _group_op(args, cfg)
+        except ValueError as exc:
+            return _usage_error(exc)
+        _emit(out, "json", cfg.out)
         return 0
 
     if args.cmd == "hopf":
@@ -606,15 +637,16 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "causality":
-        lo_, hi, step = (float(x) for x in args.v.split(":"))
+        try:
+            vs = _parse_v_range(args.v)
+        except ValueError as exc:
+            return _usage_error(exc)
         grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
         rows = []
-        v = lo_
-        while v <= hi + 1e-12:
+        for v in vs:
             r = CA.cone_condition(grid, cfg.kappa, 1, 1.0, v, seed=cfg.seed)
             rows.append({"suite": "causality", "check": f"cone-v{v:+.2f}",
                          "passed": r["passed"], "residual": r["margin"], "detail": ""})
-            v += step
         _emit({"rows": rows, "passed": all(r["passed"] for r in rows)},
               cfg.fmt, cfg.out)
         return 0 if all(r["passed"] for r in rows) else 1

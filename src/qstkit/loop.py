@@ -203,7 +203,7 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
         dev = max(abs(r / mean - 1.0) for r in ratios)
         out["ratios"][d] = mean
         out["max_rel_dev"] = max(out["max_rel_dev"], dev)
-    out["passed"] = out["max_rel_dev"] < 1e-6
+    out["passed"] = bool(out["max_rel_dev"] < 1e-6)
     return out
 
 

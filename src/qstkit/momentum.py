@@ -28,7 +28,13 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """A momentum group: composition, inverse, Haar weights, modular function."""
+    """A momentum group: composition, inverse, Haar weights, modular function.
+
+    Every law acts on arrays of shape (..., dim), so one momentum is a batch
+    of one; add, jac_left and jac_right take two arrays of the same shape.
+    Scalar-valued laws (weights, modular function, Jacobians) return shape
+    (...), a NumPy scalar for one momentum.
+    """
 
     name: str
     dim: int
@@ -46,10 +52,12 @@ class GroupDescriptor:
     meta: dict = field(default_factory=dict, compare=False)
 
     def check_dim(self, *vecs):
+        """Each argument must be one momentum (dim,) or a stack (n, dim), all entries finite."""
         for v in vecs:
-            if np.shape(v) != (self.dim,):
+            shape = np.shape(v)
+            if len(shape) not in (1, 2) or shape[-1] != self.dim:
                 raise DimensionMismatch(
-                    f"{self.name}: expected momentum of length {self.dim}, got shape {np.shape(v)}"
+                    f"{self.name}: expected momentum of length {self.dim}, got shape {shape}"
                 )
             if not np.all(np.isfinite(np.asarray(v, dtype=complex))):
                 raise ValueError(f"{self.name}: momentum entries must be finite")
@@ -70,30 +78,48 @@ def modular(g: GroupDescriptor, p):
     return g.modular(np.asarray(p))
 
 
+def _one(p, *_):
+    """The constant 1 for each momentum in p: unimodular weights and Jacobians."""
+    return np.ones(np.shape(p)[:-1])[()]
+
+
+def _minus(p):
+    """The inverse -p, for the laws in which p ⊞ (-p) = 0."""
+    return -np.asarray(p)
+
+
 # ---------------------------------------------------------------------------
-# series-protected special functions
+# series-protected special functions (elementwise)
+
+def _series(x, taylor, exact):
+    """exact(x), with the Taylor polynomial taylor(x) where |x| < SERIES_CUT."""
+    x = np.asarray(x)
+    small = np.abs(x) < SERIES_CUT
+    return np.where(small, taylor(x), exact(np.where(small, 1.0, x)))[()]
+
 
 def g_right_to_sum(x):
     """g(x) = x / (1 - e^{-x}) with the removable singularity at 0."""
-    x = float(x)
-    if abs(x) < SERIES_CUT:
-        # Taylor to order 4 (the x^3 coefficient vanishes)
-        return 1.0 + x / 2 + x * x / 12 - x ** 4 / 720
-    return x / (1.0 - math.exp(-x))
+    # Taylor to order 4 (the x^3 coefficient vanishes)
+    return _series(x, lambda x: 1.0 + x / 2 + x * x / 12 - x ** 4 / 720,
+                   lambda x: x / (1.0 - np.exp(-x)))
 
 
 def _h_exp(x):
     """(e^x - 1)/x, series-protected."""
-    if abs(x) < SERIES_CUT:
-        return 1.0 + x / 2 + x * x / 6 + x ** 3 / 24 + x ** 4 / 120
-    return math.expm1(x) / x
+    return _series(x, lambda x: 1.0 + x / 2 + x * x / 6 + x ** 3 / 24 + x ** 4 / 120,
+                   lambda x: np.expm1(x) / x)
 
 
 def _h_mexp(x):
     """(1 - e^{-x})/x, series-protected."""
-    if abs(x) < SERIES_CUT:
-        return 1.0 - x / 2 + x * x / 6 - x ** 3 / 24 + x ** 4 / 120
-    return -math.expm1(-x) / x
+    return _series(x, lambda x: 1.0 - x / 2 + x * x / 6 - x ** 3 / 24 + x ** 4 / 120,
+                   lambda x: -np.expm1(-x) / x)
+
+
+def _sinc2(x):
+    """(sin(x)/x)^2, series-protected."""
+    return _series(x, lambda x: 1.0 - x * x / 6 + x ** 4 / 120, lambda x: np.sin(x) / x) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +130,15 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
     n = d + 1
 
     def kadd(p, q):
-        out = np.array(p, dtype=float)
-        out[0] = p[0] + q[0]
-        out[1:] = p[1:] + math.exp(-p[0] / kappa) * np.asarray(q[1:])
-        return out
+        p, q = np.asarray(p), np.asarray(q)
+        return p + np.concatenate((q[..., :1], np.exp(-p[..., :1] / kappa) * q[..., 1:]), axis=-1)
 
     def kinv(p):
-        out = np.empty(n)
-        out[0] = -p[0]
-        out[1:] = -math.exp(p[0] / kappa) * np.asarray(p[1:])
-        return out
-
-    def wl(p):
-        return math.exp(d * p[0] / kappa)
-
-    def wr(p):
-        return 1.0
+        p = np.asarray(p)
+        return -np.concatenate((p[..., :1], np.exp(p[..., :1] / kappa) * p[..., 1:]), axis=-1)
 
     def mod(p):
-        return math.exp(d * p[0] / kappa)
+        return np.exp(d * np.asarray(p)[..., 0] / kappa)
 
     def hess():
         H = np.zeros((n, n, n), dtype=complex)
@@ -132,10 +148,11 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
 
     return GroupDescriptor(
         name="kappa_minkowski", dim=n, structure=sc,
-        add=kadd, inv=kinv, haar_left=wl, haar_right=wr, modular=mod,
+        # the left Haar weight e^{d p0/kappa} is the modular function itself
+        add=kadd, inv=kinv, haar_left=mod, haar_right=_one, modular=mod,
         unimodular=False, ordering="right",
-        jac_left=lambda q, p: math.exp(-d * q[0] / kappa),
-        jac_right=lambda p, q: 1.0,
+        jac_left=lambda q, p: np.exp(-d * np.asarray(q)[..., 0] / kappa),
+        jac_right=_one,
         exact_hessian=hess,
         meta={"kappa": kappa, "d": d},
     )
@@ -147,58 +164,48 @@ def _kappa_sum_group(kappa: float, d: int) -> GroupDescriptor:
     n = d + 1
 
     def sadd(p, q):
-        s = p[0] + q[0]
-        pref = math.exp(-p[0] / kappa) * g_right_to_sum(s / kappa)
-        hp = _h_exp(p[0] / kappa)
-        hq = _h_mexp(q[0] / kappa)
-        return pref * (hp * np.asarray(p, float) + hq * np.asarray(q, float))
-
-    def sinv(p):
-        return -np.asarray(p, float)
+        p, q = np.asarray(p), np.asarray(q)
+        p0, q0 = p[..., :1], q[..., :1]
+        pref = np.exp(-p0 / kappa) * g_right_to_sum((p0 + q0) / kappa)
+        return pref * (_h_exp(p0 / kappa) * p + _h_mexp(q0 / kappa) * q)
 
     def mod(p):
-        return math.exp(d * p[0] / kappa)
+        return np.exp(d * np.asarray(p)[..., 0] / kappa)
 
     def wl(p):
         # |(1 - e^{p0/kappa})/p0|^d; the printed expression is negative for
         # p0 > 0, the absolute value is taken.
-        return abs(_h_exp(p[0] / kappa) / kappa) ** d
+        return np.abs(_h_exp(np.asarray(p)[..., 0] / kappa) / kappa) ** d
 
     def wr(p):
         return wl(p) / mod(p)
 
     return GroupDescriptor(
         name="kappa_minkowski_sum", dim=n, structure=sc,
-        add=sadd, inv=sinv, haar_left=wl, haar_right=wr, modular=mod,
+        add=sadd, inv=_minus, haar_left=wl, haar_right=wr, modular=mod,
         unimodular=False, ordering="sum",
         meta={"kappa": kappa, "d": d},
     )
-
-
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def _rho_group(rho: float) -> GroupDescriptor:
     sc = preset("rho_minkowski", rho=rho)
 
     def radd(p, q):
-        out = np.empty(4)
-        out[0] = p[0] + q[0]
-        out[1:3] = np.asarray(p[1:3]) + _rotation(rho * p[0]) @ np.asarray(q[1:3])
-        out[3] = p[3] + q[3]
-        return out
+        # (q1, q2) rotated by the angle rho p0
+        p, q = np.asarray(p), np.asarray(q)
+        c, s = np.cos(rho * p[..., :1]), np.sin(rho * p[..., :1])
+        q1, q2 = q[..., 1:2], q[..., 2:3]
+        return p + np.concatenate((q[..., :1], c * q1 - s * q2, s * q1 + c * q2, q[..., 3:]),
+                                  axis=-1)
 
     def rinv(p):
-        out = np.empty(4)
-        out[0] = -p[0]
-        out[1:3] = -_rotation(-rho * p[0]) @ np.asarray(p[1:3])
-        out[3] = -p[3]
-        return out
-
-    def one(p):
-        return 1.0
+        # (p1, p2) rotated by the angle -rho p0
+        p = np.asarray(p)
+        c, s = np.cos(rho * p[..., :1]), np.sin(rho * p[..., :1])
+        p1, p2 = p[..., 1:2], p[..., 2:3]
+        return -np.concatenate((p[..., :1], c * p1 + s * p2, c * p2 - s * p1, p[..., 3:]),
+                               axis=-1)
 
     def hess():
         H = np.zeros((4, 4, 4), dtype=complex)
@@ -209,9 +216,9 @@ def _rho_group(rho: float) -> GroupDescriptor:
 
     return GroupDescriptor(
         name="rho_minkowski", dim=4, structure=sc,
-        add=radd, inv=rinv, haar_left=one, haar_right=one, modular=one,
+        add=radd, inv=rinv, haar_left=_one, haar_right=_one, modular=_one,
         unimodular=True,
-        jac_left=lambda q, p: 1.0, jac_right=lambda p, q: 1.0,
+        jac_left=_one, jac_right=_one,
         exact_hessian=hess,
         meta={"rho": rho},
     )
@@ -222,20 +229,14 @@ def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> 
     Theta = sc.meta["Theta"]
     c = MOYAL_PHASE_CONVENTIONS[phase_convention]
     ns = dim - 1
-    cplx = isinstance(c, complex) and c.imag != 0
 
     def madd(p, q):
-        p = np.asarray(p)
-        q = np.asarray(q)
-        out = np.array(p + q, dtype=complex if (cplx or np.iscomplexobj(p) or np.iscomplexobj(q)) else float)
-        out[ns] = p[ns] + q[ns] + c * float(np.real(np.asarray(p[:ns])) @ Theta @ np.real(np.asarray(q[:ns])))
-        return out
-
-    def minv(p):
-        return -np.asarray(p)
-
-    def one(p):
-        return 1.0
+        # plain sum, with the phase slot shifted by c p.Theta.q (real parts of the
+        # spatial momenta); the dtype follows p, q and c, so complex phases stay
+        p, q = np.asarray(p), np.asarray(q)
+        phase = np.sum((np.real(p[..., :ns]) @ Theta) * np.real(q[..., :ns]), axis=-1)
+        return np.concatenate((p[..., :ns] + q[..., :ns],
+                               (p[..., ns] + q[..., ns] + c * phase)[..., None]), axis=-1)
 
     def hess():
         H = np.zeros((dim, dim, dim), dtype=complex)
@@ -244,9 +245,9 @@ def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> 
 
     return GroupDescriptor(
         name="moyal_extended", dim=dim, structure=sc,
-        add=madd, inv=minv, haar_left=one, haar_right=one, modular=one,
+        add=madd, inv=_minus, haar_left=_one, haar_right=_one, modular=_one,
         unimodular=True,
-        jac_left=lambda q, p: 1.0, jac_right=lambda p, q: 1.0,
+        jac_left=_one, jac_right=_one,
         exact_hessian=hess,
         meta={"theta": theta, "Theta": Theta, "phase_convention": phase_convention},
     )
@@ -255,38 +256,27 @@ def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> 
 def _su2_group(lam: float) -> GroupDescriptor:
     sc = preset("su2_lambda", lam=lam)
 
-    def sadd(p, q):
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        np_, nq = np.linalg.norm(p), np.linalg.norm(q)
-        a0, b0 = math.cos(lam * np_ / 2), math.cos(lam * nq / 2)
-        av = (math.sin(lam * np_ / 2) / np_) * p if np_ > 0 else np.zeros(3)
-        bv = (math.sin(lam * nq / 2) / nq) * q if nq > 0 else np.zeros(3)
-        r0 = a0 * b0 - av @ bv
-        rv = a0 * bv + b0 * av - np.cross(av, bv)
-        nr = np.linalg.norm(rv)
-        if nr < 1e-300:
-            return np.zeros(3)
-        angle = math.atan2(nr, r0)  # in [0, pi]
-        return (2 * angle / lam) * rv / nr
+    def quaternion(p):
+        """Scalar and vector part of the unit quaternion exp(i lam p.sigma / 2)."""
+        norm = np.linalg.norm(p, axis=-1, keepdims=True)
+        return np.cos(lam * norm / 2), (np.sin(lam * norm / 2) / np.where(norm > 0, norm, 1.0)) * p
 
-    def sinv(p):
-        return -np.asarray(p, float)
+    def sadd(p, q):
+        a0, av = quaternion(np.asarray(p))
+        b0, bv = quaternion(np.asarray(q))
+        r0 = a0 * b0 - np.sum(av * bv, axis=-1, keepdims=True)
+        rv = a0 * bv + b0 * av - np.cross(av, bv)
+        nr = np.linalg.norm(rv, axis=-1, keepdims=True)
+        angle = np.arctan2(nr, r0)  # in [0, pi]
+        live = nr >= 1e-300
+        return np.where(live, (2 * angle / lam) * rv / np.where(live, nr, 1.0), 0.0)
 
     def w(p):
-        x = lam * np.linalg.norm(p) / 2
-        if abs(x) < SERIES_CUT:
-            s = 1.0 - x * x / 6 + x ** 4 / 120
-        else:
-            s = math.sin(x) / x
-        return s * s
-
-    def one(p):
-        return 1.0
+        return _sinc2(lam * np.linalg.norm(p, axis=-1) / 2)
 
     return GroupDescriptor(
         name="su2_lambda", dim=3, structure=sc,
-        add=sadd, inv=sinv, haar_left=w, haar_right=w, modular=one,
+        add=sadd, inv=_minus, haar_left=w, haar_right=w, modular=_one,
         unimodular=True,
         meta={"lam": lam},
     )
@@ -295,17 +285,13 @@ def _su2_group(lam: float) -> GroupDescriptor:
 def _commutative_group(dim: int) -> GroupDescriptor:
     C = np.zeros((dim, dim, dim), dtype=complex)
     sc = StructureConstants("commutative", dim, 0.0, C)
-
-    def one(p):
-        return 1.0
-
     return GroupDescriptor(
         name="commutative", dim=dim, structure=sc,
         add=lambda p, q: np.asarray(p) + np.asarray(q),
-        inv=lambda p: -np.asarray(p),
-        haar_left=one, haar_right=one, modular=one,
+        inv=_minus,
+        haar_left=_one, haar_right=_one, modular=_one,
         unimodular=True,
-        jac_left=lambda q, p: 1.0, jac_right=lambda p, q: 1.0,
+        jac_left=_one, jac_right=_one,
         exact_hessian=lambda: np.zeros((dim, dim, dim), dtype=complex),
         meta={},
     )
@@ -332,142 +318,86 @@ def group_preset(name: str, *, kappa=1.0, theta=1.0, rho=1.0, lam=1.0, d=1,
 
 
 # ---------------------------------------------------------------------------
-# batched composition (vectorized closed forms, for large random sweeps)
+# batched composition: the descriptor's laws on stacks of momenta
+
+def _check_rows(g: GroupDescriptor, *arrays):
+    for X in arrays:
+        if X.ndim != 2 or X.shape[1] != g.dim or X.shape != arrays[0].shape:
+            raise DimensionMismatch(f"{g.name}: needs matching (n, {g.dim}) arrays")
+
 
 def add_batch(g: GroupDescriptor, P, Q) -> np.ndarray:
     """Row-wise p ⊞ q for arrays of momenta, shape (n, dim)."""
-    P = np.asarray(P)
-    Q = np.asarray(Q)
-    if P.shape != Q.shape or P.ndim != 2 or P.shape[1] != g.dim:
-        raise DimensionMismatch("add_batch needs matching (n, dim) arrays")
-    name = g.name
-    if name == "kappa_minkowski":
-        kappa = g.meta["kappa"]
-        out = np.empty_like(P, dtype=float)
-        out[:, 0] = P[:, 0] + Q[:, 0]
-        out[:, 1:] = P[:, 1:] + np.exp(-P[:, 0] / kappa)[:, None] * Q[:, 1:]
-        return out
-    if name == "kappa_minkowski_sum":
-        kappa = g.meta["kappa"]
-        s = P[:, 0] + Q[:, 0]
-        gv = np.array([g_right_to_sum(x) for x in s / kappa])
-        hp = np.array([_h_exp(x) for x in P[:, 0] / kappa])
-        hq = np.array([_h_mexp(x) for x in Q[:, 0] / kappa])
-        pref = np.exp(-P[:, 0] / kappa) * gv
-        return pref[:, None] * (hp[:, None] * P + hq[:, None] * Q)
-    if name == "rho_minkowski":
-        rho = g.meta["rho"]
-        c = np.cos(rho * P[:, 0])
-        s = np.sin(rho * P[:, 0])
-        out = np.empty_like(P, dtype=float)
-        out[:, 0] = P[:, 0] + Q[:, 0]
-        out[:, 1] = P[:, 1] + c * Q[:, 1] - s * Q[:, 2]
-        out[:, 2] = P[:, 2] + s * Q[:, 1] + c * Q[:, 2]
-        out[:, 3] = P[:, 3] + Q[:, 3]
-        return out
-    if name == "moyal_extended":
-        Theta = g.meta["Theta"]
-        from .liestructure import MOYAL_PHASE_CONVENTIONS
-        c = MOYAL_PHASE_CONVENTIONS[g.meta["phase_convention"]]
-        ns = g.dim - 1
-        out = np.array(P + Q, dtype=complex if isinstance(c, complex) else float)
-        out[:, ns] += c * np.einsum("im,mn,in->i", np.real(P[:, :ns]), Theta, np.real(Q[:, :ns]))
-        return out
-    if name == "su2_lambda":
-        lam = g.meta["lam"]
-        npn = np.linalg.norm(P, axis=1)
-        nqn = np.linalg.norm(Q, axis=1)
-        a0 = np.cos(lam * npn / 2)
-        b0 = np.cos(lam * nqn / 2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            av = np.where(npn[:, None] > 0, np.sin(lam * npn / 2)[:, None] * P / npn[:, None], 0.0)
-            bv = np.where(nqn[:, None] > 0, np.sin(lam * nqn / 2)[:, None] * Q / nqn[:, None], 0.0)
-        r0 = a0 * b0 - np.einsum("ij,ij->i", av, bv)
-        rv = a0[:, None] * bv + b0[:, None] * av - np.cross(av, bv)
-        nr = np.linalg.norm(rv, axis=1)
-        angle = np.arctan2(nr, r0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(nr[:, None] > 1e-300, (2 * angle / lam)[:, None] * rv / nr[:, None], 0.0)
-        return out
-    if name == "commutative":
-        return P + Q
-    return np.stack([np.asarray(g.add(p, q)) for p, q in zip(P, Q)])
+    P, Q = np.asarray(P), np.asarray(Q)
+    _check_rows(g, P, Q)
+    return g.add(P, Q)
 
 
 def inv_batch(g: GroupDescriptor, P) -> np.ndarray:
-    """Row-wise ⊟p for an array of momenta."""
+    """Row-wise ⊟p for an array of momenta, shape (n, dim)."""
     P = np.asarray(P)
-    if g.name == "kappa_minkowski":
-        kappa = g.meta["kappa"]
-        out = np.empty_like(P, dtype=float)
-        out[:, 0] = -P[:, 0]
-        out[:, 1:] = -np.exp(P[:, 0] / kappa)[:, None] * P[:, 1:]
-        return out
-    if g.name == "rho_minkowski":
-        rho = g.meta["rho"]
-        c = np.cos(rho * P[:, 0])
-        s = np.sin(rho * P[:, 0])
-        out = np.empty_like(P, dtype=float)
-        out[:, 0] = -P[:, 0]
-        out[:, 1] = -(c * P[:, 1] + s * P[:, 2])
-        out[:, 2] = -(-s * P[:, 1] + c * P[:, 2])
-        out[:, 3] = -P[:, 3]
-        return out
-    if g.name in ("moyal_extended", "su2_lambda", "commutative", "kappa_minkowski_sum"):
-        return -P
-    return np.stack([np.asarray(g.inv(p)) for p in P])
+    _check_rows(g, P)
+    return g.inv(P)
 
 
 # ---------------------------------------------------------------------------
 # Haar invariance (pointwise Jacobian form)
 
 def _fd_jacobian_det(f, x, h=1e-5):
+    """|det df/dx| at each momentum of x by central differences.
+
+    f gets all 2 dim stencil points in one call, as an array of shape
+    (..., 2, dim, dim): [..., 0, j] is x + h e_j and [..., 1, j] is x - h e_j.
+    """
     x = np.asarray(x, float)
-    n = x.size
-    J = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        J[:, j] = (np.real(f(x + e)) - np.real(f(x - e))) / (2 * h)
-    return abs(float(np.linalg.det(J)))
+    step = h * np.eye(x.shape[-1])
+    vals = np.real(f(x[..., None, None, :] + np.stack((step, -step))))
+    # row j holds d f / d x_j: the transposed Jacobian, with the same determinant
+    return np.abs(np.linalg.det((vals[..., 0, :, :] - vals[..., 1, :, :]) / (2 * h)))
 
 
-def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None) -> float:
+def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
     """Pointwise Jacobian residual of Haar invariance.
 
     left : |w(p) - w(q [+] p) * |det d(q [+] p)/dp||
     right: |w(p) - w(p [+] q) * |det d(p [+] q)/dp||
+    p and q are momenta or (n, dim) rows; the residual has one entry per row.
     A weight override lets corrupted densities be probed.
     """
     g.check_dim(p, q)
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
+    p, q = np.broadcast_arrays(np.asarray(p, float), np.asarray(q, float))
+    qs = q[..., None, None, :]  # q against the stencil points of _fd_jacobian_det
     if side == "left":
         w = weight if weight is not None else g.haar_left
         shifted = g.add(q, p)
         if g.jac_left is not None:
             det = g.jac_left(q, p)
         else:
-            det = _fd_jacobian_det(lambda x: g.add(q, x), p)
-        return abs(w(p) - w(shifted) * det)
-    if side == "right":
+            det = _fd_jacobian_det(lambda x: g.add(np.broadcast_to(qs, x.shape), x), p)
+    elif side == "right":
         w = weight if weight is not None else g.haar_right
         shifted = g.add(p, q)
         if g.jac_right is not None:
             det = g.jac_right(p, q)
         else:
-            det = _fd_jacobian_det(lambda x: g.add(x, q), p)
-        return abs(w(p) - w(shifted) * det)
-    raise ValueError("side must be 'left' or 'right'")
+            det = _fd_jacobian_det(lambda x: g.add(x, np.broadcast_to(qs, x.shape)), p)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return np.abs(w(p) - w(shifted) * det)
 
 
 def modular_identity_residuals(g: GroupDescriptor, p, q) -> dict:
-    """Relative residuals of Delta(p+q) = Delta(p)Delta(q), Delta(-p) = 1/Delta(p), Delta(0) = 1."""
+    """Relative residuals of Delta(p+q) = Delta(p)Delta(q), Delta(-p) = 1/Delta(p), Delta(0) = 1.
+
+    p and q are momenta or (n, dim) rows; each residual has one entry per row.
+    """
     g.check_dim(p, q)
-    prod = g.modular(p) * g.modular(q)
-    r1 = abs(g.modular(g.add(p, q)) - prod) / (1.0 + abs(prod))
-    r2 = abs(g.modular(g.inv(p)) - 1.0 / g.modular(p)) / (1.0 + 1.0 / g.modular(p))
-    r3 = abs(g.modular(np.zeros(g.dim)) - 1.0)
+    p, q = np.broadcast_arrays(np.asarray(p), np.asarray(q))
+    dp = g.modular(p)
+    prod = dp * g.modular(q)
+    r1 = np.abs(g.modular(g.add(p, q)) - prod) / (1.0 + np.abs(prod))
+    r2 = np.abs(g.modular(g.inv(p)) - 1.0 / dp) / (1.0 + 1.0 / dp)
+    r3 = np.abs(g.modular(np.zeros(g.dim)) - 1.0)
     return {"homomorphism": r1, "inverse": r2, "identity": r3}
 
 
@@ -480,11 +410,11 @@ def ordering_transform(p, kappa: float, direction: str) -> np.ndarray:
         raise ValueError("kappa must be positive")
     p = np.asarray(p, float)
     out = np.array(p)
-    gv = g_right_to_sum(p[0] / kappa)
+    gv = g_right_to_sum(p[..., :1] / kappa)
     if direction == "right_to_sum":
-        out[1:] = gv * p[1:]
+        out[..., 1:] = gv * p[..., 1:]
     elif direction == "sum_to_right":
-        out[1:] = p[1:] / gv
+        out[..., 1:] = p[..., 1:] / gv
     else:
         raise ValueError("direction must be 'right_to_sum' or 'sum_to_right'")
     return out
@@ -619,17 +549,17 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
 
     Composes exp(i p.x) exp(i q.x) in the Lie algebra [x^m, x^n] = C^{mn}_r x^r
     using the Bernoulli-number recursion for the graded pieces z_n; this is
-    the symmetric (sum-type) wave-packet ordering.
+    the symmetric (sum-type) wave-packet ordering.  p and q are (..., dim)
+    arrays; the result is real when every composed momentum is.
     """
     C = np.asarray(C, dtype=complex)
-    dim = C.shape[0]
     A = 1j * np.asarray(p, dtype=complex)
     B = 1j * np.asarray(q, dtype=complex)
 
     def bracket(u, v):
-        return np.einsum("m,n,mnr->r", u, v, C)
+        return np.einsum("...m,...n,mnr->...r", u, v, C)
 
-    z = [np.zeros(dim, dtype=complex), A + B]
+    z = [None, A + B]
     for n in range(1, order):
         acc = 0.5 * bracket(A - B, z[n])
         for twop in range(2, n + 1, 2):
@@ -644,7 +574,7 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
                     acc = acc + coeff * w
         z.append(acc / (n + 1))
     out = sum(z[1:]) / 1j
-    if np.max(np.abs(out.imag)) < 1e-12 * (1 + np.max(np.abs(out.real))):
+    if np.all(np.max(np.abs(out.imag), axis=-1) < 1e-12 * (1 + np.max(np.abs(out.real), axis=-1))):
         return out.real
     return out
 
@@ -655,12 +585,9 @@ def group_from_structure(sc: StructureConstants, order: int = 8) -> GroupDescrip
     def gadd(p, q):
         return bch_compose(sc.C, p, q, order=order)
 
-    def one(p):
-        return 1.0
-
     return GroupDescriptor(
         name=f"bch:{sc.name}", dim=sc.dim, structure=sc,
-        add=gadd, inv=lambda p: -np.asarray(p),
-        haar_left=one, haar_right=one, modular=one,
+        add=gadd, inv=_minus,
+        haar_left=_one, haar_right=_one, modular=_one,
         unimodular=True, meta={"order": order},
     )

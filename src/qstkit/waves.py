@@ -143,12 +143,12 @@ def star(f: WavePacket, g: WavePacket) -> WavePacket:
     if f.group.name != g.group.name:
         raise GroupMismatch(f"{f.group.name} vs {g.group.name}")
     grp = f.group
-    out = WavePacket(grp)
-    for p, a in f.terms:
-        for q, b in g.terms:
-            out._add_term(grp.add(p, q), a * b)
-    out._prune()
-    return out
+    if not (f.terms and g.terms):
+        return WavePacket(grp)
+    # all |f| x |g| momentum pairs, f-major, composed in one call of the law
+    P, Q = np.array(f._moms), np.array(g._moms)
+    moms = grp.add(np.repeat(P, len(Q), axis=0), np.tile(Q, (len(P), 1)))
+    return WavePacket(grp, list(zip(moms, np.outer(f._amps, g._amps).ravel())))
 
 
 def dagger(f: WavePacket) -> WavePacket:
@@ -212,29 +212,37 @@ class DeltaSum:
 
     # -- construction of words ------------------------------------------------
 
-    def _word_value(self, atoms):
-        grp = self.group
-        if not atoms:
-            return np.zeros(grp.dim)
-        v = atoms[0]
-        for a in atoms[1:]:
-            v = grp.add(v, a)
-        return np.asarray(v)
+    def _on_support(self, words):
+        """Whether each word's value p1 ⊞ p2 ⊞ ... vanishes; the empty word does.
+
+        Words of one length are composed together, one law call per ⊞.
+        """
+        on = [True] * len(words)
+        by_length = {}
+        for i, atoms in enumerate(words):
+            if atoms:
+                by_length.setdefault(len(atoms), []).append(i)
+        for idx in by_length.values():
+            A = np.array([words[i] for i in idx])  # (words, length, dim)
+            v = A[:, 0]
+            for k in range(1, A.shape[1]):
+                v = self.group.add(v, A[:, k])
+            for i, val in zip(idx, np.max(np.abs(v), axis=-1)):
+                on[i] = not val > SUPPORT_TOL  # a NaN value is kept in the sum
+        return on
 
     def _normal_form(self, raw, rng=None):
-        grp = self.group
         merged = {}
         order = list(range(len(raw)))
         if rng is not None:
             rng.shuffle(order)
+        words = [[np.asarray(a) for a in t.atoms if np.max(np.abs(np.asarray(a))) > MERGE_TOL]
+                 for t in raw]
+        on_support = self._on_support(words)
         for idx in order:
-            t = raw[idx]
-            atoms = [np.asarray(a) for a in t.atoms
-                     if np.max(np.abs(np.asarray(a))) > MERGE_TOL]
-            if atoms:
-                val = self._word_value(atoms)
-                if np.max(np.abs(val)) > SUPPORT_TOL:
-                    continue  # delta at a nonzero point: the zero distribution
+            if not on_support[idx]:
+                continue  # delta at a nonzero point: the zero distribution
+            t, atoms = raw[idx], words[idx]
             amp = t.amp
             if atoms:
                 amp, atoms = self._canonical_rotation(amp, atoms, rng=rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qstkit import cli
 from qstkit.liestructure import preset
+from qstkit.momentum import group_preset
 
 
 def test_parse_config_minimal_defaults():
@@ -125,3 +127,52 @@ def test_cli_jobs_parallelism_deterministic(tmp_path):
     assert cli.main(["suite", "mixing", "--seed", "4", "--jobs", "1", "--out", str(out1)]) == 0
     assert cli.main(["suite", "mixing", "--seed", "4", "--jobs", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "add", "--d", "3", "--p", "1,2,3,4", "--q", "1,2"],      # short --q
+    ["group", "add", "--d", "3", "--p", "1,nan,0,0", "--q", "0,0,0,0"],  # non-finite
+    ["group", "modular", "--d", "3", "--p", "1,inf,0,0"],
+    ["group", "inv", "--d", "1", "--p", "1,x"],                          # malformed
+    ["group", "add", "--d", "1", "--p", "1,2"],                          # --q missing
+    ["group", "haar-check", "--d", "1", "--p", "1,2", "--q", "1,2,3"],
+])
+def test_cli_group_bad_input_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_suite_group_nan_residual_fails_its_row(monkeypatch):
+    g = group_preset("kappa_minkowski", kappa=1.0, d=1)
+    broken = dataclasses.replace(g, add=lambda p, q: np.full(np.broadcast(p, q).shape, np.nan))
+    monkeypatch.setattr(cli, "_preset_groups", lambda cfg: [("kappa_minkowski-d1", broken)])
+    rows = {r["check"]: r for r in cli.suite_group(cli.RunConfig(samples=20))}
+    row = rows["associativity-kappa_minkowski-d1"]
+    assert not row["passed"] and np.isnan(row["residual"])
+
+
+def test_worst_propagates_nan():
+    assert cli._worst(0.0, [1.0, 2.0], np.array([[3.0]])) == 3.0
+    assert np.isnan(cli._worst(0.5, [np.nan, 0.1]))
+    assert cli._worst([]) == 0.0
+
+
+def test_run_suite_check_ids_unique():
+    _, rep = cli.run_suite("all", cli.RunConfig(samples=40))
+    ids = [r["check"] for r in rep["rows"]]
+    assert len(ids) == 81
+    assert len(set(ids)) == len(ids)
+
+
+def test_parse_v_range():
+    assert cli._parse_v_range("-1:1:0.5") == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    for bad in ("0:1:0", "0:1:-0.25", "0:1:nan", "0:inf:1", "1e20:1e20:1", "0:1", "a:b:c"):
+        with pytest.raises(ValueError):
+            cli._parse_v_range(bad)
+
+
+def test_cli_bessel_check_passed_is_json_bool(capsys):
+    assert cli.main(["loop", "bessel-check", "--grid", "1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

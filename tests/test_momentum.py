@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstkit.momentum import (DimensionMismatch, add, bch_compose, delta_solve_nonplanar,
-                             dispersion, g_right_to_sum, group_from_structure,
-                             group_preset, haar_invariance_check, inv, modular,
-                             modular_identity_residuals, nonplanar_residual,
-                             ordering_transform)
+from qstkit.momentum import (DimensionMismatch, add, add_batch, bch_compose,
+                             delta_solve_nonplanar, dispersion, g_right_to_sum,
+                             group_from_structure, group_preset, haar_invariance_check, inv,
+                             inv_batch, modular, modular_identity_residuals,
+                             nonplanar_residual, ordering_transform)
 
 LN2 = math.log(2.0)
 
@@ -289,3 +289,62 @@ def test_moyal_imaginary_convention_round_trip():
     assert np.max(np.abs(np.asarray(add(g, p, inv(g, p)), complex))) < 1e-12
     out = np.asarray(add(g, p, q), complex)
     assert abs(out[4].imag) > 0  # the increment really is imaginary
+
+
+# one law for one momentum and for stacks ----------------------------------
+
+BATCH_GROUPS = {
+    "kappa d=1": lambda: group_preset("kappa_minkowski", kappa=1.0, d=1),
+    "kappa d=3": lambda: group_preset("kappa_minkowski", kappa=1.5, d=3),
+    "kappa sum d=2": lambda: group_preset("kappa_minkowski", kappa=1.0, d=2, ordering="sum"),
+    "moyal": lambda: group_preset("moyal_extended", theta=1.0),
+    "moyal imaginary": lambda: group_preset("moyal_extended", theta=1.0,
+                                            phase_convention="imaginary"),
+    "rho": lambda: group_preset("rho_minkowski", rho=1.0),
+    "su2": lambda: group_preset("su2_lambda", lam=1.0),
+    "commutative": lambda: group_preset("commutative"),
+    "bch su2": lambda: group_from_structure(group_preset("su2_lambda", lam=1.0).structure),
+}
+BATCH_TOL = 64 * np.finfo(float).eps  # batched and one-row evaluation may round differently
+
+
+@pytest.mark.parametrize("label", sorted(BATCH_GROUPS))
+def test_batched_laws_match_row_by_row(label):
+    g = BATCH_GROUPS[label]()
+    rng = np.random.default_rng(13)
+    P, Q = rng.normal(size=(2, 12, g.dim)) * 0.3
+    P[0] = 0.0                # identity, and the series branch of the special functions
+    P[1, 0] = Q[2, 0] = 5e-5  # energies below the series switch point
+    if g.name == "moyal_extended":
+        P = P.astype(complex)
+        P[3], Q[3] = [1, 2, 0, 0, 0.5 + 1j], 0.0  # the phase slot keeps its imaginary part
+
+    def rows(f, *arrays):
+        return np.array([f(*xs) for xs in zip(*arrays)])
+
+    def same(batched, by_row, tol=BATCH_TOL):
+        np.testing.assert_allclose(batched, by_row, rtol=tol, atol=tol)
+
+    same(add_batch(g, P, Q), rows(g.add, P, Q))
+    same(inv_batch(g, P), rows(g.inv, P))
+    same(g.modular(P), rows(g.modular, P))
+    same(g.haar_left(P), rows(g.haar_left, P))
+    if g.name == "moyal_extended":
+        assert add_batch(g, P, Q)[3, 4] == 0.5 + 1j
+        return  # Haar checks take real momenta
+    fd_tol = BATCH_TOL / 1e-5  # the finite-difference Jacobians divide rounding by h
+    for side in ("left", "right"):
+        same(haar_invariance_check(g, Q, P, side),
+             rows(lambda q, p: haar_invariance_check(g, q, p, side), Q, P), fd_tol)
+    batched = modular_identity_residuals(g, P, Q)
+    by_row = [modular_identity_residuals(g, p, q) for p, q in zip(P, Q)]
+    for key in ("homomorphism", "inverse"):
+        same(batched[key], [r[key] for r in by_row])
+
+
+def test_batch_shape_checked():
+    g = group_preset("kappa_minkowski", kappa=1.0, d=1)
+    with pytest.raises(DimensionMismatch):
+        add_batch(g, np.zeros((3, 2)), np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        inv_batch(g, np.zeros((3, 3)))
