@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,8 @@ from . import loop as LO
 from . import moyal_matrix as MM
 from . import twist as TW
 from .liestructure import StructureConstants, jacobi_check, recover_from_group_law
-from .momentum import (add, delta_solve_nonplanar, group_preset, haar_invariance_check, inv,
-                       modular, modular_identity_residuals)
+from .momentum import (add, delta_solve_nonplanar, group_from_structure, group_preset,
+                       haar_invariance_check, inv, modular, modular_identity_residuals)
 from .polyfield import Poly
 from .waves import WavePacket, plane_wave, twisted_trace_check
 
@@ -122,6 +121,7 @@ def _pmap(fn, items, jobs):
     """Deterministic parallel map: results returned in input order."""
     if jobs <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # and logging: only when --jobs > 1
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))
 
@@ -423,16 +423,7 @@ def _base_config(args) -> RunConfig:
     return cfg
 
 
-def _group_for(cfg: RunConfig):
-    if cfg.spacetime == "inline":
-        from .momentum import group_from_structure
-        return group_from_structure(cfg.inline_structure)
-    kw = {"kappa": cfg.kappa, "theta": cfg.theta, "rho": cfg.rho,
-          "lam": cfg.lam, "d": cfg.d}
-    return group_preset(cfg.spacetime, **kw)
-
-
-def _parse_momentum(text, flag: str):
+def _parse_reals(text, flag: str):
     if text is None:
         raise ValueError(f"{flag} is required")
     try:
@@ -442,29 +433,38 @@ def _parse_momentum(text, flag: str):
 
 
 def _group_op(args, cfg: RunConfig) -> dict:
-    """The `group` command's result; ValueError on bad input (validated laws)."""
-    grp = group_preset(args.space, kappa=cfg.kappa, theta=cfg.theta,
-                       rho=cfg.rho, lam=cfg.lam, d=cfg.d) \
-        if args.space != "inline" else _group_for(cfg)
-    p = _parse_momentum(args.p, "--p")
-    if args.op == "inv":
-        res = np.asarray(inv(grp, p), dtype=float)
-        return {"result": list(res), "residual": float(np.max(np.abs(add(grp, p, res))))}
-    if args.op == "modular":
-        return {"result": modular(grp, p), "residual": 0.0}
-    q = _parse_momentum(args.q, "--q")
-    if args.op == "add":
-        return {"result": list(np.asarray(add(grp, p, q), dtype=float)), "residual": 0.0}
-    if args.op == "haar-check":
-        return {"result": None,
-                "residual": max(haar_invariance_check(grp, q, p, "left"),
-                                haar_invariance_check(grp, q, p, "right"))}
-    r = delta_solve_nonplanar(grp, p, q, args.k0)
-    return {"result": None if r.k is None else list(map(float, r.k)),
-            "residual": r.residual, "ok": r.ok, "reason": r.reason}
+    """The `group` command's result; ValueError on bad input or a non-finite result."""
+    if args.space == "inline":
+        if cfg.inline_structure is None:
+            raise ValueError("--space inline needs a --config with a 'structure'")
+        grp = group_from_structure(cfg.inline_structure)
+    else:
+        grp = group_preset(args.space, kappa=cfg.kappa, theta=cfg.theta,
+                           rho=cfg.rho, lam=cfg.lam, d=cfg.d)
+    p = _parse_reals(args.p, "--p")
+    q = None if args.op in ("inv", "modular") else _parse_reals(args.q, "--q")
+    with np.errstate(all="ignore"):  # an overflow is reported below, as one error line
+        if args.op == "inv":
+            res = np.asarray(inv(grp, p), dtype=float)
+            out = {"result": list(res), "residual": float(np.max(np.abs(add(grp, p, res))))}
+        elif args.op == "modular":
+            out = {"result": modular(grp, p), "residual": 0.0}
+        elif args.op == "add":
+            out = {"result": list(np.asarray(add(grp, p, q), dtype=float)), "residual": 0.0}
+        elif args.op == "haar-check":
+            out = {"result": None, "residual": _worst(haar_invariance_check(grp, q, p, "left"),
+                                                      haar_invariance_check(grp, q, p, "right"))}
+        else:
+            r = delta_solve_nonplanar(grp, p, q, args.k0)
+            out = {"result": None if r.k is None else list(map(float, r.k)),
+                   "residual": r.residual, "ok": r.ok, "reason": r.reason}
+    for key in ("result", "residual"):
+        if out[key] is not None and not np.isfinite(out[key]).all():
+            raise ValueError(f"group {args.op}: the {key} is not finite for these inputs")
+    return out
 
 
-MAX_V_POINTS = 1000
+MAX_POINTS = 1000
 
 
 def _parse_v_range(text: str) -> list:
@@ -477,11 +477,68 @@ def _parse_v_range(text: str) -> list:
         raise ValueError(f"--v: lo and hi must be finite and step positive, got {text!r}")
     vs, v = [], lo
     while v <= hi + 1e-12:
-        if len(vs) == MAX_V_POINTS:
-            raise ValueError(f"--v: {text!r} gives more than {MAX_V_POINTS} velocities")
+        if len(vs) == MAX_POINTS:
+            raise ValueError(f"--v: {text!r} gives more than {MAX_POINTS} velocities")
         vs.append(v)
         v += step
     return vs
+
+
+def _parse_d_range(text: str) -> range:
+    """The dimensions lo..hi (inclusive) of a `--d-range lo:hi` option."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--d-range: expected integers lo:hi, got {text!r}") from None
+    if not 1 <= lo <= hi < lo + MAX_POINTS:
+        raise ValueError(f"--d-range: need 1 <= lo <= hi and at most {MAX_POINTS} "
+                         f"dimensions, got {text!r}")
+    return range(lo, hi + 1)
+
+
+def _parse_lambda_grid(text: str) -> np.ndarray:
+    """The geometric cutoff grid of a `--lambda-grid lo:hi:n` option.
+
+    The divergence slope is fitted on the upper half of the grid, so it needs
+    n >= 3 (two fitted points) and lo < hi.
+    """
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"--lambda-grid: expected lo:hi:n, got {text!r}") from None
+    if not (np.isfinite([lo, hi]).all() and 0 < lo < hi and 3 <= n <= MAX_POINTS):
+        raise ValueError(f"--lambda-grid: need finite 0 < lo < hi and 3 <= n <= {MAX_POINTS}, "
+                         f"got {text!r}")
+    return np.geomspace(lo, hi, n)
+
+
+def _check_args(args, cfg: RunConfig):
+    """Check the command's size and range options, replacing text by parsed values.
+
+    Raises ValueError, which `main` reports as a usage error.
+    """
+    if args.cmd == "matrix-basis" and args.N < 1:
+        raise ValueError(f"--N: must be at least 1, got {args.N}")
+    if args.cmd == "loop" and args.lambda_grid is not None:
+        args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
+    if args.cmd == "loop" and args.grid is not None:
+        vals = _parse_reals(args.grid, "--grid")
+        if not (np.isfinite(vals).all() and (vals > 0).all()):
+            raise ValueError(f"--grid: m and kappa must be finite and positive, got {args.grid!r}")
+        args.grid = tuple(vals.tolist())
+    if args.cmd == "gauge":
+        args.d_range = _parse_d_range(args.d_range)
+    if args.cmd == "causality":
+        args.v = _parse_v_range(args.v)
+        if not cfg.kappa > 0:
+            raise ValueError(f"--kappa: the causality grid needs kappa > 0, got {cfg.kappa}")
+        try:
+            grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
+            grid.validate_kappa(cfg.kappa)
+        except CA.GridError as exc:
+            raise ValueError(f"--grid {args.grid}: {exc}") from None
+        args.grid = grid
 
 
 def _usage_error(exc) -> int:
@@ -547,6 +604,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         cfg = _base_config(args)
+        _check_args(args, cfg)
     except (ConfigError, OSError, ValueError) as exc:
         return _usage_error(exc)
 
@@ -584,12 +642,8 @@ def main(argv=None) -> int:
 
     if args.cmd == "loop":
         if args.op == "mixing":
-            grid = None
-            if args.lambda_grid:
-                lo_, hi, npts = args.lambda_grid.split(":")
-                grid = np.geomspace(float(lo_), float(hi), int(npts))
             rep = LO.mixing_classify(args.space, mass=args.mass, kappa=cfg.kappa,
-                                     theta=cfg.theta, d=cfg.d, lambda_grid=grid)
+                                     theta=cfg.theta, d=cfg.d, lambda_grid=args.lambda_grid)
             if cfg.fmt == "csv":
                 rows = [{"suite": "mixing", "check": f"lambda-{L:g}", "passed": True,
                          "residual": float(v), "detail": rep.verdict}
@@ -599,8 +653,7 @@ def main(argv=None) -> int:
                 _emit(rep.as_dict(), cfg.fmt, cfg.out)
             return 0
         if args.grid:
-            vals = [float(x) for x in args.grid.split(",")]
-            rep = LO.bessel_oracle_compare(ms=tuple(vals), kappas=tuple(vals))
+            rep = LO.bessel_oracle_compare(ms=args.grid, kappas=args.grid)
         else:
             rep = LO.bessel_oracle_compare()
         if cfg.fmt == "csv":
@@ -614,8 +667,7 @@ def main(argv=None) -> int:
 
     if args.cmd == "gauge":
         if args.op == "dim-scan":
-            lo_, hi = (int(x) for x in args.d_range.split(":"))
-            scan = GA.dimension_constraint_scan(range(lo_, hi + 1), cfg.kappa,
+            scan = GA.dimension_constraint_scan(args.d_range, cfg.kappa,
                                                 [0.25, 0.5, 1.0, -0.75])
             if cfg.fmt == "csv":
                 rows = [{"suite": "gauge", "check": f"dim-{d}", "passed": dev == 0.0,
@@ -637,14 +689,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "causality":
-        try:
-            vs = _parse_v_range(args.v)
-        except ValueError as exc:
-            return _usage_error(exc)
-        grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
         rows = []
-        for v in vs:
-            r = CA.cone_condition(grid, cfg.kappa, 1, 1.0, v, seed=cfg.seed)
+        for v in args.v:
+            r = CA.cone_condition(args.grid, cfg.kappa, 1, 1.0, v, seed=cfg.seed)
             rows.append({"suite": "causality", "check": f"cone-v{v:+.2f}",
                          "passed": r["passed"], "residual": r["margin"], "detail": ""})
         _emit({"rows": rows, "passed": all(r["passed"] for r in rows)},

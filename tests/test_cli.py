@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,9 @@ def test_cli_jobs_parallelism_deterministic(tmp_path):
     ["group", "inv", "--d", "1", "--p", "1,x"],                          # malformed
     ["group", "add", "--d", "1", "--p", "1,2"],                          # --q missing
     ["group", "haar-check", "--d", "1", "--p", "1,2", "--q", "1,2,3"],
+    ["group", "modular", "--d", "3", "--p", "1000,0,0,0"],               # overflows to inf
+    ["group", "haar-check", "--d", "3", "--p", "1000,0,0,0", "--q", "1000,1,0,0"],  # NaN
+    ["group", "add", "--space", "inline", "--p", "1,2,3,4", "--q", "0,1,0,0"],  # no structure
 ])
 def test_cli_group_bad_input_exit_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -176,3 +183,49 @@ def test_parse_v_range():
 def test_cli_bessel_check_passed_is_json_bool(capsys):
     assert cli.main(["loop", "bessel-check", "--grid", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix-basis", "--N", "0"],
+    ["causality", "--grid", "8"],
+    ["causality", "--kappa", "0"],
+    ["gauge", "dim-scan", "--d-range", "1-8"],
+    ["loop", "mixing", "--lambda-grid", "a:b"],
+    ["loop", "mixing", "--lambda-grid", "1e4:10:8"],                     # lo > hi
+    ["loop", "bessel-check", "--grid", "1,x"],
+])
+def test_cli_bad_option_exit_2(argv, capsys):
+    test_cli_group_bad_input_exit_2(argv, capsys)
+
+
+def test_parse_ranges():
+    assert cli._parse_d_range("1:8") == range(1, 9)
+    assert list(cli._parse_lambda_grid("10:1000:3")) == pytest.approx([10.0, 100.0, 1000.0])
+    for bad in ("0:8", "5:4", "1:8:2", "1.5:8", "1:100000"):
+        with pytest.raises(ValueError):
+            cli._parse_d_range(bad)
+    for bad in ("0:10:5", "10:10:5", "10:inf:5", "10:100:2", "10:100:2.5", "10:100"):
+        with pytest.raises(ValueError):
+            cli._parse_lambda_grid(bad)
+
+
+def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
+    sc = preset("su2_lambda", lam=1.0)
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"spacetime": "inline", "structure": json.loads(sc.to_json())}))
+    assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
+                     "--p", "0.1,0,0", "--q", "0.2,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == pytest.approx([0.3, 0.0, 0.0])
+
+
+def test_cli_import_and_group_add_do_not_load_scipy():
+    code = ("import sys, qstkit.cli\n"
+            "imported = 'scipy' in sys.modules\n"
+            "rc = qstkit.cli.main(['group', 'add', '--p', '1,2,3,4', '--q', '0,1,0,0'])\n"
+            "print(imported, rc, 'scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "False 0 False"

@@ -159,6 +159,23 @@ def test_mixing_verdicts():
     assert rep.planar_uv_divergent  # divergent planar, degenerate non-planar
 
 
+def test_mixing_report_keeps_undecided_ir_criterion():
+    # a non-monotone p grid leaves criterion (ii) undecided: None, not False
+    rep = L.mixing_classify("moyal", p_grid=[1.0, 0.1, 0.5, 0.01])
+    assert rep.nonplanar_ir_singular is None
+    assert rep.as_dict()["nonplanar_ir_singular"] is None
+    assert rep.verdict == "INCONCLUSIVE"
+
+
+def test_bessel_oracle_compare_fails_on_nan(monkeypatch):
+    real = L.kmink_bessel_oracle
+    monkeypatch.setattr(L, "kmink_bessel_oracle",
+                        lambda m, kappa, d: math.nan if d == 3 else real(m, kappa, d))
+    rep = L.bessel_oracle_compare(ms=(1.0, 2.0), kappas=(1.0,))
+    assert rep["passed"] is False
+    assert math.isnan(rep["max_rel_dev"])
+
+
 def test_diagram_counts():
     assert L.diagram_counts("real_phi4") == {"total": 12, "planar": 8, "nonplanar": 4}
     assert L.diagram_counts("charged_orientable") == {"total": 4, "planar": 4, "nonplanar": 0}
