@@ -520,6 +520,9 @@ def _check_args(args, cfg: RunConfig):
     """
     if args.cmd == "matrix-basis" and args.N < 1:
         raise ValueError(f"--N: must be at least 1, got {args.N}")
+    if args.cmd == "loop" and args.op == "mixing" and args.space not in LO.MIXING_SPACES:
+        raise ValueError(f"--space: unknown space {args.space!r}; use "
+                         f"{'|'.join(LO.MIXING_SPACES)}")
     if args.cmd == "loop" and args.lambda_grid is not None:
         args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
     if args.cmd == "loop" and args.grid is not None:
@@ -529,6 +532,8 @@ def _check_args(args, cfg: RunConfig):
         args.grid = tuple(vals.tolist())
     if args.cmd == "gauge":
         args.d_range = _parse_d_range(args.d_range)
+        if args.op == "dim-scan" and not cfg.kappa > 0:
+            raise ValueError(f"--kappa: the dimension scan needs kappa > 0, got {cfg.kappa}")
     if args.cmd == "causality":
         args.v = _parse_v_range(args.v)
         if not cfg.kappa > 0:
@@ -669,6 +674,10 @@ def main(argv=None) -> int:
         if args.op == "dim-scan":
             scan = GA.dimension_constraint_scan(args.d_range, cfg.kappa,
                                                 [0.25, 0.5, 1.0, -0.75])
+            bad = [d for d, dev in scan["deviations"].items() if not np.isfinite(dev)]
+            if bad:
+                return _usage_error(f"gauge dim-scan: the deviation is not finite for d = "
+                                    f"{bad[0]} at kappa = {cfg.kappa}")
             if cfg.fmt == "csv":
                 rows = [{"suite": "gauge", "check": f"dim-{d}", "passed": dev == 0.0,
                          "residual": dev, "detail": ""}

@@ -137,14 +137,18 @@ def dimension_constraint_scan(d_values, kappa: float, p0_samples) -> dict:
     """max |e^{(4-d) p0/kappa} - 1| per d: zero for every p0 iff d = 4.
 
     This is the gauge-variation prefactor E^{d-2}(u) * E^2(u^dagger) on a
-    plane-wave unitary u = e_p, evaluated exactly.
+    plane-wave unitary u = e_p, evaluated exactly.  A deviation past the
+    float range is inf, and a NaN input gives NaN.
     """
     rows = {}
     for d in d_values:
-        dev = 0.0
+        devs = [0.0]
         for p0 in p0_samples:
-            dev = max(dev, abs(math.exp((4 - d) * p0 / kappa) - 1.0))
-        rows[int(d)] = dev
+            try:
+                devs.append(abs(math.exp((4 - d) * p0 / kappa) - 1.0))
+            except OverflowError:
+                devs.append(math.inf)
+        rows[int(d)] = float(np.max(devs))
     zero_set = sorted(d for d, dev in rows.items() if dev == 0.0)
     return {"deviations": rows, "zero_set": zero_set}
 
@@ -297,8 +301,8 @@ def poly_field_to_jsonable(A: PolyGaugeField) -> list:
     """[[{"exp": [...], "re": r, "im": i}, ...] per component]."""
     out = []
     for comp in A.components:
-        out.append([{"exp": list(e), "re": str(c[0]), "im": str(c[1])}
-                    for e, c in sorted(comp.terms.items())])
+        out.append([{"exp": list(e), "re": str(re), "im": str(im)}
+                    for e in sorted(comp.terms) for re, im in [comp.coefficient(e)]])
     return out
 
 

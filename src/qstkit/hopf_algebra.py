@@ -15,7 +15,11 @@ series of -P0/kappa order by order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from math import factorial
+
+# KScalar, ONE, ZERO and I are re-exported for callers of this module
+from .polyfield import I, ONE, ZERO, KScalar, Sparse  # noqa: F401
 
 # generator ids, in normal order
 K1, K2, K3, J1, J2, J3, P0, PX1, PX2, PX3, E, EINV = range(12)
@@ -24,6 +28,8 @@ GEN_NAMES = {K1: "K1", K2: "K2", K3: "K3", J1: "J1", J2: "J2", J3: "J3",
 _KS = (K1, K2, K3)
 _JS = (J1, J2, J3)
 _PS = (PX1, PX2, PX3)
+_I_K = KScalar.make(0, 1, -1)    # i / kappa
+_INV_K = KScalar.make(1, 0, -1)  # 1 / kappa
 
 
 def _eps(a, b, c):
@@ -31,73 +37,22 @@ def _eps(a, b, c):
     return ((a - b) * (b - c) * (c - a)) // 2 if {a, b, c} == {0, 1, 2} else 0
 
 
+def _eps_sum(i, j, coef, word):
+    """sum_l eps_{ijl} coef word(l), as (KScalar, word) pairs."""
+    return [(coef if e > 0 else -coef, word(l)) for l in range(3) if (e := _eps(i, j, l))]
+
+
 def _order_class(g):
     return E if g in (E, EINV) else g
 
 
-# ---------------------------------------------------------------------------
-# exact scalars: Laurent polynomials in kappa with Gaussian-rational coeffs
-
-class KScalar:
-    """sum_n (re_n + i im_n) kappa^n with exact Fraction coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = {}
-        if c:
-            for n, (re, im) in c.items():
-                if re or im:
-                    self.c[n] = (Fraction(re), Fraction(im))
-
-    @staticmethod
-    def make(re=0, im=0, kpow=0):
-        return KScalar({kpow: (Fraction(re), Fraction(im))})
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for n, (re, im) in other.c.items():
-            r0, i0 = out.get(n, (Fraction(0), Fraction(0)))
-            out[n] = (r0 + re, i0 + im)
-        return KScalar(out)
-
-    def __neg__(self):
-        return KScalar({n: (-re, -im) for n, (re, im) in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for n1, (r1, i1) in self.c.items():
-            for n2, (r2, i2) in other.c.items():
-                n = n1 + n2
-                re = r1 * r2 - i1 * i2
-                im = r1 * i2 + i1 * r2
-                r0, i0 = out.get(n, (Fraction(0), Fraction(0)))
-                out[n] = (r0 + re, i0 + im)
-        return KScalar(out)
-
-    def is_zero(self):
-        return not self.c
-
-    def __eq__(self, other):
-        return isinstance(other, KScalar) and self.c == other.c
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        bits = []
-        for n in sorted(self.c):
-            re, im = self.c[n]
-            kpart = "" if n == 0 else (f"·κ^{n}" if n != 1 else "·κ")
-            bits.append(f"({re}{'+' if im >= 0 else ''}{im}i){kpart}")
-        return "+".join(bits)
+def _grouplike(mono):
+    """Whether the counit of the monomial is 1 (a word in E, E^{-1}); else it is 0."""
+    return all(g in (E, EINV) for g in mono)
 
 
-ONE = KScalar.make(1)
-ZERO = KScalar()
-I = KScalar.make(0, 1)
+def _word(mono):
+    return "·".join(GEN_NAMES[g] for g in mono) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -105,55 +60,32 @@ I = KScalar.make(0, 1)
 
 def _commutator(lo, hi):
     """[lo, hi] as a list of (KScalar, word-tuple); words need not be normal."""
-    if lo in _KS and hi in _KS:
-        i, j = lo - K1, hi - K1
-        out = []
-        for l in range(3):
-            e = _eps(i, j, l)
-            if e:
-                out.append((KScalar.make(0, -e), (J1 + l,)))  # -i eps J_l
-        return out
-    if lo in _KS and hi in _JS:
-        i, j = lo - K1, hi - J1
-        out = []
-        for l in range(3):
-            e = _eps(i, j, l)
-            if e:
-                out.append((KScalar.make(0, e), (K1 + l,)))  # +i eps K_l
-        return out
-    if lo in _KS and hi == P0:
-        return [(KScalar.make(0, 1), (PX1 + (lo - K1),))]  # i P_i
-    if lo in _KS and hi in _PS:
-        i, j = lo - K1, hi - PX1
-        out = [(KScalar.make(0, Fraction(-1, 1), ), (PX1 + j, PX1 + i))]
-        out[0] = (KScalar({-1: (Fraction(0), Fraction(-1))}), (PX1 + j, PX1 + i))  # -(i/κ) P_j P_i
-        if i == j:
-            out.append((KScalar({1: (Fraction(0), Fraction(1, 2))}), ()))          # +(i/2) κ
-            out.append((KScalar({1: (Fraction(0), Fraction(-1, 2))}), (E, E)))     # -(i/2) κ E^2
-            for l in range(3):
-                out.append((KScalar({-1: (Fraction(0), Fraction(1, 2))}),
-                            (PX1 + l, PX1 + l)))                                   # +(i/2κ) P_l P_l
-        return out
-    if lo in _KS and hi == E:
-        return [(KScalar({-1: (Fraction(0), Fraction(-1))}), (PX1 + (lo - K1), E))]
-    if lo in _KS and hi == EINV:
-        return [(KScalar({-1: (Fraction(0), Fraction(1))}), (PX1 + (lo - K1), EINV))]
+    if lo in _KS:
+        i = lo - K1
+        if hi in _KS:
+            return _eps_sum(i, hi - K1, -I, lambda l: (J1 + l,))  # -i eps J_l
+        if hi in _JS:
+            return _eps_sum(i, hi - J1, I, lambda l: (K1 + l,))   # +i eps K_l
+        if hi == P0:
+            return [(I, (PX1 + i,))]                               # i P_i
+        if hi in _PS:
+            j = hi - PX1
+            out = [(-_I_K, (PX1 + j, PX1 + i))]                    # -(i/κ) P_j P_i
+            if i == j:
+                out.append((KScalar.make(0, Fraction(1, 2), 1), ()))           # +(i/2) κ
+                out.append((KScalar.make(0, Fraction(-1, 2), 1), (E, E)))      # -(i/2) κ E^2
+                for l in range(3):
+                    out.append((KScalar.make(0, Fraction(1, 2), -1),
+                                (PX1 + l, PX1 + l)))                           # +(i/2κ) P_l P_l
+            return out
+        if hi == E:
+            return [(-_I_K, (PX1 + i, E))]
+        if hi == EINV:
+            return [(_I_K, (PX1 + i, EINV))]
     if lo in _JS and hi in _JS:
-        i, j = lo - J1, hi - J1
-        out = []
-        for l in range(3):
-            e = _eps(i, j, l)
-            if e:
-                out.append((KScalar.make(0, e), (J1 + l,)))  # +i eps J_l
-        return out
+        return _eps_sum(lo - J1, hi - J1, I, lambda l: (J1 + l,))     # +i eps J_l
     if lo in _JS and hi in _PS:
-        i, j = lo - J1, hi - PX1
-        out = []
-        for l in range(3):
-            e = _eps(i, j, l)
-            if e:
-                out.append((KScalar.make(0, e), (PX1 + l,)))  # +i eps P_l
-        return out
+        return _eps_sum(lo - J1, hi - PX1, I, lambda l: (PX1 + l,))   # +i eps P_l
     # all remaining pairs commute: [J,P0], [J,E], [P0,P], [P0,E], [P,P], [P,E]
     return []
 
@@ -161,17 +93,19 @@ def _commutator(lo, hi):
 # ---------------------------------------------------------------------------
 # elements: normal-ordered words -> KScalar
 
-def _normalize_word(coef: KScalar, word: tuple, rng=None) -> dict:
-    """Rewrite a generator word to normal order; returns {mono: KScalar}.
+def _normalize_word(coef: KScalar, word: tuple, rng=None) -> list:
+    """Rewrite a generator word to normal order; returns (mono, KScalar) pairs.
 
-    Terminates for any reduction order: track (K-degree, J-degree, length,
-    inversion count) lexicographically.  A swap keeps all degrees and drops
-    the inversion count by one; every correction term from the table either
-    lowers the K-degree ([K,K] -> J, [K,P0] -> P, [K,P] -> P/E words,
-    [K,E] -> P E) or keeps it and lowers the J-degree ([K,J] -> K,
-    [J,J] -> J, [J,P] -> P); E E^{-1} cancellation shortens the word.
+    A monomial may occur more than once; the pairs are summed by the
+    `Element` they are fed to.  Terminates for any reduction order: track
+    (K-degree, J-degree, length, inversion count) lexicographically.  A swap
+    keeps all degrees and drops the inversion count by one; every correction
+    term from the table either lowers the K-degree ([K,K] -> J, [K,P0] -> P,
+    [K,P] -> P/E words, [K,E] -> P E) or keeps it and lowers the J-degree
+    ([K,J] -> K, [J,J] -> J, [J,P] -> P); E E^{-1} cancellation shortens the
+    word.
     """
-    out = {}
+    out = []
     work = [(coef, list(word))]
     while work:
         c, w = work.pop()
@@ -184,8 +118,7 @@ def _normalize_word(coef: KScalar, word: tuple, rng=None) -> dict:
             elif _order_class(a) > _order_class(b):
                 spots.append((idx, "swap"))
         if not spots:
-            mono = tuple(w)
-            out[mono] = out.get(mono, ZERO) + c
+            out.append((tuple(w), c))
             continue
         if rng is None:
             idx, kind = spots[0]
@@ -199,59 +132,33 @@ def _normalize_word(coef: KScalar, word: tuple, rng=None) -> dict:
         work.append((c, w[:idx] + [b, a] + w[idx + 2:]))
         for cc, ww in _commutator(b, a):
             work.append((c * (-cc), w[:idx] + list(ww) + w[idx + 2:]))
-    return {m: s for m, s in out.items() if not s.is_zero()}
+    return out
 
 
-class Element:
-    """Exact element of the kappa-Poincare enveloping algebra."""
+class Element(Sparse):
+    """Exact element of the kappa-Poincare enveloping algebra.
 
-    __slots__ = ("terms",)
+    Keys are normal-ordered generator words; `words` adds (KScalar, word)
+    pairs in any order, normal-ordered by the rewrite system (in a random
+    reduction order when an `rng` is given).
+    """
 
-    def __init__(self, terms=None, words=None, rng=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero():
-                    self.terms[m] = self.terms.get(m, ZERO) + c
+    __slots__ = ()
+
+    def __init__(self, terms=(), words=None, rng=None):
         if words:
-            for c, w in words:
-                for m, s in _normalize_word(c, tuple(w), rng=rng).items():
-                    self.terms[m] = self.terms.get(m, ZERO) + s
-        self.terms = {m: c for m, c in self.terms.items() if not c.is_zero()}
+            terms = [*Element(terms).terms.items(),
+                     *(p for c, w in words for p in _normalize_word(c, tuple(w), rng=rng))]
+        super().__init__(terms)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return Element(terms=out)
+    def _like(self, pairs):
+        return Element(pairs)
 
-    def __sub__(self, other):
-        return self + other.scale(KScalar.make(-1))
+    def _key_mul(self, m1, m2):
+        return _normalize_word(ONE, m1 + m2)
 
-    def scale(self, s: KScalar):
-        return Element(terms={m: c * s for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        words = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                words.append((c1 * c2, m1 + m2))
-        return Element(words=words)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and (self - other).is_zero()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            w = "·".join(GEN_NAMES[g] for g in m) or "1"
-            bits.append(f"[{self.terms[m]}]{w}")
-        return " + ".join(bits)
+    def _show(self, mono, coef):
+        return f"[{coef}]{_word(mono)}"
 
 
 def unit(s: KScalar = ONE) -> Element:
@@ -278,75 +185,42 @@ def normal_order(words, rng=None) -> Element:
 # ---------------------------------------------------------------------------
 # tensor elements
 
-class Tensor:
+def _outer(factors):
+    """(key tuple, coefficient product) for each choice of one pair per factor."""
+    out = [((), ONE)]
+    for pairs in factors:
+        out = [(k + (k2,), c2 if c is ONE else c if c2 is ONE else c * c2)
+               for k, c in out for k2, c2 in pairs]
+    return out
+
+
+class Tensor(Sparse):
     """Element of the n-fold tensor power, slots normal-ordered."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms=()):
         self.n = n
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = self.terms.get(k, ZERO) + c
-        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return Tensor(self.n, out)
+    def _like(self, pairs):
+        return Tensor(self.n, pairs)
 
-    def __sub__(self, other):
-        return self + other.scale(KScalar.make(-1))
+    def _key_mul(self, k1, k2):
+        return _outer(Element(_normalize_word(ONE, a + b)).terms.items() for a, b in zip(k1, k2))
 
-    def scale(self, s):
-        return Tensor(self.n, {k: c * s for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                slot_elems = [Element(words=[(ONE, k1[i] + k2[i])]) for i in range(self.n)]
-                for combo in product(*[list(e.terms.items()) for e in slot_elems]):
-                    key = tuple(m for m, _ in combo)
-                    coef = c1 * c2
-                    for _, cc in combo:
-                        coef = coef * cc
-                    out[key] = out.get(key, ZERO) + coef
-        return Tensor(self.n, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and self.n == other.n and (self - other).is_zero()
+    def _show(self, key, coef):
+        return f"[{coef}]({' ⊗ '.join(map(_word, key))})"
 
     def flip(self):
         """Swap the two slots (n = 2 only)."""
         assert self.n == 2
-        return Tensor(2, {(b, a): c for (a, b), c in self.terms.items()})
-
-    def __repr__(self):
-        bits = []
-        for k in sorted(self.terms):
-            w = " ⊗ ".join("·".join(GEN_NAMES[g] for g in m) or "1" for m in k)
-            bits.append(f"[{self.terms[k]}]({w})")
-        return " + ".join(bits) or "0"
+        return self.map_keys(lambda k: ((k[::-1], ONE),))
 
 
 def tensor_of(elems) -> Tensor:
     """Outer product of plain Elements."""
-    n = len(elems)
-    out = {}
-    for combo in product(*[list(e.terms.items()) for e in elems]):
-        key = tuple(m for m, _ in combo)
-        coef = ONE
-        for _, c in combo:
-            coef = coef * c
-        out[key] = out.get(key, ZERO) + coef
-    return Tensor(n, out)
+    return Tensor(len(elems), _outer(e.terms.items() for e in elems))
 
 
 # ---------------------------------------------------------------------------
@@ -354,100 +228,65 @@ def tensor_of(elems) -> Tensor:
 
 def _delta_gen(g) -> Tensor:
     one = ()
-    if g == P0:
-        return Tensor(2, {((P0,), one): ONE, (one, (P0,)): ONE})
+    if g == P0 or g in _JS:
+        return Tensor(2, {((g,), one): ONE, (one, (g,)): ONE})
     if g in _PS:
         return Tensor(2, {((g,), one): ONE, ((E,), (g,)): ONE})
-    if g in _JS:
-        return Tensor(2, {((g,), one): ONE, (one, (g,)): ONE})
-    if g == E:
-        return Tensor(2, {((E,), (E,)): ONE})
-    if g == EINV:
-        return Tensor(2, {((EINV,), (EINV,)): ONE})
+    if g in (E, EINV):
+        return Tensor(2, {((g,), (g,)): ONE})
     if g in _KS:
-        j = g - K1
-        out = {((g,), one): ONE, ((E,), (g,)): ONE}
         # + (1/κ) eps_{jkl} P_k ⊗ J_l  (sign fixed by bialgebra compatibility
         # of the [P, K] relation; see notes)
-        for k in range(3):
-            for l in range(3):
-                e = _eps(j, k, l)
-                if e:
-                    out[((PX1 + k,), (J1 + l,))] = KScalar({-1: (Fraction(e), Fraction(0))})
-        return Tensor(2, out)
+        eps = [(w, c) for k in range(3)
+               for c, w in _eps_sum(g - K1, k, _INV_K, lambda l: ((PX1 + k,), (J1 + l,)))]
+        return Tensor(2, [(((g,), one), ONE), (((E,), (g,)), ONE), *eps])
     raise ValueError(g)
 
 
 def _antipode_gen(g) -> Element:
-    if g == P0:
-        return gen(P0).scale(KScalar.make(-1))
-    if g in _PS:
-        return Element(words=[(KScalar.make(-1), (EINV, g))])
-    if g in _JS:
-        return gen(g).scale(KScalar.make(-1))
-    if g == E:
-        return gen(EINV)
-    if g == EINV:
-        return gen(E)
+    if g == P0 or g in _JS:
+        return Element({(g,): -ONE})
+    if g in (E, EINV):
+        return gen(EINV if g == E else E)
+    if g not in _PS + _KS:
+        raise ValueError(g)
+    words = [(-ONE, (EINV, g))]
     if g in _KS:
-        j = g - K1
-        words = [(KScalar.make(-1), (EINV, g))]
         # + (1/κ) E^{-1} eps_{jkl} P_k J_l, with the P-then-J ordering that
         # closes the coinverse identity
-        for k in range(3):
-            for l in range(3):
-                e = _eps(j, k, l)
-                if e:
-                    words.append((KScalar({-1: (Fraction(e), Fraction(0))}),
-                                  (EINV, PX1 + k, J1 + l)))
-        return Element(words=words)
-    raise ValueError(g)
+        words += [p for k in range(3)
+                  for p in _eps_sum(g - K1, k, _INV_K, lambda l: (EINV, PX1 + k, J1 + l))]
+    return Element(words=words)
 
 
-def _counit_gen(g) -> KScalar:
-    return ONE if g in (E, EINV) else ZERO
+@cache
+def _delta_mono(mono) -> Tensor:
+    acc = Tensor(2, {((), ()): ONE})
+    for g in mono:
+        acc = acc * _delta_gen(g)
+    return acc
 
 
-_DELTA_CACHE: dict = {}
-_S_CACHE: dict = {}
+@cache
+def _antipode_mono(mono) -> Element:
+    acc = unit()
+    for g in reversed(mono):
+        acc = acc * _antipode_gen(g)
+    return acc
 
 
 def coproduct(el: Element) -> Tensor:
     """Delta, extended as an algebra homomorphism."""
-    total = Tensor(2)
-    for mono, coef in el.terms.items():
-        if mono not in _DELTA_CACHE:
-            acc = Tensor(2, {((), ()): ONE})
-            for g in mono:
-                acc = acc * _delta_gen(g)
-            _DELTA_CACHE[mono] = acc
-        total = total + _DELTA_CACHE[mono].scale(coef)
-    return total
+    return el.map_keys(lambda m: _delta_mono(m).terms.items(), Tensor(2))
 
 
 def counit(el: Element) -> KScalar:
-    total = ZERO
-    for mono, coef in el.terms.items():
-        c = ONE
-        for g in mono:
-            c = c * _counit_gen(g)
-            if c.is_zero():
-                break
-        total = total + coef * c
-    return total
+    return sum((c for m, c in el.terms.items() if _grouplike(m)), ZERO)
 
 
 def antipode(el: Element) -> Element:
     """S, extended as an algebra antihomomorphism."""
-    total = Element()
-    for mono, coef in el.terms.items():
-        if mono not in _S_CACHE:
-            acc = unit()
-            for g in reversed(mono):
-                acc = acc * _antipode_gen(g)
-            _S_CACHE[mono] = acc
-        total = total + _S_CACHE[mono].scale(coef)
-    return total
+    return el.map_keys(lambda m: _antipode_mono(m).terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -455,40 +294,22 @@ def antipode(el: Element) -> Element:
 
 def _apply_slot(T: Tensor, slot: int, fn_tensor) -> Tensor:
     """Apply a map Element -> Tensor(2) to one slot, producing Tensor(n+1)."""
-    out = Tensor(T.n + 1)
-    acc = {}
-    for key, coef in T.terms.items():
-        piece = fn_tensor(Element(terms={key[slot]: ONE}))
-        for k2, c2 in piece.terms.items():
-            newkey = key[:slot] + k2 + key[slot + 1:]
-            acc[newkey] = acc.get(newkey, ZERO) + coef * c2
-    return Tensor(T.n + 1, acc)
+    return T.map_keys(lambda k: [(k[:slot] + k2 + k[slot + 1:], c) for k2, c in
+                                 fn_tensor(Element({k[slot]: ONE})).terms.items()],
+                      Tensor(T.n + 1))
 
 
 def _contract_counit(T: Tensor, slot: int) -> Element:
-    out = {}
-    for key, coef in T.terms.items():
-        c = counit(Element(terms={key[slot]: ONE}))
-        if c.is_zero():
-            continue
-        rest = key[:slot] + key[slot + 1:]
-        assert len(rest) == 1
-        out[rest[0]] = out.get(rest[0], ZERO) + coef * c
-    return Element(terms=out)
+    assert T.n == 2
+    return T.map_keys(lambda k: [(k[1 - slot], ONE)] if _grouplike(k[slot]) else [], Element())
 
 
 def _multiply_slots_with_map(T: Tensor, fn_left=None, fn_right=None) -> Element:
     """m((f ⊗ g) T) for slot maps f, g: Element -> Element (n = 2)."""
-    total = Element()
-    for (m1, m2), coef in T.terms.items():
-        e1 = Element(terms={m1: ONE})
-        e2 = Element(terms={m2: ONE})
-        if fn_left is not None:
-            e1 = fn_left(e1)
-        if fn_right is not None:
-            e2 = fn_right(e2)
-        total = total + (e1 * e2).scale(coef)
-    return total
+    f = fn_left or (lambda e: e)
+    g = fn_right or (lambda e: e)
+    return T.map_keys(lambda k: (f(Element({k[0]: ONE})) * g(Element({k[1]: ONE}))).terms.items(),
+                      Element())
 
 
 # ---------------------------------------------------------------------------
@@ -530,58 +351,41 @@ def commutator_element(a: Element, b: Element) -> Element:
 
 def printed_relations() -> dict:
     """The bracket relations of the algebra sector, as (A, B, rhs) triples."""
+    def eps_rhs(j, k, coef, base):
+        return Element(words=_eps_sum(j, k, coef, lambda l: (base + l,)))
+
     rel = {}
     for j in range(3):
         for k in range(3):
             if j < k:
-                rhs = Element()
-                for l in range(3):
-                    e = _eps(j, k, l)
-                    if e:
-                        rhs = rhs + gen(J1 + l).scale(KScalar.make(0, e))
-                rel[f"[J{j+1},J{k+1}]"] = (gen(J1 + j), gen(J1 + k), rhs)
-                rhsk = Element()
-                for l in range(3):
-                    e = _eps(j, k, l)
-                    if e:
-                        rhsk = rhsk + gen(J1 + l).scale(KScalar.make(0, -e))
-                rel[f"[K{j+1},K{k+1}]"] = (gen(K1 + j), gen(K1 + k), rhsk)
-            rhs = Element()
-            for l in range(3):
-                e = _eps(j, k, l)
-                if e:
-                    rhs = rhs + gen(K1 + l).scale(KScalar.make(0, e))
-            rel[f"[J{j+1},K{k+1}]"] = (gen(J1 + j), gen(K1 + k), rhs)
-            rhs = Element()
-            for l in range(3):
-                e = _eps(j, k, l)
-                if e:
-                    rhs = rhs + gen(PX1 + l).scale(KScalar.make(0, e))
-            rel[f"[P{j+1},J{k+1}]"] = (gen(PX1 + j), gen(J1 + k), rhs)
+                rel[f"[J{j+1},J{k+1}]"] = (gen(J1 + j), gen(J1 + k), eps_rhs(j, k, I, J1))
+                rel[f"[K{j+1},K{k+1}]"] = (gen(K1 + j), gen(K1 + k), eps_rhs(j, k, -I, J1))
+            rel[f"[J{j+1},K{k+1}]"] = (gen(J1 + j), gen(K1 + k), eps_rhs(j, k, I, K1))
+            rel[f"[P{j+1},J{k+1}]"] = (gen(PX1 + j), gen(J1 + k), eps_rhs(j, k, I, PX1))
             if j >= k:
                 rel[f"[P{j+1},P{k+1}]"] = (gen(PX1 + j), gen(PX1 + k), Element())
         rel[f"[P{j+1},E]"] = (gen(PX1 + j), gen(E), Element())
         rel[f"[J{j+1},E]"] = (gen(J1 + j), gen(E), Element())
-        rel[f"[K{j+1},E]"] = (
-            gen(K1 + j), gen(E),
-            Element(words=[(KScalar({-1: (Fraction(0), Fraction(-1))}), (PX1 + j, E))]),
-        )
+        rel[f"[K{j+1},E]"] = (gen(K1 + j), gen(E), Element(words=[(-_I_K, (PX1 + j, E))]))
         rel[f"[K{j+1},P0]"] = (gen(K1 + j), gen(P0), gen(PX1 + j).scale(I))
         for k in range(3):
-            words = [(KScalar({-1: (Fraction(0), Fraction(1))}), (PX1 + j, PX1 + k))]
+            words = [(_I_K, (PX1 + j, PX1 + k))]
             if j == k:
-                words.append((KScalar({1: (Fraction(0), Fraction(-1, 2))}), ()))
-                words.append((KScalar({1: (Fraction(0), Fraction(1, 2))}), (E, E)))
+                words.append((KScalar.make(0, Fraction(-1, 2), 1), ()))
+                words.append((KScalar.make(0, Fraction(1, 2), 1), (E, E)))
                 for l in range(3):
-                    words.append((KScalar({-1: (Fraction(0), Fraction(-1, 2))}),
-                                  (PX1 + l, PX1 + l)))
+                    words.append((KScalar.make(0, Fraction(-1, 2), -1), (PX1 + l, PX1 + l)))
             rel[f"[P{j+1},K{k+1}]"] = (gen(PX1 + j), gen(K1 + k), Element(words=words))
     return rel
 
 
-def bialgebra_compat_check(name: str) -> dict:
-    """Delta, counit and antipode compatibility of one printed relation."""
-    a, b, rhs = printed_relations()[name]
+def bialgebra_compat_check(name: str, relations=None) -> dict:
+    """Delta, counit and antipode compatibility of one printed relation.
+
+    `relations` is a `printed_relations()` table to read it from; by default
+    the table is built for this call.
+    """
+    a, b, rhs = (relations or printed_relations())[name]
     lhs = commutator_element(a, b)
     alg = lhs - rhs
     d_res = (coproduct(a) * coproduct(b) - coproduct(b) * coproduct(a)) - coproduct(rhs)
@@ -600,13 +404,8 @@ def bialgebra_compat_check(name: str) -> dict:
 
 def exp_series_E(order: int) -> Element:
     """Truncated series of e^{-P0/kappa} as an element in P0 powers."""
-    out = Element()
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        out = out + Element(terms={tuple([P0] * n): KScalar({-n: (Fraction((-1) ** n, fact), Fraction(0))})})
-    return out
+    return Element({(P0,) * n: KScalar.make(Fraction((-1) ** n, factorial(n)), 0, -n)
+                    for n in range(order + 1)})
 
 
 def e_series_consistency(order: int) -> bool:
@@ -615,7 +414,7 @@ def e_series_consistency(order: int) -> bool:
         sN = exp_series_E(order)
         sN1 = exp_series_E(order - 1)
         lhs = commutator_element(gen(K1 + j), sN)
-        rhs = (gen(PX1 + j) * sN1).scale(KScalar({-1: (Fraction(0), Fraction(-1))}))
+        rhs = (gen(PX1 + j) * sN1).scale(-_I_K)
         if not (lhs - rhs).is_zero():
             return False
     return True
@@ -627,7 +426,8 @@ ALL_GENERATOR_NAMES = ("P0", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3
 def full_suite() -> dict:
     """Hopf axioms on every generator plus compatibility of every relation."""
     gens = {name: hopf_axiom_suite(name) for name in ALL_GENERATOR_NAMES}
-    rels = {name: bialgebra_compat_check(name) for name in printed_relations()}
+    table = printed_relations()
+    rels = {name: bialgebra_compat_check(name, table) for name in table}
     ok = all(r["coassociativity"] and r["counit"] and r["coinverse"] for r in gens.values())
     ok = ok and all(r["coproduct"] and r["counit"] and r["antipode"] for r in rels.values())
     return {"generators": gens, "relations": rels, "passed": ok}

@@ -385,7 +385,7 @@ def two_point_assemble(group: GroupDescriptor, ks: KineticSpec) -> TwoPointAssem
 @dataclass
 class MixingReport:
     space: str
-    planar_uv_divergent: bool
+    planar_uv_divergent: Optional[bool]  # None: undecided (INCONCLUSIVE)
     planar_growth_exponent: float
     nonplanar_ir_singular: Optional[bool]  # None: undecided (INCONCLUSIVE)
     nonplanar_ir_raw_trend: float
@@ -406,11 +406,21 @@ class MixingReport:
         }
 
 
+def _and(a, b):
+    """Three-valued and: False if either is False, else None if either is undecided."""
+    if a is False or b is False:
+        return False
+    return None if a is None or b is None else True
+
+
 def _verdict(i, ii, iii):
     flags = (i, ii, iii)
     if any(f is None for f in flags):
         return "INCONCLUSIVE"
     return "MIXING" if all(flags) else "NO_MIXING"
+
+
+MIXING_SPACES = ("moyal", "kappa", "commutative")
 
 
 def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
@@ -443,7 +453,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         raw = _loglog_slope([r[0] for r in rows], [r[1] for r in rows])
         monotone = all(rows[j + 1][1] >= rows[j][1] for j in range(len(rows) - 1))
         ii_raw = raw < -DIV_SLOPE if monotone else None
-        ii = None if ii_raw is None else (ii_raw and bool(i_div))
+        ii = _and(ii_raw, i_div)
 
         p_fixed = np.array([1.0, 0.0, 0.0, 0.0])
         lrows = []
@@ -453,7 +463,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         slope = _loglog_slope([r[0] for r in lrows], [r[1] for r in lrows])
         iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
 
-        return MixingReport("moyal", bool(i_div), sweep["slope"], ii, raw, iii,
+        return MixingReport("moyal", i_div, sweep["slope"], ii, raw, iii,
                             _verdict(i_div, ii, iii), evidence)
 
     if space == "kappa":
@@ -472,8 +482,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
             rows.append((float(t), kappa_nonplanar_value(p, mass, kappa, d, 200 * kappa)))
         evidence["ir_sequence"] = rows
         raw = _loglog_slope([r[0] for r in rows], [abs(r[1]) for r in rows])
-        ii_raw = raw < -DIV_SLOPE
-        ii = ii_raw and bool(i_div)
+        ii = _and(raw < -DIV_SLOPE, i_div)
 
         p_fixed = np.zeros(d + 1)
         p_fixed[0] = kappa
@@ -484,7 +493,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         slope = _loglog_slope([r[0] for r in lrows], [max(abs(r[1]), 1e-300) for r in lrows])
         iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
 
-        return MixingReport(f"kappa_minkowski_d{d}", bool(i_div), sweep["slope"],
+        return MixingReport(f"kappa_minkowski_d{d}", i_div, sweep["slope"],
                             ii, raw, iii, _verdict(i_div, ii, iii), evidence)
 
     if space == "commutative":
@@ -496,10 +505,10 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         # ⊞ = + makes k drop out of the non-planar delta: the sector is
         # degenerate (no k-dependent phase), so no IR singularity by definition
         evidence["nonplanar"] = "degenerate: delta(p + k + q - k) = delta(p + q)"
-        return MixingReport("commutative", bool(i_div), sweep["slope"], False,
+        return MixingReport("commutative", i_div, sweep["slope"], False,
                             0.0, True, _verdict(i_div, False, True), evidence)
 
-    raise ValueError(f"unknown space {space!r}; use moyal|kappa|commutative")
+    raise ValueError(f"unknown space {space!r}; use {'|'.join(MIXING_SPACES)}")
 
 
 # ---------------------------------------------------------------------------

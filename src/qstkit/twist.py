@@ -12,187 +12,113 @@ braided commutativity of the twisted product on a polynomial module.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .hopf_algebra import KScalar
-
-ONE = KScalar.make(1)
-ZERO = KScalar()
+# KScalar, ONE, ZERO and I are re-exported for callers of this module
+from .polyfield import I, ONE, ZERO, KScalar, Sparse  # noqa: F401
 
 
-def _trunc(s: KScalar, order: int) -> KScalar:
-    return KScalar({n: c for n, c in s.c.items() if 0 <= n <= order})
-
-
-class TSeries:
+class TSeries(Sparse):
     """n-fold tensor of the abelian algebra, kbar-truncated at a fixed order.
 
     Keys are tuples of exponent pairs ((aX, aY), ...), one pair per slot.
     """
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("n", "order")
 
-    def __init__(self, n, order, terms=None):
+    def __init__(self, n, order, terms=()):
         self.n = n
         self.order = order
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = _trunc(c, order)
-                if not c.is_zero():
-                    self.terms[k] = self.terms.get(k, ZERO) + c
-        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+        super().__init__(terms)
+
+    def _like(self, pairs):
+        return TSeries(self.n, self.order, pairs)
+
+    def _key_mul(self, k1, k2):
+        return ((tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(k1, k2)), ONE),)
 
     @staticmethod
     def unit(n, order):
         return TSeries(n, order, {(((0, 0),) * n): ONE})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return TSeries(self.n, self.order, out)
-
-    def __sub__(self, other):
-        return self + other.scale(KScalar.make(-1))
-
-    def scale(self, s):
-        return TSeries(self.n, self.order, {k: c * s for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = _trunc(c1 * c2, self.order)
-                if c.is_zero():
-                    continue
-                key = tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(k1, k2))
-                out[key] = out.get(key, ZERO) + c
-        return TSeries(self.n, self.order, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TSeries) and self.n == other.n
-                and (self - other).is_zero())
-
     def constant_part(self):
         """The kbar^0 component."""
-        out = {}
-        for k, c in self.terms.items():
-            c0 = KScalar({0: c.c[0]}) if 0 in c.c else ZERO
-            if not c0.is_zero():
-                out[k] = c0
-        return TSeries(self.n, self.order, out)
+        return self.order_component(0)
 
     def order_component(self, m):
-        out = {}
-        for k, c in self.terms.items():
-            if m in c.c:
-                out[k] = KScalar({m: c.c[m]})
-        return TSeries(self.n, self.order, out)
+        return self._like((k, c.truncated(m, m)) for k, c in self.terms.items())
 
-    def __repr__(self):
-        bits = []
-        for k in sorted(self.terms):
-            mono = " ⊗ ".join(
-                ("X^%d Y^%d" % (a, b)).replace("X^0 ", "").replace(" Y^0", "") or "1"
-                for a, b in k
-            )
-            bits.append(f"[{self.terms[k]}]({mono})")
-        return " + ".join(bits) or "0"
+    def _show(self, key, coef):
+        mono = " ⊗ ".join(("X^%d Y^%d" % (a, b)).replace("X^0 ", "").replace(" Y^0", "") or "1"
+                          for a, b in key)
+        return f"[{coef}]({mono})"
+
+
+def _power_series(t: TSeries, coef) -> TSeries:
+    """1 + sum_k coef(k) t^k for k = 1..order, stopping once t^k vanishes."""
+    out = power = TSeries.unit(t.n, t.order)
+    for k in range(1, t.order + 1):
+        power = power * t
+        if power.is_zero():
+            break
+        out = out + power.scale(coef(k))
+    return out
 
 
 def exp_series(t: TSeries) -> TSeries:
     """exp of a series with vanishing kbar^0 part (nilpotent by truncation)."""
     if not t.constant_part().is_zero():
         raise ValueError("exp needs a series of order O(kbar)")
-    out = TSeries.unit(t.n, t.order)
-    power = TSeries.unit(t.n, t.order)
-    for k in range(1, t.order + 1):
-        power = power * t
-        if power.is_zero():
-            break
-        out = out + power.scale(KScalar.make(Fraction(1, factorial(k))))
-    return out
+    return _power_series(t, lambda k: KScalar.make(Fraction(1, factorial(k))))
 
 
 def series_inverse(F: TSeries) -> TSeries:
     """Neumann inverse of 1 + O(kbar); fails on a non-unit constant term."""
     unit = TSeries.unit(F.n, F.order)
-    rest = F - unit
     if not (F.constant_part() - unit).is_zero():
         raise ValueError("series is not invertible: constant term is not 1")
-    out = unit
-    power = unit
-    for k in range(1, F.order + 1):
-        power = power * rest
-        if power.is_zero():
-            break
-        out = out + power.scale(KScalar.make((-1) ** k))
-    return out
+    return _power_series(F - unit, lambda k: KScalar.make((-1) ** k))
 
 
 # Hopf structure of the free abelian algebra (X, Y primitive) ----------------
 
 def delta_mono(a, b, order):
     """Delta(X^a Y^b) as a 2-tensor (binomial expansion of primitives)."""
-    out = {}
-    for i in range(a + 1):
-        for j in range(b + 1):
-            out[((i, j), (a - i, b - j))] = KScalar.make(comb(a, i) * comb(b, j))
-    return TSeries(2, order, out)
+    return TSeries(2, order, {((i, j), (a - i, b - j)): KScalar.make(comb(a, i) * comb(b, j))
+                              for i in range(a + 1) for j in range(b + 1)})
 
 
 def apply_delta(T: TSeries, slot: int) -> TSeries:
     """Coproduct applied to one slot: n-tensor -> (n+1)-tensor."""
-    out = {}
-    for key, coef in T.terms.items():
-        a, b = key[slot]
-        piece = delta_mono(a, b, T.order)
-        for k2, c2 in piece.terms.items():
-            newkey = key[:slot] + k2 + key[slot + 1:]
-            c = coef * c2
-            out[newkey] = out.get(newkey, ZERO) + c
-    return TSeries(T.n + 1, T.order, out)
+    return T.map_keys(lambda k: [(k[:slot] + k2 + k[slot + 1:], c) for k2, c in
+                                 delta_mono(*k[slot], T.order).terms.items()],
+                      TSeries(T.n + 1, T.order))
 
 
 def apply_counit(T: TSeries, slot: int) -> TSeries:
     """Counit on one slot: keeps only terms with the trivial monomial there."""
-    out = {}
-    for key, coef in T.terms.items():
-        if key[slot] != (0, 0):
-            continue
-        newkey = key[:slot] + key[slot + 1:]
-        out[newkey] = out.get(newkey, ZERO) + coef
-    return TSeries(T.n - 1, T.order, out)
+    return T.map_keys(lambda k: [(k[:slot] + k[slot + 1:], ONE)] if k[slot] == (0, 0) else [],
+                      TSeries(T.n - 1, T.order))
 
 
 def apply_antipode(T: TSeries, slot: int) -> TSeries:
     """S(X^a Y^b) = (-1)^{a+b} X^a Y^b on one slot (primitive generators)."""
-    out = {}
-    for key, coef in T.terms.items():
-        a, b = key[slot]
-        out[key] = out.get(key, ZERO) + coef * KScalar.make((-1) ** (a + b))
-    return TSeries(T.n, T.order, out)
+    return T.map_keys(lambda k: ((k, KScalar.make((-1) ** sum(k[slot]))),))
 
 
 def embed(T: TSeries, slots, n: int) -> TSeries:
     """Place a 2-tensor into the given slots of an n-tensor (e.g. F13)."""
-    out = {}
-    for key, coef in T.terms.items():
-        newkey = [(0, 0)] * n
+    def place(key):
+        out = [(0, 0)] * n
         for pos, s in zip(slots, key):
-            newkey[pos] = s
-        out[tuple(newkey)] = out.get(tuple(newkey), ZERO) + coef
-    return TSeries(n, T.order, out)
+            out[pos] = s
+        return ((tuple(out), ONE),)
+    return T.map_keys(place, TSeries(n, T.order))
 
 
 def flip(T: TSeries) -> TSeries:
     assert T.n == 2
-    return TSeries(2, T.order, {(b, a): c for (a, b), c in T.terms.items()})
+    return T.map_keys(lambda k: ((k[::-1], ONE),))
 
 
 # twists ---------------------------------------------------------------------
@@ -200,7 +126,7 @@ def flip(T: TSeries) -> TSeries:
 def abelian_twist(order: int, coeff=(0, 1)) -> TSeries:
     """F = exp(i kbar X ⊗ Y) truncated at the given order (default coeff i)."""
     re, im = coeff
-    t = TSeries(2, order, {((1, 0), (0, 1)): KScalar({1: (Fraction(re), Fraction(im))})})
+    t = TSeries(2, order, {((1, 0), (0, 1)): KScalar.make(re, im, 1)})
     return exp_series(t)
 
 
@@ -243,12 +169,8 @@ def twisted_structures(F: TSeries) -> dict:
     Rinv = series_inverse(R)
 
     # chi = m(id x S)(F): multiply slots after twisting the right one
-    chiT = apply_antipode(F, 1)
-    chi = {}
-    for (m1, m2), coef in chiT.terms.items():
-        key = ((m1[0] + m2[0], m1[1] + m2[1]),)
-        chi[key] = chi.get(key, ZERO) + coef
-    chi = TSeries(1, order, chi)
+    chi = apply_antipode(F, 1).map_keys(
+        lambda k: ((((k[0][0] + k[1][0], k[0][1] + k[1][1]),), ONE),), TSeries(1, order))
     chi_inv = series_inverse(chi)
 
     def delta_F(a, b):
@@ -279,70 +201,42 @@ def twisted_structures(F: TSeries) -> dict:
 
 # braided commutativity on the polynomial module -----------------------------
 
-class ModulePoly:
-    """Polynomial in u, v with kbar-series coefficients; X acts as d/du, Y as d/dv."""
+class ModulePoly(Sparse):
+    """Polynomial in u, v with kbar-series coefficients; X acts as d/du, Y as d/dv.
 
-    __slots__ = ("order", "terms")
+    Keys are exponent pairs (a, b) of u^a v^b; `*` is the pointwise product.
+    """
 
-    def __init__(self, order, terms=None):
+    __slots__ = ("order",)
+
+    def __init__(self, order, terms=()):
         self.order = order
-        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
+        super().__init__(terms)
+
+    def _like(self, pairs):
+        return ModulePoly(self.order, pairs)
+
+    def _key_mul(self, k1, k2):
+        return (((k1[0] + k2[0], k1[1] + k2[1]), ONE),)
 
     @staticmethod
     def monomial(order, a, b, coef=ONE):
         return ModulePoly(order, {(a, b): coef})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return ModulePoly(self.order, out)
-
-    def __sub__(self, other):
-        return self + other.scale(KScalar.make(-1))
-
-    def scale(self, s):
-        return ModulePoly(self.order, {k: _trunc(c * s, self.order) for k, c in self.terms.items()})
-
-    def mul_pointwise(self, other):
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                c = _trunc(c1 * c2, self.order)
-                if c.is_zero():
-                    continue
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, ZERO) + c
-        return ModulePoly(self.order, out)
-
     def act(self, nx, ny):
         """(d/du)^nx (d/dv)^ny."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            if a < nx or b < ny:
-                continue
-            fac = 1
-            for t in range(nx):
-                fac *= a - t
-            for t in range(ny):
-                fac *= b - t
-            out[(a - nx, b - ny)] = out.get((a - nx, b - ny), ZERO) + c * KScalar.make(fac)
-        return ModulePoly(self.order, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, ModulePoly) and (self - other).is_zero()
+        def d(k):
+            fac = perm(k[0], nx) * perm(k[1], ny)  # 0 when the power is too low
+            if not fac:
+                return ()
+            return (((k[0] - nx, k[1] - ny), ONE if fac == 1 else KScalar.make(fac)),)
+        return self.map_keys(d)
 
 
 def star_product(F_inv: TSeries, f: ModulePoly, g: ModulePoly) -> ModulePoly:
     """f * g = m(F^{-1} (f ⊗ g)) with X = d/du, Y = d/dv on each slot."""
-    out = ModulePoly(f.order)
-    for ((ax, ay), (bx, by)), coef in F_inv.terms.items():
-        piece = f.act(ax, ay).mul_pointwise(g.act(bx, by)).scale(coef)
-        out = out + piece
-    return out
+    return sum(((f.act(ax, ay) * g.act(bx, by)).scale(coef)
+                for ((ax, ay), (bx, by)), coef in F_inv.terms.items()), ModulePoly(f.order))
 
 
 def braided_commutativity_check(F: TSeries, R: TSeries, Rinv: TSeries,
@@ -355,10 +249,8 @@ def braided_commutativity_check(F: TSeries, R: TSeries, Rinv: TSeries,
             f = ModulePoly.monomial(order, a1, b1)
             g = ModulePoly.monomial(order, a2, b2)
             lhs = star_product(Finv, f, g)
-            rhs = ModulePoly(order)
-            for ((rx, ry), (sx, sy)), coef in Rinv.terms.items():
-                gf = star_product(Finv, g.act(rx, ry), f.act(sx, sy)).scale(coef)
-                rhs = rhs + gf
+            rhs = sum((star_product(Finv, g.act(rx, ry), f.act(sx, sy)).scale(coef)
+                       for ((rx, ry), (sx, sy)), coef in Rinv.terms.items()), ModulePoly(order))
             if not (lhs - rhs).is_zero():
                 return False
     return True

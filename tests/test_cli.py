@@ -193,6 +193,9 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["loop", "mixing", "--lambda-grid", "a:b"],
     ["loop", "mixing", "--lambda-grid", "1e4:10:8"],                     # lo > hi
     ["loop", "bessel-check", "--grid", "1,x"],
+    ["loop", "mixing", "--space", "foo"],
+    ["gauge", "dim-scan", "--kappa", "0.01", "--d-range", "1:20"],      # e^{x} overflows
+    ["gauge", "dim-scan", "--kappa", "0"],
 ])
 def test_cli_bad_option_exit_2(argv, capsys):
     test_cli_group_bad_input_exit_2(argv, capsys)
@@ -216,6 +219,39 @@ def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
     assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
                      "--p", "0.1,0,0", "--q", "0.2,0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == pytest.approx([0.3, 0.0, 0.0])
+
+
+SW_FIELD = {"components": [
+    [{"exp": [0, 1, 0, 0], "re": "1/3", "im": "-2"}],
+    [{"exp": [1, 0, 0, 0], "re": 2}, {"exp": [0, 0, 1, 1], "re": "-1/2", "im": 1}],
+    [],
+    [{"exp": [2, 0, 0, 0], "re": "1"}, {"exp": [0, 1, 0, 0], "re": 0.25}],
+]}
+SW_DEFAULT_OUT = (
+    '[[{"exp":[0,0,0,1],"im":"0","re":"1/2"},{"exp":[0,1,1,0],"im":"0","re":"2"},'
+    '{"exp":[0,1,2,0],"im":"0","re":"-1"},{"exp":[1,1,0,1],"im":"0","re":"1"}],'
+    '[{"exp":[1,0,0,0],"im":"0","re":"6"},{"exp":[1,0,1,0],"im":"0","re":"-1"}],'
+    '[{"exp":[0,0,0,0],"im":"0","re":"1"},{"exp":[1,1,0,0],"im":"0","re":"-1"}],'
+    '[{"exp":[1,0,0,0],"im":"0","re":"-1/2"},{"exp":[1,0,0,1],"im":"0","re":"3"}]]')
+SW_INPUT_OUT = (
+    '[[{"exp":[0,1,0,0],"im":"-8/3","re":"41/9"}],'
+    '[{"exp":[0,0,1,1],"im":"7/3","re":"-29/12"},{"exp":[0,1,0,1],"im":"1/4","re":"-1/8"},'
+    '{"exp":[1,0,0,0],"im":"2","re":"17/3"},{"exp":[2,0,0,1],"im":"1","re":"-1/2"}],'
+    '[{"exp":[0,1,0,1],"im":"2/3","re":"11/12"}],'
+    '[{"exp":[0,1,0,0],"im":"1/2","re":"1/6"},{"exp":[0,1,1,0],"im":"2/3","re":"11/12"},'
+    '{"exp":[1,0,1,1],"im":"2","re":"-1"},{"exp":[2,0,0,0],"im":"0","re":"5"}]]')
+
+
+@pytest.mark.parametrize("field, expect", [(None, SW_DEFAULT_OUT), (SW_FIELD, SW_INPUT_OUT)])
+def test_cli_gauge_sw_output_bytes(field, expect, tmp_path, capsys):
+    argv = ["gauge", "sw"]
+    if field is not None:
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field))
+        argv += ["--input", str(path)]
+    assert cli.main(argv) == 0
+    text = json.dumps({"A_hat": json.loads(expect)}, sort_keys=True, indent=1) + "\n"
+    assert capsys.readouterr().out == text
 
 
 def test_cli_import_and_group_add_do_not_load_scipy():

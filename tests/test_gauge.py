@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,10 +131,26 @@ def test_prefactor_packet_matches_exponent(grp):
         assert amp == pytest.approx(math.exp((4 - d) * p[0]))
 
 
+def test_dimension_scan_overflow_and_nan_are_not_finite():
+    scan = G.dimension_constraint_scan(range(1, 21), 0.01, [0.25, 0.5, 1.0, -0.75])
+    assert scan["deviations"][4] == 0.0 and scan["deviations"][20] == math.inf
+    assert scan["zero_set"] == [4]
+    nan = G.dimension_constraint_scan([3, 4], math.nan, [0.25])
+    assert all(math.isnan(dev) for dev in nan["deviations"].values())
+    assert nan["zero_set"] == []
+
+
 # Seiberg-Witten --------------------------------------------------------------
 
 def _vars():
     return [Poly.var(4, i) for i in range(4)]
+
+
+def test_poly_repr():
+    x = [Poly.var(3, i) for i in range(3)]
+    p = x[0] * x[1].scale((1, -2)) + x[2].scale(Fraction(3, 2)) + Poly.const(3, 1)
+    assert repr(p) == "1 + 3/2z + (1+-2i)xy"
+    assert repr(Poly.zero(3)) == "0"
 
 
 def test_sw_zero_and_constant():

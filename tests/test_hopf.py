@@ -36,6 +36,15 @@ def test_E_Einv_cancel():
     assert (e2 - H.unit()).is_zero()
 
 
+def test_element_and_tensor_repr():
+    e = H.Element(words=[(H.ONE, (H.E, H.K1))])
+    assert repr(e) == "[(1+0i)]K1·E + [(0+1i)·κ^-1]P1·E"
+    assert repr(H.coproduct(H.gen(H.K1))) == (
+        "[(1+0i)](K1 ⊗ 1) + [(1+0i)·κ^-1](P2 ⊗ J3) + [(-1+0i)·κ^-1](P3 ⊗ J2)"
+        " + [(1+0i)](E ⊗ K1)")
+    assert repr(H.Element()) == repr(H.Tensor(2)) == "0"
+
+
 def test_coproduct_P():
     d = H.coproduct(H.gen(H.PX1))
     expect = H.Tensor(2, {((H.PX1,), ()): H.ONE, ((H.E,), (H.PX1,)): H.ONE})
@@ -86,6 +95,20 @@ def test_bialgebra_compat_all_relations():
         assert r["coproduct"], (name, r["residuals"]["coproduct"])
         assert r["counit"], name
         assert r["antipode"], (name, r["residuals"]["antipode"])
+
+
+def test_full_suite_builds_the_relation_table_once(monkeypatch):
+    builds = []
+    real = H.printed_relations
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(H, "printed_relations", counted)
+    rep = H.full_suite()
+    assert len(builds) == 1
+    assert len(rep["relations"]) == 51
 
 
 def test_full_suite_and_timing():

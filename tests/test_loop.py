@@ -167,6 +167,21 @@ def test_mixing_report_keeps_undecided_ir_criterion():
     assert rep.verdict == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("space", ["moyal", "kappa", "commutative"])
+def test_mixing_report_keeps_undecided_uv_criterion(space, monkeypatch):
+    # an inconclusive cutoff sweep leaves criteria (i) and (ii) undecided
+    real = L.propagator_sweep
+    monkeypatch.setattr(L, "propagator_sweep",
+                        lambda ks, lambdas: {**real(ks, lambdas), "verdict": "inconclusive"})
+    rep = L.mixing_classify(space)
+    assert rep.planar_uv_divergent is None
+    assert rep.as_dict()["planar_uv_divergent"] is None
+    # (ii) is gated by (i), so it is undecided too, except in the degenerate
+    # commutative sector, where it is False by definition
+    assert rep.nonplanar_ir_singular is (False if space == "commutative" else None)
+    assert rep.verdict == "INCONCLUSIVE"
+
+
 def test_bessel_oracle_compare_fails_on_nan(monkeypatch):
     real = L.kmink_bessel_oracle
     monkeypatch.setattr(L, "kmink_bessel_oracle",

@@ -19,6 +19,11 @@ def test_cocycle_both_sides_equal_exponential():
     assert (lhs - T.exp_series(t3)).is_zero()
 
 
+def test_tseries_repr():
+    assert repr(T.abelian_twist(2)) == ("[(1+0i)](Y^0 ⊗ Y^0) + [(0+1i)·κ](X^1 ⊗ Y^1)"
+                                        " + [(-1/2+0i)·κ^2](X^2 ⊗ Y^2)")
+
+
 def test_twist_check_order4():
     chk = T.twist_check(T.abelian_twist(4))
     assert chk["passed"]
