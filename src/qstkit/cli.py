@@ -420,6 +420,15 @@ def _base_config(args) -> RunConfig:
         if k not in DEFAULT_TOLERANCES or not v:
             raise ConfigError(f"bad tolerance override {ov!r}")
         cfg.tolerances[k] = float(v)
+    # the run parameters, whether a flag or the config set them
+    for key in ("samples", "jobs", "d"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if not (np.isfinite(cfg.kappa) and cfg.kappa > 0):
+        raise ConfigError(f"kappa must be finite and positive, got {cfg.kappa}")
+    for key in ("theta", "rho", "lam"):
+        if not (np.isfinite(getattr(cfg, key)) and getattr(cfg, key) != 0):
+            raise ConfigError(f"{key} must be finite and nonzero, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -532,12 +541,8 @@ def _check_args(args, cfg: RunConfig):
         args.grid = tuple(vals.tolist())
     if args.cmd == "gauge":
         args.d_range = _parse_d_range(args.d_range)
-        if args.op == "dim-scan" and not cfg.kappa > 0:
-            raise ValueError(f"--kappa: the dimension scan needs kappa > 0, got {cfg.kappa}")
     if args.cmd == "causality":
         args.v = _parse_v_range(args.v)
-        if not cfg.kappa > 0:
-            raise ValueError(f"--kappa: the causality grid needs kappa > 0, got {cfg.kappa}")
         try:
             grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
             grid.validate_kappa(cfg.kappa)
@@ -656,7 +661,7 @@ def main(argv=None) -> int:
                 _emit({"rows": rows}, "csv", cfg.out)
             else:
                 _emit(rep.as_dict(), cfg.fmt, cfg.out)
-            return 0
+            return 1 if rep.verdict == "INCONCLUSIVE" else 0
         if args.grid:
             rep = LO.bessel_oracle_compare(ms=args.grid, kappas=args.grid)
         else:

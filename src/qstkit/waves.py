@@ -10,8 +10,10 @@ delta(0) is kept symbolic throughout.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -26,85 +28,96 @@ class GroupMismatch(ValueError):
     pass
 
 
-def _key(vec, tol=MERGE_TOL):
-    """Quantized hashable key for a momentum vector."""
-    v = np.asarray(vec)
-    out = []
-    for x in v:
-        out.append(round(float(np.real(x)) / tol))
-        out.append(round(float(np.imag(x)) / tol))
-    return tuple(out)
+def _close(P, q):
+    """Which rows of P are the momentum q: max|p - q| <= MERGE_TOL·(1 + max|q|)."""
+    return np.abs(P - q).max(axis=-1, initial=0.0) <= MERGE_TOL * (1.0 + np.abs(q).max(initial=0.0))
+
+
+def _merge(moms, amps):
+    """Identify equal momenta, sum their amplitudes and drop zero amplitudes.
+
+    A row merges into the first earlier kept row that it is `_close` to, and
+    rows keep their order.  Rows are compared only within a run of sorted sums
+    of real parts, cut where a gap is wider than two equal rows allow.
+    """
+    n = len(amps)
+    if n > 1:
+        key = moms.real.sum(axis=1)  # not p_0: p ⊞ q and q ⊞ p share it on kappa-Minkowski
+        order = key.argsort(kind="stable")
+        key = key[order]
+        widest = 1.0 + np.fmax.reduce(np.abs(moms), axis=None, initial=0.0)  # NaN-blind
+        # dim·MERGE_TOL·widest bounds the gap of equal rows; twice that covers rounding
+        linked = key[1:] - key[:-1] <= 2 * moms.shape[1] * MERGE_TOL * widest
+        if linked.any():
+            target = np.arange(n)
+            linked = np.concatenate(([False], linked, [False]))
+            # each run of linked gaps [start, end) holds the rows order[start:end + 1]
+            for start, end in np.flatnonzero(linked[1:] != linked[:-1]).reshape(-1, 2).tolist():
+                run = np.sort(order[start:end + 1]).tolist()
+                reps = run[:1]
+                for j in run[1:]:
+                    hit = _close(moms[reps], moms[j])
+                    if hit.any():
+                        target[j] = reps[hit.argmax()]
+                    else:
+                        reps.append(j)
+            first = target == np.arange(n)
+            summed = amps[first]  # representatives first, then the rest in order
+            np.add.at(summed, np.cumsum(first)[target[~first]] - 1, amps[~first])
+            moms, amps = moms[first], summed
+    keep = ~(np.abs(amps) <= MERGE_TOL)  # a NaN amplitude stays visible
+    return moms[keep], amps[keep]
 
 
 class WavePacket:
     """Finite map momentum -> complex amplitude over a fixed group.
 
-    Momenta within the merge tolerance are identified (tolerance-aware
-    linear merge: packets are small and quantized dict keys misbin points
-    that straddle a rounding boundary).
+    An (n, dim) momentum array and an (n,) amplitude array, in first-appearance order.
     """
 
     def __init__(self, group: GroupDescriptor, terms=None):
+        terms = list(terms or ())
+        moms = np.array([np.asarray(p) for p, _ in terms]) if terms else np.zeros((0, group.dim))
         self.group = group
-        self._moms = []
-        self._amps = []
-        if terms:
-            for p, a in terms:
-                self._add_term(np.asarray(p), complex(a))
-        self._prune()
+        self._moms, self._amps = _merge(moms, np.array([a for _, a in terms], dtype=complex))
 
-    def _add_term(self, p, a):
-        scale = 1.0 + float(np.max(np.abs(p))) if p.size else 1.0
-        for i, p0 in enumerate(self._moms):
-            if p0.shape == p.shape and np.max(np.abs(p0 - p)) <= MERGE_TOL * scale:
-                self._amps[i] += a
-                return
-        self._moms.append(np.asarray(p))
-        self._amps.append(a)
-
-    def _prune(self):
-        keep = [i for i, a in enumerate(self._amps) if abs(a) > MERGE_TOL]
-        self._moms = [self._moms[i] for i in keep]
-        self._amps = [self._amps[i] for i in keep]
+    @classmethod
+    def _of(cls, group, moms, amps):
+        out = cls.__new__(cls)
+        out.group = group
+        out._moms, out._amps = _merge(moms, amps)
+        return out
 
     @property
     def terms(self):
-        return list(zip(self._moms, self._amps))
+        return list(zip(self._moms, self._amps.tolist()))
 
     def __len__(self):
-        return len(self._moms)
+        return len(self._amps)
 
     def __add__(self, other):
         if self.group is not other.group and self.group.name != other.group.name:
             raise GroupMismatch("packets live on different groups")
-        out = WavePacket(self.group, self.terms)
-        for p, a in other.terms:
-            out._add_term(p, complex(a))
-        out._prune()
-        return out
+        return WavePacket._of(self.group, np.concatenate((self._moms, other._moms)),
+                              np.concatenate((self._amps, other._amps)))
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, z):
-        return WavePacket(self.group, [(p, z * a) for p, a in self.terms])
+        return WavePacket._of(self.group, self._moms, z * self._amps)
 
     def norm(self):
         """l1 amplitude norm (zero iff the packet is zero)."""
-        return sum(abs(a) for a in self._amps)
+        return sum(map(abs, self._amps.tolist()))
 
     def amplitude_at(self, p):
-        p = np.asarray(p)
-        scale = 1.0 + float(np.max(np.abs(p))) if p.size else 1.0
-        for p0, a in zip(self._moms, self._amps):
-            if np.max(np.abs(p0 - p)) <= MERGE_TOL * scale:
-                return a
-        return 0j
+        hit = np.flatnonzero(_close(self._moms, np.asarray(p)))
+        return complex(self._amps[hit[0]]) if len(hit) else 0j
 
     def value_at(self, x):
         """Pointwise evaluation sum_p a_p exp(i p.x)."""
-        x = np.asarray(x)
-        return sum(a * np.exp(1j * np.dot(p, x)) for p, a in self.terms)
+        return complex(self._amps @ np.exp(1j * (self._moms @ np.asarray(x))))
 
     def __repr__(self):
         inner = " + ".join(f"({a:.3g})e_{np.round(np.real(p), 6)}" for p, a in self.terms)
@@ -112,7 +125,6 @@ class WavePacket:
 
 
 def packet_to_json(f: WavePacket) -> str:
-    import json
     return json.dumps({
         "group": f.group.name,
         "terms": [{"p": [float(np.real(x)) for x in p],
@@ -122,7 +134,6 @@ def packet_to_json(f: WavePacket) -> str:
 
 
 def packet_from_json(text: str, group: GroupDescriptor) -> WavePacket:
-    import json
     data = json.loads(text)
     if data["group"] != group.name:
         raise GroupMismatch(f"packet is on {data['group']!r}, not {group.name!r}")
@@ -138,23 +149,25 @@ def unit_wave(group: GroupDescriptor) -> WavePacket:
     return plane_wave(group, np.zeros(group.dim))
 
 
-def star(f: WavePacket, g: WavePacket) -> WavePacket:
-    """e_p * e_q = e_{p [+] q}, extended bilinearly."""
+def _pairs(f: WavePacket, g: WavePacket):
+    """All |f| x |g| momentum pairs, f-major, and their amplitude products."""
     if f.group.name != g.group.name:
         raise GroupMismatch(f"{f.group.name} vs {g.group.name}")
-    grp = f.group
-    if not (f.terms and g.terms):
-        return WavePacket(grp)
-    # all |f| x |g| momentum pairs, f-major, composed in one call of the law
-    P, Q = np.array(f._moms), np.array(g._moms)
-    moms = grp.add(np.repeat(P, len(Q), axis=0), np.tile(Q, (len(P), 1)))
-    return WavePacket(grp, list(zip(moms, np.outer(f._amps, g._amps).ravel())))
+    P, Q = f._moms, g._moms
+    return (np.repeat(P, len(Q), axis=0), np.tile(Q, (len(P), 1)),
+            np.outer(f._amps, g._amps).ravel())
+
+
+def star(f: WavePacket, g: WavePacket) -> WavePacket:
+    """e_p * e_q = e_{p [+] q}, extended bilinearly."""
+    P, Q, amps = _pairs(f, g)
+    # all pairs composed in one call of the law
+    return WavePacket._of(f.group, f.group.add(P, Q), amps)
 
 
 def dagger(f: WavePacket) -> WavePacket:
     """Antilinear involution: (a e_p)^† = conj(a) e_{(-)p}."""
-    grp = f.group
-    return WavePacket(grp, [(grp.inv(p), np.conj(a)) for p, a in f.terms])
+    return WavePacket._of(f.group, f.group.inv(f._moms), np.conj(f._amps))
 
 
 # generator actions on kappa-Minkowski packets -------------------------------
@@ -165,171 +178,132 @@ def act(gen: str, f: WavePacket, index: int = 0, power: int = 1) -> WavePacket:
     P_mu e_p = p_mu e_p;  E^n e_p = e^{-n p0/kappa} e_p;
     X0 e_p = kappa(1 - e^{-p0/kappa}) e_p;  X_j e_p = p_j e_p.
     """
-    grp = f.group
-    if not grp.name.startswith("kappa_minkowski"):
+    if not f.group.name.startswith("kappa_minkowski"):
         raise ValueError(f"generator {gen!r} acts only on kappa-Minkowski packets")
-    kappa = grp.meta["kappa"]
-
-    def eig(p):
-        if gen == "P":
-            return p[index]
-        if gen == "E":
-            return math.exp(-power * p[0] / kappa)
-        if gen == "X":
-            if index == 0:
-                return kappa * (1.0 - math.exp(-p[0] / kappa))
-            return p[index]
+    kappa, p = f.group.meta["kappa"], f._moms
+    if gen == "E":
+        eig = np.exp(-power * p[:, 0] / kappa)
+    elif gen == "X" and index == 0:
+        eig = kappa * (1.0 - np.exp(-p[:, 0] / kappa))
+    elif gen in ("P", "X"):
+        eig = p[:, index]
+    else:
         raise ValueError(f"unknown generator {gen!r}")
-
-    return WavePacket(grp, [(p, eig(p) * a) for p, a in f.terms])
+    return WavePacket._of(f.group, p, eig * f._amps)
 
 
 # ---------------------------------------------------------------------------
 # delta calculus
 
-@dataclass(frozen=True)
-class _Term:
-    amp: complex
-    atoms: tuple  # tuple of momentum vectors; () is the formal volume delta(0)
-
-
 class DeltaSum:
     """Formal sum  sum_i a_i delta(w_i)  over ⊞-words in concrete momenta.
 
-    Terms are stored in normal form: words flattened to atom sequences,
-    zero atoms removed, off-support terms (word value != 0) dropped as zero
-    distributions, and each surviving word rotated to its lexicographically
-    smallest cyclic form with the modular cyclicity factor applied.  The
-    formal volume (2 pi)^{d+1} delta(0) is the empty word, never a float.
+    Terms are stored in normal form: zero atoms removed, off-support words
+    (word value != 0) dropped as zero distributions, each surviving word
+    rotated to its lexicographically smallest cyclic form with the modular
+    cyclicity factor applied, and equal words merged; the words of length L
+    are one (m, L·dim) array.  The formal volume (2 pi)^{d+1} delta(0) is the
+    empty word, never a float.  An rng shuffles and rotates the words first.
     """
 
-    def __init__(self, group: GroupDescriptor, terms=None, normalize=True, rng=None):
+    def __init__(self, group: GroupDescriptor, terms=None, rng=None):
+        terms = list(terms or ())
+        L = max((len(atoms) for _, atoms in terms), default=0)
+        # padded with zero atoms, which the normal form drops
+        pad = [[*map(np.asarray, atoms)] + [np.zeros(group.dim)] * (L - len(atoms))
+               for _, atoms in terms]
         self.group = group
-        raw = []
-        for amp, atoms in (terms or []):
-            raw.append(_Term(complex(amp), tuple(np.asarray(a) for a in atoms)))
-        self._terms = self._normal_form(raw, rng=rng) if normalize else raw
+        self._words = self._normal_form(np.array(pad).reshape(len(terms), L, group.dim),
+                                        np.array([a for a, _ in terms], dtype=complex), rng)
 
-    # -- construction of words ------------------------------------------------
-
-    def _on_support(self, words):
-        """Whether each word's value p1 ⊞ p2 ⊞ ... vanishes; the empty word does.
-
-        Words of one length are composed together, one law call per ⊞.
-        """
-        on = [True] * len(words)
-        by_length = {}
-        for i, atoms in enumerate(words):
-            if atoms:
-                by_length.setdefault(len(atoms), []).append(i)
-        for idx in by_length.values():
-            A = np.array([words[i] for i in idx])  # (words, length, dim)
-            v = A[:, 0]
-            for k in range(1, A.shape[1]):
-                v = self.group.add(v, A[:, k])
-            for i, val in zip(idx, np.max(np.abs(v), axis=-1)):
-                on[i] = not val > SUPPORT_TOL  # a NaN value is kept in the sum
-        return on
-
-    def _normal_form(self, raw, rng=None):
-        merged = {}
-        order = list(range(len(raw)))
-        if rng is not None:
-            rng.shuffle(order)
-        words = [[np.asarray(a) for a in t.atoms if np.max(np.abs(np.asarray(a))) > MERGE_TOL]
-                 for t in raw]
-        on_support = self._on_support(words)
-        for idx in order:
-            if not on_support[idx]:
-                continue  # delta at a nonzero point: the zero distribution
-            t, atoms = raw[idx], words[idx]
-            amp = t.amp
-            if atoms:
-                amp, atoms = self._canonical_rotation(amp, atoms, rng=rng)
-            key = tuple(_key(a) for a in atoms)
-            if key in merged:
-                a2, at2 = merged[key]
-                merged[key] = (a2 + amp, at2)
-            else:
-                merged[key] = (amp, tuple(atoms))
-        out = [_Term(a, at) for (a, at) in merged.values() if abs(a) > MERGE_TOL]
-        out.sort(key=lambda t: tuple(_key(a) for a in t.atoms))
+    @classmethod
+    def _of(cls, group, W, amps):
+        out = cls(group)
+        out._words = out._normal_form(W, amps, None)
         return out
 
-    def _rotate_once(self, amp, atoms):
-        """delta(a ⊞ R) -> Delta(a) delta(R ⊞ a): one cyclic left rotation.
+    def _normal_form(self, W, amps, rng):
+        """{L: (words, amplitudes)} for the (m, L, dim) words W."""
+        dim, words = self.group.dim, {}
+        nonzero = ~(np.abs(W).max(axis=-1) <= MERGE_TOL)  # zero atoms drop out of their word
+        count = nonzero.sum(axis=1)
+        for L in np.unique(count).tolist():
+            rows = count == L
+            V, a = W[rows][nonzero[rows]].reshape(np.count_nonzero(rows), L, dim), amps[rows]
+            if L:
+                value = reduce(self.group.add, V.swapaxes(0, 1))
+                on = ~(np.abs(value).max(axis=-1) > SUPPORT_TOL)  # a NaN value stays in the sum
+                V, a = V[on], a[on]
+            if rng is not None and L:
+                shuffle = rng.permutation(len(a))
+                V, a = self._rotated(V[shuffle], a[shuffle], rng.integers(L, size=len(a)))
+            if L > 1:
+                V, a = self._canonical_rotation(V, a)
+            words[L] = _merge(V.reshape(len(a), L * dim), a)
+        return words
 
-        On the delta's support R evaluates to (-)a, so the printed factor
-        Delta((-)R) equals Delta(a); a full cycle multiplies the amplitude
-        by Delta(word value) = Delta(0) = 1, which keeps rotation well
-        defined.
+    def _rotated(self, W, amps, k):
+        """Rotate word i left by k_i atoms: delta(a ⊞ R) -> Delta(a) delta(R ⊞ a).
+
+        On the delta's support R evaluates to (-)a, so the factor Delta((-)R)
+        equals Delta(a); a full cycle multiplies the amplitude by
+        Delta(word value) = Delta(0) = 1, which keeps rotation well defined.
         """
-        fac = self.group.modular(atoms[0])
-        return amp * fac, atoms[1:] + atoms[:1]
+        m, L = W.shape[:2]
+        factors = np.cumprod(np.concatenate((np.ones((m, 1)), self.group.modular(W[:, :-1])),
+                                            axis=1), axis=1)
+        rows = np.arange(m)
+        return W[rows[:, None], (np.arange(L) + k[:, None]) % L], amps * factors[rows, k]
 
-    def _canonical_rotation(self, amp, atoms, rng=None):
-        """Bring the word to its lexicographically smallest cyclic order."""
-        if rng is not None:
-            for _ in range(int(rng.integers(len(atoms)))):
-                amp, atoms = self._rotate_once(amp, atoms)
-        best = (tuple(_key(a) for a in atoms), amp, list(atoms))
-        cur_amp, cur = amp, list(atoms)
-        for _ in range(len(atoms) - 1):
-            cur_amp, cur = self._rotate_once(cur_amp, cur)
-            k = tuple(_key(a) for a in cur)
-            if k < best[0]:
-                best = (k, cur_amp, list(cur))
-        return best[1], best[2]
+    def _canonical_rotation(self, W, amps):
+        """Bring each word to its lexicographically smallest cyclic order."""
+        m, L, dim = W.shape
+        R = W[:, (np.arange(L)[:, None] + np.arange(L)) % L].reshape(m * L, L * dim)
+        keys = np.concatenate((R.real, R.imag), axis=1).T[::-1]
+        # sorted by word first, so each word's smallest rotation leads its L rows
+        order = np.lexsort(np.vstack((keys, np.repeat(np.arange(m), L))))
+        return self._rotated(W, amps, order[::L] % L)
 
     # -- public API ------------------------------------------------------------
 
     @property
     def terms(self):
-        return [(t.amp, t.atoms) for t in self._terms]
+        return [(a, tuple(w.reshape(L, self.group.dim)))
+                for L, (flat, amps) in self._words.items() for w, a in zip(flat, amps.tolist())]
 
     def __len__(self):
-        return len(self._terms)
+        return sum(len(amps) for _, amps in self._words.values())
 
     def is_zero(self, tol=MERGE_TOL):
-        return all(abs(t.amp) <= tol for t in self._terms)
+        return all(np.all(np.abs(amps) <= tol) for _, amps in self._words.values())
 
     def equals(self, other: "DeltaSum", tol=1e-10) -> bool:
+        """Whether self - other merges to amplitudes all within tol."""
         if self.group.name != other.group.name:
             return False
-        mine = {tuple(_key(a) for a in t.atoms): t.amp for t in self._terms}
-        theirs = {tuple(_key(a) for a in t.atoms): t.amp for t in other._terms}
-        for k in set(mine) | set(theirs):
-            if abs(mine.get(k, 0j) - theirs.get(k, 0j)) > tol:
+        for L in self._words.keys() | other._words.keys():
+            empty = (np.zeros((0, L * self.group.dim)), np.zeros(0, complex))
+            (A, a), (B, b) = self._words.get(L, empty), other._words.get(L, empty)
+            _, diff = _merge(np.concatenate((A, B)), np.concatenate((a, -b)))
+            if not np.all(np.abs(diff) <= tol):
                 return False
         return True
 
     def __repr__(self):
-        if not self._terms:
-            return "DeltaSum[0]"
-        bits = []
-        for t in self._terms:
-            if t.atoms:
-                w = " [+] ".join(str(np.round(np.real(a), 4)) for a in t.atoms)
-            else:
-                w = "0"
-            bits.append(f"({t.amp:.4g})·δ({w})")
-        return "DeltaSum[" + " + ".join(bits) + "]"
+        bits = [f"({amp:.4g})·δ({' [+] '.join(str(np.round(np.real(a), 4)) for a in atoms) or 0})"
+                for amp, atoms in self.terms]
+        return f"DeltaSum[{' + '.join(bits) or 0}]"
 
 
 def integral(f: WavePacket) -> DeltaSum:
     """∫ f = sum_p a_p delta(p)."""
-    return DeltaSum(f.group, [(a, (p,)) for p, a in f.terms])
+    return DeltaSum._of(f.group, f._moms[:, None], f._amps)
 
 
 def integral_star(f: WavePacket, g: WavePacket) -> DeltaSum:
     """∫ f*g = sum a_p b_q delta(p ⊞ q), kept as two-atom words."""
-    if f.group.name != g.group.name:
-        raise GroupMismatch(f"{f.group.name} vs {g.group.name}")
-    terms = []
-    for p, a in f.terms:
-        for q, b in g.terms:
-            terms.append((a * b, (p, q)))
-    return DeltaSum(f.group, terms)
+    P, Q, amps = _pairs(f, g)
+    return DeltaSum._of(f.group, np.stack((P, Q), axis=1), amps)
 
 
 def twisted_trace_check(f: WavePacket, g: WavePacket, tol=1e-10) -> bool:
@@ -338,15 +312,11 @@ def twisted_trace_check(f: WavePacket, g: WavePacket, tol=1e-10) -> bool:
     For unimodular groups (Moyal, rho-Minkowski) the twist is trivial and
     this reduces to plain cyclicity of the integral.
     """
-    grp = f.group
-    lhs = integral_star(f, g)
-    if grp.name.startswith("kappa_minkowski"):
-        d = grp.meta["d"]
-        gt = act("E", g, power=d)
+    if f.group.name.startswith("kappa_minkowski"):
+        twisted = act("E", g, power=f.group.meta["d"])
     else:
-        gt = g  # unimodular: plain cyclicity
-    rhs = integral_star(gt, f)
-    return lhs.equals(rhs, tol=tol)
+        twisted = g  # unimodular: plain cyclicity
+    return integral_star(f, g).equals(integral_star(twisted, f), tol=tol)
 
 
 # ---------------------------------------------------------------------------

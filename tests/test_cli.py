@@ -196,9 +196,29 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["loop", "mixing", "--space", "foo"],
     ["gauge", "dim-scan", "--kappa", "0.01", "--d-range", "1:20"],      # e^{x} overflows
     ["gauge", "dim-scan", "--kappa", "0"],
+    [{"samples": 0}, "suite", "group"],          # zero samples would pass every row
+    [{"samples": -5}, "suite", "group"],
+    ["--kappa", "-1", "suite", "group"],
+    [{"kappa": -1}, "suite", "group"],
+    ["--d", "0", "suite", "mixing"],
+    ["--kappa", "nan", "suite", "trace"],        # a usage error, not failed rows
+    ["--jobs", "0", "suite", "mixing"],
+    ["--theta", "0", "suite", "matrix"],
+    [{"rho": 0}, "suite", "trace"],
+    [{"lam": float("inf")}, "suite", "group"],
 ])
-def test_cli_bad_option_exit_2(argv, capsys):
+def test_cli_bad_option_exit_2(argv, capsys, tmp_path):
+    if isinstance(argv[0], dict):  # the contents of a --config file, then the command
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(argv[0]))
+        argv = ["--config", str(conf), *argv[1:]]
     test_cli_group_bad_input_exit_2(argv, capsys)
+
+
+def test_cli_loop_mixing_inconclusive_exits_1(capsys):
+    # on this short sweep the non-planar UV criterion stays undecided
+    assert cli.main(["loop", "mixing", "--space", "moyal", "--lambda-grid", "10:20:3"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "INCONCLUSIVE"
 
 
 def test_parse_ranges():

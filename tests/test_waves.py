@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstkit.momentum import group_preset
-from qstkit.waves import (DeltaSum, GroupMismatch, QuadSpec, act, dagger, integral,
-                          integral_star, numeric_star_oracle, plane_wave, star,
+from qstkit.waves import (DeltaSum, GroupMismatch, QuadSpec, WavePacket, act, dagger,
+                          integral, integral_star, numeric_star_oracle, plane_wave, star,
                           twisted_trace_check, unit_wave)
 
 LN2 = math.log(2.0)
@@ -54,6 +54,82 @@ def test_star_associativity_random(kappa3):
         lhs = star(star(f, g), h)
         rhs = star(f, star(g, h))
         assert (lhs - rhs).norm() < 1e-10 * (1 + lhs.norm())
+
+
+def test_packet_merge_contract(kappa3):
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=4)
+    near = p + 1e-13  # within MERGE_TOL·(1 + max|p|) of p
+    # momenta within tolerance merge into the first one, and their amplitudes add
+    f = WavePacket(kappa3, [(p, 1.0), (near, 2.0j)])
+    assert len(f) == 1
+    mom, amp = f.terms[0]
+    assert np.array_equal(mom, p) and amp == 1.0 + 2.0j
+    assert f.amplitude_at(near) == 1.0 + 2.0j and f.amplitude_at(p + 1e-6) == 0j
+    # a packet summed wave by wave with + is the packet built in one call, term for term
+    terms = [(m, complex(*a)) for m, a in zip(rng.normal(size=(12, 4)), rng.normal(size=(12, 2)))]
+    terms.append((terms[3][0] + 1e-14, 0.5))
+    summed = WavePacket(kappa3)
+    for m, a in terms:
+        summed = summed + plane_wave(kappa3, m, a)
+    whole = WavePacket(kappa3, terms)
+    assert len(whole) == 12
+    assert all(np.array_equal(m1, m2) and a1 == a2
+               for (m1, a1), (m2, a2) in zip(summed.terms, whole.terms, strict=True))
+    # a term whose amplitude cancels is dropped
+    g = WavePacket(kappa3, [(p, 1.0), (terms[0][0], 1.0), (near, -1.0)])
+    assert len(g) == 1 and np.array_equal(g.terms[0][0], terms[0][0])
+    assert len(f - f) == 0
+
+
+def _merge_by_scan(terms):
+    """Reference merge: each term joins the first stored term within tolerance."""
+    moms, amps = [], []
+    for p, a in terms:
+        for i, p0 in enumerate(moms):
+            if np.max(np.abs(p0 - p)) <= 1e-12 * (1.0 + np.max(np.abs(p))):
+                amps[i] += a
+                break
+        else:
+            moms.append(p)
+            amps.append(complex(a))
+    return [(p, a) for p, a in zip(moms, amps) if abs(a) > 1e-12]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_matches_the_pairwise_scan(kappa3, seed):
+    # near-copies, exact copies, shared p_0 and cancelling pairs, in random order
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(30, 4))
+    base[:10, 0] = base[0, 0]
+    moms = np.vstack([base, base[rng.integers(30, size=40)]
+                      + rng.choice([0.0, 5e-13, 3e-12], size=(40, 1)) * rng.normal(size=(40, 4))])
+    moms[-5:] = moms[:5]
+    amps = rng.normal(size=70) + 1j * rng.normal(size=70)
+    amps[-5:] = -amps[:5]
+    order = rng.permutation(70)
+    terms = list(zip(moms[order], amps[order]))
+    got = WavePacket(kappa3, terms).terms
+    want = _merge_by_scan(terms)
+    assert len(got) == len(want) and len(want) < 70
+    assert all(np.array_equal(m1, m2) and a1 == a2 for (m1, a1), (m2, a2) in zip(got, want))
+
+
+def test_nan_amplitude_stays_in_the_packet(kappa3):
+    f = plane_wave(kappa3, [0.1, 0.2, 0.3, 0.4], np.nan)
+    assert len(f) == 1
+    assert math.isnan(f.norm())
+
+
+def test_star_of_two_50_term_packets(kappa3):
+    rng = np.random.default_rng(12)
+    P, Q = rng.normal(size=(50, 4)), rng.normal(size=(50, 4))
+    a, b = (rng.normal(size=50) + 1j * rng.normal(size=50) for _ in range(2))
+    prod = star(WavePacket(kappa3, list(zip(P, a))), WavePacket(kappa3, list(zip(Q, b))))
+    assert len(prod) == 2500
+    moms = np.array([m for m, _ in prod.terms])
+    assert np.array_equal(moms, kappa3.add(np.repeat(P, 50, axis=0), np.tile(Q, (50, 1))))
+    assert np.array_equal([amp for _, amp in prod.terms], np.outer(a, b).ravel())
 
 
 def test_star_group_mismatch(kappa1):
@@ -127,6 +203,16 @@ def test_integral_star_normal_form_rotation(kappa1):
     # amplitude-weighted reverse with the modular factor
     g2 = plane_wave(kappa1, q, 3.0 * kappa1.modular(np.asarray(kappa1.inv(q))))
     rhs = integral_star(g2, f)
+    assert lhs.equals(rhs)
+
+
+def test_deltasum_equal_words_straddling_a_rounding_step(kappa1):
+    # 8e-14 apart on either side of 1.5e-12: one momentum under the relative tolerance
+    p = np.array([0.7, 1.5e-12 - 4e-14])
+    q = np.array([0.7, 1.5e-12 + 4e-14])
+    lhs = DeltaSum(kappa1, [(1.0, (p, kappa1.inv(p)))])
+    rhs = DeltaSum(kappa1, [(1.0, (q, kappa1.inv(q)))])
+    assert len(lhs) == 1
     assert lhs.equals(rhs)
 
 
