@@ -1,7 +1,9 @@
 """Batch front-end: config parsing, suite dispatch, CSV/JSON reports.
 
 Reports are deterministic for a fixed seed: every row carries a stable
-check-id slug, a pass/fail flag and a residual.  Exit codes: 0 all checks
+check-id slug, a pass/fail flag and a residual.  Every command takes one
+path: argparse and `PARAMS` check the input, a `COMMANDS` handler returns
+(document, rows, ok), `_emit` writes it once.  Exit codes: 0 all checks
 pass, 1 a check failed, 2 usage/config error.
 """
 
@@ -30,6 +32,8 @@ from .polyfield import Poly
 from .waves import WavePacket, plane_wave, twisted_trace_check
 
 SUITES = ("group", "hopf", "twist", "trace", "matrix", "mixing", "gauge", "causality", "all")
+SPACETIMES = ("kappa_minkowski", "moyal_extended", "rho_minkowski", "su2_lambda",
+              "commutative", "inline")
 
 DEFAULT_TOLERANCES = {
     "group.assoc": 1e-9,
@@ -41,9 +45,13 @@ DEFAULT_TOLERANCES = {
     "causality.cone": 1e-8,
 }
 
+MAX_POINTS = 1000  # points of a --v, --d-range or --lambda-grid range
+MAX_N = 1024       # matrix-basis --N: partition_check makes N star products of N x N matrices
+MAX_GRID = 2048    # causality --grid: cone_condition builds dense n x n operators
 
-class ConfigError(ValueError):
-    pass
+
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """A bad parameter or option; as an ArgumentTypeError, argparse reports its message."""
 
 
 @dataclass
@@ -55,15 +63,144 @@ class RunConfig:
     lam: float = 1.0
     d: int = 3
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # accepted and checked; the run is serial
     samples: int = 400
     out: str = ""
     fmt: str = "json"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     inline_structure: StructureConstants = None
 
-    KEYS = ("spacetime", "kappa", "theta", "rho", "lam", "d", "seed", "jobs",
-            "samples", "out", "format", "tolerances", "structure")
+
+def _scalar(typ, ok, domain):
+    """The check of a scalar parameter: a `typ` for which `ok` holds, else ConfigError.
+
+    It takes a JSON value at the key path `where` (a JSON bool is no number), or
+    text from a flag or the environment when `where` is not a key path.
+    """
+    def check(val, where=""):
+        at = f"{where}: " if where else ""
+        try:
+            if isinstance(val, str) and not where.startswith("/"):
+                val = typ(val)
+            if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
+                raise TypeError
+            val = typ(val)  # OverflowError: an integer beyond the float range
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{at}expected {typ.__name__}, got {val!r}") from None
+        if not ok(val):
+            raise ConfigError(f"{at}must be {domain}, got {val!r}")
+        return val
+    return check
+
+
+_AT_LEAST_1 = _scalar(int, lambda v: v >= 1, "at least 1")
+_NONZERO = _scalar(float, lambda v: np.isfinite(v) and v != 0, "finite and nonzero")
+_TOLERANCE = _scalar(float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative")
+
+
+def _tolerances(val, where, base=DEFAULT_TOLERANCES):
+    """The tolerances of a config object, or of --tol-override texts, over `base`."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where}: must be an object")
+    tols = dict(base)
+    for key, tol in val.items():
+        if key not in tols:
+            raise ConfigError(f"{where}/{key}: unknown tolerance key")
+        tols[key] = _TOLERANCE(tol, f"{where}/{key}")
+    return tols
+
+
+def _structure(val, where):
+    """A config's inline structure constants."""
+    try:
+        return StructureConstants.from_json(json.dumps(val))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{where}: not a structure-constant object ({exc!r})") from None
+
+
+def _parse_reals(text: str) -> np.ndarray:
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"expected comma-separated reals, got {text!r}") from None
+
+
+def _parse_mk_grid(text: str) -> tuple:
+    """The m and kappa values of `loop bessel-check --grid`."""
+    vals = _parse_reals(text)
+    if not (np.isfinite(vals).all() and (vals > 0).all()):
+        raise ConfigError(f"m and kappa must be finite and positive, got {text!r}")
+    return tuple(vals.tolist())
+
+
+def _parse_v_range(text: str) -> list:
+    """The velocities lo, lo + step, ... up to hi of a `--v lo:hi:step` range."""
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"expected lo:hi:step, got {text!r}") from None
+    if not (np.isfinite([lo, hi, step]).all() and step > 0):
+        raise ConfigError(f"lo and hi must be finite and step positive, got {text!r}")
+    vs, v = [], lo
+    while v <= hi + 1e-12:
+        if len(vs) == MAX_POINTS:
+            raise ConfigError(f"{text!r} gives more than {MAX_POINTS} velocities")
+        vs.append(v)
+        v += step
+    return vs
+
+
+def _parse_d_range(text: str) -> range:
+    """The dimensions lo..hi (inclusive) of a `--d-range lo:hi` option."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"expected integers lo:hi, got {text!r}") from None
+    if not 1 <= lo <= hi < lo + MAX_POINTS:
+        raise ConfigError(f"need 1 <= lo <= hi and at most {MAX_POINTS} dimensions, got {text!r}")
+    return range(lo, hi + 1)
+
+
+def _parse_lambda_grid(text: str) -> np.ndarray:
+    """The geometric cutoff grid of a `--lambda-grid lo:hi:n` option.
+
+    The divergence slope is fitted on the upper half of the grid, so it needs
+    n >= 3 (two fitted points) and lo < hi.
+    """
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ConfigError(f"expected lo:hi:n, got {text!r}") from None
+    if not (np.isfinite([lo, hi]).all() and 0 < lo < hi and 3 <= n <= MAX_POINTS):
+        raise ConfigError(f"need finite 0 < lo < hi and 3 <= n <= {MAX_POINTS}, got {text!r}")
+    return np.geomspace(lo, hi, n)
+
+
+# Every run parameter (a config key) and command option: the RunConfig field
+# it sets, None for a command option, and its check.  A check takes a JSON
+# value at a key path, or a flag's text as the argparse `type=`.
+PARAMS = {
+    "spacetime": ("spacetime", _scalar(str, lambda v: v in SPACETIMES, "|".join(SPACETIMES))),
+    "kappa": ("kappa", _scalar(float, lambda v: np.isfinite(v) and v > 0, "finite and positive")),
+    "theta": ("theta", _NONZERO),
+    "rho": ("rho", _NONZERO),
+    "lam": ("lam", _NONZERO),
+    "d": ("d", _AT_LEAST_1),
+    "seed": ("seed", _scalar(int, lambda v: v >= 0, "at least 0")),
+    "jobs": ("jobs", _AT_LEAST_1),
+    "samples": ("samples", _AT_LEAST_1),
+    "out": ("out", _scalar(str, lambda v: True, "a path")),
+    "format": ("fmt", _scalar(str, lambda v: v in ("json", "csv"), "json or csv")),
+    "tolerances": ("tolerances", _tolerances),
+    "structure": ("inline_structure", _structure),
+    "N": (None, _scalar(int, lambda v: 1 <= v <= MAX_N, f"between 1 and {MAX_N}")),
+    "grid": (None, _scalar(int, lambda v: v <= MAX_GRID, f"at most {MAX_GRID}")),
+    "v": (None, _parse_v_range),
+    "d-range": (None, _parse_d_range),
+    "lambda-grid": (None, _parse_lambda_grid),
+    "mk-grid": (None, _parse_mk_grid),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -76,37 +213,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("/: config must be a JSON object")
     cfg = RunConfig()
     for key, val in data.items():
-        if key not in RunConfig.KEYS:
+        attr, check = PARAMS.get(key, (None, None))
+        if attr is None:
             raise ConfigError(f"/{key}: unknown key")
-        if key == "format":
-            if val not in ("json", "csv"):
-                raise ConfigError("/format: must be 'json' or 'csv'")
-            cfg.fmt = val
-        elif key == "tolerances":
-            if not isinstance(val, dict):
-                raise ConfigError("/tolerances: must be an object")
-            for tk, tv in val.items():
-                if tk not in DEFAULT_TOLERANCES:
-                    raise ConfigError(f"/tolerances/{tk}: unknown tolerance key")
-                cfg.tolerances[tk] = float(tv)
-        elif key == "structure":
-            cfg.inline_structure = StructureConstants.from_json(json.dumps(val))
-        elif key in ("seed", "jobs", "samples", "d"):
-            setattr(cfg, key, int(val))
-        elif key in ("kappa", "theta", "rho", "lam"):
-            setattr(cfg, key, float(val))
-        else:
-            setattr(cfg, key, val)
-    known = ("kappa_minkowski", "moyal_extended", "rho_minkowski", "su2_lambda",
-             "commutative", "inline")
-    if cfg.spacetime not in known:
-        raise ConfigError(f"/spacetime: unknown preset {cfg.spacetime!r}")
+        setattr(cfg, attr, check(val, f"/{key}"))
     return cfg
 
 
 def _row(suite, check, passed, residual=0.0, detail=""):
-    return {"suite": suite, "check": check, "passed": bool(passed),
-            "residual": float(residual), "detail": detail}
+    """One report row; a residual that is not finite fails it."""
+    residual = float(residual)
+    return {"suite": suite, "check": check, "passed": bool(passed and np.isfinite(residual)),
+            "residual": residual, "detail": detail}
 
 
 def _worst(*residuals):
@@ -115,15 +233,6 @@ def _worst(*residuals):
     A NaN residual must fail its row: the builtin max would drop it.
     """
     return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
-
-
-def _pmap(fn, items, jobs):
-    """Deterministic parallel map: results returned in input order."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # and logging: only when --jobs > 1
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +294,8 @@ def suite_group(cfg: RunConfig):
     return rows
 
 
-def suite_hopf(cfg: RunConfig):
-    rep = HA.full_suite()
+def _hopf_rows(rep):
+    """The rows of an `HA.full_suite()` report: the axioms per generator, then the relations."""
     rows = []
     for name, r in rep["generators"].items():
         ok = r["coassociativity"] and r["counit"] and r["coinverse"]
@@ -195,8 +304,12 @@ def suite_hopf(cfg: RunConfig):
            if not (r["coproduct"] and r["counit"] and r["antipode"])]
     rows.append(_row("hopf", "bialgebra-compatibility-all-relations", not bad,
                      float(len(bad)), detail=",".join(bad)))
-    rows.append(_row("hopf", "E-vs-P0-series-consistency", HA.e_series_consistency(5)))
     return rows
+
+
+def suite_hopf(cfg: RunConfig):
+    return _hopf_rows(HA.full_suite()) + [
+        _row("hopf", "E-vs-P0-series-consistency", HA.e_series_consistency(5))]
 
 
 def suite_twist(cfg: RunConfig):
@@ -238,9 +351,10 @@ def suite_trace(cfg: RunConfig):
     return rows
 
 
-def suite_matrix(cfg: RunConfig):
-    ids = MM.identity_checks(32, cfg.theta, seed=cfg.seed)
-    part = MM.partition_check(32, cfg.theta, seed=cfg.seed)
+def _matrix(cfg: RunConfig, N: int):
+    """The matrix-basis identities and partition checks at truncation N, and their rows."""
+    ids = MM.identity_checks(N, cfg.theta, seed=cfg.seed)
+    part = MM.partition_check(N, cfg.theta, seed=cfg.seed)
     tol = cfg.tolerances["matrix.roundoff"]
     rows = [_row("matrix", f"basis-{k}", v <= tol, v)
             for k, v in ids.items() if k != "passed"]
@@ -248,20 +362,22 @@ def suite_matrix(cfg: RunConfig):
                      max(part["positivity_witness_error"],
                          part["unity_reconstruction_error"],
                          part["diagonal_commutation_error"])))
-    return rows
+    return ids, part, rows
+
+
+def suite_matrix(cfg: RunConfig):
+    return _matrix(cfg, 32)[2]
 
 
 def suite_mixing(cfg: RunConfig):
-    def run(space):
-        if space == "kappa":
-            return LO.mixing_classify("kappa", kappa=cfg.kappa, d=cfg.d)
-        return LO.mixing_classify(space)
-
-    reports = _pmap(run, ["moyal", "kappa", "commutative"], cfg.jobs)
     rows = []
-    expected = {"moyal": "MIXING", "kappa": "NO_MIXING", "commutative": "NO_MIXING"}
-    for space, rep in zip(["moyal", "kappa", "commutative"], reports):
-        rows.append(_row("mixing", f"verdict-{space}", rep.verdict == expected[space],
+    for space, expected in (("moyal", "MIXING"), ("kappa", "NO_MIXING"),
+                            ("commutative", "NO_MIXING")):
+        if space == "kappa":
+            rep = LO.mixing_classify("kappa", kappa=cfg.kappa, d=cfg.d)
+        else:
+            rep = LO.mixing_classify(space)
+        rows.append(_row("mixing", f"verdict-{space}", rep.verdict == expected,
                          0.0, detail=rep.verdict))
     cmpr = LO.bessel_oracle_compare()
     rows.append(_row("mixing", "bessel-ratio-constancy", cmpr["passed"], cmpr["max_rel_dev"]))
@@ -276,6 +392,16 @@ def suite_mixing(cfg: RunConfig):
         rows.append(_row("mixing", f"diagram-count-{f}", ok, 0.0,
                          detail=f"{c['total']}={c['planar']}p+{c['nonplanar']}np"))
     return rows
+
+
+_P0_SAMPLES = [0.25, 0.5, 1.0, -0.75]  # the p0 values of the dimension-constraint scan
+_SW_THETA = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+def _sw_field():
+    """The default Seiberg–Witten gauge field of `gauge sw` and the gauge suite."""
+    x = [Poly.var(4, i) for i in range(4)]
+    return GA.PolyGaugeField([x[1] * x[2], x[0].scale(2), Poly.const(4, 1), x[0] * x[3]])
 
 
 def suite_gauge(cfg: RunConfig):
@@ -304,18 +430,16 @@ def suite_gauge(cfg: RunConfig):
     worst_c, worst_f = _worst(covariance), _worst(flatness)
     rows.append(_row("gauge", "field-strength-covariance", worst_c < tol, worst_c))
     rows.append(_row("gauge", "pure-gauge-flatness", worst_f < tol, worst_f))
-    scan = GA.dimension_constraint_scan(range(1, 9), cfg.kappa, [0.25, 0.5, 1.0, -0.75])
+    scan = GA.dimension_constraint_scan(range(1, 9), cfg.kappa, _P0_SAMPLES)
     rows.append(_row("gauge", "dimension-constraint-zero-set", scan["zero_set"] == [4],
                      0.0, detail=str(scan["zero_set"])))
-    x = [Poly.var(4, i) for i in range(4)]
-    A = GA.PolyGaugeField([x[1] * x[2], x[0].scale(2), Poly.const(4, 1), x[0] * x[3]])
-    alpha = x[0] * x[1] + x[2].scale(3)
-    Theta = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-    res = GA.sw_consistency_residual(A, alpha, Theta)
+    A = _sw_field()
+    alpha = Poly.var(4, 0) * Poly.var(4, 1) + Poly.var(4, 2).scale(3)
+    res = GA.sw_consistency_residual(A, alpha, _SW_THETA)
     rows.append(_row("gauge", "sw-consistency-identically-zero",
                      all(r.is_zero() for r in res)))
-    F1 = GA.sw_field_strength_order1(A, Theta)
-    F2 = GA.sw_field_strength_from_hat(A, Theta)
+    F1 = GA.sw_field_strength_order1(A, _SW_THETA)
+    F2 = GA.sw_field_strength_from_hat(A, _SW_THETA)
     ok = all((F1[m][n] - F2[m][n]).is_zero() for m in range(4) for n in range(4))
     rows.append(_row("gauge", "sw-field-strength-two-path", ok))
     return rows
@@ -378,71 +502,15 @@ def run_suite(name: str, cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# command handlers: (args, cfg) -> (JSON document, rows or None, ok)
 
-def _emit(report, fmt: str, out: str):
-    if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=1, default=str) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        w.writerow(["suite", "check", "passed", "residual", "detail"])
-        for r in report.get("rows", []):
-            w.writerow([r["suite"], r["check"], r["passed"], repr(r["residual"]), r["detail"]])
-        text = buf.getvalue()
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _cmd_suite(args, cfg):
+    _, report = run_suite(args.name, cfg)
+    return report, report["rows"], report["passed"]
 
 
-def _base_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    elif os.environ.get("QSTKIT_SEED"):
-        cfg.seed = int(os.environ["QSTKIT_SEED"])
-    for key in ("jobs", "kappa", "theta", "d"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    for ov in getattr(args, "tol_override", None) or []:
-        k, _, v = ov.partition("=")
-        if k not in DEFAULT_TOLERANCES or not v:
-            raise ConfigError(f"bad tolerance override {ov!r}")
-        cfg.tolerances[k] = float(v)
-    # the run parameters, whether a flag or the config set them
-    for key in ("samples", "jobs", "d"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if not (np.isfinite(cfg.kappa) and cfg.kappa > 0):
-        raise ConfigError(f"kappa must be finite and positive, got {cfg.kappa}")
-    for key in ("theta", "rho", "lam"):
-        if not (np.isfinite(getattr(cfg, key)) and getattr(cfg, key) != 0):
-            raise ConfigError(f"{key} must be finite and nonzero, got {getattr(cfg, key)}")
-    return cfg
-
-
-def _parse_reals(text, flag: str):
-    if text is None:
-        raise ValueError(f"{flag} is required")
-    try:
-        return np.array([float(x) for x in text.split(",")])
-    except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated reals, got {text!r}") from None
-
-
-def _group_op(args, cfg: RunConfig) -> dict:
-    """The `group` command's result; ValueError on bad input or a non-finite result."""
+def _cmd_group(args, cfg):
+    """One momentum-group operation; ValueError on bad input or a non-finite result."""
     if args.space == "inline":
         if cfg.inline_structure is None:
             raise ValueError("--space inline needs a --config with a 'structure'")
@@ -450,8 +518,9 @@ def _group_op(args, cfg: RunConfig) -> dict:
     else:
         grp = group_preset(args.space, kappa=cfg.kappa, theta=cfg.theta,
                            rho=cfg.rho, lam=cfg.lam, d=cfg.d)
-    p = _parse_reals(args.p, "--p")
-    q = None if args.op in ("inv", "modular") else _parse_reals(args.q, "--q")
+    p, q = args.p, args.q
+    if q is None and args.op not in ("inv", "modular"):
+        raise ValueError(f"group {args.op}: --q is required")
     with np.errstate(all="ignore"):  # an overflow is reported below, as one error line
         if args.op == "inv":
             res = np.asarray(inv(grp, p), dtype=float)
@@ -470,115 +539,101 @@ def _group_op(args, cfg: RunConfig) -> dict:
     for key in ("result", "residual"):
         if out[key] is not None and not np.isfinite(out[key]).all():
             raise ValueError(f"group {args.op}: the {key} is not finite for these inputs")
-    return out
+    return out, None, True
 
 
-MAX_POINTS = 1000
+def _cmd_hopf(args, cfg):
+    rep = HA.full_suite()
+    doc = {"passed": rep["passed"],
+           "generators": {k: {a: v[a] for a in ("coassociativity", "counit", "coinverse")}
+                          for k, v in rep["generators"].items()},
+           "relations": {k: {a: v[a] for a in ("coproduct", "counit", "antipode")}
+                         for k, v in rep["relations"].items()}}
+    return doc, _hopf_rows(rep), rep["passed"]
 
 
-def _parse_v_range(text: str) -> list:
-    """The velocities lo, lo + step, ... up to hi of a `--v lo:hi:step` range."""
-    try:
-        lo, hi, step = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise ValueError(f"--v: expected lo:hi:step, got {text!r}") from None
-    if not (np.isfinite([lo, hi, step]).all() and step > 0):
-        raise ValueError(f"--v: lo and hi must be finite and step positive, got {text!r}")
-    vs, v = [], lo
-    while v <= hi + 1e-12:
-        if len(vs) == MAX_POINTS:
-            raise ValueError(f"--v: {text!r} gives more than {MAX_POINTS} velocities")
-        vs.append(v)
-        v += step
-    return vs
+def _cmd_matrix(args, cfg):
+    ids, part, rows = _matrix(cfg, args.N)
+    ok = ids["passed"] and part["passed"]
+    return {"N": args.N, "identities": ids, "partition": part, "passed": ok}, rows, ok
 
 
-def _parse_d_range(text: str) -> range:
-    """The dimensions lo..hi (inclusive) of a `--d-range lo:hi` option."""
-    try:
-        lo, hi = (int(x) for x in text.split(":"))
-    except ValueError:
-        raise ValueError(f"--d-range: expected integers lo:hi, got {text!r}") from None
-    if not 1 <= lo <= hi < lo + MAX_POINTS:
-        raise ValueError(f"--d-range: need 1 <= lo <= hi and at most {MAX_POINTS} "
-                         f"dimensions, got {text!r}")
-    return range(lo, hi + 1)
+def _cmd_loop(args, cfg):
+    if args.op == "mixing":
+        rep = LO.mixing_classify(args.space, mass=args.mass, kappa=cfg.kappa,
+                                 theta=cfg.theta, d=cfg.d, lambda_grid=args.lambda_grid)
+        rows = [_row("mixing", f"lambda-{L:g}", True, v, rep.verdict)
+                for L, v in rep.evidence.get("planar_sweep", {}).get("rows", [])]
+        return rep.as_dict(), rows, rep.verdict != "INCONCLUSIVE"
+    rep = LO.bessel_oracle_compare(ms=args.grid, kappas=args.grid)
+    rows = [_row("bessel", f"d{r['d']}-m{r['m']:g}-k{r['kappa']:g}", True, r["ratio"])
+            for r in rep["rows"]]
+    return rep, rows, rep["passed"]
 
 
-def _parse_lambda_grid(text: str) -> np.ndarray:
-    """The geometric cutoff grid of a `--lambda-grid lo:hi:n` option.
-
-    The divergence slope is fitted on the upper half of the grid, so it needs
-    n >= 3 (two fitted points) and lo < hi.
-    """
-    try:
-        lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise ValueError(f"--lambda-grid: expected lo:hi:n, got {text!r}") from None
-    if not (np.isfinite([lo, hi]).all() and 0 < lo < hi and 3 <= n <= MAX_POINTS):
-        raise ValueError(f"--lambda-grid: need finite 0 < lo < hi and 3 <= n <= {MAX_POINTS}, "
-                         f"got {text!r}")
-    return np.geomspace(lo, hi, n)
-
-
-def _check_args(args, cfg: RunConfig):
-    """Check the command's size and range options, replacing text by parsed values.
-
-    Raises ValueError, which `main` reports as a usage error.
-    """
-    if args.cmd == "matrix-basis" and args.N < 1:
-        raise ValueError(f"--N: must be at least 1, got {args.N}")
-    if args.cmd == "loop" and args.op == "mixing" and args.space not in LO.MIXING_SPACES:
-        raise ValueError(f"--space: unknown space {args.space!r}; use "
-                         f"{'|'.join(LO.MIXING_SPACES)}")
-    if args.cmd == "loop" and args.lambda_grid is not None:
-        args.lambda_grid = _parse_lambda_grid(args.lambda_grid)
-    if args.cmd == "loop" and args.grid is not None:
-        vals = _parse_reals(args.grid, "--grid")
-        if not (np.isfinite(vals).all() and (vals > 0).all()):
-            raise ValueError(f"--grid: m and kappa must be finite and positive, got {args.grid!r}")
-        args.grid = tuple(vals.tolist())
-    if args.cmd == "gauge":
-        args.d_range = _parse_d_range(args.d_range)
-    if args.cmd == "causality":
-        args.v = _parse_v_range(args.v)
-        try:
-            grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
-            grid.validate_kappa(cfg.kappa)
-        except CA.GridError as exc:
-            raise ValueError(f"--grid {args.grid}: {exc}") from None
-        args.grid = grid
+def _cmd_gauge(args, cfg):
+    if args.op == "sw":
+        if args.input:
+            with open(args.input) as fh:
+                A = GA.poly_field_from_json(fh.read())
+        else:
+            A = _sw_field()
+        return {"A_hat": GA.poly_field_to_jsonable(GA.sw_map_order1(A, _SW_THETA))}, None, True
+    scan = GA.dimension_constraint_scan(args.d_range, cfg.kappa, _P0_SAMPLES)
+    bad = [d for d, dev in scan["deviations"].items() if not np.isfinite(dev)]
+    if bad:
+        raise ValueError(f"gauge dim-scan: the deviation is not finite for d = {bad[0]} "
+                         f"at kappa = {cfg.kappa}")
+    rows = [_row("gauge", f"dim-{d}", dev == 0.0, dev)
+            for d, dev in sorted(scan["deviations"].items())]
+    return scan, rows, True
 
 
-def _usage_error(exc) -> int:
-    sys.stderr.write(f"error: {exc}\n")
-    return 2
+def _cmd_causality(args, cfg):
+    grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
+    grid.validate_kappa(cfg.kappa)  # a GridError is a usage error
+    rows = []
+    for v in args.v:
+        r = CA.cone_condition(grid, cfg.kappa, 1, 1.0, v, seed=cfg.seed)
+        rows.append(_row("causality", f"cone-v{v:+.2f}", r["passed"], r["margin"]))
+    ok = all(r["passed"] for r in rows)
+    return {"rows": rows, "passed": ok}, rows, ok
 
 
-def main(argv=None) -> int:
+COMMANDS = {
+    "suite": _cmd_suite,
+    "group": _cmd_group,
+    "hopf": _cmd_hopf,
+    "matrix-basis": _cmd_matrix,
+    "loop": _cmd_loop,
+    "gauge": _cmd_gauge,
+    "causality": _cmd_causality,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise into `main`'s one `error:` line instead of printing a usage block."""
+        raise ConfigError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
     S = argparse.SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=S, help="JSON run configuration")
-    common.add_argument("--seed", type=int, default=S)
-    common.add_argument("--jobs", type=int, default=S)
-    common.add_argument("--out", default=S, help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=S)
+    for name in ("seed", "jobs", "out", "format", "kappa", "theta", "d"):
+        common.add_argument(f"--{name}", type=PARAMS[name][1], default=S)
     common.add_argument("--tol-override", action="append", default=S, metavar="key=val")
-    common.add_argument("--kappa", type=float, default=S)
-    common.add_argument("--theta", type=float, default=S)
-    common.add_argument("--d", type=int, default=S)
 
-    ap = argparse.ArgumentParser(prog="qstkit", parents=[common],
-                                 description="quantum space-time toolkit")
-    sub = ap.add_subparsers(dest="cmd", parser_class=lambda **kw: argparse.ArgumentParser(
-        parents=[common], **kw))
+    ap = _Parser(prog="qstkit", parents=[common], description="quantum space-time toolkit")
+    sub = ap.add_subparsers(dest="cmd", metavar="command", required=True,
+                            parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     g = sub.add_parser("group", help="momentum-group operations")
     g.add_argument("op", choices=("add", "inv", "modular", "haar-check", "delta-solve"))
     g.add_argument("--space", default="kappa_minkowski")
-    g.add_argument("--p", required=True)
-    g.add_argument("--q")
+    g.add_argument("--p", type=_parse_reals, required=True)
+    g.add_argument("--q", type=_parse_reals)
     g.add_argument("--k0", type=float, default=0.0)
 
     ho = sub.add_parser("hopf", help="kappa-Poincare Hopf axiom suite")
@@ -588,132 +643,89 @@ def main(argv=None) -> int:
     ho.add_argument("--all", action="store_true", default=True)
 
     mb = sub.add_parser("matrix-basis", help="Moyal matrix-basis checks")
-    mb.add_argument("--N", type=int, default=32)
+    mb.add_argument("--N", type=PARAMS["N"][1], default=32)
     mb.add_argument("--check", default="all", choices=("all",))
 
     lo = sub.add_parser("loop", help="one-loop diagnostics")
     lo.add_argument("op", choices=("mixing", "bessel-check"))
-    lo.add_argument("--space", default="kappa")
+    lo.add_argument("--space", default="kappa", choices=LO.MIXING_SPACES)
     lo.add_argument("--mass", type=float, default=1.0)
-    lo.add_argument("--lambda-grid", default=None, metavar="LO:HI:N")
-    lo.add_argument("--grid", default=None, help="m,kappa values for bessel-check")
+    lo.add_argument("--lambda-grid", type=PARAMS["lambda-grid"][1], metavar="LO:HI:N")
+    lo.add_argument("--grid", type=PARAMS["mk-grid"][1], default="0.5,1,2",
+                    help="m,kappa values for bessel-check")
 
     ga = sub.add_parser("gauge", help="twisted gauge checks")
     ga.add_argument("op", choices=("dim-scan", "sw"))
-    ga.add_argument("--d-range", default="1:8")
+    ga.add_argument("--d-range", type=PARAMS["d-range"][1], default="1:8")
     ga.add_argument("--input", default=None, help="JSON polynomial gauge field")
 
     ca = sub.add_parser("causality", help="causal-cone scan")
     ca.add_argument("op", nargs="?", default="cone", choices=("cone",))
-    ca.add_argument("--v", default="-1:1:0.5")
-    ca.add_argument("--grid", type=int, default=256)
+    ca.add_argument("--v", type=PARAMS["v"][1], default="-1:1:0.5")
+    ca.add_argument("--grid", type=PARAMS["grid"][1], default=256)
 
     su = sub.add_parser("suite", help="run a verification suite")
     su.add_argument("name", choices=SUITES)
+    return ap
 
+
+def _config(args) -> RunConfig:
+    """The run configuration: --config, then QSTKIT_SEED, then the flags argparse checked."""
+    cfg = RunConfig()
+    if "config" in args:
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+    if "seed" not in args and os.environ.get("QSTKIT_SEED"):
+        cfg.seed = PARAMS["seed"][1](os.environ["QSTKIT_SEED"], "QSTKIT_SEED")
+    for name, val in vars(args).items():
+        attr = PARAMS.get(name, (None,))[0]
+        if attr is not None:
+            setattr(cfg, attr, val)
+    overrides = dict(o.partition("=")[::2] for o in getattr(args, "tol_override", []))
+    cfg.tolerances = _tolerances(overrides, "--tol-override", cfg.tolerances)
+    return cfg
+
+
+def _finite(doc):
+    """`doc` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return None if isinstance(doc, float) and not np.isfinite(doc) else doc
+
+
+def _emit(doc, rows, fmt: str, out: str):
+    """Write the report: the document as strict JSON, or the rows as CSV."""
+    if fmt == "json":
+        text = json.dumps(_finite(doc), sort_keys=True, indent=1, default=str,
+                          allow_nan=False) + "\n"
+    else:  # csv writes a float as its repr
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, ["suite", "check", "passed", "residual", "detail"],
+                           lineterminator="\r\n")
+        w.writeheader()
+        w.writerows(rows)
+        text = buf.getvalue()
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
-        cfg = _base_config(args)
-        _check_args(args, cfg)
-    except (ConfigError, OSError, ValueError) as exc:
-        return _usage_error(exc)
-
-    if args.cmd == "suite":
-        code, report = run_suite(args.name, cfg)
-        _emit(report, cfg.fmt, cfg.out)
-        return code
-
-    if args.cmd == "group":
-        try:
-            out = _group_op(args, cfg)
-        except ValueError as exc:
-            return _usage_error(exc)
-        _emit(out, "json", cfg.out)
-        return 0
-
-    if args.cmd == "hopf":
-        rep = HA.full_suite()
-        code = 0 if rep["passed"] else 1
-        slim = {"passed": rep["passed"],
-                "generators": {k: {a: v[a] for a in ("coassociativity", "counit", "coinverse")}
-                               for k, v in rep["generators"].items()},
-                "relations": {k: {a: v[a] for a in ("coproduct", "counit", "antipode")}
-                              for k, v in rep["relations"].items()}}
-        _emit(slim, "json", cfg.out)
-        return code
-
-    if args.cmd == "matrix-basis":
-        ids = MM.identity_checks(args.N, cfg.theta, seed=cfg.seed)
-        part = MM.partition_check(args.N, cfg.theta, seed=cfg.seed)
-        ok = ids["passed"] and part["passed"]
-        _emit({"N": args.N, "identities": ids, "partition": part, "passed": ok},
-              "json", cfg.out)
-        return 0 if ok else 1
-
-    if args.cmd == "loop":
-        if args.op == "mixing":
-            rep = LO.mixing_classify(args.space, mass=args.mass, kappa=cfg.kappa,
-                                     theta=cfg.theta, d=cfg.d, lambda_grid=args.lambda_grid)
-            if cfg.fmt == "csv":
-                rows = [{"suite": "mixing", "check": f"lambda-{L:g}", "passed": True,
-                         "residual": float(v), "detail": rep.verdict}
-                        for L, v in rep.evidence.get("planar_sweep", {}).get("rows", [])]
-                _emit({"rows": rows}, "csv", cfg.out)
-            else:
-                _emit(rep.as_dict(), cfg.fmt, cfg.out)
-            return 1 if rep.verdict == "INCONCLUSIVE" else 0
-        if args.grid:
-            rep = LO.bessel_oracle_compare(ms=args.grid, kappas=args.grid)
-        else:
-            rep = LO.bessel_oracle_compare()
-        if cfg.fmt == "csv":
-            rows = [{"suite": "bessel", "check": f"d{r['d']}-m{r['m']:g}-k{r['kappa']:g}",
-                     "passed": True, "residual": float(r["ratio"]), "detail": ""}
-                    for r in rep["rows"]]
-            _emit({"rows": rows}, "csv", cfg.out)
-        else:
-            _emit(rep, cfg.fmt, cfg.out)
-        return 0 if rep["passed"] else 1
-
-    if args.cmd == "gauge":
-        if args.op == "dim-scan":
-            scan = GA.dimension_constraint_scan(args.d_range, cfg.kappa,
-                                                [0.25, 0.5, 1.0, -0.75])
-            bad = [d for d, dev in scan["deviations"].items() if not np.isfinite(dev)]
-            if bad:
-                return _usage_error(f"gauge dim-scan: the deviation is not finite for d = "
-                                    f"{bad[0]} at kappa = {cfg.kappa}")
-            if cfg.fmt == "csv":
-                rows = [{"suite": "gauge", "check": f"dim-{d}", "passed": dev == 0.0,
-                         "residual": dev, "detail": ""}
-                        for d, dev in sorted(scan["deviations"].items())]
-                _emit({"rows": rows}, "csv", cfg.out)
-            else:
-                _emit(scan, "json", cfg.out)
-            return 0
-        if args.input:
-            with open(args.input) as fh:
-                A = GA.poly_field_from_json(fh.read())
-        else:
-            x = [Poly.var(4, i) for i in range(4)]
-            A = GA.PolyGaugeField([x[1] * x[2], x[0].scale(2), Poly.const(4, 1), x[0] * x[3]])
-        Theta = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-        hat = GA.sw_map_order1(A, Theta)
-        _emit({"A_hat": GA.poly_field_to_jsonable(hat)}, "json", cfg.out)
-        return 0
-
-    if args.cmd == "causality":
-        rows = []
-        for v in args.v:
-            r = CA.cone_condition(args.grid, cfg.kappa, 1, 1.0, v, seed=cfg.seed)
-            rows.append({"suite": "causality", "check": f"cone-v{v:+.2f}",
-                         "passed": r["passed"], "residual": r["margin"], "detail": ""})
-        _emit({"rows": rows, "passed": all(r["passed"] for r in rows)},
-              cfg.fmt, cfg.out)
-        return 0 if all(r["passed"] for r in rows) else 1
-
-    ap.print_help()
-    return 2
+        args = _parser().parse_args(argv)
+        cfg = _config(args)
+        doc, rows, ok = COMMANDS[args.cmd](args, cfg)
+        if rows is None and cfg.fmt == "csv":
+            raise ConfigError(f"{args.cmd} {args.op} has no CSV form; use --format json")
+        _emit(doc, rows, cfg.fmt, cfg.out)
+    except (OSError, ValueError) as exc:  # ConfigError, GridError and PresetError among them
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -29,6 +31,21 @@ def test_parse_config_unknown_key_names_path():
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config('{"tolerances": {"bogus": 1}}')
     assert "/tolerances/bogus" in str(err.value)
+
+
+@pytest.mark.parametrize("conf, path", [
+    ({"kappa": [1]}, "/kappa"),
+    ({"seed": None}, "/seed"),
+    ({"out": 5}, "/out"),
+    ({"samples": True}, "/samples"),
+    ({"d": 2.5}, "/d"),
+    ({"tolerances": {"group.assoc": "x"}}, "/tolerances/group.assoc"),
+    ({"structure": {"dim": 3}}, "/structure"),
+])
+def test_parse_config_wrong_type_names_path(conf, path):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(json.dumps(conf))
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_parse_config_inline_structure_round_trip():
@@ -206,9 +223,24 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["--theta", "0", "suite", "matrix"],
     [{"rho": 0}, "suite", "trace"],
     [{"lam": float("inf")}, "suite", "group"],
+    [{"kappa": [1]}, "suite", "trace"],          # a config value of the wrong JSON type
+    [{"seed": None}, "suite", "trace"],
+    [{"out": 5}, "suite", "twist"],              # would open file descriptor 5
+    [{"out": 1}, "suite", "twist"],
+    [{"samples": True}, "suite", "group"],       # a JSON bool is not an int
+    [{"tolerances": {"group.assoc": "x"}}, "suite", "group"],
+    [{"structure": 5}, "suite", "group"],
+    ["group", "bogus", "--p", "1"],              # argparse's own errors
+    ["--seed", "x", "suite", "group"],
+    ["suite"],
+    [],
+    ["group", "add", "--d", "1", "--p", "0,1", "--q", "0,2", "--format", "csv"],  # no row form
+    ["gauge", "sw", "--format", "csv"],
+    ["matrix-basis", "--N", "1025"],             # just over the caps
+    ["causality", "--grid", "2049"],
 ])
 def test_cli_bad_option_exit_2(argv, capsys, tmp_path):
-    if isinstance(argv[0], dict):  # the contents of a --config file, then the command
+    if argv and isinstance(argv[0], dict):  # the contents of a --config file, then the command
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps(argv[0]))
         argv = ["--config", str(conf), *argv[1:]]
@@ -285,3 +317,31 @@ def test_cli_import_and_group_add_do_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.splitlines()[-1] == "False 0 False"
+
+
+def test_cli_non_finite_values_are_null_and_fail(capsys):
+    def no_constant(name):
+        raise AssertionError(f"bare {name} in the JSON report")
+
+    argv = ["loop", "bessel-check", "--grid", "0.001,1000"]  # the m = 1000 ratios are NaN
+    assert cli.main(argv) == 1
+    rep = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert rep["max_rel_dev"] is None and rep["passed"] is False
+    assert cli.main([*argv, "--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert any(r[3] == "nan" for r in rows)
+    assert not any(r[2] == "True" and r[3] == "nan" for r in rows)
+
+
+def _csv_rows(argv, capsys):
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    return list(csv.reader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_cli_hopf_and_matrix_basis_write_the_suite_rows_as_csv(capsys):
+    hopf = _csv_rows(["hopf", "check"], capsys)
+    assert hopf == _csv_rows(["suite", "hopf"], capsys)[:-1]  # less E-vs-P0-series-consistency
+    assert len(hopf) > 2
+    matrix = _csv_rows(["matrix-basis", "--N", "32", "--seed", "3"], capsys)
+    assert matrix == _csv_rows(["suite", "matrix", "--seed", "3"], capsys)
+    assert _csv_rows(["matrix-basis", "--N", "8"], capsys)[-1][1] == "partition-of-unity-diagonal"
