@@ -47,7 +47,9 @@ DEFAULT_TOLERANCES = {
 
 MAX_POINTS = 1000  # points of a --v, --d-range or --lambda-grid range
 MAX_N = 1024       # matrix-basis --N: partition_check makes N star products of N x N matrices
-MAX_GRID = 2048    # causality --grid: cone_condition builds dense n x n operators
+MAX_GRID = 8192    # causality --grid: 8x kernel_scale's n; cone_condition holds n x 200 states
+MAX_SAMPLES = 10 ** 6  # samples: suite_group draws samples x 3 x dim normals
+MAX_DIM = 64       # d and a structure's dim: a structure allocates dim^3 constants
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -94,8 +96,9 @@ def _scalar(typ, ok, domain):
 
 
 _AT_LEAST_1 = _scalar(int, lambda v: v >= 1, "at least 1")
+_DIM = _scalar(int, lambda v: 1 <= v <= MAX_DIM, f"between 1 and {MAX_DIM}")
 _NONZERO = _scalar(float, lambda v: np.isfinite(v) and v != 0, "finite and nonzero")
-_TOLERANCE = _scalar(float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative")
+_NON_NEGATIVE = _scalar(float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative")
 
 
 def _tolerances(val, where, base=DEFAULT_TOLERANCES):
@@ -106,12 +109,14 @@ def _tolerances(val, where, base=DEFAULT_TOLERANCES):
     for key, tol in val.items():
         if key not in tols:
             raise ConfigError(f"{where}/{key}: unknown tolerance key")
-        tols[key] = _TOLERANCE(tol, f"{where}/{key}")
+        tols[key] = _NON_NEGATIVE(tol, f"{where}/{key}")
     return tols
 
 
 def _structure(val, where):
-    """A config's inline structure constants."""
+    """A config's inline structure constants; the dim is checked before anything is allocated."""
+    if isinstance(val, dict) and "dim" in val:
+        _DIM(val["dim"], f"{where}/dim")
     try:
         return StructureConstants.from_json(json.dumps(val))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -186,16 +191,18 @@ PARAMS = {
     "theta": ("theta", _NONZERO),
     "rho": ("rho", _NONZERO),
     "lam": ("lam", _NONZERO),
-    "d": ("d", _AT_LEAST_1),
+    "d": ("d", _DIM),
     "seed": ("seed", _scalar(int, lambda v: v >= 0, "at least 0")),
     "jobs": ("jobs", _AT_LEAST_1),
-    "samples": ("samples", _AT_LEAST_1),
+    "samples": ("samples", _scalar(int, lambda v: 1 <= v <= MAX_SAMPLES,
+                                   f"between 1 and {MAX_SAMPLES}")),
     "out": ("out", _scalar(str, lambda v: True, "a path")),
     "format": ("fmt", _scalar(str, lambda v: v in ("json", "csv"), "json or csv")),
     "tolerances": ("tolerances", _tolerances),
     "structure": ("inline_structure", _structure),
     "N": (None, _scalar(int, lambda v: 1 <= v <= MAX_N, f"between 1 and {MAX_N}")),
     "grid": (None, _scalar(int, lambda v: v <= MAX_GRID, f"at most {MAX_GRID}")),
+    "mass": (None, _NON_NEGATIVE),
     "v": (None, _parse_v_range),
     "d-range": (None, _parse_d_range),
     "lambda-grid": (None, _parse_lambda_grid),
@@ -649,7 +656,7 @@ def _parser() -> argparse.ArgumentParser:
     lo = sub.add_parser("loop", help="one-loop diagnostics")
     lo.add_argument("op", choices=("mixing", "bessel-check"))
     lo.add_argument("--space", default="kappa", choices=LO.MIXING_SPACES)
-    lo.add_argument("--mass", type=float, default=1.0)
+    lo.add_argument("--mass", type=PARAMS["mass"][1], default=1.0)
     lo.add_argument("--lambda-grid", type=PARAMS["lambda-grid"][1], metavar="LO:HI:N")
     lo.add_argument("--grid", type=PARAMS["mk-grid"][1], default="0.5,1,2",
                     help="m,kappa values for bessel-check")

@@ -174,6 +174,9 @@ class PolyGaugeField:
         nv = {c.nvars for c in self.components}
         if len(nv) != 1:
             raise ValueError("components must share the variable count")
+        if self.dim > self.nvars:  # A_mu is differentiated along x^mu
+            raise ValueError(f"{self.dim} components need at least as many variables, "
+                             f"got {self.nvars}")
         if any(c.degree() > MAX_SW_DEGREE for c in self.components):
             raise ValueError(f"degree overflow: SW map limited to degree {MAX_SW_DEGREE}")
 
@@ -196,6 +199,8 @@ def poly_field_strength(A: PolyGaugeField) -> list:
 
 def sw_map_order1(A: PolyGaugeField, Theta) -> PolyGaugeField:
     """A_mu - (1/2) Theta^{rho sigma} A_rho (d_sigma A_mu + F_{sigma mu})."""
+    if len(Theta) < A.dim or any(len(row) < A.dim for row in Theta):
+        raise ValueError(f"Theta must be at least {A.dim} x {A.dim} for a {A.dim}-component field")
     Theta = [[Fraction(x) for x in row] for row in Theta]
     F = poly_field_strength(A)
     out = []
@@ -307,17 +312,41 @@ def poly_field_to_jsonable(A: PolyGaugeField) -> list:
 
 
 def poly_field_from_json(text: str) -> PolyGaugeField:
+    """The field `poly_field_to_jsonable` writes, bare or as {"components": ...}.
+
+    A malformed document raises ValueError naming the key path of the bad value.
+    """
     import json
     from fractions import Fraction as Fr
     data = json.loads(text)
+    at = ""
+    if isinstance(data, dict):
+        data, at = data.get("components"), "/components"
+    if not isinstance(data, list):
+        raise ValueError(f"{at or '/'}: expected a list of components")
     comps = []
-    for terms in data if isinstance(data, list) else data["components"]:
-        if terms:
-            nv = len(terms[0]["exp"])
-        else:
-            nv = 4
-        comps.append(Poly(nv, {tuple(t["exp"]): (Fr(str(t["re"])), Fr(str(t.get("im", 0))))
-                               for t in terms}))
+    for c, terms in enumerate(data):
+        if not isinstance(terms, list):
+            raise ValueError(f"{at}/{c}: expected a list of terms")
+        nv, coeffs = None, {}
+        for t, term in enumerate(terms):
+            where = f"{at}/{c}/{t}"
+            exp = term.get("exp") if isinstance(term, dict) else None
+            if not (isinstance(exp, list) and all(type(e) is int and e >= 0 for e in exp)):
+                raise ValueError(f"{where}/exp: expected a list of non-negative integers")
+            nv = len(exp) if nv is None else nv
+            if len(exp) != nv:
+                raise ValueError(f"{where}/exp: expected {nv} exponents like the first term")
+            coef = []
+            for key, default in (("re", None), ("im", 0)):
+                val = term.get(key, default)
+                try:
+                    coef.append(Fr(str(val)))
+                except ValueError:
+                    raise ValueError(f"{where}/{key}: expected a finite number, "
+                                     f"got {val!r}") from None
+            coeffs[tuple(exp)] = tuple(coef)
+        comps.append(Poly(4 if nv is None else nv, coeffs))
     return PolyGaugeField(comps)
 
 

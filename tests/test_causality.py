@@ -1,8 +1,14 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import causality_oracle as O
 from qstkit import causality as C
+
+# (n, scheme) grids on which the matrix-free model is compared with the dense oracle
+ORACLE_GRIDS = [(128, "central"), (256, "spectral"), (1024, "spectral")]
 
 
 @pytest.fixture(scope="module")
@@ -22,40 +28,51 @@ def test_grid_validation():
         C.GridSpec(16, 10.0, "spectral").validate_kappa(1.2)
 
 
+def _both(grid, kappa, a=1):
+    """(operators, expectation) of the dense oracle and of the matrix-free model."""
+    return [(O.build_operators(grid, kappa, a), O.expectation),
+            (C.build_operators(grid, kappa, a), C.expectation)]
+
+
 def test_x1_bounds(grid):
-    ops = C.build_operators(grid, 1.0, a=1)
     psi = C.gaussian_state(grid, 0.3, 1.2)
-    x1 = C.expectation(ops["X1"], psi, grid).real
     vals = np.exp(-grid.points())
-    assert np.min(vals) <= x1 <= np.max(vals)
+    for ops, expectation in _both(grid, 1.0):
+        x1 = expectation(ops["X1"], psi, grid).real
+        assert np.min(vals) <= x1 <= np.max(vals)
 
 
 def test_x0_hermitian_real_expectations(grid):
-    ops = C.build_operators(grid, 1.0)
-    assert np.max(np.abs(ops["X0"] - ops["X0"].conj().T)) < 1e-10
+    dense = O.build_operators(grid, 1.0)["X0"]
+    # the matrix-free x0 applied to the identity columns is its matrix
+    free = C.build_operators(grid, 1.0)["X0"](np.eye(grid.n))
+    for X0 in (dense, free):
+        assert np.max(np.abs(X0 - X0.conj().T)) < 1e-10
+    assert np.max(np.abs(free - dense)) < 1e-12
     rng = np.random.default_rng(0)
     for _ in range(5):
         psi = C.gaussian_state(grid, rng.uniform(-2, 2), rng.uniform(0.5, 2), rng.uniform(-1, 1))
-        assert abs(C.expectation(ops["X0"], psi, grid).imag) < 1e-10
-        assert abs(C.expectation(ops["X1"], psi, grid).imag) < 1e-10
+        for ops, expectation in _both(grid, 1.0):
+            assert abs(expectation(ops["X0"], psi, grid).imag) < 1e-10
+            assert abs(expectation(ops["X1"], psi, grid).imag) < 1e-10
 
 
 def test_phase_shift_translates_x0(grid):
-    ops = C.build_operators(grid, 1.0)
     psi = C.gaussian_state(grid, 0.5, 1.0)
-    for t in (0.25, 0.8, -0.6):
-        psi2 = C.normalize(psi * np.exp(1j * t * grid.points()), grid)
-        d = C.expectation(ops["X0"], psi2, grid).real - C.expectation(ops["X0"], psi, grid).real
-        assert d == pytest.approx(t, abs=1e-10)
-        # x1 expectation unchanged by the phase
-        d1 = C.expectation(ops["X1"], psi2, grid).real - C.expectation(ops["X1"], psi, grid).real
-        assert abs(d1) < 1e-12
+    for ops, expectation in _both(grid, 1.0):
+        for t in (0.25, 0.8, -0.6):
+            psi2 = C.normalize(psi * np.exp(1j * t * grid.points()), grid)
+            d = expectation(ops["X0"], psi2, grid).real - expectation(ops["X0"], psi, grid).real
+            assert d == pytest.approx(t, abs=1e-10)
+            # x1 expectation unchanged by the phase
+            d1 = expectation(ops["X1"], psi2, grid).real - expectation(ops["X1"], psi, grid).real
+            assert abs(d1) < 1e-12
 
 
 def test_kappa_infinite_limit_x1_identity():
     grid = C.GridSpec(128, 12.0, "central")
-    ops = C.build_operators(grid, 1e9, a=1)
-    assert np.max(np.abs(np.diag(ops["X1"]) - 1.0)) < 1e-7
+    assert np.max(np.abs(np.diag(O.build_operators(grid, 1e9, a=1)["X1"]) - 1.0)) < 1e-7
+    assert np.max(np.abs(C.build_operators(grid, 1e9, a=1)["X1"] - 1.0)) < 1e-7
 
 
 def test_fundamental_symmetry_exact(grid):
@@ -112,8 +129,100 @@ def test_sll_requires_normalized(grid):
 def test_dirac_representation_branches(grid):
     with pytest.raises(ValueError):
         C.build_operators(grid, 1.0, a=0)
+    with pytest.raises(ValueError):
+        C.lorentzian_axiom_check(grid, 1.0, a=0)
+    n = grid.n
+    up = np.zeros((2, n, 1), dtype=complex)
+    up[0, :, 0] = C.gaussian_state(grid, 0.2, 1.0)
     for a in (1, -1):
-        D = C.dirac_operator(grid, 1.0, a)
-        n = grid.n
+        D = O.dirac_operator(grid, 1.0, a)
         assert np.max(np.abs(D[:n, :n])) == 0.0  # off-diagonal block structure
         assert np.max(np.abs(D[n:, n:])) == 0.0
+        for adjoint in (False, True):  # D and D^dagger map the upper spinor to the lower
+            out = C._dirac_apply(grid, 1.0, a, up, adjoint)
+            assert np.max(np.abs(out[0])) == 0.0
+            assert np.max(np.abs(out[1])) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# matrix-free operators against the dense oracle
+
+@pytest.mark.parametrize("n, scheme", ORACLE_GRIDS[:2])
+def test_derivative_matches_oracle_matrix(n, scheme):
+    grid = C.GridSpec(n, 10.0, scheme)
+    D = O.derivative_matrix(grid)
+    free = C._derivative(grid, np.eye(n))
+    assert free.dtype == float
+    assert np.max(np.abs(free - D)) <= 1e-13 * np.max(np.abs(D))
+    rng = np.random.default_rng(1)
+    f = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    assert np.max(np.abs(C._derivative(grid, f) - D @ f)) <= 1e-12 * np.max(np.abs(D @ f))
+
+
+@pytest.mark.parametrize("a", [1, -1])
+@pytest.mark.parametrize("n, scheme", ORACLE_GRIDS[:2])
+def test_dirac_apply_matches_oracle_matrix(n, scheme, a):
+    grid = C.GridSpec(n, 10.0, scheme)
+    Dop = O.dirac_operator(grid, 1.0, a)
+    rng = np.random.default_rng(2)
+    phi = rng.normal(size=(2, n, 4)) + 1j * rng.normal(size=(2, n, 4))
+    flat = phi.reshape(2 * n, 4)
+    for adjoint, M in ((False, Dop), (True, Dop.conj().T)):
+        want = M @ flat
+        got = C._dirac_apply(grid, 1.0, a, phi, adjoint).reshape(2 * n, 4)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a", [1, -1])
+@pytest.mark.parametrize("n, scheme", ORACLE_GRIDS)
+def test_krein_residual_matches_oracle(n, scheme, a):
+    grid = C.GridSpec(n, 10.0, scheme)
+    got = C.lorentzian_axiom_check(grid, 1.0, a, seed=3)["krein_residual"]
+    want = O.krein_residual(grid, 1.0, a, seed=3)
+    # the dense D^dagger carries the roundoff asymmetry of the DFT matrix, times |J| ~ e^10
+    assert got == pytest.approx(want, rel=1e-12 if scheme == "central" else 1e-6)
+
+
+def test_krein_residual_follows_gamma0(monkeypatch):
+    """A change to gamma^0 reaches the residual through I, on both paths."""
+    grid = C.GridSpec(128, 10.0, "central")
+    before = C.lorentzian_axiom_check(grid, 1.0)["krein_residual"]
+    monkeypatch.setattr(C, "GAMMA0", np.array([[1j, 0], [0, -1j]]))
+    after = C.lorentzian_axiom_check(grid, 1.0)
+    assert after["I_squared_residual"] == 0.0 and after["I_hermiticity_residual"] == 0.0
+    assert after["krein_residual"] > 10 * before
+    assert after["krein_residual"] == pytest.approx(O.krein_residual(grid, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1, -1])
+@pytest.mark.parametrize("n, scheme", ORACLE_GRIDS)
+def test_cone_margins_match_oracle(n, scheme, a):
+    # a phased family: on real states Re<psi, K psi> is 0 for any real K/i, which checks nothing
+    grid = C.GridSpec(n, 10.0, scheme)
+    for beta in (-0.7, 0.0, 0.5):
+        got = C.cone_condition(grid, 1.0, a, 1.0, beta, n_states=40, seed=4, phases=True)
+        want = O.cone_branch_margins(grid, 1.0, a, 1.0, beta, n_states=40, seed=4, phases=True)
+        for branch in (+1, -1):
+            assert want[branch] < -1.0
+            assert got["branch_margins"][branch] == pytest.approx(want[branch], rel=1e-10)
+        assert got["margin"] == min(got["branch_margins"].values())
+
+
+def test_cone_real_family_reads_positive_zero(grid):
+    r = C.cone_condition(grid, 1.0, 1, 1.0, 0.5, n_states=20, seed=0)
+    assert r["margin"] == 0.0 and np.copysign(1.0, r["margin"]) == 1.0
+    assert all(np.copysign(1.0, m) == 1.0 for m in r["branch_margins"].values())
+
+
+def test_large_grid_allocates_no_dense_operator():
+    n = 8192
+    grid = C.GridSpec(n, 10.0, "spectral")
+    tracemalloc.start()
+    try:
+        ax = C.lorentzian_axiom_check(grid, 1.0)
+        cone = C.cone_condition(grid, 1.0, 1, 1.0, 0.5, n_states=20, seed=0, phases=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(ax["krein_residual"]) and np.isfinite(cone["margin"])
+    assert peak < n * n  # bytes: any n x n array would take at least this

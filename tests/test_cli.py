@@ -237,7 +237,13 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["group", "add", "--d", "1", "--p", "0,1", "--q", "0,2", "--format", "csv"],  # no row form
     ["gauge", "sw", "--format", "csv"],
     ["matrix-basis", "--N", "1025"],             # just over the caps
-    ["causality", "--grid", "2049"],
+    ["causality", "--grid", "8193"],
+    ["loop", "mixing", "--mass", "nan"],
+    ["loop", "mixing", "--mass", "inf"],
+    [{"samples": 10 ** 6 + 1}, "suite", "group"],
+    ["--d", "65", "suite", "mixing"],
+    [{"d": 65}, "suite", "mixing"],
+    [{"structure": {"name": "big", "dim": 65, "deformation": 0, "entries": []}}, "suite", "group"],
 ])
 def test_cli_bad_option_exit_2(argv, capsys, tmp_path):
     if argv and isinstance(argv[0], dict):  # the contents of a --config file, then the command
@@ -304,6 +310,26 @@ def test_cli_gauge_sw_output_bytes(field, expect, tmp_path, capsys):
     assert cli.main(argv) == 0
     text = json.dumps({"A_hat": json.loads(expect)}, sort_keys=True, indent=1) + "\n"
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("field", [
+    {"components": [[{"re": 1}]]},               # a term without "exp"
+    {"components": 5},
+    [[{"exp": [1, 0, 0, 0], "re": 1}, {"exp": [1, 0], "re": 1}]],
+    [[{"exp": [1, 0, 0, 0], "re": "x"}]],
+    [[{"exp": [1, 0], "re": 1}]] * 3,              # more components than variables
+    [[{"exp": [1, 0, 0, 0, 0], "re": 1}]] * 5,     # more components than Theta has rows
+])
+def test_cli_gauge_sw_bad_input_exit_2(field, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(field))
+    test_cli_group_bad_input_exit_2(["gauge", "sw", "--input", str(path)], capsys)
+
+
+def test_cli_causality_largest_grid(capsys):
+    assert cli.main(["causality", "--grid", "8192", "--v", "0:0.5:0.5"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["check"] for r in rows] == ["cone-v+0.00", "cone-v+0.50"]
 
 
 def test_cli_import_and_group_add_do_not_load_scipy():
