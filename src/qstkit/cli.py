@@ -46,7 +46,7 @@ DEFAULT_TOLERANCES = {
 }
 
 MAX_POINTS = 1000  # points of a --v, --d-range or --lambda-grid range
-MAX_N = 1024       # matrix-basis --N: partition_check makes N star products of N x N matrices
+MAX_N = 1024       # matrix-basis --N: identity_checks multiplies 40 pairs of dense N x N matrices
 MAX_GRID = 8192    # causality --grid: 8x kernel_scale's n; cone_condition holds n x 200 states
 MAX_SAMPLES = 10 ** 6  # samples: suite_group draws samples x 3 x dim normals
 MAX_DIM = 64       # d and a structure's dim: a structure allocates dim^3 constants

@@ -25,6 +25,9 @@ from .momentum import GroupDescriptor, group_preset
 
 DIV_SLOPE = 0.1
 CONV_SLOPE = 0.02
+# Lambda theta|p| from which a Moyal cutoff counts toward criterion (iii):
+# there the cutoff term 1/Lambda^2 is at most 4% of the regulator c
+NONPLANAR_REGIME = 10.0
 
 
 def _integrate():
@@ -460,8 +463,14 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         for L in (lambda_grid if lambda_grid is not None else np.geomspace(10, 1e4, 8)):
             lrows.append((float(L), moyal_nonplanar(p_fixed, Theta, mass, float(L))["closed_form"]))
         evidence["uv_sequence"] = lrows
-        slope = _loglog_slope([r[0] for r in lrows], [r[1] for r in lrows])
-        iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
+        # the phase regulates only where it outweighs the cutoff term,
+        # Lambda theta|p| >> 1; below that the value still grows with Lambda
+        theta_p = float(np.linalg.norm(Theta.T @ p_fixed))
+        acting = [r for r in lrows if r[0] * theta_p >= NONPLANAR_REGIME]
+        iii = None
+        if len(acting) >= 3:
+            slope = _loglog_slope([r[0] for r in acting], [r[1] for r in acting])
+            iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
 
         return MixingReport("moyal", i_div, sweep["slope"], ii, raw, iii,
                             _verdict(i_div, ii, iii), evidence)

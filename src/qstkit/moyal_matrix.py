@@ -3,10 +3,16 @@
 In the matrix basis {f_mn} the star product is literally matrix
 multiplication: f_mn * f_kl = delta_nk f_ml, f_mn^dagger = f_nm, and the
 trace pairing <a, b> = integral of a^dagger * b equals 2 pi theta times the
-Frobenius pairing.  At truncation N everything is an N x N complex matrix;
+Frobenius pairing.  At truncation N an element is an N x N complex matrix;
 out-of-truncation indices are rejected, never projected, so the algebra
 stays exactly associative.  The diagonal family {f_mm} realizes the
 noncommutative partition of unity on this algebra.
+
+A basis element, the unit sum_m f_mm and their products are held as their
+support, (rows, cols, vals) arrays; only a generic element keeps a dense
+N x N matrix.  The product of two supports joins the first one's columns
+with the second one's rows, so checks on basis elements cost O(support),
+not O(N^3).
 """
 
 from __future__ import annotations
@@ -33,30 +39,82 @@ class MatrixBasisElement:
             raise TruncationError(f"indices ({self.m},{self.n}) outside truncation N={self.N}")
 
 
-@dataclass
 class TruncatedElement:
-    """N x N coefficient matrix g_mn of an algebra element, with theta."""
+    """An algebra element at truncation N, with theta.
 
-    coeff: np.ndarray
-    theta: float
+    Built from an N x N coefficient matrix g_mn it is dense (`dense` holds the
+    matrix).  Built by `sparse`, `basis_element` or a product of supports it
+    is sum_i vals[i] f_{rows[i] cols[i]} with each (row, col) pair once and
+    no zero value, and `dense` is None.  `coeff` is the matrix in both cases.
+    """
 
-    def __post_init__(self):
-        self.coeff = np.asarray(self.coeff, dtype=complex)
-        if self.coeff.ndim != 2 or self.coeff.shape[0] != self.coeff.shape[1]:
+    __slots__ = ("theta", "N", "dense", "rows", "cols", "vals")
+
+    def __init__(self, coeff, theta):
+        coeff = np.asarray(coeff, dtype=complex)
+        if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        if not np.all(np.isfinite(self.coeff)):
+        self._fill(theta, coeff.shape[0], coeff, None, None, None)
+
+    def _fill(self, theta, N, dense, rows, cols, vals):
+        if not np.all(np.isfinite(vals if dense is None else dense)):
             raise ValueError("coefficients must be finite")
+        self.theta, self.N, self.dense = theta, N, dense
+        self.rows, self.cols, self.vals = rows, cols, vals
+        return self
+
+    @classmethod
+    def sparse(cls, rows, cols, vals, theta, N):
+        """sum_i vals[i] f_{rows[i] cols[i]}; repeated (row, col) pairs are summed."""
+        rows, cols = (np.asarray(x, dtype=np.intp).reshape(-1) for x in (rows, cols))
+        vals = np.asarray(vals, dtype=complex).reshape(-1)
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals differ in length")
+        if np.any((rows < 0) | (rows >= N) | (cols < 0) | (cols >= N)):
+            raise TruncationError(f"support outside truncation N={N}")
+        return _support(theta, N, *_summed(rows, cols, vals, N))
 
     @property
-    def N(self):
-        return self.coeff.shape[0]
+    def coeff(self) -> np.ndarray:
+        """The N x N coefficient matrix (built on each call for a support)."""
+        if self.dense is not None:
+            return self.dense
+        c = np.zeros((self.N, self.N), dtype=complex)
+        c[self.rows, self.cols] = self.vals
+        return c
+
+
+def _dense(coeff, theta):
+    return object.__new__(TruncatedElement)._fill(theta, coeff.shape[0], coeff, None, None, None)
+
+
+def _support(theta, N, rows, cols, vals):
+    return object.__new__(TruncatedElement)._fill(theta, N, None, rows, cols, vals)
+
+
+def _summed(rows, cols, vals, N):
+    """The support (rows, cols, vals) with repeated pairs summed and zeros dropped."""
+    if len(vals) > 1:
+        keys, inv = np.unique(rows * N + cols, return_inverse=True)
+        summed = np.zeros(len(keys), dtype=complex)
+        np.add.at(summed, inv, vals)
+        rows, cols, vals = keys // N, keys % N, summed
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _max_diff(a: TruncatedElement, b: TruncatedElement) -> float:
+    """max |a_mn - b_mn|; over the union of the supports when neither is dense."""
+    if a.dense is not None or b.dense is not None:
+        return float(np.max(np.abs(a.coeff - b.coeff)))
+    _, _, d = _summed(np.concatenate([a.rows, b.rows]), np.concatenate([a.cols, b.cols]),
+                      np.concatenate([a.vals, -b.vals]), a.N)
+    return float(np.max(np.abs(d), initial=0.0))
 
 
 def basis_element(m: int, n: int, theta: float, N: int) -> TruncatedElement:
     e = MatrixBasisElement(m, n, theta, N)
-    c = np.zeros((N, N), dtype=complex)
-    c[e.m, e.n] = 1.0
-    return TruncatedElement(c, theta)
+    return _support(theta, N, np.array([e.m]), np.array([e.n]), np.ones(1, dtype=complex))
 
 
 def basis_product(m: int, n: int, k: int, l: int, theta: float, N: int):
@@ -69,20 +127,55 @@ def basis_product(m: int, n: int, k: int, l: int, theta: float, N: int):
 
 
 def star(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
+    """The matrix product of a and b.
+
+    Two dense factors make one matmul.  A support against a dense factor
+    places the dense factor's row n, scaled by vals, in row m for each
+    support entry (m, n) (columns for a support on the right).  Two supports
+    pair every (m, n) of a with every (n, l) of b and sum the terms per (m, l).
+    """
     if a.N != b.N:
         raise ValueError(f"truncation mismatch: {a.N} vs {b.N}")
-    return TruncatedElement(a.coeff @ b.coeff, a.theta)
+    N = a.N
+    if a.dense is not None and b.dense is not None:
+        return _dense(a.dense @ b.dense, a.theta)
+    if a.dense is None and b.dense is None:
+        order = np.argsort(b.rows, kind="stable")
+        b_rows = b.rows[order]
+        lo = np.searchsorted(b_rows, a.cols, "left")
+        counts = np.searchsorted(b_rows, a.cols, "right") - lo
+        ia = np.repeat(np.arange(len(a.vals)), counts)
+        ib = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+        return _support(a.theta, N, *_summed(a.rows[ia], b.cols[ib], a.vals[ia] * b.vals[ib], N))
+    out = np.zeros((N, N), dtype=complex)
+    if a.dense is None:
+        np.add.at(out, a.rows, a.vals[:, None] * b.dense[a.cols])
+    else:
+        np.add.at(out.T, b.cols, b.vals[:, None] * a.dense[:, b.rows].T)
+    return _dense(out, a.theta)
 
 
 def dagger(a: TruncatedElement) -> TruncatedElement:
-    return TruncatedElement(a.coeff.conj().T, a.theta)
+    if a.dense is not None:
+        return _dense(a.dense.conj().T, a.theta)
+    return _support(a.theta, a.N, a.cols, a.rows, a.vals.conj())
 
 
 def trace_pairing(a: TruncatedElement, b: TruncatedElement) -> complex:
     """∫ a^dagger * b = 2 pi theta sum_mn conj(a_mn) b_mn."""
     if a.N != b.N:
         raise ValueError("truncation mismatch")
-    return 2 * math.pi * a.theta * complex(np.sum(np.conj(a.coeff) * b.coeff))
+    if a.dense is not None and b.dense is not None:
+        s = np.sum(np.conj(a.dense) * b.dense)
+    elif a.dense is not None:
+        s = np.sum(np.conj(a.dense[b.rows, b.cols]) * b.vals)
+    elif b.dense is not None:
+        s = np.sum(np.conj(a.vals) * b.dense[a.rows, a.cols])
+    else:
+        _, ia, ib = np.intersect1d(a.rows * a.N + a.cols, b.rows * b.N + b.cols,
+                                   assume_unique=True, return_indices=True)
+        s = np.sum(np.conj(a.vals[ia]) * b.vals[ib])
+    return 2 * math.pi * a.theta * complex(s)
 
 
 def partition_check(N: int, theta: float = 1.0, n_samples: int = 4, seed: int = 0) -> dict:
@@ -97,24 +190,22 @@ def partition_check(N: int, theta: float = 1.0, n_samples: int = 4, seed: int = 
     pos_err = 0.0
     for m in range(N):
         fm0 = basis_element(m, 0, theta, N)
-        witness = star(fm0, dagger(fm0))
-        fmm = basis_element(m, m, theta, N)
-        pos_err = max(pos_err, float(np.max(np.abs(witness.coeff - fmm.coeff))))
+        pos_err = max(pos_err, _max_diff(star(fm0, dagger(fm0)), basis_element(m, m, theta, N)))
 
-    unit_sum = TruncatedElement(np.eye(N, dtype=complex), theta)
+    diag = np.arange(N)
+    unit_sum = _support(theta, N, diag, diag, np.ones(N, dtype=complex))
     unity_err = 0.0
     for _ in range(n_samples):
         gmat = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         g = TruncatedElement(gmat, theta)
-        unity_err = max(unity_err, float(np.max(np.abs(star(unit_sum, g).coeff - g.coeff))),
-                        float(np.max(np.abs(star(g, unit_sum).coeff - g.coeff))))
+        unity_err = max(unity_err, _max_diff(star(unit_sum, g), g), _max_diff(star(g, unit_sum), g))
 
     comm_err = 0.0
     for m in range(min(N, 6)):
         for n in range(min(N, 6)):
             a = basis_element(m, m, theta, N)
             b = basis_element(n, n, theta, N)
-            comm_err = max(comm_err, float(np.max(np.abs(star(a, b).coeff - star(b, a).coeff))))
+            comm_err = max(comm_err, _max_diff(star(a, b), star(b, a)))
 
     return {
         "N": N,
@@ -134,17 +225,15 @@ def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
     for _ in range(50):
         m, n, k, l = (int(x) for x in rng.integers(0, N, size=4))
         prod = star(basis_element(m, n, theta, N), basis_element(k, l, theta, N))
-        expect = np.zeros((N, N), dtype=complex)
-        if n == k:
-            expect[m, l] = 1.0
-        e = max(e, float(np.max(np.abs(prod.coeff - expect))))
+        expect = (basis_element(m, l, theta, N) if n == k
+                  else TruncatedElement.sparse((), (), (), theta, N))
+        e = max(e, _max_diff(prod, expect))
     errs["delta_rule"] = e
     # involution
     e = 0.0
     for _ in range(20):
         m, n = (int(x) for x in rng.integers(0, N, size=2))
-        e = max(e, float(np.max(np.abs(dagger(basis_element(m, n, theta, N)).coeff
-                                       - basis_element(n, m, theta, N).coeff))))
+        e = max(e, _max_diff(dagger(basis_element(m, n, theta, N)), basis_element(n, m, theta, N)))
     errs["involution"] = e
     # orthonormality <f_mn, f_kl> = 2 pi theta delta_mk delta_nl
     e = 0.0

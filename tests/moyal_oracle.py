@@ -1,0 +1,98 @@
+"""Dense reference for the Moyal matrix-basis checks (tests only).
+
+`partition_check` and `identity_checks` as first written: every basis
+element is an explicit N x N matrix, the star product is `@`, the dagger is
+`.conj().T` and the trace pairing sums over all N^2 entries.  They draw the
+same random numbers in the same order as `qstkit.moyal_matrix`, so the two
+must return equal dicts.  They cost O(N^3) time and O(N^2) memory per basis
+element, so the tests use them for N <= MAX_N only.
+"""
+
+import math
+
+import numpy as np
+
+MAX_N = 256
+
+
+def _small(N):
+    if N > MAX_N:
+        raise ValueError(f"the dense oracle is for N <= {MAX_N}")
+
+
+def basis_matrix(m, n, N):
+    c = np.zeros((N, N), dtype=complex)
+    c[m, n] = 1.0
+    return c
+
+
+def trace_pairing(a, b, theta):
+    return 2 * math.pi * theta * complex(np.sum(np.conj(a) * b))
+
+
+def partition_check(N, theta=1.0, n_samples=4, seed=0):
+    _small(N)
+    rng = np.random.default_rng(seed)
+    pos_err = 0.0
+    for m in range(N):
+        fm0 = basis_matrix(m, 0, N)
+        witness = fm0 @ fm0.conj().T
+        pos_err = max(pos_err, float(np.max(np.abs(witness - basis_matrix(m, m, N)))))
+
+    unit_sum = np.eye(N, dtype=complex)
+    unity_err = 0.0
+    for _ in range(n_samples):
+        g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        unity_err = max(unity_err, float(np.max(np.abs(unit_sum @ g - g))),
+                        float(np.max(np.abs(g @ unit_sum - g))))
+
+    comm_err = 0.0
+    for m in range(min(N, 6)):
+        for n in range(min(N, 6)):
+            a, b = basis_matrix(m, m, N), basis_matrix(n, n, N)
+            comm_err = max(comm_err, float(np.max(np.abs(a @ b - b @ a))))
+
+    return {
+        "N": N,
+        "positivity_witness_error": pos_err,
+        "unity_reconstruction_error": unity_err,
+        "diagonal_commutation_error": comm_err,
+        "passed": pos_err == 0.0 and unity_err == 0.0 and comm_err == 0.0,
+    }
+
+
+def identity_checks(N, theta=1.0, seed=1):
+    _small(N)
+    rng = np.random.default_rng(seed)
+    errs = {}
+    e = 0.0
+    for _ in range(50):
+        m, n, k, l = (int(x) for x in rng.integers(0, N, size=4))
+        prod = basis_matrix(m, n, N) @ basis_matrix(k, l, N)
+        expect = np.zeros((N, N), dtype=complex)
+        if n == k:
+            expect[m, l] = 1.0
+        e = max(e, float(np.max(np.abs(prod - expect))))
+    errs["delta_rule"] = e
+    e = 0.0
+    for _ in range(20):
+        m, n = (int(x) for x in rng.integers(0, N, size=2))
+        e = max(e, float(np.max(np.abs(basis_matrix(m, n, N).conj().T - basis_matrix(n, m, N)))))
+    errs["involution"] = e
+    e = 0.0
+    for _ in range(30):
+        m, n, k, l = (int(x) for x in rng.integers(0, N, size=4))
+        val = trace_pairing(basis_matrix(m, n, N), basis_matrix(k, l, N), theta)
+        expect = 2 * math.pi * theta if (m == k and n == l) else 0.0
+        e = max(e, abs(val - expect))
+    errs["orthonormality"] = e
+    e = 0.0
+    for _ in range(10):
+        a, b, c = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)) for _ in range(3))
+        lhs = (a @ b) @ c
+        rhs = a @ (b @ c)
+        scale = max(1.0, float(np.max(np.abs(lhs))))
+        e = max(e, float(np.max(np.abs(lhs - rhs))) / scale)
+    errs["associativity"] = e
+    errs["passed"] = all(v <= 1e-13 for k, v in errs.items() if k != "passed")
+    return errs

@@ -167,6 +167,17 @@ def test_mixing_report_keeps_undecided_ir_criterion():
     assert rep.verdict == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("grid", [[1.0, 1.5, 2.0], [1.0, 10.0, 100.0]])
+def test_moyal_uv_criterion_undecided_below_regulator_regime(grid):
+    # with Lambda theta|p| < 10 on all but the top cutoff the non-planar value
+    # still grows with Lambda, which says nothing about its UV finiteness
+    rep = L.mixing_classify("moyal", lambda_grid=grid)
+    assert rep.nonplanar_uv_finite is None
+    assert rep.verdict == "INCONCLUSIVE"
+    assert [r[0] for r in rep.evidence["uv_sequence"]] == grid
+    assert L.mixing_classify("moyal", lambda_grid=np.geomspace(1, 1e3, 8)).verdict == "MIXING"
+
+
 @pytest.mark.parametrize("space", ["moyal", "kappa", "commutative"])
 def test_mixing_report_keeps_undecided_uv_criterion(space, monkeypatch):
     # an inconclusive cutoff sweep leaves criteria (i) and (ii) undecided

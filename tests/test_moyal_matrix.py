@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import moyal_oracle as O
 from qstkit import moyal_matrix as MM
 
 
@@ -78,3 +80,113 @@ def test_identity_checks_N32():
     for key, val in rep.items():
         if key != "passed":
             assert val <= 1e-13
+
+
+# --- support-aware elements against the dense oracle --------------------------
+
+@pytest.mark.parametrize("N", [1, 2, 8, 32, 256])
+@pytest.mark.parametrize("seed", range(5))
+def test_checks_equal_dense_oracle(N, seed):
+    assert MM.identity_checks(N, 1.0, seed=seed) == O.identity_checks(N, 1.0, seed=seed)
+    assert MM.partition_check(N, 1.0, seed=seed) == O.partition_check(N, 1.0, seed=seed)
+
+
+def _random_support(rng, N, size, pool=None):
+    """A support of `size` draws (repeats summed) with complex values; indices from `pool`."""
+    idx = rng.integers(0, N if pool is None else pool, size=(2, size))
+    vals = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return MM.TruncatedElement.sparse(idx[0], idx[1], vals, 0.7, N)
+
+
+def _random_dense(rng, N):
+    return MM.TruncatedElement(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), 0.7)
+
+
+def _fast_paths_agree(seed, N=9):
+    """Products, dagger and pairing of supports and dense elements against plain numpy."""
+    rng = np.random.default_rng(seed)
+    a, b = _random_support(rng, N, 12), _random_support(rng, N, 12)
+    d = _random_dense(rng, N)
+    # few distinct indices, so many product terms meet and partly cancel
+    c = _random_support(rng, N, 6, pool=2)
+    c_neg = MM.TruncatedElement.sparse(c.cols, c.rows, -c.vals, 0.7, N)
+    ok = True
+    for x, y in ((a, b), (b, a), (a, d), (d, a), (d, b), (c, c_neg), (c_neg, c), (a, a)):
+        ok &= np.allclose(MM.star(x, y).coeff, x.coeff @ y.coeff, rtol=0, atol=1e-12)
+        ok &= abs(MM.trace_pairing(x, y) - O.trace_pairing(x.coeff, y.coeff, 0.7)) < 1e-12
+    for x in (a, b, c, d):
+        ok &= np.array_equal(MM.dagger(x).coeff, x.coeff.conj().T)
+    return bool(ok)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fast_paths_equal_dense_products(seed):
+    assert _fast_paths_agree(seed)
+
+
+def test_support_products_drop_cancelled_terms():
+    N = 4
+    a = MM.TruncatedElement.sparse([0, 0], [1, 2], [1.0, 1.0], 1.0, N)
+    b = MM.TruncatedElement.sparse([1, 2], [3, 3], [1.0, -1.0], 1.0, N)
+    prod = MM.star(a, b)  # f_03 - f_03 = 0
+    assert prod.dense is None and len(prod.vals) == 0
+    assert np.all(prod.coeff == 0)
+    b2 = MM.TruncatedElement.sparse([1, 2], [3, 3], [1.0, 2.0], 1.0, N)
+    assert MM.star(a, b2).vals.tolist() == [3.0]  # f_03 + 2 f_03
+
+
+def test_sparse_sums_repeats_and_rejects_bad_supports():
+    e = MM.TruncatedElement.sparse([1, 1, 0], [2, 2, 0], [1.0, 2j, 0.0], 1.0, 3)
+    assert e.coeff[1, 2] == 1 + 2j and np.count_nonzero(e.coeff) == 1
+    with pytest.raises(MM.TruncationError):
+        MM.TruncatedElement.sparse([3], [0], [1.0], 1.0, 3)
+    with pytest.raises(ValueError):
+        MM.TruncatedElement.sparse([0], [0], [math.inf], 1.0, 3)
+    with pytest.raises(ValueError):
+        MM.TruncatedElement.sparse([0, 1], [0], [1.0], 1.0, 3)
+
+
+def test_basis_elements_hold_no_matrix():
+    e = MM.basis_element(3, 5, 1.0, 8)
+    assert e.dense is None
+    assert (e.rows.tolist(), e.cols.tolist(), e.vals.tolist()) == ([3], [5], [1])
+    assert MM.star(e, MM.basis_element(5, 2, 1.0, 8)).dense is None
+    assert MM.dagger(e).dense is None
+
+
+def test_partition_check_memory_is_below_one_matrix():
+    N = 4096
+    tracemalloc.start()
+    try:
+        rep = MM.partition_check(N, 1.0, n_samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"]
+    assert peak < N * N, peak
+
+
+# --- negative controls: a broken fast path must show in the checks -----------
+
+def test_swapped_star_breaks_delta_rule(monkeypatch):
+    real = MM.star
+    monkeypatch.setattr(MM, "star", lambda a, b: real(b, a))
+    assert MM.identity_checks(4, 1.0, seed=0)["delta_rule"] != 0
+
+
+def test_untransposed_dagger_breaks_involution(monkeypatch):
+    monkeypatch.setattr(MM, "dagger", lambda a: MM.TruncatedElement.sparse(
+        a.rows, a.cols, a.vals.conj(), a.theta, a.N))
+    assert MM.identity_checks(4, 1.0, seed=0)["involution"] != 0
+
+
+def test_unconjugated_pairing_fails_on_complex_support(monkeypatch):
+    real = MM.trace_pairing
+
+    def no_conj(a, b):  # conjugating a's entries first cancels the pairing's conj
+        if a.dense is not None:
+            return real(MM.TruncatedElement(a.dense.conj(), a.theta), b)
+        return real(MM.TruncatedElement.sparse(a.rows, a.cols, a.vals.conj(), a.theta, a.N), b)
+
+    monkeypatch.setattr(MM, "trace_pairing", no_conj)
+    assert not _fast_paths_agree(0)
