@@ -235,11 +235,13 @@ def _row(suite, check, passed, residual=0.0, detail=""):
 
 
 def _worst(*residuals):
-    """Largest of the residuals, scalars or arrays; NaN if any of them is NaN.
+    """Largest of the residuals, scalars or arrays; NaN if any is NaN or there are none.
 
-    A NaN residual must fail its row: the builtin max would drop it.
+    A NaN residual must fail its row: the builtin max would drop it.  So must
+    a check over no samples, which has shown nothing.
     """
-    return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
+    flat = np.concatenate([np.ravel(r) for r in residuals] or [[]])
+    return float(np.max(flat)) if flat.size else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +571,10 @@ def _cmd_loop(args, cfg):
     if args.op == "mixing":
         rep = LO.mixing_classify(args.space, mass=args.mass, kappa=cfg.kappa,
                                  theta=cfg.theta, d=cfg.d, lambda_grid=args.lambda_grid)
-        rows = [_row("mixing", f"lambda-{L:g}", True, v, rep.verdict)
+        ok = rep.verdict != "INCONCLUSIVE"
+        rows = [_row("mixing", f"lambda-{L:g}", ok, v, rep.verdict)
                 for L, v in rep.evidence.get("planar_sweep", {}).get("rows", [])]
-        return rep.as_dict(), rows, rep.verdict != "INCONCLUSIVE"
+        return rep.as_dict(), rows, ok
     rep = LO.bessel_oracle_compare(ms=args.grid, kappas=args.grid)
     rows = [_row("bessel", f"d{r['d']}-m{r['m']:g}-k{r['kappa']:g}", True, r["ratio"])
             for r in rep["rows"]]

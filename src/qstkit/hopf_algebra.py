@@ -218,11 +218,6 @@ class Tensor(Sparse):
         return self.map_keys(lambda k: ((k[::-1], ONE),))
 
 
-def tensor_of(elems) -> Tensor:
-    """Outer product of plain Elements."""
-    return Tensor(len(elems), _outer(e.terms.items() for e in elems))
-
-
 # ---------------------------------------------------------------------------
 # Hopf structure maps (generator tables extended (anti)multiplicatively)
 

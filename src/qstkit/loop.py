@@ -48,6 +48,18 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _quad(f, a, b, **kw):
+    """QUADPACK quadrature of f over [a, b]: (value, abserr, neval, converged).
+
+    `converged` is False when QUADPACK sets its error flag ier > 0 (limit
+    reached, roundoff, bad integrand, no convergence, probable divergence;
+    Piessens et al., QUADPACK, 1983): scipy then returns a message after the
+    info dict instead of warning, since `full_output` is set.
+    """
+    res = _integrate().quad(f, a, b, full_output=1, **kw)
+    return res[0], res[1], res[2]["neval"], len(res) == 3
+
+
 def sphere_area(n: int) -> float:
     """Surface area of the unit n-sphere S^n."""
     from scipy import special
@@ -112,7 +124,6 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
     Commutative / Moyal (Euclidean): Omega_d ∫ r^d / (r^2 + m^2) dr.
     su2: compact momentum ball with the (sin x / x)^2 Haar density.
     """
-    integrate = _integrate()
     g = ks.group
     m = ks.mass
     L = reg.Lambda
@@ -131,9 +142,9 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
             om = math.hypot(r, m)
             return damp(r) * r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
 
-        val, err = integrate.quad(integrand, 0.0, upper, limit=200)
+        val, err, _, ok = _quad(integrand, 0.0, upper, limit=200)
         return {"value": sphere_area(d - 1) * val, "error": sphere_area(d - 1) * err,
-                "reduction": "wick-rotated radial, analytic inner k0"}
+                "converged": ok, "reduction": "wick-rotated radial, analytic inner k0"}
 
     if name in ("commutative", "moyal_extended"):
         D = g.dim if name == "commutative" else g.dim - 1  # Lebesgue spatial dims
@@ -141,10 +152,10 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
         def integrand(r):
             return damp(r) * r ** (D - 1) / (r * r + m * m)
 
-        val, err = integrate.quad(integrand, 0.0, upper, limit=200,
-                                  points=[m] if m < L and upper is not np.inf else None)
+        val, err, _, ok = _quad(integrand, 0.0, upper, limit=200,
+                                points=[m] if m < L and upper is not np.inf else None)
         return {"value": sphere_area(D - 1) * val, "error": sphere_area(D - 1) * err,
-                "reduction": "euclidean radial"}
+                "converged": ok, "reduction": "euclidean radial"}
 
     if name == "su2_lambda":
         lam = g.meta["lam"]
@@ -155,9 +166,9 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
             s = 1.0 if x < 1e-8 else math.sin(x) / x
             return damp(r) * r * r * s * s / (r * r + m * m)
 
-        val, err = integrate.quad(integrand, 0.0, rmax, limit=200)
+        val, err, _, ok = _quad(integrand, 0.0, rmax, limit=200)
         return {"value": sphere_area(2) * val, "error": sphere_area(2) * err,
-                "reduction": "compact radial with su2 Haar density"}
+                "converged": ok, "reduction": "compact radial with su2 Haar density"}
 
     raise ValueError(f"no radial reduction for group {name!r}")
 
@@ -198,16 +209,15 @@ def kmink_bessel_closed_form(m: float, kappa: float, d: int) -> float:
                  * special.kv(nu, m * d / (2 * kappa)))
 
 
-def kmink_bessel_oracle(m: float, kappa: float, d: int) -> float:
+def kmink_bessel_oracle(m: float, kappa: float, d: int) -> dict:
     """Wick-rotated radial quadrature Omega_{d-1} ∫ r^{d-1} (pi/omega) e^{-d omega/2 kappa} dr."""
-    integrate = _integrate()
-
     def integrand(r):
         om = math.hypot(r, m)
         return r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
 
-    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=300)
-    return sphere_area(d - 1) * val
+    val, err, _, ok = _quad(integrand, 0.0, np.inf, limit=300)
+    return {"value": sphere_area(d - 1) * val, "error": sphere_area(d - 1) * err,
+            "converged": ok}
 
 
 def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3)) -> dict:
@@ -216,7 +226,7 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
     A single global normalization constant is permitted (overall 2 pi loop
     factors are dropped throughout); the test is ratio constancy, not
     absolute value.  Deviations are reduced NaN-propagatingly, so a NaN
-    ratio fails the check.
+    ratio fails the check, and so does a quadrature QUADPACK flags.
     """
     out = {"rows": [], "max_rel_dev": 0.0, "ratios": {}}
     for d in ds:
@@ -225,14 +235,16 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
             for kappa in kappas:
                 cf = kmink_bessel_closed_form(m, kappa, d)
                 orc = kmink_bessel_oracle(m, kappa, d)
-                ratios.append(orc / cf)
-                out["rows"].append({"d": d, "m": m, "kappa": kappa,
-                                    "closed_form": cf, "oracle": orc, "ratio": orc / cf})
+                ratios.append(orc["value"] / cf)
+                out["rows"].append({"d": d, "m": m, "kappa": kappa, "closed_form": cf,
+                                    "oracle": orc["value"], "oracle_error": orc["error"],
+                                    "converged": orc["converged"], "ratio": ratios[-1]})
         mean = sum(ratios) / len(ratios)
         dev = np.max(np.abs(np.asarray(ratios) / mean - 1.0))
         out["ratios"][d] = mean
         out["max_rel_dev"] = float(np.maximum(out["max_rel_dev"], dev))
-    out["passed"] = bool(out["max_rel_dev"] < 1e-6)
+    out["converged"] = all(r["converged"] for r in out["rows"])
+    out["passed"] = bool(out["max_rel_dev"] < 1e-6) and out["converged"]
     return out
 
 
@@ -247,7 +259,6 @@ def moyal_nonplanar(p, Theta, m: float, Lambda: float) -> dict:
     overall loop normalization is factored out.
     """
     from scipy import special
-    integrate = _integrate()
     p = np.asarray(p, float)
     Theta = np.asarray(Theta, float)
     ptheta2 = float(np.dot(Theta.T @ p, Theta.T @ p))
@@ -256,11 +267,10 @@ def moyal_nonplanar(p, Theta, m: float, Lambda: float) -> dict:
     def integrand(a):
         return a ** (-2) * math.exp(-a * m * m - c / a)
 
-    res = integrate.quad(integrand, 0.0, np.inf, limit=400, full_output=1)
-    quad_val, quad_err = res[0], res[1]
+    quad_val, quad_err, _, ok = _quad(integrand, 0.0, np.inf, limit=400)
     closed = 2 * (m / math.sqrt(c)) * special.kv(1, 2 * m * math.sqrt(c))
     return {"c": c, "Lambda_eff2": 1.0 / c, "quad": quad_val, "quad_error": quad_err,
-            "closed_form": closed,
+            "converged": ok, "closed_form": closed,
             "rel_err": abs(quad_val - closed) / abs(closed)}
 
 
@@ -275,37 +285,93 @@ def moyal_asymptotic_check(m: float, c: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# kappa-Minkowski non-planar evaluation (delta solved, Wick-rotated k0 quad)
+# kappa-Minkowski non-planar value at temporal probes (closed form)
 
-def kappa_nonplanar_value(p, m: float, kappa: float, d: int, Lambda: float) -> float:
-    """Non-planar value at external momentum p with q = (-)p imposed exactly.
+_G_SPLIT = 500.0  # |Re z| up to which e^z and E1(z) are both normal doubles
 
-    The spatial delta fixes k_j^*(k0) = p_j (1 - e^{-k0/kappa})/(1 - e^{-p0/kappa})
-    and contributes the Jacobian |1 - e^{-p0/kappa}|^{-d}; the remaining k0
-    integral is Wick rotated (k0 -> i k0) and cut off at Lambda.  The rotated
-    propagator k0^2 + e^{i k0/kappa}(k^*)^2 + m^2 develops real zeros when
-    the spatial part of p is large against kappa (1 - e^{-p0/kappa}); the
-    classifier probes with temporal p, which keeps k^* = 0 and K > 0.
+
+def _g(z: complex) -> complex:
+    """e^z E1(z), the scaled exponential integral, for z off the negative real axis.
+
+    Up to |Re z| = 500 it is scipy's exp1 times e^z; neither factor
+    overflows or underflows there.  Beyond, it is the continued fraction of
+    Abramowitz & Stegun 5.1.22 (even form, modified Lentz), which converges
+    in under ten terms at that |z| even next to the branch cut; at |z| ~ 20
+    next to the cut it has not converged after 10^4 terms, so it is not
+    used below the split.
     """
-    integrate = _integrate()
-    p = np.asarray(p, float)
-    p0 = p[0]
-    denom = 1.0 - math.exp(-p0 / kappa)
+    if abs(z.real) <= _G_SPLIT:
+        from scipy import special
+        return complex(np.exp(z) * special.exp1(z))
+    # 1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...))))
+    b = z + 1.0
+    c, h = 1e300, 1.0 / b
+    dn = h
+    for i in range(1, 100):
+        b += 2.0
+        dn = 1.0 / (b - i * i * dn)
+        c = b - i * i / c
+        h *= c * dn
+        if abs(c * dn - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"e^z E1(z): the continued fraction did not converge at z = {z}")
+
+
+def _lorentz_cos(omega: float, m: float, Lambda: float) -> float:
+    """C(omega) = ∫_{-Lambda}^{Lambda} cos(omega k) / (k^2 + m^2) dk, omega >= 0.
+
+    C(0) = 2 atan(Lambda/m)/m.  For omega > 0 it is the full-line value
+    (pi/m) e^{-omega m} less twice the tail Re T, T = ∫_Lambda^inf
+    e^{i omega k}/(k^2 + m^2) dk, whose partial fractions give
+    T = e^{i omega Lambda} [g(-omega m - i omega Lambda) - g(omega m - i omega Lambda)] / 2im
+    with g(z) = e^z E1(z) (A&S 5.1; Gradshteyn & Ryzhik 3.723).  When
+    omega Lambda << 1 and Lambda << m the two parts cancel, and the relative
+    rounding error grows like eps m / Lambda.
+    """
+    if omega == 0.0:
+        return 2.0 * math.atan(Lambda / m) / m
+    wm, wl = omega * m, omega * Lambda
+    phase = complex(math.cos(wl), math.sin(wl))  # e^{i omega Lambda}
+    tail = phase * (_g(complex(-wm, -wl)) - _g(complex(wm, -wl))) / (2j * m)
+    return math.pi * math.exp(-wm) / m - 2.0 * tail.real
+
+
+def kappa_nonplanar_closed(p0: float, m: float, kappa: float, d: int, Lambda: float) -> float:
+    """Non-planar value at the temporal probe p = (p0, 0), in closed form.
+
+    With q = (-)p imposed exactly, the spatial delta fixes
+    k_j^*(k0) = p_j (1 - e^{-k0/kappa})/(1 - e^{-p0/kappa}), which is 0 for a
+    temporal p, and contributes the Jacobian |1 - e^{-p0/kappa}|^{-d}.  The
+    Wick-rotated (k0 -> i k0) integrand, cut off at |k0| = Lambda, is then
+    Re(w/K) = [(1 + D) cos(d k0/kappa) + 1 + D cos(2 d k0/kappa)] / (k0^2 + m^2)
+    with D = e^{-d p0/kappa}, so the value is
+    jac [(1 + D) C(d/kappa) + C(0) + D C(2d/kappa)] with C from `_lorentz_cos`.
+    """
+    if not (m > 0 and kappa > 0 and Lambda > 0 and d >= 1):
+        raise ValueError("the kappa non-planar value needs m, kappa and Lambda > 0 and d >= 1 "
+                         f"(m = {m}, kappa = {kappa}, Lambda = {Lambda}, d = {d})")
+    denom = -math.expm1(-p0 / kappa)
     if abs(denom) < 1e-12:
         raise ValueError("p0 = 0 degenerates the non-planar delta")
     jac = abs(denom) ** (-d)
     dq = math.exp(-d * p0 / kappa)  # Delta(q) at q = (-)p
-    psq = float(np.dot(p[1:], p[1:]))
+    w = d / kappa
+    return jac * ((1.0 + dq) * _lorentz_cos(w, m, Lambda) + _lorentz_cos(0.0, m, Lambda)
+                  + dq * _lorentz_cos(2 * w, m, Lambda))
 
-    def integrand(k0):
-        z = np.exp(1j * k0 / kappa)
-        kstar2 = psq * (1.0 - 1.0 / z) ** 2 / denom ** 2
-        K = k0 * k0 + z * kstar2 + m * m
-        w = z ** d * (1.0 + z ** (-d)) * (1.0 + dq * z ** (-2 * d))
-        return (w / K).real
 
-    res = integrate.quad(integrand, -Lambda, Lambda, limit=400, full_output=1)
-    return jac * res[0]
+def kappa_nonplanar_value(p, m: float, kappa: float, d: int, Lambda: float) -> float:
+    """Non-planar value at external momentum p = (p0, 0); see `kappa_nonplanar_closed`.
+
+    Only temporal p is served.  For spatial p != 0 the rotated propagator
+    k0^2 + e^{i k0/kappa}(k^*)^2 + m^2 develops real zeros when the spatial
+    part is large against kappa (1 - e^{-p0/kappa}), and no closed form is
+    claimed, so a spatial p raises ValueError.
+    """
+    p = np.asarray(p, float)
+    if np.any(p[1:] != 0):
+        raise ValueError("the kappa non-planar value is served for temporal p = (p0, 0) only")
+    return kappa_nonplanar_closed(float(p[0]), m, kappa, d, Lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +552,15 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         pg = p_grid if p_grid is not None else np.geomspace(1.0, 1e-2, 5)
         rows = []
         for t in pg:
-            p = np.zeros(d + 1)
-            p[0] = t * kappa  # temporal probe keeps the rotated propagator positive
-            rows.append((float(t), kappa_nonplanar_value(p, mass, kappa, d, 200 * kappa)))
+            # the temporal probe p = (t kappa, 0) keeps the rotated propagator positive
+            rows.append((float(t), kappa_nonplanar_closed(t * kappa, mass, kappa, d, 200 * kappa)))
         evidence["ir_sequence"] = rows
         raw = _loglog_slope([r[0] for r in rows], [abs(r[1]) for r in rows])
         ii = _and(raw < -DIV_SLOPE, i_div)
 
-        p_fixed = np.zeros(d + 1)
-        p_fixed[0] = kappa
         lrows = []
         for L in np.geomspace(10 * kappa, 1e3 * kappa, 6):
-            lrows.append((float(L), kappa_nonplanar_value(p_fixed, mass, kappa, d, float(L))))
+            lrows.append((float(L), kappa_nonplanar_closed(kappa, mass, kappa, d, float(L))))
         evidence["uv_sequence"] = lrows
         slope = _loglog_slope([r[0] for r in lrows], [max(abs(r[1]), 1e-300) for r in lrows])
         iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)

@@ -180,7 +180,10 @@ def test_suite_group_nan_residual_fails_its_row(monkeypatch):
 def test_worst_propagates_nan():
     assert cli._worst(0.0, [1.0, 2.0], np.array([[3.0]])) == 3.0
     assert np.isnan(cli._worst(0.5, [np.nan, 0.1]))
-    assert cli._worst([]) == 0.0
+    # a check over no samples has shown nothing: NaN, not 0.0, so its row fails
+    assert np.isnan(cli._worst([]))
+    assert np.isnan(cli._worst())
+    assert cli._row("group", "empty", True, cli._worst())["passed"] is False
 
 
 def test_run_suite_check_ids_unique():
@@ -257,6 +260,24 @@ def test_cli_loop_mixing_inconclusive_exits_1(capsys):
     # on this short sweep the non-planar UV criterion stays undecided
     assert cli.main(["loop", "mixing", "--space", "moyal", "--lambda-grid", "10:20:3"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "INCONCLUSIVE"
+
+
+def test_cli_loop_mixing_inconclusive_rows_fail(capsys):
+    argv = ["loop", "mixing", "--space", "moyal", "--lambda-grid", "10:20:3", "--format", "csv"]
+    assert cli.main(argv) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3
+    assert all(r["passed"] == "False" and r["detail"] == "INCONCLUSIVE" for r in rows)
+    assert cli.main(["loop", "mixing", "--space", "kappa", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and all(r["passed"] == "True" and r["detail"] == "NO_MIXING" for r in rows)
+
+
+def test_cli_loop_mixing_kappa_massless_exit_2(capsys):
+    # the k0 integrand 2 (1 + Delta) / k0^2 is not integrable at m = 0
+    assert cli.main(["loop", "mixing", "--space", "kappa", "--mass", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parse_ranges():

@@ -1,9 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from loop_oracle import kappa_nonplanar_quad
 from qstkit import loop as L
 from qstkit.momentum import group_preset
 
@@ -196,7 +198,8 @@ def test_mixing_report_keeps_undecided_uv_criterion(space, monkeypatch):
 def test_bessel_oracle_compare_fails_on_nan(monkeypatch):
     real = L.kmink_bessel_oracle
     monkeypatch.setattr(L, "kmink_bessel_oracle",
-                        lambda m, kappa, d: math.nan if d == 3 else real(m, kappa, d))
+                        lambda m, kappa, d: {**real(m, kappa, d), "value": math.nan} if d == 3
+                        else real(m, kappa, d))
     rep = L.bessel_oracle_compare(ms=(1.0, 2.0), kappas=(1.0,))
     assert rep["passed"] is False
     assert math.isnan(rep["max_rel_dev"])
@@ -279,3 +282,109 @@ def test_kappa_nonplanar_value_finite_and_saturating():
             for Lam in (50.0, 200.0, 800.0)]
     assert all(np.isfinite(v) for v in vals)
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]) + 1e-12
+
+
+# kappa non-planar closed form --------------------------------------------
+
+def _grid():
+    """(p0, m, kappa, d, Lambda) over kappa 1e-3..1e3, d 1..4, Lambda <= 100 kappa."""
+    out = []
+    for i, (kappa, d) in enumerate(itertools.product((1e-3, 0.5, 1.0, 2.0, 10.0, 1e3),
+                                                     (1, 2, 3, 4))):
+        m, t = (0.5, 1.0, 2.0)[i % 3], (1.0, 0.3, 0.1, 0.01)[i % 4]
+        out += [(t * kappa, m, kappa, d, lam * kappa) for lam in (10.0, 50.0, 100.0)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_grid():
+    rows = []
+    for p0, m, kappa, d, lam in _grid():
+        p = np.zeros(d + 1)
+        p[0] = p0
+        val, converged = kappa_nonplanar_quad(p, m, kappa, d, lam)
+        assert converged
+        rows.append(((p0, m, kappa, d, lam), val))
+    return rows
+
+
+def _max_rel_dev(rows):
+    return max(abs(L.kappa_nonplanar_closed(*args) / val - 1.0) for args, val in rows)
+
+
+def test_kappa_nonplanar_closed_matches_quadrature(oracle_grid):
+    assert all(np.isfinite(L.kappa_nonplanar_closed(*args)) for args, _ in oracle_grid)
+    assert _max_rel_dev(oracle_grid) <= 1e-12
+
+
+def test_kappa_nonplanar_closed_sign_flip_rejected(oracle_grid, monkeypatch):
+    # negative control: adding the E1 tail instead of subtracting it
+    real = L._lorentz_cos
+
+    def flipped(omega, m, Lambda):
+        if omega == 0:
+            return real(omega, m, Lambda)
+        return 2 * math.pi * math.exp(-omega * m) / m - real(omega, m, Lambda)
+
+    monkeypatch.setattr(L, "_lorentz_cos", flipped)
+    assert _max_rel_dev(oracle_grid) > 1e-3
+
+
+def test_kappa_nonplanar_closed_matches_mpmath_at_large_cutoff():
+    # QUADPACK flags this one and returns -0.043; 200-panel mpmath agrees with the closed form
+    import mpmath
+    kappa, Lam, d, m = 1000.0, 2e5, 3, 1.0
+    dq, w = mpmath.exp(-d), mpmath.mpf(d) / kappa
+    val = mpmath.quad(lambda k: ((1 + dq) * mpmath.cos(w * k) + 1 + dq * mpmath.cos(2 * w * k))
+                      / (k * k + m * m), mpmath.linspace(-Lam, Lam, 201))
+    ref = float(val * (1 - mpmath.exp(-1)) ** (-d))
+    assert ref == pytest.approx(26.0716205159623, rel=1e-13)
+    assert L.kappa_nonplanar_closed(kappa, m, kappa, d, Lam) == pytest.approx(ref, rel=1e-12)
+    quad, converged = kappa_nonplanar_quad(np.array([kappa, 0, 0, 0]), m, kappa, d, Lam)
+    assert not converged and quad < 0
+
+
+@pytest.mark.parametrize("Lam", [0.01, 0.2])
+def test_kappa_nonplanar_closed_small_kappa(Lam):
+    # 2 d m / kappa = 6000: the unscaled e^{omega m} E1 would overflow
+    v = L.kappa_nonplanar_closed(1e-3, 1.0, 1e-3, 3, Lam)
+    quad, converged = kappa_nonplanar_quad(np.array([1e-3, 0, 0, 0]), 1.0, 1e-3, 3, Lam)
+    assert converged and np.isfinite(v)
+    assert v == pytest.approx(quad, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.5 - 1e-3j, -1.5 - 0.2j, 3 - 40j, -20 - 1e-3j, -499 - 1e-6j,
+                               -501 - 1e-6j, 501 - 3j, -3000 - 30j, 6000 - 1e4j])
+def test_scaled_exp1_matches_mpmath(z):
+    import mpmath
+    ref = complex(mpmath.exp(z) * mpmath.e1(z))
+    assert abs(L._g(z) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("kappa", [100.0, 1000.0])
+def test_mixing_kappa_large_kappa_no_mixing(kappa):
+    # the k0 quadratures went wrong from Lambda ~ 1e3 kappa on and read INCONCLUSIVE
+    assert L.mixing_classify("kappa", kappa=kappa, d=3).verdict == "NO_MIXING"
+
+
+def test_kappa_nonplanar_rejects_spatial_p_and_bad_domain():
+    with pytest.raises(ValueError, match="temporal"):
+        L.kappa_nonplanar_value(np.array([1.0, 0.5, 0.0, 0.0]), 1.0, 1.0, 3, 100.0)
+    with pytest.raises(ValueError, match="p0 = 0"):
+        L.kappa_nonplanar_value(np.zeros(4), 1.0, 1.0, 3, 100.0)
+    for args in [(1.0, 0.0, 1.0, 3, 100.0), (1.0, 1.0, 1.0, 3, -1.0), (1.0, 1.0, 1.0, 0, 9.0)]:
+        with pytest.raises(ValueError, match="needs"):
+            L.kappa_nonplanar_closed(*args)
+
+
+def test_quad_reports_a_flagged_integrand():
+    val, err, neval, converged = L._quad(lambda x: 1.0 / x, 0.0, 1.0)
+    assert converged is False and neval > 0
+    assert L._quad(math.exp, 0.0, 1.0)[3] is True
+    Theta = group_preset("moyal_extended", theta=1.0).meta["Theta"]
+    # the two smallest IR probes of the Moyal classifier: QUADPACK flags them
+    assert L.moyal_nonplanar(np.array([1e-3, 0, 0, 0]), Theta, 1.0, 1e8)["converged"] is False
+    assert L.moyal_nonplanar(np.array([1.0, 0, 0, 0]), Theta, 1.0, 100.0)["converged"] is True
+    ks = L.KineticSpec(group_preset("commutative", dim=4), L.euclidean_signature(4), 1.0)
+    assert L.propagator_integral(ks, L.RegulatorSpec(Lambda=10.0))["converged"] is True
+    assert L.kmink_bessel_oracle(1.0, 1.0, 3)["converged"] is True

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waves_oracle import QuadSpec, numeric_star_oracle
 from qstkit.momentum import group_preset
-from qstkit.waves import (DeltaSum, GroupMismatch, QuadSpec, WavePacket, act, dagger,
-                          integral, integral_star, numeric_star_oracle, plane_wave, star,
-                          twisted_trace_check, unit_wave)
+from qstkit.waves import (DeltaSum, GroupMismatch, WavePacket, act, dagger, integral,
+                          integral_star, plane_wave, star, twisted_trace_check, unit_wave)
 
 LN2 = math.log(2.0)
 
