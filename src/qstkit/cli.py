@@ -572,11 +572,14 @@ def _cmd_loop(args, cfg):
         rep = LO.mixing_classify(args.space, mass=args.mass, kappa=cfg.kappa,
                                  theta=cfg.theta, d=cfg.d, lambda_grid=args.lambda_grid)
         ok = rep.verdict != "INCONCLUSIVE"
-        rows = [_row("mixing", f"lambda-{L:g}", ok, v, rep.verdict)
-                for L, v in rep.evidence.get("planar_sweep", {}).get("rows", [])]
+        rows = [_row("mixing", f"lambda-{L:g}", ok and conv, v, rep.verdict)
+                for L, v, conv in rep.evidence.get("planar_sweep", {}).get("rows", [])]
         return rep.as_dict(), rows, ok
     rep = LO.bessel_oracle_compare(ms=args.grid, kappas=args.grid)
-    rows = [_row("bessel", f"d{r['d']}-m{r['m']:g}-k{r['kappa']:g}", True, r["ratio"])
+    # a row passes when its quadrature converged and its ratio is the mean for its d
+    rows = [_row("bessel", f"d{r['d']}-m{r['m']:g}-k{r['kappa']:g}",
+                 r["converged"] and abs(r["ratio"] / rep["ratios"][r["d"]] - 1.0) < LO.RATIO_TOL,
+                 r["ratio"])
             for r in rep["rows"]]
     return rep, rows, rep["passed"]
 

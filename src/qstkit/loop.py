@@ -28,6 +28,8 @@ CONV_SLOPE = 0.02
 # Lambda theta|p| from which a Moyal cutoff counts toward criterion (iii):
 # there the cutoff term 1/Lambda^2 is at most 4% of the regulator c
 NONPLANAR_REGIME = 10.0
+# largest relative deviation of a Bessel oracle/closed-form ratio from the mean for its d
+RATIO_TOL = 1e-6
 
 
 def _integrate():
@@ -183,13 +185,19 @@ def _loglog_slope(xs, ys):
 
 
 def propagator_sweep(ks: KineticSpec, lambdas) -> dict:
-    """Cutoff sweep of the propagator integral with a divergence verdict."""
+    """Cutoff sweep of the propagator integral with a divergence verdict.
+
+    Each row is (Lambda, value, converged); a quadrature QUADPACK flags makes
+    the verdict "inconclusive", whatever the slope reads.
+    """
     rows = []
     for L in lambdas:
         r = propagator_integral(ks, RegulatorSpec(Lambda=float(L)))
-        rows.append((float(L), r["value"]))
+        rows.append((float(L), r["value"], r["converged"]))
     slope = _loglog_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
-    if slope > DIV_SLOPE:
+    if not all(r[2] for r in rows):
+        verdict = "inconclusive"
+    elif slope > DIV_SLOPE:
         verdict = "divergent"
     elif abs(slope) < CONV_SLOPE:
         verdict = "convergent"
@@ -244,31 +252,41 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
         out["ratios"][d] = mean
         out["max_rel_dev"] = float(np.maximum(out["max_rel_dev"], dev))
     out["converged"] = all(r["converged"] for r in out["rows"])
-    out["passed"] = bool(out["max_rel_dev"] < 1e-6) and out["converged"]
+    out["passed"] = bool(out["max_rel_dev"] < RATIO_TOL) and out["converged"]
     return out
 
 
 # ---------------------------------------------------------------------------
 # Moyal non-planar closed form and Schwinger quadrature
 
+def _moyal_regulator(p, Theta, Lambda: float) -> float:
+    """c = (p Theta)^2/4 + 1/Lambda^2, the Schwinger regulator of the non-planar value."""
+    p = np.asarray(p, float)
+    Theta = np.asarray(Theta, float)
+    return float(np.dot(Theta.T @ p, Theta.T @ p)) / 4 + 1.0 / Lambda ** 2
+
+
+def moyal_nonplanar_closed(c: float, m: float) -> float:
+    """∫_0^inf a^{-2} e^{-a m^2 - c/a} da = 2 (m/sqrt(c)) K_1(2 m sqrt(c))."""
+    from scipy import special
+    return 2 * (m / math.sqrt(c)) * special.kv(1, 2 * m * math.sqrt(c))
+
+
 def moyal_nonplanar(p, Theta, m: float, Lambda: float) -> dict:
     """Non-planar Moyal contribution with the Schwinger regulator.
 
-    c = (p Theta)^2/4 + 1/Lambda^2; the alpha integral
-    ∫_0^inf a^{-2} e^{-a m^2 - c/a} da equals 2 (m/sqrt(c)) K_1(2 m sqrt(c));
+    c = (p Theta)^2/4 + 1/Lambda^2; the alpha integral is
+    `moyal_nonplanar_closed(c, m)`, and its quadrature here checks that
+    closed form (the mixing classifier calls the closed form alone);
     overall loop normalization is factored out.
     """
-    from scipy import special
-    p = np.asarray(p, float)
-    Theta = np.asarray(Theta, float)
-    ptheta2 = float(np.dot(Theta.T @ p, Theta.T @ p))
-    c = ptheta2 / 4 + 1.0 / Lambda ** 2
+    c = _moyal_regulator(p, Theta, Lambda)
 
     def integrand(a):
         return a ** (-2) * math.exp(-a * m * m - c / a)
 
     quad_val, quad_err, _, ok = _quad(integrand, 0.0, np.inf, limit=400)
-    closed = 2 * (m / math.sqrt(c)) * special.kv(1, 2 * m * math.sqrt(c))
+    closed = moyal_nonplanar_closed(c, m)
     return {"c": c, "Lambda_eff2": 1.0 / c, "quad": quad_val, "quad_error": quad_err,
             "converged": ok, "closed_form": closed,
             "rel_err": abs(quad_val - closed) / abs(closed)}
@@ -276,8 +294,7 @@ def moyal_nonplanar(p, Theta, m: float, Lambda: float) -> dict:
 
 def moyal_asymptotic_check(m: float, c: float) -> dict:
     """Small-c check: value tracks Lambda_eff^2 - m^2 log(Lambda_eff^2/m^2)."""
-    from scipy import special
-    closed = 2 * (m / math.sqrt(c)) * special.kv(1, 2 * m * math.sqrt(c))
+    closed = moyal_nonplanar_closed(c, m)
     leff2 = 1.0 / c
     asym = leff2 - m * m * math.log(leff2 / (m * m))
     return {"closed_form": closed, "asymptotic": asym, "ratio": closed / asym,
@@ -516,8 +533,8 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         pg = p_grid if p_grid is not None else np.geomspace(1.0, 1e-3, 7)
         rows = []
         for t in pg:
-            p = np.array([t, 0.0, 0.0, 0.0])
-            rows.append((float(t), moyal_nonplanar(p, Theta, mass, 1e8)["closed_form"]))
+            c = _moyal_regulator(np.array([t, 0.0, 0.0, 0.0]), Theta, 1e8)
+            rows.append((float(t), moyal_nonplanar_closed(c, mass)))
         evidence["ir_sequence"] = rows
         raw = _loglog_slope([r[0] for r in rows], [r[1] for r in rows])
         monotone = all(rows[j + 1][1] >= rows[j][1] for j in range(len(rows) - 1))
@@ -527,7 +544,8 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         p_fixed = np.array([1.0, 0.0, 0.0, 0.0])
         lrows = []
         for L in (lambda_grid if lambda_grid is not None else np.geomspace(10, 1e4, 8)):
-            lrows.append((float(L), moyal_nonplanar(p_fixed, Theta, mass, float(L))["closed_form"]))
+            c = _moyal_regulator(p_fixed, Theta, float(L))
+            lrows.append((float(L), moyal_nonplanar_closed(c, mass)))
         evidence["uv_sequence"] = lrows
         # the phase regulates only where it outweighs the cutoff term,
         # Lambda theta|p| >> 1; below that the value still grows with Lambda

@@ -380,6 +380,18 @@ def test_cli_non_finite_values_are_null_and_fail(capsys):
     assert not any(r[2] == "True" and r[3] == "nan" for r in rows)
 
 
+def test_cli_bessel_rows_carry_their_own_verdict(capsys):
+    # at kappa = 0.05, m = 20 the d = 2 oracle underflows QUADPACK's absolute
+    # tolerance and its ratio leaves the mean: those rows fail, the run exits 1
+    argv = ["loop", "bessel-check", "--grid", "0.05,20", "--format", "csv"]
+    assert cli.main(argv) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 8 and any(r["passed"] == "False" for r in rows)
+    assert cli.main(["loop", "bessel-check", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 18 and all(r["passed"] == "True" for r in rows)
+
+
 def _csv_rows(argv, capsys):
     assert cli.main([*argv, "--format", "csv"]) == 0
     return list(csv.reader(io.StringIO(capsys.readouterr().out)))

@@ -195,6 +195,33 @@ def test_mixing_report_keeps_undecided_uv_criterion(space, monkeypatch):
     assert rep.verdict == "INCONCLUSIVE"
 
 
+def test_moyal_classifier_integrates_only_the_planar_sweep(monkeypatch):
+    # the non-planar IR and UV sequences use the K_1 closed form alone
+    real, calls = L._quad, []
+    monkeypatch.setattr(L, "_quad", lambda *a, **kw: calls.append(a[1:3]) or real(*a, **kw))
+    rep = L.mixing_classify("moyal")
+    assert rep.verdict == "MIXING"
+    assert len(calls) == len(rep.evidence["planar_sweep"]["rows"]) == 8
+    assert all(b == row[0] for (_, b), row in zip(calls, rep.evidence["planar_sweep"]["rows"]))
+
+
+@pytest.mark.parametrize("space", ["moyal", "kappa", "commutative"])
+def test_unconverged_cutoff_makes_the_sweep_inconclusive(space, monkeypatch):
+    # QUADPACK flags the integral at the cutoff 100 alone
+    real, flagged = L._quad, 100.0
+
+    def quad(f, a, b, **kw):
+        val, err, neval, ok = real(f, a, b, **kw)
+        return val, err, neval, ok and not math.isclose(b, flagged)
+
+    monkeypatch.setattr(L, "_quad", quad)
+    rep = L.mixing_classify(space, lambda_grid=np.geomspace(10, 1e4, 4))
+    assert rep.planar_uv_divergent is None and rep.verdict == "INCONCLUSIVE"
+    sweep = rep.evidence["planar_sweep"]
+    assert sweep["verdict"] == "inconclusive"
+    assert [r[2] for r in sweep["rows"]] == [r[0] != flagged for r in sweep["rows"]]
+
+
 def test_bessel_oracle_compare_fails_on_nan(monkeypatch):
     real = L.kmink_bessel_oracle
     monkeypatch.setattr(L, "kmink_bessel_oracle",

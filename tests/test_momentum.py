@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentum_oracle as MO
+from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
 from qstkit.momentum import (DimensionMismatch, add, add_batch, bch_compose,
                              delta_solve_nonplanar, dispersion, g_right_to_sum,
                              group_from_structure, group_preset, haar_invariance_check, inv,
@@ -348,3 +351,119 @@ def test_batch_shape_checked():
         add_batch(g, np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
         inv_batch(g, np.zeros((3, 3)))
+
+
+# component-major closed forms against the row-major oracle ------------------
+
+SHAPES = {"one": (), "rows": (5,), "stencil": (4, 2, None)}  # None: the momentum length
+
+
+def _oracle_laws():
+    """(label, group, {law name: (new law, oracle law)}, momentum scale)."""
+    out = []
+    for lam in (1.0, 2.5):
+        g = group_preset("su2_lambda", lam=lam)
+        sadd, w = MO.su2_laws(lam)
+        out.append((f"su2 lam={lam}", g, {"add": (g.add, sadd), "haar": (g.haar_left, w)}, 0.5))
+    for rho in (1.0, -0.7):
+        g = group_preset("rho_minkowski", rho=rho)
+        radd, rinv = MO.rho_laws(rho)
+        out.append((f"rho {rho}", g, {"add": (g.add, radd), "inv": (g.inv, rinv)}, 1.0))
+    for conv in MOYAL_PHASE_CONVENTIONS:
+        for theta, dim in ((1.0, 5), (0.3, 3), (-2.0, 7)):
+            g = group_preset("moyal_extended", theta=theta, dim=dim, phase_convention=conv)
+            madd = MO.moyal_add(g.meta["Theta"], conv)
+            out.append((f"moyal {conv} theta={theta} dim={dim}", g, {"add": (g.add, madd)}, 1.0))
+    return out
+
+
+ORACLE_LAWS = _oracle_laws()
+
+
+def _assert_oracle_close(new, old):
+    """Same shape and dtype, and within 64 eps (1 + |x|) in the dtype's eps."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    eps = np.finfo(old.dtype).eps
+    assert np.all(np.abs(new - old) <= 64 * eps * (1 + np.abs(old)))
+
+
+def _momenta(g, rng, shape, scale, complex_phase):
+    """Two momentum arrays of leading shape `shape`, with zero and inverse rows planted."""
+    lead = tuple(g.dim if s is None else s for s in shape)
+    p, q = (rng.uniform(-scale, scale, size=lead + (g.dim,)) for _ in range(2))
+    if p.ndim > 1:
+        p[0] = 0.0             # the identity on the left
+        q[1] = 0.0             # ... and on the right
+        p[2:3] = -q[2:3]       # p + (-p): su2's nr < 1e-300 branch
+    if complex_phase:
+        p = p.astype(complex)
+        p[..., -1] += 1j * rng.uniform(-1, 1, size=lead)
+    return p, q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(SHAPES)), st.booleans(),
+       st.booleans())
+def test_component_major_laws_match_oracle(seed, shape, read_only, complex_phase):
+    rng = np.random.default_rng(seed)
+    for label, g, laws, scale in ORACLE_LAWS:
+        cplx = complex_phase and g.name == "moyal_extended"
+        p, q = _momenta(g, rng, SHAPES[shape], scale, cplx)
+        if read_only:  # as _fd_jacobian_det passes a fixed q against its stencil points
+            q = np.broadcast_to(q.reshape(-1, g.dim)[-1], q.shape)
+        for name, (new, old) in laws.items():
+            args = (p, q) if name == "add" else (p,)
+            _assert_oracle_close(new(*args), old(*args))
+
+
+@pytest.mark.parametrize("label", [lab for lab, *_ in ORACLE_LAWS])
+def test_component_major_laws_edge_rows(label):
+    _, g, laws, _ = next(law for law in ORACLE_LAWS if law[0] == label)
+    rng = np.random.default_rng(14)
+    cases = [np.zeros((2, 0, g.dim)),                       # no rows at all
+             np.zeros((2, 3, g.dim)),                       # identity with identity
+             np.full((2, 2, g.dim), 1e-310),                # subnormal: the nr < 1e-300 branch
+             rng.integers(-3, 4, size=(2, 3, g.dim)),       # integer momenta
+             rng.normal(size=(2, 3, g.dim)).astype(np.float32)]
+    p, q = rng.normal(size=(2, 3, g.dim)) * 0.5
+    cases.append(np.stack((p, -p)))                         # exactly opposite rows
+    for P, Q in cases:
+        for name, (new, old) in laws.items():
+            args = (P, Q) if name == "add" else (P,)
+            _assert_oracle_close(new(*args), old(*args))
+    if g.name == "su2_lambda":
+        assert np.all(g.add(np.full(3, 1e-310), np.zeros(3)) == 0.0)
+        assert np.all(g.add(p, -p) == 0.0)
+        # a vector part whose squares underflow: nr = 0 with r != 0 gives +0.0
+        tiny = np.array([[-1.5e-162, 0.0, 0.0], [-3e-162, 1e-162, 0.0]])
+        out, ref = g.add(tiny, 0 * tiny), laws["add"][1](tiny, 0 * tiny)
+        _assert_oracle_close(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref)) and np.all(out[0] == 0.0)
+
+
+def test_moyal_real_momenta_imaginary_phase_is_complex():
+    g = group_preset("moyal_extended", theta=1.0, phase_convention="imaginary")
+    madd = MO.moyal_add(g.meta["Theta"], "imaginary")
+    rng = np.random.default_rng(15)
+    for shape in ((5,), (6, 5), (3, 2, 5, 5)):
+        p, q = rng.normal(size=(2,) + shape)
+        out = g.add(p, q)
+        assert out.dtype == complex and np.any(out[..., 4].imag != 0)
+        _assert_oracle_close(out, madd(p, q))
+        np.testing.assert_array_equal(out[..., :4], p[..., :4] + q[..., :4])
+
+
+def test_su2_law_allocates_no_more_than_oracle():
+    g = group_preset("su2_lambda", lam=1.0)
+    sadd, _ = MO.su2_laws(1.0)
+    P, Q = np.random.default_rng(16).normal(size=(2, 10 ** 6, 3)) * 0.3
+    peaks = []
+    for law in (g.add, sadd):
+        tracemalloc.start()
+        try:
+            law(P, Q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
