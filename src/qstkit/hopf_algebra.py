@@ -177,11 +177,6 @@ GENERATORS = {
 }
 
 
-def normal_order(words, rng=None) -> Element:
-    """Public entry: normalize a list of (KScalar, word) pairs."""
-    return Element(words=words, rng=rng)
-
-
 # ---------------------------------------------------------------------------
 # tensor elements
 
@@ -311,7 +306,7 @@ def _multiply_slots_with_map(T: Tensor, fn_left=None, fn_right=None) -> Element:
 # axiom suites
 
 def hopf_axiom_suite(gen_name: str) -> dict:
-    """Coassociativity, counit and coinverse identities for one generator."""
+    """Coassociativity, counit and coinverse identities for one generator; `passed`: all three."""
     x = GENERATORS[gen_name]
     d = coproduct(x)
     co1 = _apply_slot(d, 0, coproduct)
@@ -325,11 +320,13 @@ def hopf_axiom_suite(gen_name: str) -> dict:
     coin_l = _multiply_slots_with_map(d, fn_left=antipode) - unit(eps_x)
     coin_r = _multiply_slots_with_map(d, fn_right=antipode) - unit(eps_x)
 
+    flags = {"coassociativity": coassoc.is_zero(),
+             "counit": cu_l.is_zero() and cu_r.is_zero(),
+             "coinverse": coin_l.is_zero() and coin_r.is_zero()}
     return {
         "generator": gen_name,
-        "coassociativity": coassoc.is_zero(),
-        "counit": cu_l.is_zero() and cu_r.is_zero(),
-        "coinverse": coin_l.is_zero() and coin_r.is_zero(),
+        **flags,
+        "passed": all(flags.values()),
         "residuals": {
             "coassociativity": repr(coassoc),
             "counit_left": repr(cu_l),
@@ -377,8 +374,9 @@ def printed_relations() -> dict:
 def bialgebra_compat_check(name: str, relations=None) -> dict:
     """Delta, counit and antipode compatibility of one printed relation.
 
-    `relations` is a `printed_relations()` table to read it from; by default
-    the table is built for this call.
+    `passed` holds when the relation holds in the algebra and all three maps
+    respect it.  `relations` is a `printed_relations()` table to read it
+    from; by default the table is built for this call.
     """
     a, b, rhs = (relations or printed_relations())[name]
     lhs = commutator_element(a, b)
@@ -386,15 +384,10 @@ def bialgebra_compat_check(name: str, relations=None) -> dict:
     d_res = (coproduct(a) * coproduct(b) - coproduct(b) * coproduct(a)) - coproduct(rhs)
     e_res = counit(lhs) - counit(rhs)
     s_res = (antipode(b) * antipode(a) - antipode(a) * antipode(b)) - antipode(rhs)
-    return {
-        "relation": name,
-        "algebra": alg.is_zero(),
-        "coproduct": d_res.is_zero(),
-        "counit": e_res.is_zero(),
-        "antipode": s_res.is_zero(),
-        "residuals": {"algebra": repr(alg), "coproduct": repr(d_res),
-                      "counit": repr(e_res), "antipode": repr(s_res)},
-    }
+    res = {"algebra": alg, "coproduct": d_res, "counit": e_res, "antipode": s_res}
+    flags = {k: r.is_zero() for k, r in res.items()}
+    return {"relation": name, **flags, "passed": all(flags.values()),
+            "residuals": {k: repr(r) for k, r in res.items()}}
 
 
 def exp_series_E(order: int) -> Element:
@@ -423,6 +416,5 @@ def full_suite() -> dict:
     gens = {name: hopf_axiom_suite(name) for name in ALL_GENERATOR_NAMES}
     table = printed_relations()
     rels = {name: bialgebra_compat_check(name, table) for name in table}
-    ok = all(r["coassociativity"] and r["counit"] and r["coinverse"] for r in gens.values())
-    ok = ok and all(r["coproduct"] and r["counit"] and r["antipode"] for r in rels.values())
+    ok = all(r["passed"] for r in (*gens.values(), *rels.values()))
     return {"generators": gens, "relations": rels, "passed": ok}

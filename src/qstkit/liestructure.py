@@ -187,7 +187,7 @@ def _hessian_fd(add, dim, mu, nu, h):
     return (np.asarray(fpp) - np.asarray(fpm) - np.asarray(fmp) + np.asarray(fmm)) / (4 * h * h)
 
 
-def recover_from_group_law(g, h: float = 1e-4, richardson: bool = True) -> StructureConstants:
+def recover_from_group_law(g, h: float = 1e-4) -> StructureConstants:
     """Structure constants from a deformed addition law.
 
     C^{mu nu}_rho = -i (H^{mu nu}_rho - H^{nu mu}_rho) with H the mixed
@@ -204,16 +204,13 @@ def recover_from_group_law(g, h: float = 1e-4, richardson: bool = True) -> Struc
         for mu in range(dim):
             for nu in range(dim):
                 d1 = _hessian_fd(g.add, dim, mu, nu, h)
-                if richardson:
-                    d2 = _hessian_fd(g.add, dim, mu, nu, h / 2)
-                    if np.max(np.abs(d2 - d1)) > 1e-2 * (1 + np.max(np.abs(d2))):
-                        raise ArithmeticError(
-                            f"Hessian estimate unstable at (mu,nu)=({mu},{nu}): "
-                            f"h and h/2 values differ by {np.max(np.abs(d2-d1)):.3e}"
-                        )
-                    H[mu, nu] = (4 * d2 - d1) / 3
-                else:
-                    H[mu, nu] = d1
+                d2 = _hessian_fd(g.add, dim, mu, nu, h / 2)
+                if np.max(np.abs(d2 - d1)) > 1e-2 * (1 + np.max(np.abs(d2))):
+                    raise ArithmeticError(
+                        f"Hessian estimate unstable at (mu,nu)=({mu},{nu}): "
+                        f"h and h/2 values differ by {np.max(np.abs(d2-d1)):.3e}"
+                    )
+                H[mu, nu] = (4 * d2 - d1) / 3
     C = -1j * (H - H.transpose(1, 0, 2))
     base = g.structure
     return StructureConstants(

@@ -304,12 +304,12 @@ def _su2_group(lam: float) -> GroupDescriptor:
         r3 = a0 * b3 + b0 * a3 - (a1 * b2 - a2 * b1)
         del a0, a1, a2, a3, b0, b1, b2, b3  # freed before the output is allocated
         nr = _norm3(r1, r2, r3)
-        live = nr >= 1e-300
-        scale = (2 / lam) * np.arctan2(nr, r0) / np.where(live, nr, 1.0)  # angle in [0, pi]
+        dead = nr < 1e-300  # False for NaN, so a non-finite row stays non-finite
+        scale = (2 / lam) * np.arctan2(nr, r0) / np.where(dead, 1.0, nr)  # angle in [0, pi]
         out = np.empty(np.shape(scale) + (3,), np.result_type(scale, r1))
         for k, r in enumerate((r1, r2, r3)):
             np.multiply(scale, r, out=out[..., k])
-        out[~live] = 0.0  # a rotation too small to give an axis: the identity
+        out[dead] = 0.0  # a rotation too small to give an axis: the identity
         return out
 
     def w(p):

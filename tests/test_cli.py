@@ -142,14 +142,6 @@ def test_cli_bad_usage_exit_2():
     assert cli.main(["suite", "group", "--tol-override", "nope=1"]) == 2
 
 
-def test_cli_jobs_parallelism_deterministic(tmp_path):
-    out1 = tmp_path / "j1.json"
-    out2 = tmp_path / "j2.json"
-    assert cli.main(["suite", "mixing", "--seed", "4", "--jobs", "1", "--out", str(out1)]) == 0
-    assert cli.main(["suite", "mixing", "--seed", "4", "--jobs", "3", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 @pytest.mark.parametrize("argv", [
     ["group", "add", "--d", "3", "--p", "1,2,3,4", "--q", "1,2"],      # short --q
     ["group", "add", "--d", "3", "--p", "1,nan,0,0", "--q", "0,0,0,0"],  # non-finite
@@ -222,7 +214,12 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     [{"kappa": -1}, "suite", "group"],
     ["--d", "0", "suite", "mixing"],
     ["--kappa", "nan", "suite", "trace"],        # a usage error, not failed rows
-    ["--jobs", "0", "suite", "mixing"],
+    [{"jobs": 1}, "suite", "mixing"],           # no such key: runs are serial
+    ["--jobs", "1", "suite", "twist"],
+    ["hopf", "whatever"],
+    ["hopf", "check", "--algebra", "kappa-poincare"],
+    ["hopf", "check", "--all"],
+    ["matrix-basis", "--check", "all"],
     ["--theta", "0", "suite", "matrix"],
     [{"rho": 0}, "suite", "trace"],
     [{"lam": float("inf")}, "suite", "group"],
@@ -404,3 +401,64 @@ def test_cli_hopf_and_matrix_basis_write_the_suite_rows_as_csv(capsys):
     matrix = _csv_rows(["matrix-basis", "--N", "32", "--seed", "3"], capsys)
     assert matrix == _csv_rows(["suite", "matrix", "--seed", "3"], capsys)
     assert _csv_rows(["matrix-basis", "--N", "8"], capsys)[-1][1] == "partition-of-unity-diagonal"
+
+
+def test_cli_config_jobs_is_an_unknown_key(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"jobs": 1}))
+    assert cli.main(["--config", str(conf), "suite", "mixing"]) == 2
+    assert capsys.readouterr().err == "error: /jobs: unknown key\n"
+
+
+def test_cli_matrix_basis_verdict_reads_the_configured_tolerance(capsys):
+    # associativity holds to float roundoff, not exactly: a zero tolerance fails it
+    argv = ["matrix-basis", "--N", "32", "--tol-override", "matrix.roundoff=0"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_cli_dim_scan_rows_pass_on_the_constraint(capsys):
+    rows = _csv_rows(["gauge", "dim-scan"], capsys)[1:]
+    assert [r[1] for r in rows] == [f"dim-{d}" for d in range(1, 9)]
+    assert all(r[2] == "True" for r in rows)
+    # every deviation rounds to 0: the scan cannot resolve the constraint
+    assert cli.main(["gauge", "dim-scan", "--kappa", "1e300", "--format", "csv"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["check"] for r in rows if r["passed"] == "False"] == [
+        f"dim-{d}" for d in range(1, 9) if d != 4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "twist"],
+    ["suite", "matrix", "--tol-override", "matrix.roundoff=0"],
+    ["hopf", "check"],
+    ["matrix-basis", "--N", "8"],
+    ["matrix-basis", "--tol-override", "matrix.roundoff=0"],
+    ["loop", "bessel-check", "--grid", "1,2"],
+    ["loop", "bessel-check", "--grid", "0.05,20"],
+    ["loop", "mixing", "--space", "commutative"],
+    ["loop", "mixing", "--space", "moyal", "--lambda-grid", "10:20:3"],
+    ["gauge", "dim-scan"],
+    ["gauge", "dim-scan", "--kappa", "1e300"],
+    ["causality", "--grid", "64", "--v", "0:1:1"],
+])
+def test_cli_exit_code_is_the_rows_verdict(argv, capsys):
+    # one exit rule: 0 exactly when every row passed; a document's own
+    # `passed` is the same verdict
+    code = cli.main([*argv, "--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and code == (0 if all(r["passed"] == "True" for r in rows) else 1)
+    assert cli.main(argv) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("passed", code == 0) is (code == 0)
+
+
+def test_readme_cli_examples_parse():
+    # every `qstkit ...` line of README's CLI code block parses; nothing runs
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+             if line.startswith("qstkit ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        cli._parser().parse_args(argv)  # a ConfigError on an option that is gone

@@ -97,6 +97,17 @@ def test_bialgebra_compat_all_relations():
         assert r["antipode"], (name, r["residuals"]["antipode"])
 
 
+def test_passed_is_every_flag():
+    for name in H.ALL_GENERATOR_NAMES:
+        r = H.hopf_axiom_suite(name)
+        assert r["passed"] is (r["coassociativity"] and r["counit"] and r["coinverse"]) is True
+    # a relation with a wrong right-hand side fails in the algebra, and so fails
+    rels = H.printed_relations()
+    a, b, rhs = rels["[J1,J2]"]
+    r = H.bialgebra_compat_check("[J1,J2]", {"[J1,J2]": (a, b, rhs.scale(H.KScalar.make(2)))})
+    assert r["algebra"] is False and r["passed"] is False
+
+
 def test_full_suite_builds_the_relation_table_once(monkeypatch):
     builds = []
     real = H.printed_relations

@@ -230,6 +230,42 @@ def test_bessel_oracle_compare_fails_on_nan(monkeypatch):
     rep = L.bessel_oracle_compare(ms=(1.0, 2.0), kappas=(1.0,))
     assert rep["passed"] is False
     assert math.isnan(rep["max_rel_dev"])
+    assert [r["passed"] for r in rep["rows"]] == [True, True, False, False]
+
+
+def test_bessel_rows_carry_the_one_verdict():
+    rep = L.bessel_oracle_compare(ms=(0.05, 20.0), kappas=(0.05, 20.0))
+    assert rep["passed"] is all(r["passed"] for r in rep["rows"]) is False
+    assert all(type(r["passed"]) is bool for r in rep["rows"])
+    # QUADPACK meets its absolute tolerance on the d = 2, m = 20, kappa = 0.05
+    # oracle (about 1.9e-174) with an error estimate of half the value
+    bad = [(r["d"], r["m"], r["kappa"]) for r in rep["rows"] if not r["converged"]]
+    assert (2, 20.0, 0.05) in bad
+    assert rep["converged"] is False
+
+
+def test_quad_relative_error_bound():
+    # the same integrand at two scales: far below scipy's absolute epsabs,
+    # QUADPACK stops with ier = 0 and an error estimate beyond QUAD_RTOL |value|
+    val, err, _, converged = L._quad(lambda x: math.exp(-x), 0.0, 50.0)
+    assert converged is True and err <= L.QUAD_RTOL * val
+    val, err, _, converged = L._quad(lambda x: 1e-20 * math.exp(-x), 0.0, 50.0)
+    assert converged is False and err > L.QUAD_RTOL * val
+
+
+@pytest.mark.parametrize("kappa, verdict", [(0.05, "INCONCLUSIVE"), (0.1, "INCONCLUSIVE"),
+                                            (0.2, "NO_MIXING")])
+def test_kappa_planar_sweep_flags_tiny_integrals(kappa, verdict):
+    # at kappa = 0.05 the planar integrals are about 3e-14 with an error estimate
+    # of about their size; at 0.1 the Lambda = 1000 kappa row reads below the
+    # Lambda = 373 kappa row, which a positive integrand cannot give
+    rep = L.mixing_classify("kappa", kappa=kappa, d=3)
+    assert rep.verdict == verdict
+    sweep = rep.evidence["planar_sweep"]
+    if kappa == 0.2:
+        assert sweep["verdict"] == "convergent" and all(r[2] for r in sweep["rows"])
+    else:
+        assert sweep["verdict"] == "inconclusive" and sweep["rows"][-1][2] is False
 
 
 def test_diagram_counts():

@@ -442,6 +442,18 @@ def test_component_major_laws_edge_rows(label):
         assert np.array_equal(np.signbit(out), np.signbit(ref)) and np.all(out[0] == 0.0)
 
 
+@pytest.mark.parametrize("name", ["kappa_minkowski", "moyal_extended", "rho_minkowski",
+                                  "su2_lambda"])
+def test_add_batch_keeps_non_finite_rows_non_finite(name):
+    # add_batch checks only the shape, so a NaN or inf row must not come out finite
+    g = group_preset(name)
+    P = np.full((4, g.dim), 0.2)
+    P[0, 0], P[1, 0], P[2, -1] = np.nan, np.inf, np.nan
+    with np.errstate(all="ignore"):
+        out = np.asarray(add_batch(g, P, np.full((4, g.dim), 0.1)))
+    assert [bool(np.isfinite(row).all()) for row in out] == [False, False, False, True]
+
+
 def test_moyal_real_momenta_imaginary_phase_is_complex():
     g = group_preset("moyal_extended", theta=1.0, phase_convention="imaginary")
     madd = MO.moyal_add(g.meta["Theta"], "imaginary")
