@@ -32,10 +32,6 @@ from .momentum import (add, delta_solve_nonplanar, group_from_structure, group_p
 from .polyfield import Poly
 from .waves import WavePacket, plane_wave, twisted_trace_check
 
-SUITES = ("group", "hopf", "twist", "trace", "matrix", "mixing", "gauge", "causality", "all")
-SPACETIMES = ("kappa_minkowski", "moyal_extended", "rho_minkowski", "su2_lambda",
-              "commutative", "inline")
-
 DEFAULT_TOLERANCES = {
     "group.assoc": 1e-9,
     "group.identity": 1e-12,
@@ -43,7 +39,6 @@ DEFAULT_TOLERANCES = {
     "group.modular": 1e-10,
     "gauge.residual": 1e-12,
     "matrix.roundoff": 1e-13,
-    "causality.cone": 1e-8,
 }
 
 MAX_POINTS = 1000  # points of a --v, --d-range or --lambda-grid range
@@ -59,7 +54,6 @@ class ConfigError(ValueError, argparse.ArgumentTypeError):
 
 @dataclass
 class RunConfig:
-    spacetime: str = "kappa_minkowski"
     kappa: float = 1.0
     theta: float = 1.0
     rho: float = 1.0
@@ -185,7 +179,6 @@ def _parse_lambda_grid(text: str) -> np.ndarray:
 # it sets, None for a command option, and its check.  A check takes a JSON
 # value at a key path, or a flag's text as the argparse `type=`.
 PARAMS = {
-    "spacetime": ("spacetime", _scalar(str, lambda v: v in SPACETIMES, "|".join(SPACETIMES))),
     "kappa": ("kappa", _scalar(float, lambda v: np.isfinite(v) and v > 0, "finite and positive")),
     "theta": ("theta", _NONZERO),
     "rho": ("rho", _NONZERO),
@@ -232,6 +225,11 @@ def _row(suite, check, passed, residual=0.0, detail=""):
             "residual": residual, "detail": detail}
 
 
+def _rows(suite, checks):
+    """The rows of one suite from its (check, passed[, residual[, detail]]) tuples."""
+    return [_row(suite, *c) for c in checks]
+
+
 def _all_passed(rows):
     """The verdict of a report: every row passed."""
     return all(r["passed"] for r in rows)
@@ -262,12 +260,9 @@ def _preset_groups(cfg: RunConfig):
 
 
 def suite_group(cfg: RunConfig):
-    rows = []
+    checks = []
     rng = np.random.default_rng(cfg.seed)
-    tol_a = cfg.tolerances["group.assoc"]
-    tol_i = cfg.tolerances["group.identity"]
-    tol_h = cfg.tolerances["group.haar"]
-    tol_m = cfg.tolerances["group.modular"]
+    tol = cfg.tolerances
     for label, g in _preset_groups(cfg):
         scale = 0.3 if g.name == "su2_lambda" else 1.0
         # sample-major draws: the same stream as one (p, q, r) triple per sample
@@ -277,62 +272,65 @@ def suite_group(cfg: RunConfig):
         den = 1.0 + np.maximum(np.max(np.abs(lhs), axis=-1), np.max(np.abs(rhs), axis=-1))
         worst_a = _worst(np.max(np.abs(lhs - rhs), axis=-1) / den)
         worst_i = _worst(np.abs(g.add(p, g.inv(p))), np.abs(g.add(p, np.zeros_like(p)) - p))
-        rows.append(_row("group", f"associativity-{label}", worst_a < tol_a, worst_a))
-        rows.append(_row("group", f"identity-inverse-{label}", worst_i < tol_i, worst_i))
+        checks.append((f"associativity-{label}", worst_a < tol["group.assoc"], worst_a))
+        checks.append((f"identity-inverse-{label}", worst_i < tol["group.identity"], worst_i))
         p, q = np.moveaxis(rng.normal(size=(max(10, cfg.samples // 10), 2, g.dim)) * scale, 1, 0)
         worst_h = _worst(haar_invariance_check(g, q, p, "left"),
                          haar_invariance_check(g, q, p, "right"))
-        worst_mod = _worst(*modular_identity_residuals(g, p, q).values())
-        rows.append(_row("group", f"haar-invariance-{label}", worst_h < tol_h, worst_h))
-        rows.append(_row("group", f"modular-homomorphism-{label}", worst_mod < tol_m, worst_mod))
+        worst_m = _worst(*modular_identity_residuals(g, p, q).values())
+        checks.append((f"haar-invariance-{label}", worst_h < tol["group.haar"], worst_h))
+        checks.append((f"modular-homomorphism-{label}", worst_m < tol["group.modular"], worst_m))
         sc = g.structure
         jc = jacobi_check(sc)
-        rows.append(_row("group", f"jacobi-{label}", jc["passed"], jc["max_violation"]))
-        rec = recover_from_group_law(g)
-        err = float(np.max(np.abs(rec.C - sc.C)))
-        rows.append(_row("group", f"structure-roundtrip-{label}", err < 1e-6, err))
+        checks.append((f"jacobi-{label}", jc["passed"], jc["max_violation"]))
+        try:  # the finite-difference Hessian gives up where the law is too curved for its step
+            rec = recover_from_group_law(g)
+        except ArithmeticError as exc:
+            err, detail = np.nan, str(exc)
+        else:
+            err, detail = float(np.max(np.abs(rec.C - sc.C))), ""
+        checks.append((f"structure-roundtrip-{label}", err < 1e-6, err, detail))
     # noncommutativity witness on kappa
     gk = group_preset("kappa_minkowski", kappa=cfg.kappa, d=1)
     p = np.array([np.log(2.0), 0.0])
     q = np.array([0.0, 1.0])
     diff = float(np.max(np.abs(np.asarray(gk.add(p, q)) - np.asarray(gk.add(q, p)))))
-    rows.append(_row("group", "noncommutativity-witness-kappa", diff > 1e-6, diff))
+    checks.append(("noncommutativity-witness-kappa", diff > 1e-6, diff))
     if cfg.inline_structure is not None:
         jc = jacobi_check(cfg.inline_structure)
         anti = cfg.inline_structure.antisymmetry_violation()
-        rows.append(_row("group", "jacobi-inline-structure",
-                         jc["passed"] and anti <= 1e-12,
-                         _worst(jc["max_violation"], anti)))
-    return rows
+        checks.append(("jacobi-inline-structure", jc["passed"] and anti <= 1e-12,
+                       _worst(jc["max_violation"], anti)))
+    return _rows("group", checks)
 
 
-def _hopf_rows(rep):
-    """The rows of an `HA.full_suite()` report: the axioms per generator, then the relations."""
-    rows = [_row("hopf", f"axioms-{name}", r["passed"], 0.0 if r["passed"] else 1.0)
-            for name, r in rep["generators"].items()]
+def _hopf_checks(rep):
+    """The checks of an `HA.full_suite()` report: the axioms per generator, then the relations."""
+    checks = [(f"axioms-{name}", r["passed"], 0.0 if r["passed"] else 1.0)
+              for name, r in rep["generators"].items()]
     bad = [n for n, r in rep["relations"].items() if not r["passed"]]
-    rows.append(_row("hopf", "bialgebra-compatibility-all-relations", not bad,
-                     float(len(bad)), detail=",".join(bad)))
-    return rows
+    checks.append(("bialgebra-compatibility-all-relations", not bad, float(len(bad)),
+                   ",".join(bad)))
+    return checks
 
 
 def suite_hopf(cfg: RunConfig):
-    return _hopf_rows(HA.full_suite()) + [
-        _row("hopf", "E-vs-P0-series-consistency", HA.e_series_consistency(5))]
+    return _rows("hopf", _hopf_checks(HA.full_suite())
+                 + [("E-vs-P0-series-consistency", HA.e_series_consistency(5))])
 
 
 def suite_twist(cfg: RunConfig):
     F = TW.abelian_twist(4)
     chk = TW.twist_check(F)
     st = TW.twisted_structures(F)
-    return [
-        _row("twist", "two-cocycle-order4", chk["two_cocycle"]),
-        _row("twist", "normalization", chk["normalization"]),
-        _row("twist", "semiclassical", chk["semiclassical"]),
-        _row("twist", "triangularity", st["triangular"]),
-        _row("twist", "quantum-yang-baxter", st["quantum_yang_baxter"]),
-        _row("twist", "braided-commutativity", st["braided_commutative"]),
-    ]
+    return _rows("twist", [
+        ("two-cocycle-order4", chk["two_cocycle"]),
+        ("normalization", chk["normalization"]),
+        ("semiclassical", chk["semiclassical"]),
+        ("triangularity", st["triangular"]),
+        ("quantum-yang-baxter", st["quantum_yang_baxter"]),
+        ("braided-commutativity", st["braided_commutative"]),
+    ])
 
 
 def _random_packets(g, rng, n_terms=5, with_inverses=True):
@@ -348,31 +346,29 @@ def _random_packets(g, rng, n_terms=5, with_inverses=True):
 
 
 def suite_trace(cfg: RunConfig):
-    rows = []
+    checks = []
     rng = np.random.default_rng(cfg.seed)
     gk = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
     ok = all(twisted_trace_check(*_random_packets(gk, rng)) for _ in range(100))
-    rows.append(_row("trace", "twisted-trace-kappa", ok))
+    checks.append(("twisted-trace-kappa", ok))
     for name, g in (("rho", group_preset("rho_minkowski", rho=cfg.rho)),
                     ("moyal", group_preset("moyal_extended", theta=cfg.theta))):
         ok = all(twisted_trace_check(*_random_packets(g, rng)) for _ in range(30))
-        rows.append(_row("trace", f"plain-cyclicity-{name}", ok))
-    return rows
+        checks.append((f"plain-cyclicity-{name}", ok))
+    return _rows("trace", checks)
 
 
 def _matrix(cfg: RunConfig, N: int):
-    """The matrix-basis checks at truncation N and their rows, judged at `matrix.roundoff`
-    (the `passed` of `ids` is `identity_checks`' own fixed bound, not a verdict here)."""
+    """The matrix-basis checks at truncation N and their rows, judged at `matrix.roundoff`."""
     ids = MM.identity_checks(N, cfg.theta, seed=cfg.seed)
     part = MM.partition_check(N, cfg.theta, seed=cfg.seed)
     tol = cfg.tolerances["matrix.roundoff"]
-    rows = [_row("matrix", f"basis-{k}", v <= tol, v)
-            for k, v in ids.items() if k != "passed"]
-    rows.append(_row("matrix", "partition-of-unity-diagonal", part["passed"],
-                     max(part["positivity_witness_error"],
-                         part["unity_reconstruction_error"],
-                         part["diagonal_commutation_error"])))
-    return ids, part, rows
+    checks = [(f"basis-{k}", v <= tol, v) for k, v in ids.items()]
+    checks.append(("partition-of-unity-diagonal", part["passed"],
+                   max(part["positivity_witness_error"],
+                       part["unity_reconstruction_error"],
+                       part["diagonal_commutation_error"])))
+    return ids, part, _rows("matrix", checks)
 
 
 def suite_matrix(cfg: RunConfig):
@@ -380,28 +376,27 @@ def suite_matrix(cfg: RunConfig):
 
 
 def suite_mixing(cfg: RunConfig):
-    rows = []
+    checks = []
     for space, expected in (("moyal", "MIXING"), ("kappa", "NO_MIXING"),
                             ("commutative", "NO_MIXING")):
         if space == "kappa":
             rep = LO.mixing_classify("kappa", kappa=cfg.kappa, d=cfg.d)
         else:
             rep = LO.mixing_classify(space)
-        rows.append(_row("mixing", f"verdict-{space}", rep.verdict == expected,
-                         0.0, detail=rep.verdict))
+        checks.append((f"verdict-{space}", rep.verdict == expected, 0.0, rep.verdict))
     cmpr = LO.bessel_oracle_compare()
-    rows.append(_row("mixing", "bessel-ratio-constancy", cmpr["passed"], cmpr["max_rel_dev"]))
+    checks.append(("bessel-ratio-constancy", cmpr["passed"], cmpr["max_rel_dev"]))
     mm = LO.moyal_nonplanar(np.array([1.0, 0, 0, 0]),
                             group_preset("moyal_extended", theta=cfg.theta).meta["Theta"],
                             1.0, 100.0)
-    rows.append(_row("mixing", "moyal-schwinger-vs-bessel", mm["rel_err"] < 1e-6, mm["rel_err"]))
+    checks.append(("moyal-schwinger-vs-bessel", mm["rel_err"] < 1e-6, mm["rel_err"]))
     for f, expect in (("real_phi4", (12, 8, 4)), ("charged_orientable", (4, 4, 0)),
                       ("charged_nonorientable", (4, 2, 2))):
         c = LO.diagram_counts(f)
         ok = (c["total"], c["planar"], c["nonplanar"]) == expect
-        rows.append(_row("mixing", f"diagram-count-{f}", ok, 0.0,
-                         detail=f"{c['total']}={c['planar']}p+{c['nonplanar']}np"))
-    return rows
+        checks.append((f"diagram-count-{f}", ok, 0.0,
+                       f"{c['total']}={c['planar']}p+{c['nonplanar']}np"))
+    return _rows("mixing", checks)
 
 
 _P0_SAMPLES = [0.25, 0.5, 1.0, -0.75]  # the p0 values of the dimension-constraint scan
@@ -415,7 +410,7 @@ def _sw_field():
 
 
 def suite_gauge(cfg: RunConfig):
-    rows = []
+    checks = []
     rng = np.random.default_rng(cfg.seed)
     g = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
     tol = cfg.tolerances["gauge.residual"]
@@ -427,8 +422,8 @@ def suite_gauge(cfg: RunConfig):
             leibniz.append(GA.twisted_leibniz_residual(mu, f, h))
             reality.append(GA.twisted_reality_residual(mu, f + h))
     worst_l, worst_r = _worst(leibniz), _worst(reality)
-    rows.append(_row("gauge", "twisted-leibniz", worst_l < tol, worst_l))
-    rows.append(_row("gauge", "twisted-reality", worst_r < tol, worst_r))
+    checks.append(("twisted-leibniz", worst_l < tol, worst_l))
+    checks.append(("twisted-reality", worst_r < tol, worst_r))
     covariance, flatness = [], []
     for _ in range(5):
         u = plane_wave(g, rng.normal(size=4))
@@ -438,45 +433,47 @@ def suite_gauge(cfg: RunConfig):
         F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WavePacket(g)] * 4), u))
         flatness += [F[m][n].norm() for m in range(4) for n in range(4)]
     worst_c, worst_f = _worst(covariance), _worst(flatness)
-    rows.append(_row("gauge", "field-strength-covariance", worst_c < tol, worst_c))
-    rows.append(_row("gauge", "pure-gauge-flatness", worst_f < tol, worst_f))
+    checks.append(("field-strength-covariance", worst_c < tol, worst_c))
+    checks.append(("pure-gauge-flatness", worst_f < tol, worst_f))
     scan = GA.dimension_constraint_scan(range(1, 9), cfg.kappa, _P0_SAMPLES)
-    rows.append(_row("gauge", "dimension-constraint-zero-set", scan["zero_set"] == [4],
-                     0.0, detail=str(scan["zero_set"])))
+    checks.append(("dimension-constraint-zero-set", scan["zero_set"] == [4],
+                   0.0, str(scan["zero_set"])))
     A = _sw_field()
     alpha = Poly.var(4, 0) * Poly.var(4, 1) + Poly.var(4, 2).scale(3)
     res = GA.sw_consistency_residual(A, alpha, _SW_THETA)
-    rows.append(_row("gauge", "sw-consistency-identically-zero",
-                     all(r.is_zero() for r in res)))
+    checks.append(("sw-consistency-identically-zero", all(r.is_zero() for r in res)))
     F1 = GA.sw_field_strength_order1(A, _SW_THETA)
     F2 = GA.sw_field_strength_from_hat(A, _SW_THETA)
     ok = all((F1[m][n] - F2[m][n]).is_zero() for m in range(4) for n in range(4))
-    rows.append(_row("gauge", "sw-field-strength-two-path", ok))
-    return rows
+    checks.append(("sw-field-strength-two-path", ok))
+    return _rows("gauge", checks)
+
+
+def _causality_grid(cfg: RunConfig, n: int, scheme: str = "spectral"):
+    """The n-point causality grid over p0 in [-W, W), W = max(10, 10 / kappa)."""
+    return CA.GridSpec(n, max(10.0, 10.0 / cfg.kappa), scheme)
 
 
 def suite_causality(cfg: RunConfig):
-    rows = []
-    grid = CA.GridSpec(256, max(10.0, 10.0 / cfg.kappa), "spectral")
+    checks = []
+    grid = _causality_grid(cfg, 256)
     ax = CA.lorentzian_axiom_check(grid, cfg.kappa, seed=cfg.seed)
-    rows.append(_row("causality", "fundamental-symmetry-exact",
-                     ax["I_squared_residual"] == 0.0 and ax["I_hermiticity_residual"] == 0.0))
-    g1 = CA.GridSpec(128, max(10.0, 10.0 / cfg.kappa), "central")
-    g2 = CA.GridSpec(256, max(10.0, 10.0 / cfg.kappa), "central")
+    checks.append(("fundamental-symmetry-exact",
+                   ax["I_squared_residual"] == 0.0 and ax["I_hermiticity_residual"] == 0.0))
+    g1 = _causality_grid(cfg, 128, "central")
+    g2 = _causality_grid(cfg, 256, "central")
     r1 = CA.lorentzian_axiom_check(g1, cfg.kappa, seed=cfg.seed)["krein_residual"]
     r2 = CA.lorentzian_axiom_check(g2, cfg.kappa, seed=cfg.seed)["krein_residual"]
-    rows.append(_row("causality", "krein-residual-refinement", r1 / r2 >= 2.0, r2,
-                     detail=f"ratio={r1 / r2:.2f}"))
-    tol = cfg.tolerances["causality.cone"]
+    checks.append(("krein-residual-refinement", r1 / r2 >= 2.0, r2, f"ratio={r1 / r2:.2f}"))
     for v in (-1.0, -0.5, 0.0, 0.5, 1.0):
         r = CA.cone_condition(grid, cfg.kappa, 1, 1.0, v, n_states=200, seed=cfg.seed)
-        rows.append(_row("causality", f"cone-pass-v{v:+.1f}", r["margin"] >= -tol, r["margin"]))
+        checks.append((f"cone-pass-v{v:+.1f}", r["passed"], r["margin"]))
     psi = CA.gaussian_state(grid, 0.4, 1.0)
     t = 0.6
     psi2 = CA.normalize(psi * np.exp(1j * t * grid.points()), grid)
     err = abs(CA.sll_margin(psi, psi2, grid, cfg.kappa) - t)
-    rows.append(_row("causality", "sll-margin-phase-shift", err < 1e-8, err))
-    return rows
+    checks.append(("sll-margin-phase-shift", err < 1e-8, err))
+    return _rows("causality", checks)
 
 
 SUITE_FUNCS = {
@@ -489,13 +486,14 @@ SUITE_FUNCS = {
     "gauge": suite_gauge,
     "causality": suite_causality,
 }
+SUITES = (*SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, cfg: RunConfig):
     """Run one named suite (or all); returns (exit_code, report dict)."""
     if name not in SUITES:
         return 2, {"error": f"unknown suite {name!r}"}
-    names = [s for s in SUITES if s != "all"] if name == "all" else [name]
+    names = list(SUITE_FUNCS) if name == "all" else [name]
     rows = []
     for s in names:
         rows.extend(SUITE_FUNCS[s](cfg))
@@ -559,7 +557,7 @@ def _cmd_hopf(args, cfg):
                           for k, v in rep["generators"].items()},
            "relations": {k: {a: v[a] for a in ("coproduct", "counit", "antipode")}
                          for k, v in rep["relations"].items()}}
-    return doc, _hopf_rows(rep)
+    return doc, _rows("hopf", _hopf_checks(rep))
 
 
 def _cmd_matrix(args, cfg):
@@ -601,7 +599,7 @@ def _cmd_gauge(args, cfg):
 
 
 def _cmd_causality(args, cfg):
-    grid = CA.GridSpec(args.grid, max(10.0, 10.0 / cfg.kappa), "spectral")
+    grid = _causality_grid(cfg, args.grid)
     grid.validate_kappa(cfg.kappa)  # a GridError is a usage error
     rows = []
     for v in args.v:

@@ -197,42 +197,40 @@ def poly_field_strength(A: PolyGaugeField) -> list:
     return F
 
 
+def _theta_entries(Theta, n: int) -> list:
+    """The nonzero entries (rho, sigma, Theta^{rho sigma} as a Fraction) of Theta's n x n block."""
+    if len(Theta) < n or any(len(row) < n for row in Theta):
+        raise ValueError(f"Theta must be at least {n} x {n} for a {n}-component field")
+    entries = [(rho, sg, Fraction(Theta[rho][sg])) for rho in range(n) for sg in range(n)]
+    return [(rho, sg, c) for rho, sg, c in entries if c]
+
+
 def sw_map_order1(A: PolyGaugeField, Theta) -> PolyGaugeField:
     """A_mu - (1/2) Theta^{rho sigma} A_rho (d_sigma A_mu + F_{sigma mu})."""
-    if len(Theta) < A.dim or any(len(row) < A.dim for row in Theta):
-        raise ValueError(f"Theta must be at least {A.dim} x {A.dim} for a {A.dim}-component field")
-    Theta = [[Fraction(x) for x in row] for row in Theta]
+    theta = _theta_entries(Theta, A.dim)
     F = poly_field_strength(A)
     out = []
     for mu in range(A.dim):
         hat = A.components[mu]
-        for rho in range(A.dim):
-            for sg in range(A.dim):
-                c = Theta[rho][sg]
-                if not c:
-                    continue
-                corr = A.components[rho] * (A.components[mu].deriv(sg) + F[sg][mu])
-                hat = hat - corr.scale(Fraction(1, 2) * c)
+        for rho, sg, c in theta:
+            corr = A.components[rho] * (A.components[mu].deriv(sg) + F[sg][mu])
+            hat = hat - corr.scale(Fraction(1, 2) * c)
         out.append(hat)
     return PolyGaugeField(out)
 
 
 def sw_field_strength_order1(A: PolyGaugeField, Theta) -> list:
     """F_mn + Theta^{rs}(F_mr F_ns - A_r d_s F_mn): the printed first order."""
-    Theta = [[Fraction(x) for x in row] for row in Theta]
+    theta = _theta_entries(Theta, A.dim)
     F = poly_field_strength(A)
     n = A.dim
     out = [[Poly.zero(A.nvars)] * n for _ in range(n)]
     for mu in range(n):
         for nu in range(n):
             hat = F[mu][nu]
-            for rho in range(n):
-                for sg in range(n):
-                    c = Theta[rho][sg]
-                    if not c:
-                        continue
-                    term = F[mu][rho] * F[nu][sg] - A.components[rho] * F[mu][nu].deriv(sg)
-                    hat = hat + term.scale(c)
+            for rho, sg, c in theta:
+                term = F[mu][rho] * F[nu][sg] - A.components[rho] * F[mu][nu].deriv(sg)
+                hat = hat + term.scale(c)
             out[mu][nu] = hat
     return out
 
@@ -243,19 +241,15 @@ def sw_field_strength_from_hat(A: PolyGaugeField, Theta) -> list:
     The Moyal commutator -i[A_hat_mu, A_hat_nu]_star contributes
     Theta^{rs} d_r A_mu d_s A_nu at first order.
     """
-    Theta = [[Fraction(x) for x in row] for row in Theta]
+    theta = _theta_entries(Theta, A.dim)
     Ahat = sw_map_order1(A, Theta)
     n = A.dim
     out = [[Poly.zero(A.nvars)] * n for _ in range(n)]
     for mu in range(n):
         for nu in range(n):
             hat = Ahat.components[nu].deriv(mu) - Ahat.components[mu].deriv(nu)
-            for rho in range(n):
-                for sg in range(n):
-                    c = Theta[rho][sg]
-                    if not c:
-                        continue
-                    hat = hat + (A.components[mu].deriv(rho) * A.components[nu].deriv(sg)).scale(c)
+            for rho, sg, c in theta:
+                hat = hat + (A.components[mu].deriv(rho) * A.components[nu].deriv(sg)).scale(c)
             out[mu][nu] = hat
     return out
 
@@ -267,7 +261,7 @@ def sw_consistency_residual(A: PolyGaugeField, alpha: Poly, Theta) -> list:
     with alpha_hat = alpha + (1/2) Theta^{rs} d_r alpha A_s; identically zero
     as a polynomial for any inputs.
     """
-    Theta = [[Fraction(x) for x in row] for row in Theta]
+    theta = _theta_entries(Theta, A.dim)
     n = A.dim
     F = poly_field_strength(A)
     dalpha = [alpha.deriv(mu) for mu in range(n)]
@@ -275,29 +269,17 @@ def sw_consistency_residual(A: PolyGaugeField, alpha: Poly, Theta) -> list:
     for mu in range(n):
         # alpha-linear part of hat A(A + d alpha) - hat A(A)
         lhs = dalpha[mu]
-        for rho in range(n):
-            for sg in range(n):
-                c = Theta[rho][sg]
-                if not c:
-                    continue
-                var = dalpha[rho] * (A.components[mu].deriv(sg) + F[sg][mu]) \
-                    + A.components[rho] * dalpha[mu].deriv(sg)
-                lhs = lhs - var.scale(Fraction(1, 2) * c)
+        for rho, sg, c in theta:
+            var = dalpha[rho] * (A.components[mu].deriv(sg) + F[sg][mu]) \
+                + A.components[rho] * dalpha[mu].deriv(sg)
+            lhs = lhs - var.scale(Fraction(1, 2) * c)
         # deformed transform d_mu alpha_hat - Theta^{rs} d_r alpha d_s A_mu
         alpha_hat1 = Poly.zero(A.nvars)
-        for rho in range(n):
-            for sg in range(n):
-                c = Theta[rho][sg]
-                if not c:
-                    continue
-                alpha_hat1 = alpha_hat1 + (dalpha[rho] * A.components[sg]).scale(Fraction(1, 2) * c)
+        for rho, sg, c in theta:
+            alpha_hat1 = alpha_hat1 + (dalpha[rho] * A.components[sg]).scale(Fraction(1, 2) * c)
         rhs = dalpha[mu] + alpha_hat1.deriv(mu)
-        for rho in range(n):
-            for sg in range(n):
-                c = Theta[rho][sg]
-                if not c:
-                    continue
-                rhs = rhs - (dalpha[rho] * A.components[mu].deriv(sg)).scale(c)
+        for rho, sg, c in theta:
+            rhs = rhs - (dalpha[rho] * A.components[mu].deriv(sg)).scale(c)
         residuals.append(lhs - rhs)
     return residuals
 

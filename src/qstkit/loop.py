@@ -28,7 +28,7 @@ CONV_SLOPE = 0.02
 # Lambda theta|p| from which a Moyal cutoff counts toward criterion (iii):
 # there the cutoff term 1/Lambda^2 is at most 4% of the regulator c
 NONPLANAR_REGIME = 10.0
-# largest relative deviation of a Bessel oracle/closed-form ratio from the mean for its d
+# largest relative deviation of a Bessel oracle/closed-form ratio from its d's converged mean
 RATIO_TOL = 1e-6
 # largest QUADPACK error estimate, relative to the value, of a converged quadrature
 QUAD_RTOL = 1e-3
@@ -222,14 +222,13 @@ def kmink_bessel_closed_form(m: float, kappa: float, d: int) -> float:
 
 
 def kmink_bessel_oracle(m: float, kappa: float, d: int) -> dict:
-    """Wick-rotated radial quadrature Omega_{d-1} ∫ r^{d-1} (pi/omega) e^{-d omega/2 kappa} dr."""
-    def integrand(r):
-        om = math.hypot(r, m)
-        return r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
+    """Wick-rotated radial quadrature Omega_{d-1} ∫ r^{d-1} (pi/omega) e^{-d omega/2 kappa} dr.
 
-    val, err, _, ok = _quad(integrand, 0.0, np.inf, limit=300)
-    return {"value": sphere_area(d - 1) * val, "error": sphere_area(d - 1) * err,
-            "converged": ok}
+    It is `propagator_integral` for kappa-Minkowski with no cutoff.
+    """
+    g = group_preset("kappa_minkowski", kappa=kappa, d=d)
+    return propagator_integral(KineticSpec(g, minkowski_signature(d + 1), m),
+                               RegulatorSpec(Lambda=np.inf))
 
 
 def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3)) -> dict:
@@ -238,9 +237,11 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
     A single global normalization constant is permitted (overall 2 pi loop
     factors are dropped throughout); the test is ratio constancy, not
     absolute value.  A row passes when its quadrature converged and its
-    ratio is within RATIO_TOL of the mean for its d; the report passes when
-    every row does.  A NaN ratio makes its d's mean NaN, so those rows fail,
-    and `max_rel_dev` is reduced NaN-propagatingly.
+    ratio is within RATIO_TOL of the mean over the converged rows of its d,
+    so one bad quadrature fails its own row only; the report passes when
+    every row does.  With no converged row, or a NaN ratio among them, that
+    mean is NaN and every row of the d fails; `max_rel_dev` is reduced
+    NaN-propagatingly.
     """
     out = {"rows": [], "max_rel_dev": 0.0, "ratios": {}}
     for d in ds:
@@ -253,7 +254,8 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
                              "oracle": orc["value"], "oracle_error": orc["error"],
                              "converged": orc["converged"], "ratio": orc["value"] / cf})
         ratios = [r["ratio"] for r in rows]
-        mean = sum(ratios) / len(ratios)
+        converged = [r["ratio"] for r in rows if r["converged"]]
+        mean = sum(converged) / len(converged) if converged else math.nan
         devs = np.abs(np.asarray(ratios) / mean - 1.0)
         for r, dev in zip(rows, devs):
             r["passed"] = bool(r["converged"] and dev < RATIO_TOL)
@@ -386,20 +388,6 @@ def kappa_nonplanar_closed(p0: float, m: float, kappa: float, d: int, Lambda: fl
                   + dq * _lorentz_cos(2 * w, m, Lambda))
 
 
-def kappa_nonplanar_value(p, m: float, kappa: float, d: int, Lambda: float) -> float:
-    """Non-planar value at external momentum p = (p0, 0); see `kappa_nonplanar_closed`.
-
-    Only temporal p is served.  For spatial p != 0 the rotated propagator
-    k0^2 + e^{i k0/kappa}(k^*)^2 + m^2 develops real zeros when the spatial
-    part is large against kappa (1 - e^{-p0/kappa}), and no closed form is
-    claimed, so a spatial p raises ValueError.
-    """
-    p = np.asarray(p, float)
-    if np.any(p[1:] != 0):
-        raise ValueError("the kappa non-planar value is served for temporal p = (p0, 0) only")
-    return kappa_nonplanar_closed(float(p[0]), m, kappa, d, Lambda)
-
-
 # ---------------------------------------------------------------------------
 # symbolic assembly of the one-loop two-point function
 
@@ -518,6 +506,16 @@ def _verdict(i, ii, iii):
 MIXING_SPACES = ("moyal", "kappa", "commutative")
 
 
+def _planar_sweep(ks: KineticSpec, lambdas, evidence: dict):
+    """Criterion (i) and the growth exponent from the planar cutoff sweep, kept in `evidence`.
+
+    (i) is True for a divergent sweep, False for a convergent one, None otherwise.
+    """
+    sweep = propagator_sweep(ks, lambdas)
+    evidence["planar_sweep"] = sweep
+    return {"divergent": True, "convergent": False}.get(sweep["verdict"]), sweep["slope"]
+
+
 def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
                     theta: float = 1.0, d: int = 3,
                     lambda_grid=None, p_grid=None) -> MixingReport:
@@ -534,9 +532,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         g4 = group_preset("commutative", dim=4)
         ksE = KineticSpec(g4, euclidean_signature(4), mass)
         lam_grid = lambda_grid if lambda_grid is not None else np.geomspace(10, 1e4, 8)
-        sweep = propagator_sweep(ksE, lam_grid)
-        evidence["planar_sweep"] = sweep
-        i_div = {"divergent": True, "convergent": False}.get(sweep["verdict"])
+        i_div, growth = _planar_sweep(ksE, lam_grid, evidence)
 
         Theta = group_preset("moyal_extended", theta=theta).meta["Theta"]
         pg = p_grid if p_grid is not None else np.geomspace(1.0, 1e-3, 7)
@@ -552,7 +548,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
 
         p_fixed = np.array([1.0, 0.0, 0.0, 0.0])
         lrows = []
-        for L in (lambda_grid if lambda_grid is not None else np.geomspace(10, 1e4, 8)):
+        for L in lam_grid:
             c = _moyal_regulator(p_fixed, Theta, float(L))
             lrows.append((float(L), moyal_nonplanar_closed(c, mass)))
         evidence["uv_sequence"] = lrows
@@ -565,16 +561,14 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
             slope = _loglog_slope([r[0] for r in acting], [r[1] for r in acting])
             iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
 
-        return MixingReport("moyal", i_div, sweep["slope"], ii, raw, iii,
+        return MixingReport("moyal", i_div, growth, ii, raw, iii,
                             _verdict(i_div, ii, iii), evidence)
 
     if space == "kappa":
         g = group_preset("kappa_minkowski", kappa=kappa, d=d)
         ksM = KineticSpec(g, minkowski_signature(d + 1), mass)
         lam_grid = lambda_grid if lambda_grid is not None else np.geomspace(10 * kappa, 1e4 * kappa, 8)
-        sweep = propagator_sweep(ksM, lam_grid)
-        evidence["planar_sweep"] = sweep
-        i_div = {"divergent": True, "convergent": False}.get(sweep["verdict"])
+        i_div, growth = _planar_sweep(ksM, lam_grid, evidence)
 
         pg = p_grid if p_grid is not None else np.geomspace(1.0, 1e-2, 5)
         rows = []
@@ -592,19 +586,18 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         slope = _loglog_slope([r[0] for r in lrows], [max(abs(r[1]), 1e-300) for r in lrows])
         iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
 
-        return MixingReport(f"kappa_minkowski_d{d}", i_div, sweep["slope"],
+        return MixingReport(f"kappa_minkowski_d{d}", i_div, growth,
                             ii, raw, iii, _verdict(i_div, ii, iii), evidence)
 
     if space == "commutative":
         g4 = group_preset("commutative", dim=d + 1)
         ksE = KineticSpec(g4, euclidean_signature(d + 1), mass)
-        sweep = propagator_sweep(ksE, lambda_grid if lambda_grid is not None else np.geomspace(10, 1e4, 8))
-        evidence["planar_sweep"] = sweep
-        i_div = {"divergent": True, "convergent": False}.get(sweep["verdict"])
+        lam_grid = lambda_grid if lambda_grid is not None else np.geomspace(10, 1e4, 8)
+        i_div, growth = _planar_sweep(ksE, lam_grid, evidence)
         # ⊞ = + makes k drop out of the non-planar delta: the sector is
         # degenerate (no k-dependent phase), so no IR singularity by definition
         evidence["nonplanar"] = "degenerate: delta(p + k + q - k) = delta(p + q)"
-        return MixingReport("commutative", i_div, sweep["slope"], False,
+        return MixingReport("commutative", i_div, growth, False,
                             0.0, True, _verdict(i_div, False, True), evidence)
 
     raise ValueError(f"unknown space {space!r}; use {'|'.join(MIXING_SPACES)}")

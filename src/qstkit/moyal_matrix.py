@@ -217,7 +217,10 @@ def partition_check(N: int, theta: float = 1.0, n_samples: int = 4, seed: int = 
 
 
 def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
-    """Product/involution/trace identities of the basis at truncation N."""
+    """Product/involution/trace identities of the basis at truncation N.
+
+    Returns the largest error of each identity; the caller judges them.
+    """
     rng = np.random.default_rng(seed)
     errs = {}
     # delta rule on random index quadruples
@@ -253,5 +256,4 @@ def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
         scale = max(1.0, float(np.max(np.abs(lhs))))
         e = max(e, float(np.max(np.abs(lhs - rhs))) / scale)
     errs["associativity"] = e
-    errs["passed"] = all(v <= 1e-13 for k, v in errs.items() if k != "passed")
     return errs

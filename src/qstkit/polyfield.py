@@ -241,16 +241,6 @@ class Poly(Sparse):
     def deriv(self, i):
         return self.map_keys(lambda e: ((e[:i] + (e[i] - 1,) + e[i + 1:], KScalar.make(e[i])),))
 
-    def eval(self, xs):
-        total = complex(0)
-        for e in self.terms:
-            r, im = self.coefficient(e)
-            v = complex(r) + 1j * complex(im)
-            for x, n in zip(xs, e):
-                v *= x ** n
-            total += v
-        return total
-
     def _show(self, e, c):
         r, im = self.coefficient(e)
         mono = "".join(f"{'xyzw'[i]}^{n}" if n > 1 else "xyzw"[i] for i, n in enumerate(e) if n)

@@ -1,12 +1,14 @@
 """Quadrature reference for the kappa non-planar closed form (tests only).
 
-`kappa_nonplanar_quad` is `loop.kappa_nonplanar_value` as first written: the
-Wick-rotated k0 integrand, with the spatial momentum k^*(k0) that the
-non-planar delta fixes, integrated by QUADPACK over [-Lambda, Lambda].  It
-accepts a spatial p too.  The integrand oscillates with period
-2 pi kappa / d, so QUADPACK's subdivision limit is reached once Lambda is
-far beyond 100 kappa; the tests compare with it for Lambda <= 100 kappa,
-where it converges, and assert that it does.
+`kappa_nonplanar_quad` is the non-planar value by quadrature, as the kappa
+mixing classifier first computed it: the Wick-rotated k0 integrand, with the
+spatial momentum k^*(k0) that the non-planar delta fixes, integrated by
+QUADPACK over [-Lambda, Lambda].  `loop.kappa_nonplanar_closed` serves the
+temporal probe p = (p0, 0) only; this quadrature accepts a spatial p too.
+The integrand oscillates with period 2 pi kappa / d, so QUADPACK's
+subdivision limit is reached once Lambda is far beyond 100 kappa; the
+tests compare with it for Lambda <= 100 kappa, where it converges, and
+assert that it does.
 """
 
 import math

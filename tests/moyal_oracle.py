@@ -94,5 +94,4 @@ def identity_checks(N, theta=1.0, seed=1):
         scale = max(1.0, float(np.max(np.abs(lhs))))
         e = max(e, float(np.max(np.abs(lhs - rhs))) / scale)
     errs["associativity"] = e
-    errs["passed"] = all(v <= 1e-13 for k, v in errs.items() if k != "passed")
     return errs

@@ -130,7 +130,8 @@ def test_acceptance_06_twist_suite():
 def test_acceptance_07_matrix_basis():
     ids = MM.identity_checks(32, 1.0)
     part = MM.partition_check(32, 1.0)
-    ok = ids["passed"] and part["passed"]
+    ok = set(ids) == {"delta_rule", "involution", "orthonormality", "associativity"}
+    ok &= all(v <= 1e-13 for v in ids.values()) and part["passed"]
     ok &= part["unity_reconstruction_error"] == 0.0
     _report(7, "matrix basis at N=32 exact to 1e-13; partition reconstruction error 0", ok)
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,7 @@ from qstkit.momentum import group_preset
 
 
 def test_parse_config_minimal_defaults():
-    cfg = cli.parse_config('{"spacetime": "kappa_minkowski", "kappa": 1, "d": 3}')
-    assert cfg.spacetime == "kappa_minkowski"
+    cfg = cli.parse_config('{"kappa": 1, "d": 3}')
     assert cfg.kappa == 1.0
     assert cfg.d == 3
     assert cfg.seed == 0  # default filled
@@ -26,7 +26,7 @@ def test_parse_config_minimal_defaults():
 
 def test_parse_config_unknown_key_names_path():
     with pytest.raises(cli.ConfigError) as err:
-        cli.parse_config('{"spacetime": "kappa_minkowski", "kappaa": 2}')
+        cli.parse_config('{"kappa": 1, "kappaa": 2}')
     assert "/kappaa" in str(err.value)
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config('{"tolerances": {"bogus": 1}}')
@@ -50,7 +50,7 @@ def test_parse_config_wrong_type_names_path(conf, path):
 
 def test_parse_config_inline_structure_round_trip():
     sc = preset("su2_lambda", lam=1.0)
-    text = json.dumps({"spacetime": "inline", "structure": json.loads(sc.to_json())})
+    text = json.dumps({"structure": json.loads(sc.to_json())})
     cfg = cli.parse_config(text)
     assert cfg.inline_structure is not None
     assert np.max(np.abs(cfg.inline_structure.C - sc.C)) == 0.0
@@ -75,8 +75,7 @@ def test_run_suite_exit_codes_and_corrupted_structure():
         {"mu": m, "nu": n, "rho": r, "re": float(C[m, n, r].real), "im": float(C[m, n, r].imag)}
         for m in range(3) for n in range(3) for r in range(3) if C[m, n, r] != 0
     ]
-    cfg2 = cli.parse_config(json.dumps({"spacetime": "inline", "structure": bad,
-                                        "samples": 40}))
+    cfg2 = cli.parse_config(json.dumps({"structure": bad, "samples": 40}))
     code2, rep2 = cli.run_suite("group", cfg2)
     assert code2 == 1
     failing = [r for r in rep2["rows"] if not r["passed"]]
@@ -291,7 +290,7 @@ def test_parse_ranges():
 def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
     sc = preset("su2_lambda", lam=1.0)
     conf = tmp_path / "run.json"
-    conf.write_text(json.dumps({"spacetime": "inline", "structure": json.loads(sc.to_json())}))
+    conf.write_text(json.dumps({"structure": json.loads(sc.to_json())}))
     assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
                      "--p", "0.1,0,0", "--q", "0.2,0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == pytest.approx([0.3, 0.0, 0.0])
@@ -462,3 +461,36 @@ def test_readme_cli_examples_parse():
     assert len(lines) >= 10
     for argv in lines:
         cli._parser().parse_args(argv)  # a ConfigError on an option that is gone
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e8])
+def test_cli_unstable_structure_recovery_fails_its_row(lam, tmp_path, capsys):
+    # su2's finite-difference Hessian gives up at large lam; that fails one
+    # row, and every other row of the suite is still written
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"lam": lam}))
+    assert cli.main(["--config", str(conf), "suite", "group", "--format", "csv"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["check"] for r in rows] == [r["check"] for r in cli.suite_group(cli.RunConfig())]
+    row = next(r for r in rows if r["check"] == "structure-roundtrip-su2_lambda")
+    assert row["passed"] == "False" and row["residual"] == "nan"
+    assert "Hessian estimate unstable" in row["detail"]
+
+
+def test_every_tolerance_key_can_change_a_verdict():
+    # a tolerance set to 0 flips at least one row of the suite its prefix names
+    cfg = cli.RunConfig(samples=40)
+    names = {key.split(".")[0] for key in cli.DEFAULT_TOLERANCES}
+    base = {name: [r["passed"] for r in cli.SUITE_FUNCS[name](cfg)] for name in names}
+    for key in cli.DEFAULT_TOLERANCES:
+        name = key.split(".")[0]
+        zero = dataclasses.replace(cfg, tolerances={**cfg.tolerances, key: 0.0})
+        assert [r["passed"] for r in cli.SUITE_FUNCS[name](zero)] != base[name], key
+
+
+def test_readme_lists_the_tolerance_keys():
+    # README's tolerance table names each key of DEFAULT_TOLERANCES with its default
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `([a-z]+\.[a-z]+)` \| ([0-9.e-]+) \|", text, re.M)
+    assert {key: float(val) for key, val in table} == cli.DEFAULT_TOLERANCES
+    assert len(table) == len(cli.DEFAULT_TOLERANCES)

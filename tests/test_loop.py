@@ -242,6 +242,19 @@ def test_bessel_rows_carry_the_one_verdict():
     bad = [(r["d"], r["m"], r["kappa"]) for r in rep["rows"] if not r["converged"]]
     assert (2, 20.0, 0.05) in bad
     assert rep["converged"] is False
+    # each row is judged against the mean of its d's converged rows, so the
+    # two unconverged m = 20, kappa = 0.05 oracles fail alone
+    assert bad == [(2, 20.0, 0.05), (3, 20.0, 0.05)]
+    assert [(r["d"], r["m"], r["kappa"]) for r in rep["rows"] if not r["passed"]] == bad
+
+
+def test_bessel_rows_fail_without_a_converged_row(monkeypatch):
+    real = L.kmink_bessel_oracle
+    monkeypatch.setattr(L, "kmink_bessel_oracle",
+                        lambda m, kappa, d: {**real(m, kappa, d), "converged": d == 2})
+    rep = L.bessel_oracle_compare(ms=(1.0, 2.0), kappas=(1.0,))
+    assert math.isnan(rep["ratios"][3]) and math.isnan(rep["max_rel_dev"])
+    assert [r["passed"] for r in rep["rows"]] == [True, True, False, False]
 
 
 def test_quad_relative_error_bound():
@@ -341,8 +354,7 @@ def test_kappa_nonplanar_uses_delta_solver_momenta():
 
 
 def test_kappa_nonplanar_value_finite_and_saturating():
-    vals = [L.kappa_nonplanar_value(np.array([1.0, 0, 0, 0]), 1.0, 1.0, 3, Lam)
-            for Lam in (50.0, 200.0, 800.0)]
+    vals = [L.kappa_nonplanar_closed(1.0, 1.0, 1.0, 3, Lam) for Lam in (50.0, 200.0, 800.0)]
     assert all(np.isfinite(v) for v in vals)
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]) + 1e-12
 
@@ -424,11 +436,9 @@ def test_mixing_kappa_large_kappa_no_mixing(kappa):
     assert L.mixing_classify("kappa", kappa=kappa, d=3).verdict == "NO_MIXING"
 
 
-def test_kappa_nonplanar_rejects_spatial_p_and_bad_domain():
-    with pytest.raises(ValueError, match="temporal"):
-        L.kappa_nonplanar_value(np.array([1.0, 0.5, 0.0, 0.0]), 1.0, 1.0, 3, 100.0)
+def test_kappa_nonplanar_rejects_bad_domain():
     with pytest.raises(ValueError, match="p0 = 0"):
-        L.kappa_nonplanar_value(np.zeros(4), 1.0, 1.0, 3, 100.0)
+        L.kappa_nonplanar_closed(0.0, 1.0, 1.0, 3, 100.0)
     for args in [(1.0, 0.0, 1.0, 3, 100.0), (1.0, 1.0, 1.0, 3, -1.0), (1.0, 1.0, 1.0, 0, 9.0)]:
         with pytest.raises(ValueError, match="needs"):
             L.kappa_nonplanar_closed(*args)

@@ -76,10 +76,9 @@ def test_diagonal_orthogonality():
 
 def test_identity_checks_N32():
     rep = MM.identity_checks(32, 1.0)
-    assert rep["passed"]
-    for key, val in rep.items():
-        if key != "passed":
-            assert val <= 1e-13
+    assert set(rep) == {"delta_rule", "involution", "orthonormality", "associativity"}
+    for val in rep.values():
+        assert val <= 1e-13
 
 
 # --- support-aware elements against the dense oracle --------------------------
