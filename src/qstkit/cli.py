@@ -6,6 +6,12 @@ path: argparse and `PARAMS` check the input, a `COMMANDS` handler returns
 (document, rows or None), `_emit` writes it once.  The rows are the one
 verdict: exit 0 when there are none or every row passed, 1 when a row
 failed, 2 on a usage/config error.
+
+At import the module loads numpy and the group modules (`liestructure`,
+`momentum`), which config parsing and `group` need.  Each `suite_<name>`
+and command handler imports the kernel modules it runs, so a one-shot
+command compiles and loads only those; `loop`, and with it scipy, only
+for `loop` and `suite mixing`.
 """
 
 from __future__ import annotations
@@ -20,17 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import causality as CA
-from . import gauge as GA
-from . import hopf_algebra as HA
-from . import loop as LO
-from . import moyal_matrix as MM
-from . import twist as TW
 from .liestructure import StructureConstants, jacobi_check, recover_from_group_law
 from .momentum import (add, delta_solve_nonplanar, group_from_structure, group_preset,
                        haar_invariance_check, inv, modular, modular_identity_residuals)
-from .polyfield import Poly
-from .waves import WavePacket, plane_wave, twisted_trace_check
 
 DEFAULT_TOLERANCES = {
     "group.assoc": 1e-9,
@@ -264,7 +262,8 @@ def suite_group(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.tolerances
     for label, g in _preset_groups(cfg):
-        scale = 0.3 if g.name == "su2_lambda" else 1.0
+        # su2 draws stay inside the chart, |p| < 2 pi / |lam|, where add(p, inv(p)) = 0
+        scale = 0.3 / abs(cfg.lam) if g.name == "su2_lambda" else 1.0
         # sample-major draws: the same stream as one (p, q, r) triple per sample
         p, q, r = np.moveaxis(rng.normal(size=(cfg.samples, 3, g.dim)) * scale, 1, 0)
         lhs = g.add(g.add(p, q), r)
@@ -315,11 +314,13 @@ def _hopf_checks(rep):
 
 
 def suite_hopf(cfg: RunConfig):
+    from . import hopf_algebra as HA
     return _rows("hopf", _hopf_checks(HA.full_suite())
                  + [("E-vs-P0-series-consistency", HA.e_series_consistency(5))])
 
 
 def suite_twist(cfg: RunConfig):
+    from . import twist as TW
     F = TW.abelian_twist(4)
     chk = TW.twist_check(F)
     st = TW.twisted_structures(F)
@@ -333,10 +334,10 @@ def suite_twist(cfg: RunConfig):
     ])
 
 
-def _random_packets(g, rng, n_terms=5, with_inverses=True):
+def _random_packets(WV, g, rng, n_terms=5, with_inverses=True):
     def packet(moms):
         amps = rng.normal(size=(len(moms), 2))  # (re, im) per term, in term order
-        return WavePacket(g, list(zip(moms, amps[:, 0] + 1j * amps[:, 1])))
+        return WV.WavePacket(g, list(zip(moms, amps[:, 0] + 1j * amps[:, 1])))
 
     moms = rng.normal(size=(n_terms, g.dim))
     f = packet(moms)
@@ -346,20 +347,22 @@ def _random_packets(g, rng, n_terms=5, with_inverses=True):
 
 
 def suite_trace(cfg: RunConfig):
+    from . import waves as WV
     checks = []
     rng = np.random.default_rng(cfg.seed)
     gk = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
-    ok = all(twisted_trace_check(*_random_packets(gk, rng)) for _ in range(100))
+    ok = all(WV.twisted_trace_check(*_random_packets(WV, gk, rng)) for _ in range(100))
     checks.append(("twisted-trace-kappa", ok))
     for name, g in (("rho", group_preset("rho_minkowski", rho=cfg.rho)),
                     ("moyal", group_preset("moyal_extended", theta=cfg.theta))):
-        ok = all(twisted_trace_check(*_random_packets(g, rng)) for _ in range(30))
+        ok = all(WV.twisted_trace_check(*_random_packets(WV, g, rng)) for _ in range(30))
         checks.append((f"plain-cyclicity-{name}", ok))
     return _rows("trace", checks)
 
 
 def _matrix(cfg: RunConfig, N: int):
     """The matrix-basis checks at truncation N and their rows, judged at `matrix.roundoff`."""
+    from . import moyal_matrix as MM
     ids = MM.identity_checks(N, cfg.theta, seed=cfg.seed)
     part = MM.partition_check(N, cfg.theta, seed=cfg.seed)
     tol = cfg.tolerances["matrix.roundoff"]
@@ -376,6 +379,7 @@ def suite_matrix(cfg: RunConfig):
 
 
 def suite_mixing(cfg: RunConfig):
+    from . import loop as LO
     checks = []
     for space, expected in (("moyal", "MIXING"), ("kappa", "NO_MIXING"),
                             ("commutative", "NO_MIXING")):
@@ -405,19 +409,21 @@ _SW_THETA = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 def _sw_field():
     """The default Seiberg–Witten gauge field of `gauge sw` and the gauge suite."""
-    x = [Poly.var(4, i) for i in range(4)]
-    return GA.PolyGaugeField([x[1] * x[2], x[0].scale(2), Poly.const(4, 1), x[0] * x[3]])
+    from . import gauge as GA, polyfield as PF
+    x = [PF.Poly.var(4, i) for i in range(4)]
+    return GA.PolyGaugeField([x[1] * x[2], x[0].scale(2), PF.Poly.const(4, 1), x[0] * x[3]])
 
 
 def suite_gauge(cfg: RunConfig):
+    from . import gauge as GA, polyfield as PF, waves as WV
     checks = []
     rng = np.random.default_rng(cfg.seed)
     g = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
     tol = cfg.tolerances["gauge.residual"]
     leibniz, reality = [], []
     for _ in range(20):
-        f = plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
-        h = plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
+        f = WV.plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
+        h = WV.plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
         for mu in range(4):
             leibniz.append(GA.twisted_leibniz_residual(mu, f, h))
             reality.append(GA.twisted_reality_residual(mu, f + h))
@@ -426,11 +432,11 @@ def suite_gauge(cfg: RunConfig):
     checks.append(("twisted-reality", worst_r < tol, worst_r))
     covariance, flatness = [], []
     for _ in range(5):
-        u = plane_wave(g, rng.normal(size=4))
-        A = GA.GaugeField([plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
+        u = WV.plane_wave(g, rng.normal(size=4))
+        A = GA.GaugeField([WV.plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
                            for _ in range(4)])
         covariance.append(GA.covariance_residual(A, u))
-        F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WavePacket(g)] * 4), u))
+        F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WV.WavePacket(g)] * 4), u))
         flatness += [F[m][n].norm() for m in range(4) for n in range(4)]
     worst_c, worst_f = _worst(covariance), _worst(flatness)
     checks.append(("field-strength-covariance", worst_c < tol, worst_c))
@@ -439,7 +445,7 @@ def suite_gauge(cfg: RunConfig):
     checks.append(("dimension-constraint-zero-set", scan["zero_set"] == [4],
                    0.0, str(scan["zero_set"])))
     A = _sw_field()
-    alpha = Poly.var(4, 0) * Poly.var(4, 1) + Poly.var(4, 2).scale(3)
+    alpha = PF.Poly.var(4, 0) * PF.Poly.var(4, 1) + PF.Poly.var(4, 2).scale(3)
     res = GA.sw_consistency_residual(A, alpha, _SW_THETA)
     checks.append(("sw-consistency-identically-zero", all(r.is_zero() for r in res)))
     F1 = GA.sw_field_strength_order1(A, _SW_THETA)
@@ -451,10 +457,12 @@ def suite_gauge(cfg: RunConfig):
 
 def _causality_grid(cfg: RunConfig, n: int, scheme: str = "spectral"):
     """The n-point causality grid over p0 in [-W, W), W = max(10, 10 / kappa)."""
+    from . import causality as CA
     return CA.GridSpec(n, max(10.0, 10.0 / cfg.kappa), scheme)
 
 
 def suite_causality(cfg: RunConfig):
+    from . import causality as CA
     checks = []
     grid = _causality_grid(cfg, 256)
     ax = CA.lorentzian_axiom_check(grid, cfg.kappa, seed=cfg.seed)
@@ -551,6 +559,7 @@ def _cmd_group(args, cfg):
 
 
 def _cmd_hopf(args, cfg):
+    from . import hopf_algebra as HA
     rep = HA.full_suite()
     doc = {"passed": rep["passed"],
            "generators": {k: {a: v[a] for a in ("coassociativity", "counit", "coinverse")}
@@ -566,6 +575,7 @@ def _cmd_matrix(args, cfg):
 
 
 def _cmd_loop(args, cfg):
+    from . import loop as LO
     if args.op == "mixing":
         rep = LO.mixing_classify(args.space, mass=args.mass, kappa=cfg.kappa,
                                  theta=cfg.theta, d=cfg.d, lambda_grid=args.lambda_grid)
@@ -580,6 +590,7 @@ def _cmd_loop(args, cfg):
 
 
 def _cmd_gauge(args, cfg):
+    from . import gauge as GA
     if args.op == "sw":
         if args.input:
             with open(args.input) as fh:
@@ -599,6 +610,7 @@ def _cmd_gauge(args, cfg):
 
 
 def _cmd_causality(args, cfg):
+    from . import causality as CA
     grid = _causality_grid(cfg, args.grid)
     grid.validate_kappa(cfg.kappa)  # a GridError is a usage error
     rows = []
@@ -652,7 +664,7 @@ def _parser() -> argparse.ArgumentParser:
 
     lo = sub.add_parser("loop", help="one-loop diagnostics")
     lo.add_argument("op", choices=("mixing", "bessel-check"))
-    lo.add_argument("--space", default="kappa", choices=LO.MIXING_SPACES)
+    lo.add_argument("--space", default="kappa", help="moyal, kappa or commutative")
     lo.add_argument("--mass", type=PARAMS["mass"][1], default=1.0)
     lo.add_argument("--lambda-grid", type=PARAMS["lambda-grid"][1], metavar="LO:HI:N")
     lo.add_argument("--grid", type=PARAMS["mk-grid"][1], default="0.5,1,2",

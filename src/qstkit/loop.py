@@ -8,8 +8,9 @@ never absolute normalization, since overall 2 pi loop factors are factored
 out throughout.
 
 scipy is imported by the functions that integrate or call a special
-function, when they run, so importing this module (and the CLI) does not
-load it.
+function, when they run, so importing this module does not load it.  The
+CLI imports this module only in `loop` and `suite mixing`, the commands
+that run it.
 """
 
 from __future__ import annotations
@@ -250,9 +251,11 @@ def bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
             for kappa in kappas:
                 cf = kmink_bessel_closed_form(m, kappa, d)
                 orc = kmink_bessel_oracle(m, kappa, d)
+                # a closed form that underflowed to 0 gives no ratio: NaN, without 0/0's warning
+                ratio = orc["value"] / cf if cf else math.nan
                 rows.append({"d": d, "m": m, "kappa": kappa, "closed_form": cf,
                              "oracle": orc["value"], "oracle_error": orc["error"],
-                             "converged": orc["converged"], "ratio": orc["value"] / cf})
+                             "converged": orc["converged"], "ratio": ratio})
         ratios = [r["ratio"] for r in rows]
         converged = [r["ratio"] for r in rows if r["converged"]]
         mean = sum(converged) / len(converged) if converged else math.nan

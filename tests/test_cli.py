@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,17 @@ def test_cli_group_bad_input_exit_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("lam", [10, 100, -10])
+def test_cli_suite_group_su2_rows_pass_at_large_lam(lam, tmp_path, capsys):
+    # the su2 draws scale with 1/|lam|, so they stay inside the chart
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"lam": lam}))
+    assert cli.main(["--config", str(conf), "suite", "group"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    su2 = [r for r in rows if r["check"].endswith("-su2_lambda")]
+    assert len(su2) == 6 and all(r["passed"] for r in su2)
 
 
 def test_suite_group_nan_residual_fails_its_row(monkeypatch):
@@ -349,17 +361,53 @@ def test_cli_causality_largest_grid(capsys):
     assert [r["check"] for r in rows] == ["cone-v+0.00", "cone-v+0.50"]
 
 
-def test_cli_import_and_group_add_do_not_load_scipy():
-    code = ("import sys, qstkit.cli\n"
-            "imported = 'scipy' in sys.modules\n"
-            "rc = qstkit.cli.main(['group', 'add', '--p', '1,2,3,4', '--q', '0,1,0,0'])\n"
-            "print(imported, rc, 'scipy' in sys.modules)\n")
+def test_cli_commands_load_only_their_modules():
+    # each command imports the kernel modules it runs, and only `loop` loads scipy
+    code = ("import contextlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return ({m.removeprefix('qstkit.') for m in sys.modules if m.startswith('qstkit')}\n"
+            "            | {'scipy'} & set(sys.modules))\n"
+            "import qstkit.cli\n"
+            "steps, seen = [['import', 0, sorted(loaded())]], loaded()\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = qstkit.cli.main(argv)\n"
+            "    steps.append([argv[0], rc, sorted(loaded() - seen)])\n"
+            "    seen = loaded()\n"
+            "print(json.dumps(steps))\n")
+    commands = [["group", "add", "--p", "1,2,3,4", "--q", "0,1,0,0"], ["hopf", "check"],
+                ["matrix-basis", "--N", "4"], ["gauge", "dim-scan"],
+                ["causality", "--v", "0:0:1", "--grid", "64"], ["loop", "bessel-check", "--grid", "1"]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "False 0 False"
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [
+        ["import", 0, ["cli", "liestructure", "momentum", "qstkit"]],
+        ["group", 0, []],
+        ["hopf", 0, ["hopf_algebra", "polyfield"]],
+        ["matrix-basis", 0, ["moyal_matrix"]],
+        ["gauge", 0, ["gauge", "waves"]],
+        ["causality", 0, ["causality"]],
+        ["loop", 0, ["loop", "scipy"]],
+    ]
+
+
+def test_cli_loop_unknown_space_names_the_spaces(capsys):
+    assert cli.main(["loop", "mixing", "--space", "foo"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert all(space in err for space in ("moyal", "kappa", "commutative"))
+
+
+def test_cli_bessel_check_nan_ratio_warns_nothing(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["loop", "bessel-check", "--grid", "0.001,1000"]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_non_finite_values_are_null_and_fail(capsys):
