@@ -631,6 +631,26 @@ COMMANDS = {
 }
 
 
+# the options that only some ops of a command take: option -> (default, those ops);
+# argparse leaves out the options not given
+_OP_OPTIONS = {
+    "group": {"q": (None, ("add", "haar-check", "delta-solve")), "k0": (0.0, ("delta-solve",))},
+    "loop": {"space": ("kappa", ("mixing",)), "mass": (1.0, ("mixing",)),
+             "lambda_grid": (None, ("mixing",)), "grid": ((0.5, 1.0, 2.0), ("bessel-check",))},
+    "gauge": {"d_range": (range(1, 9), ("dim-scan",)), "input": (None, ("sw",))},
+}
+
+
+def _op_options(args):
+    """Set the defaults of the options not given; an option that `args.op` does not take is an error."""
+    for name, (default, ops) in _OP_OPTIONS.get(args.cmd, {}).items():
+        if name not in args:
+            setattr(args, name, default)
+        elif args.op not in ops:
+            raise ConfigError(f"{args.cmd} {args.op} takes no --{name.replace('_', '-')} "
+                              f"(only {args.cmd} {'|'.join(ops)} does)")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """Raise into `main`'s one `error:` line instead of printing a usage block."""
@@ -653,8 +673,8 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("op", choices=("add", "inv", "modular", "haar-check", "delta-solve"))
     g.add_argument("--space", default="kappa_minkowski")
     g.add_argument("--p", type=_parse_reals, required=True)
-    g.add_argument("--q", type=_parse_reals)
-    g.add_argument("--k0", type=float, default=0.0)
+    g.add_argument("--q", type=_parse_reals, default=S, help="add, haar-check, delta-solve")
+    g.add_argument("--k0", type=float, default=S, help="delta-solve")
 
     ho = sub.add_parser("hopf", help="kappa-Poincare Hopf axiom suite")
     ho.add_argument("check", nargs="?", default="check", choices=("check",))
@@ -664,16 +684,17 @@ def _parser() -> argparse.ArgumentParser:
 
     lo = sub.add_parser("loop", help="one-loop diagnostics")
     lo.add_argument("op", choices=("mixing", "bessel-check"))
-    lo.add_argument("--space", default="kappa", help="moyal, kappa or commutative")
-    lo.add_argument("--mass", type=PARAMS["mass"][1], default=1.0)
-    lo.add_argument("--lambda-grid", type=PARAMS["lambda-grid"][1], metavar="LO:HI:N")
-    lo.add_argument("--grid", type=PARAMS["mk-grid"][1], default="0.5,1,2",
-                    help="m,kappa values for bessel-check")
+    lo.add_argument("--space", default=S, help="mixing: moyal, kappa or commutative")
+    lo.add_argument("--mass", type=PARAMS["mass"][1], default=S, help="mixing")
+    lo.add_argument("--lambda-grid", type=PARAMS["lambda-grid"][1], default=S,
+                    metavar="LO:HI:N", help="mixing")
+    lo.add_argument("--grid", type=PARAMS["mk-grid"][1], default=S,
+                    help="bessel-check: m,kappa values")
 
     ga = sub.add_parser("gauge", help="twisted gauge checks")
     ga.add_argument("op", choices=("dim-scan", "sw"))
-    ga.add_argument("--d-range", type=PARAMS["d-range"][1], default="1:8")
-    ga.add_argument("--input", default=None, help="JSON polynomial gauge field")
+    ga.add_argument("--d-range", type=PARAMS["d-range"][1], default=S, help="dim-scan")
+    ga.add_argument("--input", default=S, help="sw: JSON polynomial gauge field")
 
     ca = sub.add_parser("causality", help="causal-cone scan")
     ca.add_argument("op", nargs="?", default="cone", choices=("cone",))
@@ -733,6 +754,7 @@ def _emit(doc, rows, fmt: str, out: str):
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _op_options(args)
         cfg = _config(args)
         doc, rows = COMMANDS[args.cmd](args, cfg)
         if rows is None and cfg.fmt == "csv":

@@ -1,50 +1,84 @@
 """Exact sparse algebra over Gaussian rationals.
 
 `KScalar` is the coefficient ring: Laurent polynomials in a deformation
-scale (kappa in the Hopf engine, kbar in the twist engine) with exact
-Fraction coefficients.  `Sparse` is a finite sum of basis keys with
-nonzero KScalar coefficients; it implements the linear structure and the
-product once, and each exact-algebra container (the Hopf engine's elements
-and tensors, the twist engine's series and module polynomials, and `Poly`
-below) is a subclass that supplies only its space and the product of two
-basis keys.  `Poly` is the small fixed-arity polynomial ring (kappa^0
-coefficients) used by the first-order Seiberg-Witten machinery, where
-pointwise products and derivatives have to be symbolically exact.
+scale (kappa in the Hopf engine, kbar in the twist engine) whose
+coefficients are Gaussian-integer numerators over one common positive
+denominator, so sums and products run on Python integers.  `Sparse` is a
+finite sum of basis keys with nonzero KScalar coefficients; it implements
+the linear structure and the product once, and each exact-algebra container
+(the Hopf engine's elements and tensors, the twist engine's series and
+module polynomials, and `Poly` below) is a subclass that supplies only its
+space and the product of two basis keys.  `Poly` is the small fixed-arity
+polynomial ring (kappa^0 coefficients) used by the first-order
+Seiberg-Witten machinery, where pointwise products and derivatives have to
+be symbolically exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class KScalar:
-    """sum_n (re_n + i im_n) kappa^n with exact Fraction coefficients.
+    """sum_n (re_n + i im_n) kappa^n / d with integer re_n, im_n and d > 0.
 
-    `c` maps each power with a nonzero coefficient to its (re, im) pair.
+    `num` maps each power with a nonzero coefficient to its integer
+    (re, im) numerators and `d` is their one denominator.  The form is
+    canonical: gcd(d, every numerator) = 1, and d = 1 when `num` is empty,
+    so two values are equal exactly when their `num` and `d` are.  Each
+    result is reduced once, by the gcd of its denominator and all its
+    numerators (Knuth, TAOCP vol. 2, 4.5.1).  `c` is the read-only view
+    powers -> (re, im) Fraction pairs.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("num", "d")
 
     def __init__(self, c=None):
-        self.c = {}
-        if c:
-            for n, (re, im) in c.items():
-                if re or im:
-                    self.c[n] = (Fraction(re), Fraction(im))
+        """From powers -> (re, im) pairs of rationals (ints, Fractions or floats)."""
+        fr = {}
+        for n, (re, im) in (c or {}).items():
+            re, im = Fraction(re), Fraction(im)
+            if re or im:
+                fr[n] = (re, im)
+        # over the lcm of the denominators the numerators have no common factor
+        d = lcm(*(x.denominator for p in fr.values() for x in p))
+        self.num = {n: (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+                    for n, (re, im) in fr.items()}
+        self.d = d
 
     @staticmethod
-    def _of_pairs(c):
-        """The KScalar with powers -> (re, im) pairs of Fractions, dropping zero pairs.
-
-        Unlike `KScalar(c)` it trusts the values to be Fractions already.
-        """
+    def _raw(num, d):
+        """The KScalar num / d, trusting it to be canonical already."""
         k = object.__new__(KScalar)
-        k.c = {n: p for n, p in c.items() if p[0] or p[1]}
+        k.num = num
+        k.d = d
         return k
 
     @staticmethod
+    def _reduced(num, d):
+        """The KScalar num / d for a `num` without zero pairs: divides out the common factor."""
+        g = d
+        for re, im in num.values():
+            if g == 1:
+                break
+            g = gcd(g, re, im)
+        if g != 1:  # also when num is empty, where it makes d = 1
+            num = {n: (re // g, im // g) for n, (re, im) in num.items()}
+            d //= g
+        return KScalar._raw(num, d)
+
+    @property
+    def c(self):
+        """powers -> (re, im) as Fractions."""
+        d = self.d
+        return {n: (Fraction(re, d), Fraction(im, d)) for n, (re, im) in self.num.items()}
+
+    @staticmethod
     def make(re=0, im=0, kpow=0):
-        return KScalar({kpow: (Fraction(re), Fraction(im))})
+        if type(re) is int and type(im) is int:
+            return KScalar._raw({kpow: (re, im)} if re or im else {}, 1)
+        return KScalar({kpow: (re, im)})
 
     @staticmethod
     def of(x):
@@ -55,22 +89,39 @@ class KScalar:
 
     def truncated(self, order, lo=0):
         """The part with kappa powers lo..order."""
-        if not self.c or lo <= min(self.c) and max(self.c) <= order:
+        num = self.num
+        if not num or lo <= min(num) and max(num) <= order:
             return self
-        return KScalar({n: c for n, c in self.c.items() if lo <= n <= order})
+        return KScalar._reduced({n: p for n, p in num.items() if lo <= n <= order}, self.d)
 
     def __add__(self, other):
-        out = dict(self.c)
-        for n, (re, im) in other.c.items():
+        a, b = self.num, other.num
+        if not b:
+            return self
+        if not a:
+            return other
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            out, d, s = dict(a), d1, 1
+        else:  # over lcm(d1, d2) = d1 d2 / g: a's numerators times d2 / g, b's times s = d1 / g
+            g = gcd(d1, d2)
+            sa, s = d2 // g, d1 // g
+            d = d1 * sa
+            out = {n: (re * sa, im * sa) for n, (re, im) in a.items()}
+        for n, (re, im) in b.items():
+            if s != 1:
+                re, im = re * s, im * s
             if n in out:
                 r0, i0 = out[n]
-                out[n] = (r0 + re, i0 + im)
-            else:
-                out[n] = (re, im)
-        return KScalar._of_pairs(out)
+                re, im = r0 + re, i0 + im
+                if not (re or im):
+                    del out[n]
+                    continue
+            out[n] = (re, im)
+        return KScalar._reduced(out, d)
 
     def __neg__(self):
-        return KScalar._of_pairs({n: (-re, -im) for n, (re, im) in self.c.items()})
+        return KScalar._raw({n: (-re, -im) for n, (re, im) in self.num.items()}, self.d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -85,8 +136,8 @@ class KScalar:
         `a.times(b, order) == (a * b).truncated(order)` at a fraction of the cost.
         """
         out = {}
-        for n1, (r1, i1) in self.c.items():
-            for n2, (r2, i2) in other.c.items():
+        for n1, (r1, i1) in self.num.items():
+            for n2, (r2, i2) in other.num.items():
                 n = n1 + n2
                 if order is not None and not 0 <= n <= order:
                     continue
@@ -97,20 +148,22 @@ class KScalar:
                     out[n] = (r0 + re, i0 + im)
                 else:
                     out[n] = (re, im)
-        return KScalar._of_pairs(out)
+        out = {n: p for n, p in out.items() if p[0] or p[1]}
+        return KScalar._reduced(out, self.d * other.d)
 
     def is_zero(self):
-        return not self.c
+        return not self.num
 
     def __eq__(self, other):
-        return isinstance(other, KScalar) and self.c == other.c
+        return isinstance(other, KScalar) and self.d == other.d and self.num == other.num
 
     def __repr__(self):
-        if not self.c:
+        if not self.num:
             return "0"
         bits = []
-        for n in sorted(self.c):
-            re, im = self.c[n]
+        c = self.c
+        for n in sorted(c):
+            re, im = c[n]
             kpart = "" if n == 0 else (f"·κ^{n}" if n != 1 else "·κ")
             bits.append(f"({re}{'+' if im >= 0 else ''}{im}i){kpart}")
         return "+".join(bits)
@@ -146,7 +199,7 @@ class Sparse:
             out[k] = out[k] + c if k in out else c
         if self.order is not None:
             out = {k: c.truncated(self.order) for k, c in out.items()}
-        self.terms = {k: c for k, c in out.items() if c.c}
+        self.terms = {k: c for k, c in out.items() if c.num}
 
     def _like(self, pairs):
         raise NotImplementedError
@@ -184,7 +237,7 @@ class Sparse:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 c = c1.times(c2, order)
-                if not c.c:
+                if not c.num:
                     continue
                 pairs += [(k, c if kc is ONE else c * kc) for k, kc in self._key_mul(k1, k2)]
         return self._like(pairs)

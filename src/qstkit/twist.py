@@ -139,13 +139,12 @@ def twist_check(F: TSeries) -> dict:
     order = F.order
     lhs = embed(F, (0, 1), 3) * apply_delta(F, 0)
     rhs = embed(F, (1, 2), 3) * apply_delta(F, 1)
-    cocycle = (lhs - rhs).is_zero()
+    diff = lhs - rhs
+    cocycle = diff.is_zero()
     norm_l = apply_counit(F, 0) - TSeries.unit(1, order)
     norm_r = apply_counit(F, 1) - TSeries.unit(1, order)
     semiclassical = (F.constant_part() - TSeries.unit(2, order)).is_zero()
-    per_order = []
-    for m in range(order + 1):
-        per_order.append(((lhs - rhs).order_component(m).is_zero()))
+    per_order = [diff.order_component(m).is_zero() for m in range(order + 1)]
     return {
         "order": order,
         "two_cocycle": cocycle,
@@ -185,7 +184,7 @@ def twisted_structures(F: TSeries) -> dict:
     R13 = embed(R, (0, 2), 3)
     R23 = embed(R, (1, 2), 3)
     qyb = (R12 * R13 * R23 - R23 * R13 * R12).is_zero()
-    braided = braided_commutativity_check(F, R, Rinv)
+    braided = braided_commutativity_check(Finv, Rinv)
 
     return {
         "R": R,
@@ -233,24 +232,37 @@ class ModulePoly(Sparse):
         return self.map_keys(d)
 
 
+def _star_pairs(F_inv: TSeries, f: ModulePoly, g: ModulePoly, coef=ONE):
+    """The (key, coefficient) pairs of coef (f * g), one star-product term at a time."""
+    order = f.order
+    for ((ax, ay), (bx, by)), c in F_inv.terms.items():
+        fa = f.act(ax, ay)
+        if fa.is_zero():
+            continue
+        c = c if coef is ONE else c.times(coef, order)
+        for k, kc in (fa * g.act(bx, by)).terms.items():
+            yield k, kc.times(c, order)
+
+
 def star_product(F_inv: TSeries, f: ModulePoly, g: ModulePoly) -> ModulePoly:
     """f * g = m(F^{-1} (f ⊗ g)) with X = d/du, Y = d/dv on each slot."""
-    return sum(((f.act(ax, ay) * g.act(bx, by)).scale(coef)
-                for ((ax, ay), (bx, by)), coef in F_inv.terms.items()), ModulePoly(f.order))
+    return ModulePoly(f.order, _star_pairs(F_inv, f, g))
 
 
-def braided_commutativity_check(F: TSeries, R: TSeries, Rinv: TSeries,
+def braided_commutativity_check(Finv: TSeries, Rinv: TSeries,
                                 samples=((2, 1), (1, 2), (3, 0), (2, 2))) -> bool:
-    """f*g == (R^{-1}_1 acting on g) * (R^{-1}_2 acting on f) on monomials."""
-    order = F.order
-    Finv = series_inverse(F)
+    """f*g == (R^{-1}_1 acting on g) * (R^{-1}_2 acting on f) on monomials.
+
+    `Finv` and `Rinv` are the inverses of the twist and of its R-matrix.
+    """
+    order = Finv.order
     for (a1, b1) in samples:
         for (a2, b2) in samples:
             f = ModulePoly.monomial(order, a1, b1)
             g = ModulePoly.monomial(order, a2, b2)
             lhs = star_product(Finv, f, g)
-            rhs = sum((star_product(Finv, g.act(rx, ry), f.act(sx, sy)).scale(coef)
-                       for ((rx, ry), (sx, sy)), coef in Rinv.terms.items()), ModulePoly(order))
+            rhs = ModulePoly(order, (p for ((rx, ry), (sx, sy)), coef in Rinv.terms.items()
+                                     for p in _star_pairs(Finv, g.act(rx, ry), f.act(sx, sy), coef)))
             if not (lhs - rhs).is_zero():
                 return False
     return True

@@ -255,6 +255,15 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["--d", "65", "suite", "mixing"],
     [{"d": 65}, "suite", "mixing"],
     [{"structure": {"name": "big", "dim": 65, "deformation": 0, "entries": []}}, "suite", "group"],
+    ["loop", "bessel-check", "--space", "foo", "--grid", "1"],  # an option of the other op
+    ["loop", "bessel-check", "--mass", "5", "--grid", "1"],
+    ["loop", "bessel-check", "--lambda-grid", "10:100:3", "--grid", "1"],
+    ["loop", "mixing", "--grid", "1"],
+    ["gauge", "sw", "--d-range", "1:3"],
+    ["gauge", "dim-scan", "--input", "field.json"],
+    ["group", "inv", "--d", "1", "--p", "0.1,0", "--q", "0,2"],
+    ["group", "modular", "--d", "1", "--p", "0.1,0", "--k0", "5"],
+    ["group", "add", "--d", "1", "--p", "0.1,0", "--q", "0,2", "--k0", "5"],
 ])
 def test_cli_bad_option_exit_2(argv, capsys, tmp_path):
     if argv and isinstance(argv[0], dict):  # the contents of a --config file, then the command
