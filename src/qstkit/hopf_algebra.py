@@ -30,6 +30,9 @@ _JS = (J1, J2, J3)
 _PS = (PX1, PX2, PX3)
 _I_K = KScalar.make(0, 1, -1)    # i / kappa
 _INV_K = KScalar.make(1, 0, -1)  # 1 / kappa
+_I_HALF_K = KScalar.make(0, Fraction(1, 2), 1)       # (i/2) kappa
+_NEG_I_HALF_K = -_I_HALF_K                            # -(i/2) kappa
+_I_HALF_INV_K = KScalar.make(0, Fraction(1, 2), -1)  # (i/2) / kappa
 
 
 def _eps(a, b, c):
@@ -72,11 +75,10 @@ def _commutator(lo, hi):
             j = hi - PX1
             out = [(-_I_K, (PX1 + j, PX1 + i))]                    # -(i/κ) P_j P_i
             if i == j:
-                out.append((KScalar.make(0, Fraction(1, 2), 1), ()))           # +(i/2) κ
-                out.append((KScalar.make(0, Fraction(-1, 2), 1), (E, E)))      # -(i/2) κ E^2
+                out.append((_I_HALF_K, ()))                        # +(i/2) κ
+                out.append((_NEG_I_HALF_K, (E, E)))                # -(i/2) κ E^2
                 for l in range(3):
-                    out.append((KScalar.make(0, Fraction(1, 2), -1),
-                                (PX1 + l, PX1 + l)))                           # +(i/2κ) P_l P_l
+                    out.append((_I_HALF_INV_K, (PX1 + l, PX1 + l)))  # +(i/2κ) P_l P_l
             return out
         if hi == E:
             return [(-_I_K, (PX1 + i, E))]
@@ -363,10 +365,10 @@ def printed_relations() -> dict:
         for k in range(3):
             words = [(_I_K, (PX1 + j, PX1 + k))]
             if j == k:
-                words.append((KScalar.make(0, Fraction(-1, 2), 1), ()))
-                words.append((KScalar.make(0, Fraction(1, 2), 1), (E, E)))
+                words.append((_NEG_I_HALF_K, ()))
+                words.append((_I_HALF_K, (E, E)))
                 for l in range(3):
-                    words.append((KScalar.make(0, Fraction(-1, 2), -1), (PX1 + l, PX1 + l)))
+                    words.append((-_I_HALF_INV_K, (PX1 + l, PX1 + l)))
             rel[f"[P{j+1},K{k+1}]"] = (gen(PX1 + j), gen(K1 + k), Element(words=words))
     return rel
 

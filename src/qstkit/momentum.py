@@ -6,7 +6,9 @@ closed forms for the four presets plus the commutative group, their Haar
 weights, modular functions and Jacobians, the right<->sum ordering
 transform for kappa-Minkowski, the non-planar delta solver and a truncated
 BCH composition that serves as the independent oracle for the closed
-forms and as the generic-group fallback.
+forms and as the generic-group fallback.  `add_batch` and `inv_batch`
+apply a group's laws to (n, dim) stacks, in blocks of BLOCK_ROWS rows that
+give bit for bit the values and dtype of one call.
 """
 
 from __future__ import annotations
@@ -361,24 +363,52 @@ def group_preset(name: str, *, kappa=1.0, theta=1.0, rho=1.0, lam=1.0, d=1,
 # ---------------------------------------------------------------------------
 # batched composition: the descriptor's laws on stacks of momenta
 
+# Rows per block of add_batch/inv_batch: a law's column temporaries for 8192
+# rows (64 KB each) stay in a 2 MB L2 cache instead of streaming memory.
+BLOCK_ROWS = 8192
+
+
 def _check_rows(g: GroupDescriptor, *arrays):
     for X in arrays:
         if X.ndim != 2 or X.shape[1] != g.dim or X.shape != arrays[0].shape:
             raise DimensionMismatch(f"{g.name}: needs matching (n, {g.dim}) arrays")
 
 
+def _by_blocks(law, *arrays):
+    """law(*arrays) for (n, dim) stacks, evaluated BLOCK_ROWS rows at a time.
+
+    Every law acts row by row, so each block's rows come out bit for bit as
+    in one call; the blocks only keep the law's column temporaries in cache.
+    A law may choose its dtype from the whole batch (bch_compose returns
+    real only when every row is), so a block whose dtype differs from the
+    first block's is never cast: the batch is then one call after all.
+    """
+    n = len(arrays[0])
+    if n <= BLOCK_ROWS:
+        return law(*arrays)
+    first = law(*(X[:BLOCK_ROWS] for X in arrays))
+    out = np.empty((n,) + first.shape[1:], first.dtype)
+    out[:BLOCK_ROWS] = first
+    for start in range(BLOCK_ROWS, n, BLOCK_ROWS):
+        part = law(*(X[start:start + BLOCK_ROWS] for X in arrays))
+        if part.dtype != out.dtype:
+            return law(*arrays)
+        out[start:start + BLOCK_ROWS] = part
+    return out
+
+
 def add_batch(g: GroupDescriptor, P, Q) -> np.ndarray:
     """Row-wise p ⊞ q for arrays of momenta, shape (n, dim)."""
     P, Q = np.asarray(P), np.asarray(Q)
     _check_rows(g, P, Q)
-    return g.add(P, Q)
+    return _by_blocks(g.add, P, Q)
 
 
 def inv_batch(g: GroupDescriptor, P) -> np.ndarray:
     """Row-wise ⊟p for an array of momenta, shape (n, dim)."""
     P = np.asarray(P)
     _check_rows(g, P)
-    return g.inv(P)
+    return _by_blocks(g.inv, P)
 
 
 # ---------------------------------------------------------------------------

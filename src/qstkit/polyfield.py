@@ -233,9 +233,16 @@ class Sparse:
         return self._like((k, c * s) for k, c in self.terms.items())
 
     def __mul__(self, other):
+        """The product.  In a space with an order, a term pair whose powers
+        all fall outside 0..order is skipped before any arithmetic: in a
+        high-order series that is most pairs."""
         pairs, order = [], self.order
+        b = [(k, c, min(c.num), max(c.num)) for k, c in other.terms.items()]
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+            lo1, hi1 = min(c1.num), max(c1.num)
+            for k2, c2, lo2, hi2 in b:
+                if order is not None and (lo1 + lo2 > order or hi1 + hi2 < 0):
+                    continue
                 c = c1.times(c2, order)
                 if not c.num:
                     continue

@@ -317,6 +317,18 @@ def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == pytest.approx([0.3, 0.0, 0.0])
 
 
+def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
+    # this algebra's BCH composition of (1, 2) and (0.5, 3) has a nonzero
+    # imaginary part, which a real result vector cannot show
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"structure": {
+        "name": "x", "dim": 2, "deformation": 1.0,
+        "entries": [{"mu": 0, "nu": 1, "rho": 1, "re": 1.0, "im": 0.0},
+                    {"mu": 1, "nu": 0, "rho": 1, "re": -1.0, "im": 0.0}]}}))
+    test_cli_group_bad_input_exit_2(["--config", str(conf), "group", "add", "--space", "inline",
+                                     "--p", "1,2", "--q", "0.5,3"], capsys)
+
+
 SW_FIELD = {"components": [
     [{"exp": [0, 1, 0, 0], "re": "1/3", "im": "-2"}],
     [{"exp": [1, 0, 0, 0], "re": 2}, {"exp": [0, 0, 1, 1], "re": "-1/2", "im": 1}],

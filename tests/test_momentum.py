@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import momentum_oracle as MO
 from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
-from qstkit.momentum import (DimensionMismatch, add, add_batch, bch_compose,
+from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, add, add_batch, bch_compose,
                              delta_solve_nonplanar, dispersion, g_right_to_sum,
                              group_from_structure, group_preset, haar_invariance_check, inv,
                              inv_batch, modular, modular_identity_residuals,
@@ -343,6 +344,61 @@ def test_batched_laws_match_row_by_row(label):
     by_row = [modular_identity_residuals(g, p, q) for p, q in zip(P, Q)]
     for key in ("homomorphism", "inverse"):
         same(batched[key], [r[key] for r in by_row])
+
+
+BLOCK_SIZES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
+
+
+def _blocked_momenta(g, n, seed):
+    """Two (n, dim) stacks with a NaN row last, an identity composition in a
+    later block (su2's dead branch) and, for Moyal, a complex phase slot there.
+
+    The NaN row makes bch_compose's last block complex while the blocks
+    before it are real, so "bch su2" checks that no block is cast.
+    """
+    P, Q = np.random.default_rng(seed).normal(size=(2, n, g.dim)) * 0.3
+    j = n - 3  # in the last block once n > BLOCK_ROWS
+    P[j] = -Q[j]
+    if g.name == "moyal_extended":
+        P = P.astype(complex)
+        P[j - 1, -1] += 0.5j
+    P[-1] = np.nan
+    return P, Q
+
+
+def _assert_same_bits(batched, one_call):
+    assert batched.dtype == one_call.dtype
+    assert np.array_equal(batched, one_call, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")  # a block cast into the output would warn (ComplexWarning)
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("label", sorted(BATCH_GROUPS))
+def test_blocked_batches_equal_one_call(label, n):
+    g = BATCH_GROUPS[label]()
+    P, Q = _blocked_momenta(g, n, seed=n)
+    _assert_same_bits(add_batch(g, P, Q), g.add(P, Q))
+    _assert_same_bits(inv_batch(g, P), g.inv(P))
+
+
+def test_batches_above_block_rows_go_in_blocks():
+    calls = []
+
+    def counted(law):
+        def wrapped(*arrays):
+            calls.append(len(arrays[0]))
+            return law(*arrays)
+        return wrapped
+
+    base = group_preset("kappa_minkowski", kappa=1.0, d=1)
+    g = dataclasses.replace(base, add=counted(base.add), inv=counted(base.inv))
+    for n, sizes in ((BLOCK_ROWS, [BLOCK_ROWS]),
+                     (3 * BLOCK_ROWS + 5, [BLOCK_ROWS] * 3 + [5])):
+        P = np.ones((n, 2))
+        calls.clear()
+        add_batch(g, P, P)
+        inv_batch(g, P)
+        assert calls == sizes * 2
 
 
 def test_batch_shape_checked():
