@@ -28,7 +28,8 @@ import numpy as np
 
 from .liestructure import StructureConstants, jacobi_check, recover_from_group_law
 from .momentum import (add, delta_solve_nonplanar, group_from_structure, group_preset,
-                       haar_invariance_check, inv, modular, modular_identity_residuals)
+                       haar_invariance_check, inv, modular, modular_identity_residuals,
+                       real_values)
 
 DEFAULT_TOLERANCES = {
     "group.assoc": 1e-9,
@@ -525,14 +526,6 @@ def _cmd_suite(args, cfg):
     return report, report["rows"]
 
 
-def _real(x, op):
-    """x as a float vector; a nonzero imaginary part is an error, never dropped."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x) and np.any(x.imag):
-        raise ValueError(f"group {op}: the result is complex for these inputs")
-    return np.real(x).astype(float)
-
-
 def _cmd_group(args, cfg):
     """One momentum-group operation; ValueError on bad input or a non-finite result."""
     if args.space == "inline":
@@ -547,12 +540,13 @@ def _cmd_group(args, cfg):
         raise ValueError(f"group {args.op}: --q is required")
     with np.errstate(all="ignore"):  # an overflow is reported below, as one error line
         if args.op == "inv":
-            res = _real(inv(grp, p), args.op)
+            res = real_values(inv(grp, p), f"group {args.op}: the result")
             out = {"result": list(res), "residual": float(np.max(np.abs(add(grp, p, res))))}
         elif args.op == "modular":
             out = {"result": modular(grp, p), "residual": 0.0}
         elif args.op == "add":
-            out = {"result": list(_real(add(grp, p, q), args.op)), "residual": 0.0}
+            out = {"result": list(real_values(add(grp, p, q), f"group {args.op}: the result")),
+                   "residual": 0.0}
         elif args.op == "haar-check":
             out = {"result": None, "residual": _worst(haar_invariance_check(grp, q, p, "left"),
                                                       haar_invariance_check(grp, q, p, "right"))}

@@ -414,15 +414,28 @@ def inv_batch(g: GroupDescriptor, P) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Haar invariance (pointwise Jacobian form)
 
+def real_values(x, what: str) -> np.ndarray:
+    """x as a float array; a nonzero imaginary part is a ValueError, never dropped.
+
+    what names the value in the message, e.g. "group add: the result".
+    """
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and np.any(x.imag):
+        raise ValueError(f"{what} is complex for these inputs")
+    return np.real(x).astype(float)
+
+
 def _fd_jacobian_det(f, x, h=1e-5):
     """|det df/dx| at each momentum of x by central differences.
 
     f gets all 2 dim stencil points in one call, as an array of shape
     (..., 2, dim, dim): [..., 0, j] is x + h e_j and [..., 1, j] is x - h e_j.
+    ValueError when f has a nonzero imaginary part there: the real part
+    alone is not the law, so its Jacobian would be a wrong answer.
     """
     x = np.asarray(x, float)
     step = h * np.eye(x.shape[-1])
-    vals = np.real(f(x[..., None, None, :] + np.stack((step, -step))))
+    vals = real_values(f(x[..., None, None, :] + np.stack((step, -step))), "the group law")
     # row j holds d f / d x_j: the transposed Jacobian, with the same determinant
     return np.abs(np.linalg.det((vals[..., 0, :, :] - vals[..., 1, :, :]) / (2 * h)))
 
@@ -433,7 +446,9 @@ def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
     left : |w(p) - w(q [+] p) * |det d(q [+] p)/dp||
     right: |w(p) - w(p [+] q) * |det d(p [+] q)/dp||
     p and q are momenta or (n, dim) rows; the residual has one entry per row.
-    A weight override lets corrupted densities be probed.
+    A weight override lets corrupted densities be probed.  A law without a
+    closed-form Jacobian that is complex at the stencil points raises
+    ValueError (see _fd_jacobian_det).
     """
     g.check_dim(p, q)
     p, q = np.broadcast_arrays(np.asarray(p, float), np.asarray(q, float))
@@ -615,6 +630,24 @@ def _compositions(n, k):
             yield (first,) + rest
 
 
+def _bracket(C: np.ndarray):
+    """The bracket [u, v]_r = sum_mn u_m v_n C^{mn}_r of (..., dim) rows, as a function.
+
+    Sums over the nonzero entries of C alone: a three-operand einsum visits
+    every (m, n, r) for every row, about 10x slower on the su2 constants.
+    """
+    C = np.asarray(C, dtype=complex)
+    terms = [(m, n, r, C[m, n, r]) for m, n, r in zip(*np.nonzero(C))]
+
+    def bracket(u, v):
+        out = np.zeros(np.broadcast_shapes(u.shape, v.shape), complex)
+        for m, n, r, c in terms:
+            out[..., r] += c * u[..., m] * v[..., n]
+        return out
+
+    return bracket
+
+
 def bch_compose(C: np.ndarray, p, q, order: int = 8):
     """p [+] q from the structure constants alone, via the truncated BCH series.
 
@@ -623,13 +656,9 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
     the symmetric (sum-type) wave-packet ordering.  p and q are (..., dim)
     arrays; the result is real when every composed momentum is.
     """
-    C = np.asarray(C, dtype=complex)
+    bracket = _bracket(C)
     A = 1j * np.asarray(p, dtype=complex)
     B = 1j * np.asarray(q, dtype=complex)
-
-    def bracket(u, v):
-        return np.einsum("...m,...n,mnr->...r", u, v, C)
-
     z = [None, A + B]
     for n in range(1, order):
         acc = 0.5 * bracket(A - B, z[n])

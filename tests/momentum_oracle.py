@@ -4,7 +4,9 @@ The laws of `qstkit.momentum` as first written: each works on whole
 `(..., dim)` rows, with `np.linalg.norm(..., keepdims=True)`, `np.cross`,
 `(..., 1)` broadcasts, a `@ Theta` matmul and `np.concatenate`.  The
 library now builds the same closed forms on the coordinate columns
-`p[..., i]`; the tests compare the two within 64 eps (1 + |x|).
+`p[..., i]`; the tests compare the two within 64 eps (1 + |x|).  The
+Lie bracket of the BCH series as first written, one three-operand einsum,
+is here too.
 """
 
 import numpy as np
@@ -73,3 +75,8 @@ def rho_laws(rho):
                                axis=-1)
 
     return radd, rinv
+
+
+def bracket(C, u, v):
+    """[u, v]_r = sum_mn u_m v_n C^{mn}_r over every (m, n, r), zero or not."""
+    return np.einsum("...m,...n,mnr->...r", u, v, np.asarray(C, dtype=complex))

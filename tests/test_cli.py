@@ -319,14 +319,16 @@ def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
 
 def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
     # this algebra's BCH composition of (1, 2) and (0.5, 3) has a nonzero
-    # imaginary part, which a real result vector cannot show
+    # imaginary part, which a real result vector cannot show and a real
+    # finite-difference Jacobian cannot differentiate
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps({"structure": {
         "name": "x", "dim": 2, "deformation": 1.0,
         "entries": [{"mu": 0, "nu": 1, "rho": 1, "re": 1.0, "im": 0.0},
                     {"mu": 1, "nu": 0, "rho": 1, "re": -1.0, "im": 0.0}]}}))
-    test_cli_group_bad_input_exit_2(["--config", str(conf), "group", "add", "--space", "inline",
-                                     "--p", "1,2", "--q", "0.5,3"], capsys)
+    for op in ("add", "haar-check"):
+        test_cli_group_bad_input_exit_2(["--config", str(conf), "group", op, "--space", "inline",
+                                         "--p", "1,2", "--q", "0.5,3"], capsys)
 
 
 SW_FIELD = {"components": [
@@ -413,6 +415,29 @@ def test_cli_commands_load_only_their_modules():
         ["causality", 0, ["causality"]],
         ["loop", 0, ["loop", "scipy"]],
     ]
+
+
+@pytest.mark.parametrize("caller, expect", [(None, "4"), ("28", "28")])
+def test_import_sets_the_blas_thread_timeout_before_numpy(caller, expect):
+    # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT when numpy loads it, so the value
+    # that counts is the one in the environment at numpy's first import
+    code = ("import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import qstkit\n"
+            "print(seen)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if caller is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = caller
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == f"[{expect!r}]\n"
 
 
 def test_cli_loop_unknown_space_names_the_spaces(capsys):

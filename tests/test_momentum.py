@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import momentum_oracle as MO
 from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
-from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, add, add_batch, bch_compose,
-                             delta_solve_nonplanar, dispersion, g_right_to_sum,
+from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, _bracket, add, add_batch,
+                             bch_compose, delta_solve_nonplanar, dispersion, g_right_to_sum,
                              group_from_structure, group_preset, haar_invariance_check, inv,
                              inv_batch, modular, modular_identity_residuals,
                              nonplanar_residual, ordering_transform)
@@ -235,6 +235,28 @@ def test_bch_matches_su2():
     p, q = rng.normal(size=3) * 0.2, rng.normal(size=3) * 0.2
     z = bch_compose(g.structure.C, p, q, order=12)
     assert np.max(np.abs(z - add(g, p, q))) < 1e-10
+
+
+TWO_GENERATOR_C = np.zeros((2, 2, 2))
+TWO_GENERATOR_C[0, 1, 1], TWO_GENERATOR_C[1, 0, 1] = 1.0, -1.0  # [x^0, x^1] = x^1
+
+
+@pytest.mark.parametrize("C", [
+    group_preset("su2_lambda", lam=1.0).structure.C,
+    group_preset("kappa_minkowski", kappa=1.5, d=3).structure.C,
+    TWO_GENERATOR_C,
+], ids=["su2", "kappa d=3", "inline"])
+def test_bracket_equals_einsum_oracle(C):
+    rng = np.random.default_rng(8)
+    dim = C.shape[0]
+    u, v = rng.normal(size=(2, 50, dim)) + 1j * rng.normal(size=(2, 50, dim))
+    bracket = _bracket(C)
+    for a, b in [(u, v), (u, v[0]), (u[:, None], v[:7])]:  # rows, and broadcast rows
+        want = MO.bracket(C, a, b)
+        scale = MO.bracket(np.abs(C), np.abs(a), np.abs(b)).real
+        got = bracket(a, b)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def test_generic_group_from_structure():
