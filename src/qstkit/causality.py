@@ -122,22 +122,7 @@ def gaussian_state(grid: GridSpec, center: float, width: float, phase_t: float =
 # ---------------------------------------------------------------------------
 # Lorentzian-triple data and axioms
 
-GAMMA0 = np.array([[0, 1j], [1j, 0]])
-GAMMA1 = np.array([[0, -1j], [1j, 0]])
-
-
-@dataclass
-class DiracData:
-    gamma0: np.ndarray = None
-    gamma1: np.ndarray = None
-
-    def __post_init__(self):
-        self.gamma0 = GAMMA0 if self.gamma0 is None else self.gamma0
-        self.gamma1 = GAMMA1 if self.gamma1 is None else self.gamma1
-
-    @property
-    def I(self):
-        return 1j * self.gamma0
+GAMMA0 = np.array([[0, 1j], [1j, 0]])  # the fundamental symmetry is I = i gamma^0
 
 
 def _dirac_apply(grid: GridSpec, kappa: float, a: int, phi, adjoint: bool = False):
@@ -165,8 +150,7 @@ def _dirac_apply(grid: GridSpec, kappa: float, a: int, phi, adjoint: bool = Fals
     return np.stack([x0 * phi[1] + s * x1(phi[1]), x0 * phi[0] - s * x1(phi[0])])
 
 
-def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1,
-                           state_family=None, seed: int = 0) -> dict:
+def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1, seed: int = 0) -> dict:
     """I^2 = 1 and I^dagger = I exactly; Krein residual ||(D^dag I + I D) Psi||.
 
     The residual is measured on interior Gaussian states (spinor x grid), so
@@ -174,19 +158,18 @@ def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1,
     scheme-order behaviour.  All states go through D, D^dagger and I at
     once as one (2, n, 2m) array; I acts on the spinor axis.
     """
-    Imat = DiracData().I
+    Imat = 1j * GAMMA0
     i_sq = float(np.max(np.abs(Imat @ Imat - np.eye(2))))
     i_herm = float(np.max(np.abs(Imat.conj().T - Imat)))
 
     _check_branch(a)
     grid.validate_kappa(kappa)
-    if state_family is None:
-        rng = np.random.default_rng(seed)
-        state_family = []
-        for _ in range(8):
-            c = rng.uniform(-grid.window / 4, grid.window / 4)
-            w = rng.uniform(0.5, 1.0)
-            state_family.append(gaussian_state(grid, c, w))
+    rng = np.random.default_rng(seed)
+    state_family = []
+    for _ in range(8):
+        c = rng.uniform(-grid.window / 4, grid.window / 4)
+        w = rng.uniform(0.5, 1.0)
+        state_family.append(gaussian_state(grid, c, w))
     psi = np.stack(state_family, axis=1)
     m = psi.shape[1]
     phi = np.zeros((2, grid.n, 2 * m), dtype=complex)
@@ -256,11 +239,11 @@ def cone_condition(grid: GridSpec, kappa: float, a: int, alpha: float, beta: flo
     return {"margin": margin, "branch_margins": margins, "passed": margin >= -1e-8}
 
 
-def sll_margin(psi1, psi2, grid: GridSpec, kappa: float, a: int = 1) -> float:
-    """(<psi2|x0 psi2> - <psi1|x0 psi1>) - |<psi2|x1 psi2> - <psi1|x1 psi1>|."""
+def sll_margin(psi1, psi2, grid: GridSpec, kappa: float) -> float:
+    """(<psi2|x0 psi2> - <psi1|x0 psi1>) - |<psi2|x1 psi2> - <psi1|x1 psi1>|, branch a = 1."""
     check_normalized(psi1, grid)
     check_normalized(psi2, grid)
-    ops = build_operators(grid, kappa, a)
+    ops = build_operators(grid, kappa)
     dx0 = np.real(expectation(ops["X0"], psi2, grid) - expectation(ops["X0"], psi1, grid))
     dx1 = np.real(expectation(ops["X1"], psi2, grid) - expectation(ops["X1"], psi1, grid))
     return float(dx0 - abs(dx1))

@@ -136,8 +136,8 @@ def _parse_v_range(text: str) -> list:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigError(f"expected lo:hi:step, got {text!r}") from None
-    if not (np.isfinite([lo, hi, step]).all() and step > 0):
-        raise ConfigError(f"lo and hi must be finite and step positive, got {text!r}")
+    if not (np.isfinite([lo, hi, step]).all() and lo <= hi and step > 0):
+        raise ConfigError(f"need finite lo <= hi and a positive step, got {text!r}")
     vs, v = [], lo
     while v <= hi + 1e-12:
         if len(vs) == MAX_POINTS:
@@ -335,15 +335,14 @@ def suite_twist(cfg: RunConfig):
     ])
 
 
-def _random_packets(WV, g, rng, n_terms=5, with_inverses=True):
+def _random_packets(WV, g, rng):
     def packet(moms):
         amps = rng.normal(size=(len(moms), 2))  # (re, im) per term, in term order
         return WV.WavePacket(g, list(zip(moms, amps[:, 0] + 1j * amps[:, 1])))
 
-    moms = rng.normal(size=(n_terms, g.dim))
+    moms = rng.normal(size=(5, g.dim))
     f = packet(moms)
-    pool = list(g.inv(moms[: n_terms // 2 + 1])) if with_inverses else []
-    pool += list(rng.normal(size=(n_terms - len(pool), g.dim)))
+    pool = list(g.inv(moms[:3])) + list(rng.normal(size=(2, g.dim)))
     return f, packet(pool)
 
 

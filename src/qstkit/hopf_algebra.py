@@ -410,7 +410,7 @@ def e_series_consistency(order: int) -> bool:
     return True
 
 
-ALL_GENERATOR_NAMES = ("P0", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3", "E")
+ALL_GENERATOR_NAMES = tuple(GENERATORS)
 
 
 def full_suite() -> dict:

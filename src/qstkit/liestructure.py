@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 JACOBI_TOL = 1e-12
+HESSIAN_STEP = 1e-4  # finite-difference step of recover_from_group_law
 
 PRESET_NAMES = ("kappa_minkowski", "moyal_extended", "rho_minkowski", "su2_lambda")
 
@@ -37,7 +38,6 @@ class StructureConstants:
     dim: int
     deformation: float
     C: np.ndarray  # complex, shape (dim, dim, dim), indexed [mu, nu, rho]
-    labels: tuple = field(default=())
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -45,8 +45,6 @@ class StructureConstants:
         if C.shape != (self.dim,) * 3:
             raise ValueError(f"C must have shape {(self.dim,)*3}, got {C.shape}")
         object.__setattr__(self, "C", C)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"x{m}" for m in range(self.dim)))
 
     def antisymmetry_violation(self) -> float:
         return float(np.max(np.abs(self.C + self.C.transpose(1, 0, 2))))
@@ -126,7 +124,6 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
         C[:ns, :ns, ns] = 1j * Theta
         return StructureConstants(
             name, n, float(theta), C,
-            labels=tuple(f"x{m}" for m in range(ns)) + ("x5",),
             meta={"theta": float(theta), "Theta": Theta,
                   "phase_convention": phase_convention},
         )
@@ -155,9 +152,7 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
                              ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)):
             eps[j, k, l] = s
         C = 1j * lam * eps
-        return StructureConstants(name, 3, float(lam), C,
-                                  labels=("x1", "x2", "x3"),
-                                  meta={"lam": float(lam)})
+        return StructureConstants(name, 3, float(lam), C, meta={"lam": float(lam)})
 
     raise PresetError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
 
@@ -187,24 +182,23 @@ def _hessian_fd(add, dim, mu, nu, h):
     return (np.asarray(fpp) - np.asarray(fpm) - np.asarray(fmp) + np.asarray(fmm)) / (4 * h * h)
 
 
-def recover_from_group_law(g, h: float = 1e-4) -> StructureConstants:
+def recover_from_group_law(g) -> StructureConstants:
     """Structure constants from a deformed addition law.
 
     C^{mu nu}_rho = -i (H^{mu nu}_rho - H^{nu mu}_rho) with H the mixed
     Hessian of the group law at the origin.  The descriptor's exact Hessian
-    is used when provided; otherwise central finite differences at step h,
-    with one Richardson step (h and h/2) for O(h^4) accuracy.
+    is used when provided; otherwise central finite differences at step
+    h = HESSIAN_STEP, with one Richardson step (h and h/2) for O(h^4) accuracy.
     """
     dim = g.dim
-    exact = getattr(g, "exact_hessian", None)
-    if exact is not None:
-        H = exact()
+    if g.exact_hessian is not None:
+        H = g.exact_hessian()
     else:
         H = np.zeros((dim, dim, dim), dtype=complex)
         for mu in range(dim):
             for nu in range(dim):
-                d1 = _hessian_fd(g.add, dim, mu, nu, h)
-                d2 = _hessian_fd(g.add, dim, mu, nu, h / 2)
+                d1 = _hessian_fd(g.add, dim, mu, nu, HESSIAN_STEP)
+                d2 = _hessian_fd(g.add, dim, mu, nu, HESSIAN_STEP / 2)
                 if np.max(np.abs(d2 - d1)) > 1e-2 * (1 + np.max(np.abs(d2))):
                     raise ArithmeticError(
                         f"Hessian estimate unstable at (mu,nu)=({mu},{nu}): "
@@ -212,10 +206,9 @@ def recover_from_group_law(g, h: float = 1e-4) -> StructureConstants:
                     )
                 H[mu, nu] = (4 * d2 - d1) / 3
     C = -1j * (H - H.transpose(1, 0, 2))
-    base = g.structure
     return StructureConstants(
         name=f"{g.name}:recovered",
         dim=dim,
-        deformation=base.deformation if base is not None else float("nan"),
+        deformation=g.structure.deformation,
         C=C,
     )

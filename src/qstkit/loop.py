@@ -16,7 +16,7 @@ that run it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -189,6 +189,13 @@ def _loglog_slope(xs, ys):
     return float(slope)
 
 
+def _converges(slope: float):
+    """A log-log cutoff slope read as True (|slope| < CONV_SLOPE), False (> DIV_SLOPE) or None."""
+    if slope > DIV_SLOPE:
+        return False
+    return True if abs(slope) < CONV_SLOPE else None
+
+
 def propagator_sweep(ks: KineticSpec, lambdas) -> dict:
     """Cutoff sweep of the propagator integral with a divergence verdict.
 
@@ -200,14 +207,8 @@ def propagator_sweep(ks: KineticSpec, lambdas) -> dict:
         r = propagator_integral(ks, RegulatorSpec(Lambda=float(L)))
         rows.append((float(L), r["value"], r["converged"]))
     slope = _loglog_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
-    if not all(r[2] for r in rows):
-        verdict = "inconclusive"
-    elif slope > DIV_SLOPE:
-        verdict = "divergent"
-    elif abs(slope) < CONV_SLOPE:
-        verdict = "convergent"
-    else:
-        verdict = "inconclusive"
+    converges = _converges(slope) if all(r[2] for r in rows) else None
+    verdict = {True: "convergent", False: "divergent", None: "inconclusive"}[converges]
     return {"rows": rows, "slope": slope, "verdict": verdict}
 
 
@@ -407,24 +408,23 @@ class TwoPointAssembly:
 
     group: GroupDescriptor
     kinetic: KineticSpec
-    prefactor: Fraction = Fraction(1, 24)
+    prefactor = Fraction(1, 24)  # g^2/4!; these three are class constants, not fields
     # {(power of D(q), power of D(k)): coefficient}
-    planar_poly: dict = field(default_factory=lambda: {
-        (0, 0): Fraction(3), (0, 1): Fraction(1), (1, 0): Fraction(3), (1, 1): Fraction(1)})
-    nonplanar_poly: dict = field(default_factory=lambda: {
-        (0, 0): Fraction(1), (0, -1): Fraction(1), (1, -2): Fraction(1), (1, -3): Fraction(1)})
-    planar_delta: tuple = ("p", "q")
-    nonplanar_delta: tuple = ("p", "k", "q", "-k")
+    planar_poly = {
+        (0, 0): Fraction(3), (0, 1): Fraction(1), (1, 0): Fraction(3), (1, 1): Fraction(1)}
+    nonplanar_poly = {
+        (0, 0): Fraction(1), (0, -1): Fraction(1), (1, -2): Fraction(1), (1, -3): Fraction(1)}
+
+    def _weight(self, poly, q, k) -> float:
+        dq = self.group.modular(np.asarray(q, float))
+        dk = self.group.modular(np.asarray(k, float))
+        return float(sum(float(c) * dq ** a * dk ** b for (a, b), c in poly.items()))
 
     def planar_weight(self, q, k) -> float:
-        dq = self.group.modular(np.asarray(q, float))
-        dk = self.group.modular(np.asarray(k, float))
-        return float(sum(float(c) * dq ** a * dk ** b for (a, b), c in self.planar_poly.items()))
+        return self._weight(self.planar_poly, q, k)
 
     def nonplanar_weight(self, q, k) -> float:
-        dq = self.group.modular(np.asarray(q, float))
-        dk = self.group.modular(np.asarray(k, float))
-        return float(sum(float(c) * dq ** a * dk ** b for (a, b), c in self.nonplanar_poly.items()))
+        return self._weight(self.nonplanar_poly, q, k)
 
     def commutative_coefficients(self) -> dict:
         """Exact rational collapse at D = 1, ⊞ = +."""
@@ -441,12 +441,9 @@ class TwoPointAssembly:
         """
         if self.group.name != "moyal_extended":
             raise ValueError("moyal_reduction needs the extended Moyal group")
-        planar = self.prefactor * sum(self.planar_poly.values())
-        nonplanar = self.prefactor * sum(self.nonplanar_poly.values())
-        coeff = nonplanar
-        planar_multiple = planar / nonplanar
+        c = self.commutative_coefficients()
         Theta = self.group.meta["Theta"]
-        return {"coefficient": coeff, "planar_multiple": planar_multiple,
+        return {"coefficient": c["nonplanar"], "planar_multiple": c["planar"] / c["nonplanar"],
                 "phase_bilinear": 2.0 * np.asarray(Theta)}
 
     def nonplanar_phase_residual(self, p, k) -> float:
@@ -480,16 +477,7 @@ class MixingReport:
     evidence: dict
 
     def as_dict(self):
-        return {
-            "space": self.space,
-            "planar_uv_divergent": self.planar_uv_divergent,
-            "planar_growth_exponent": self.planar_growth_exponent,
-            "nonplanar_ir_singular": self.nonplanar_ir_singular,
-            "nonplanar_ir_raw_trend": self.nonplanar_ir_raw_trend,
-            "nonplanar_uv_finite": self.nonplanar_uv_finite,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def _and(a, b):
@@ -561,8 +549,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         acting = [r for r in lrows if r[0] * theta_p >= NONPLANAR_REGIME]
         iii = None
         if len(acting) >= 3:
-            slope = _loglog_slope([r[0] for r in acting], [r[1] for r in acting])
-            iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
+            iii = _converges(_loglog_slope([r[0] for r in acting], [r[1] for r in acting]))
 
         return MixingReport("moyal", i_div, growth, ii, raw, iii,
                             _verdict(i_div, ii, iii), evidence)
@@ -586,8 +573,8 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         for L in np.geomspace(10 * kappa, 1e3 * kappa, 6):
             lrows.append((float(L), kappa_nonplanar_closed(kappa, mass, kappa, d, float(L))))
         evidence["uv_sequence"] = lrows
-        slope = _loglog_slope([r[0] for r in lrows], [max(abs(r[1]), 1e-300) for r in lrows])
-        iii = True if abs(slope) < CONV_SLOPE else (False if slope > DIV_SLOPE else None)
+        iii = _converges(_loglog_slope([r[0] for r in lrows],
+                                       [max(abs(r[1]), 1e-300) for r in lrows]))
 
         return MixingReport(f"kappa_minkowski_d{d}", i_div, growth,
                             ii, raw, iii, _verdict(i_div, ii, iii), evidence)

@@ -14,7 +14,7 @@ give bit for bit the values and dtype of one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +22,9 @@ import numpy as np
 from .liestructure import MOYAL_PHASE_CONVENTIONS, StructureConstants, preset
 
 SERIES_CUT = 1e-4  # switch point for removable singularities
+JACOBIAN_STEP = 1e-5  # central-difference step of _fd_jacobian_det
+NEWTON_TOL = 1e-10  # delta_solve_nonplanar: largest |residual| of a solution
+NEWTON_MAX_ITER = 60  # damped Newton steps of delta_solve_nonplanar's general path
 
 
 class DimensionMismatch(ValueError):
@@ -40,18 +43,20 @@ class GroupDescriptor:
 
     name: str
     dim: int
-    structure: Optional[StructureConstants]
+    structure: StructureConstants
     add: Callable
     inv: Callable
     haar_left: Callable
     haar_right: Callable
     modular: Callable
-    unimodular: bool
-    ordering: Optional[str] = None
     jac_left: Optional[Callable] = None   # |det d(q+p)/dp|
     jac_right: Optional[Callable] = None  # |det d(p+q)/dp|
     exact_hessian: Optional[Callable] = None
-    meta: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def meta(self) -> dict:
+        """The structure's parameters, e.g. kappa and d: `structure.meta`."""
+        return self.structure.meta
 
     def check_dim(self, *vecs):
         """Each argument must be one momentum (dim,) or a stack (n, dim), all entries finite."""
@@ -168,11 +173,9 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
         name="kappa_minkowski", dim=n, structure=sc,
         # the left Haar weight e^{d p0/kappa} is the modular function itself
         add=kadd, inv=kinv, haar_left=mod, haar_right=_one, modular=mod,
-        unimodular=False, ordering="right",
         jac_left=lambda q, p: np.exp(-d * np.asarray(q)[..., 0] / kappa),
         jac_right=_one,
         exact_hessian=hess,
-        meta={"kappa": kappa, "d": d},
     )
 
 
@@ -201,8 +204,6 @@ def _kappa_sum_group(kappa: float, d: int) -> GroupDescriptor:
     return GroupDescriptor(
         name="kappa_minkowski_sum", dim=n, structure=sc,
         add=sadd, inv=_minus, haar_left=wl, haar_right=wr, modular=mod,
-        unimodular=False, ordering="sum",
-        meta={"kappa": kappa, "d": d},
     )
 
 
@@ -245,10 +246,8 @@ def _rho_group(rho: float) -> GroupDescriptor:
     return GroupDescriptor(
         name="rho_minkowski", dim=4, structure=sc,
         add=radd, inv=rinv, haar_left=_one, haar_right=_one, modular=_one,
-        unimodular=True,
         jac_left=_one, jac_right=_one,
         exact_hessian=hess,
-        meta={"rho": rho},
     )
 
 
@@ -278,10 +277,8 @@ def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> 
     return GroupDescriptor(
         name="moyal_extended", dim=dim, structure=sc,
         add=madd, inv=_minus, haar_left=_one, haar_right=_one, modular=_one,
-        unimodular=True,
         jac_left=_one, jac_right=_one,
         exact_hessian=hess,
-        meta={"theta": theta, "Theta": Theta, "phase_convention": phase_convention},
     )
 
 
@@ -320,8 +317,6 @@ def _su2_group(lam: float) -> GroupDescriptor:
     return GroupDescriptor(
         name="su2_lambda", dim=3, structure=sc,
         add=sadd, inv=_minus, haar_left=w, haar_right=w, modular=_one,
-        unimodular=True,
-        meta={"lam": lam},
     )
 
 
@@ -333,10 +328,8 @@ def _commutative_group(dim: int) -> GroupDescriptor:
         add=lambda p, q: np.asarray(p) + np.asarray(q),
         inv=_minus,
         haar_left=_one, haar_right=_one, modular=_one,
-        unimodular=True,
         jac_left=_one, jac_right=_one,
         exact_hessian=lambda: np.zeros((dim, dim, dim), dtype=complex),
-        meta={},
     )
 
 
@@ -417,16 +410,18 @@ def inv_batch(g: GroupDescriptor, P) -> np.ndarray:
 def real_values(x, what: str) -> np.ndarray:
     """x as a float array; a nonzero imaginary part is a ValueError, never dropped.
 
-    what names the value in the message, e.g. "group add: the result".
+    The message says "not finite" when x holds a NaN or inf (a NaN imaginary part
+    is nonzero), else "complex"; what names the value, e.g. "group add: the result".
     """
     x = np.asarray(x)
     if np.iscomplexobj(x) and np.any(x.imag):
-        raise ValueError(f"{what} is complex for these inputs")
+        why = "complex" if np.isfinite(x).all() else "not finite"
+        raise ValueError(f"{what} is {why} for these inputs")
     return np.real(x).astype(float)
 
 
-def _fd_jacobian_det(f, x, h=1e-5):
-    """|det df/dx| at each momentum of x by central differences.
+def _fd_jacobian_det(f, x):
+    """|det df/dx| at each momentum of x by central differences, step h = JACOBIAN_STEP.
 
     f gets all 2 dim stencil points in one call, as an array of shape
     (..., 2, dim, dim): [..., 0, j] is x + h e_j and [..., 1, j] is x - h e_j.
@@ -434,10 +429,10 @@ def _fd_jacobian_det(f, x, h=1e-5):
     alone is not the law, so its Jacobian would be a wrong answer.
     """
     x = np.asarray(x, float)
-    step = h * np.eye(x.shape[-1])
+    step = JACOBIAN_STEP * np.eye(x.shape[-1])
     vals = real_values(f(x[..., None, None, :] + np.stack((step, -step))), "the group law")
     # row j holds d f / d x_j: the transposed Jacobian, with the same determinant
-    return np.abs(np.linalg.det((vals[..., 0, :, :] - vals[..., 1, :, :]) / (2 * h)))
+    return np.abs(np.linalg.det((vals[..., 0, :, :] - vals[..., 1, :, :]) / (2 * JACOBIAN_STEP)))
 
 
 def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
@@ -522,8 +517,7 @@ def nonplanar_residual(g: GroupDescriptor, p, q, k) -> np.ndarray:
     return g.add(g.add(g.add(p, k), q), g.inv(k))
 
 
-def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0,
-                          tol: float = 1e-10, max_iter: int = 60) -> DeltaSolveResult:
+def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0) -> DeltaSolveResult:
     """Solve p [+] k [+] q [-] k = 0 for the spatial part of k at fixed k0."""
     g.check_dim(p, q)
     p = np.asarray(p, float)
@@ -536,13 +530,13 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0,
 
     if g.name == "kappa_minkowski":
         kappa = g.meta["kappa"]
-        if abs(p[0] + q[0]) > tol:
+        if abs(p[0] + q[0]) > NEWTON_TOL:
             return DeltaSolveResult(False, None, abs(p[0] + q[0]),
                                     "energy component p0+q0 is constant in k and nonzero")
         denom = 1.0 - math.exp(-p[0] / kappa)
         if abs(denom) < 1e-14:
             r = p[1:] + math.exp(-(p[0] + k0) / kappa) * q[1:]
-            if np.max(np.abs(r)) < tol:
+            if np.max(np.abs(r)) < NEWTON_TOL:
                 k = np.zeros(n)
                 k[0] = k0
                 return DeltaSolveResult(True, k, 0.0, "degenerate p0=0, residual already zero")
@@ -552,24 +546,22 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0,
         k[0] = k0
         k[1:] = (p[1:] + math.exp(-(p[0] + k0) / kappa) * q[1:]) / denom
         res = float(np.max(np.abs(nonplanar_residual(g, p, q, k))))
-        return DeltaSolveResult(res < tol, k, res, "closed form")
+        return DeltaSolveResult(res < NEWTON_TOL, k, res, "closed form")
 
     # general path: damped Newton on the spatial components at fixed k0
     def resid(kspat):
         k = np.concatenate(([k0], kspat))
         return np.real(nonplanar_residual(g, p, q, k))
 
-    k_full0 = np.zeros(n)
-    k_full0[0] = k0
     r0 = resid(np.zeros(n - 1))
-    if abs(r0[0]) > tol and g.name in ("rho_minkowski", "commutative"):
+    if abs(r0[0]) > NEWTON_TOL and g.name in ("rho_minkowski", "commutative"):
         return DeltaSolveResult(False, None, abs(r0[0]),
                                 "energy component is constant in k and nonzero")
     kspat = np.zeros(n - 1)
     h = 1e-6
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = resid(kspat)
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r)) < NEWTON_TOL:
             k = np.concatenate(([k0], kspat))
             return DeltaSolveResult(True, k, float(np.max(np.abs(r))), "newton")
         J = np.empty((n, n - 1))
@@ -689,5 +681,4 @@ def group_from_structure(sc: StructureConstants, order: int = 8) -> GroupDescrip
         name=f"bch:{sc.name}", dim=sc.dim, structure=sc,
         add=gadd, inv=_minus,
         haar_left=_one, haar_right=_one, modular=_one,
-        unimodular=True, meta={"order": order},
     )

@@ -123,10 +123,9 @@ def flip(T: TSeries) -> TSeries:
 
 # twists ---------------------------------------------------------------------
 
-def abelian_twist(order: int, coeff=(0, 1)) -> TSeries:
-    """F = exp(i kbar X ⊗ Y) truncated at the given order (default coeff i)."""
-    re, im = coeff
-    t = TSeries(2, order, {((1, 0), (0, 1)): KScalar.make(re, im, 1)})
+def abelian_twist(order: int) -> TSeries:
+    """F = exp(i kbar X ⊗ Y) truncated at the given order."""
+    t = TSeries(2, order, {((1, 0), (0, 1)): KScalar.make(0, 1, 1)})
     return exp_series(t)
 
 
@@ -219,8 +218,8 @@ class ModulePoly(Sparse):
         return (((k1[0] + k2[0], k1[1] + k2[1]), ONE),)
 
     @staticmethod
-    def monomial(order, a, b, coef=ONE):
-        return ModulePoly(order, {(a, b): coef})
+    def monomial(order, a, b):
+        return ModulePoly(order, {(a, b): ONE})
 
     def act(self, nx, ny):
         """(d/du)^nx (d/dv)^ny."""
@@ -249,15 +248,17 @@ def star_product(F_inv: TSeries, f: ModulePoly, g: ModulePoly) -> ModulePoly:
     return ModulePoly(f.order, _star_pairs(F_inv, f, g))
 
 
-def braided_commutativity_check(Finv: TSeries, Rinv: TSeries,
-                                samples=((2, 1), (1, 2), (3, 0), (2, 2))) -> bool:
+BRAIDED_SAMPLES = ((2, 1), (1, 2), (3, 0), (2, 2))  # the monomials u^a v^b checked, as (a, b)
+
+
+def braided_commutativity_check(Finv: TSeries, Rinv: TSeries) -> bool:
     """f*g == (R^{-1}_1 acting on g) * (R^{-1}_2 acting on f) on monomials.
 
     `Finv` and `Rinv` are the inverses of the twist and of its R-matrix.
     """
     order = Finv.order
-    for (a1, b1) in samples:
-        for (a2, b2) in samples:
+    for (a1, b1) in BRAIDED_SAMPLES:
+        for (a2, b2) in BRAIDED_SAMPLES:
             f = ModulePoly.monomial(order, a1, b1)
             g = ModulePoly.monomial(order, a2, b2)
             lhs = star_product(Finv, f, g)

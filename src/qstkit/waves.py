@@ -271,8 +271,8 @@ class DeltaSum:
     def __len__(self):
         return sum(len(amps) for _, amps in self._words.values())
 
-    def is_zero(self, tol=MERGE_TOL):
-        return all(np.all(np.abs(amps) <= tol) for _, amps in self._words.values())
+    def is_zero(self):
+        return all(np.all(np.abs(amps) <= MERGE_TOL) for _, amps in self._words.values())
 
     def equals(self, other: "DeltaSum", tol=1e-10) -> bool:
         """Whether self - other merges to amplitudes all within tol."""
@@ -303,8 +303,8 @@ def integral_star(f: WavePacket, g: WavePacket) -> DeltaSum:
     return DeltaSum._of(f.group, np.stack((P, Q), axis=1), amps)
 
 
-def twisted_trace_check(f: WavePacket, g: WavePacket, tol=1e-10) -> bool:
-    """∫ f*g  ==  ∫ (E^d g)*f  as DeltaSums (kappa-Minkowski twisted trace).
+def twisted_trace_check(f: WavePacket, g: WavePacket) -> bool:
+    """∫ f*g  ==  ∫ (E^d g)*f  as DeltaSums, within 1e-10 (kappa-Minkowski twisted trace).
 
     For unimodular groups (Moyal, rho-Minkowski) the twist is trivial and
     this reduces to plain cyclicity of the integral.
@@ -313,4 +313,4 @@ def twisted_trace_check(f: WavePacket, g: WavePacket, tol=1e-10) -> bool:
         twisted = act("E", g, power=f.group.meta["d"])
     else:
         twisted = g  # unimodular: plain cyclicity
-    return integral_star(f, g).equals(integral_star(twisted, f), tol=tol)
+    return integral_star(f, g).equals(integral_star(twisted, f))

@@ -70,7 +70,7 @@ def krein_residual(grid, kappa, a=1, state_family=None, seed=0):
     """max over e_s x psi of ||(D^dag I + I D)(e_s x psi)|| sqrt(h), with the family
     `lorentzian_axiom_check` draws from `seed` when none is given."""
     Dop = dirac_operator(grid, kappa, a)
-    I_big = np.kron(C.DiracData().I, np.eye(grid.n))
+    I_big = np.kron(1j * C.GAMMA0, np.eye(grid.n))
     if state_family is None:
         rng = np.random.default_rng(seed)
         state_family = []

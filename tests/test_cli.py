@@ -264,6 +264,7 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["group", "inv", "--d", "1", "--p", "0.1,0", "--q", "0,2"],
     ["group", "modular", "--d", "1", "--p", "0.1,0", "--k0", "5"],
     ["group", "add", "--d", "1", "--p", "0.1,0", "--q", "0,2", "--k0", "5"],
+    ["causality", "cone", "--v", "1:-1:0.5"],    # lo > hi: an empty range checks nothing
 ])
 def test_cli_bad_option_exit_2(argv, capsys, tmp_path):
     if argv and isinstance(argv[0], dict):  # the contents of a --config file, then the command
@@ -329,6 +330,19 @@ def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
     for op in ("add", "haar-check"):
         test_cli_group_bad_input_exit_2(["--config", str(conf), "group", op, "--space", "inline",
                                          "--p", "1,2", "--q", "0.5,3"], capsys)
+
+
+@pytest.mark.parametrize("op", ["add", "haar-check"])
+def test_cli_group_inline_nonfinite_result_is_not_called_complex(op, tmp_path, capsys):
+    # the BCH series overflows to NaN parts: the message names that, not complexity
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"structure": json.loads(preset("su2_lambda", lam=1.0).to_json())}))
+    argv = ["--config", str(conf), "group", op, "--space", "inline",
+            "--p", "1e200,1e200,0", "--q", "1e200,0,1e200"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err and "complex" not in err
 
 
 SW_FIELD = {"components": [

@@ -423,6 +423,25 @@ def test_batches_above_block_rows_go_in_blocks():
         assert calls == sizes * 2
 
 
+@pytest.mark.parametrize("label", sorted(BATCH_GROUPS))
+def test_replace_swaps_the_laws_and_keeps_meta(label):
+    # the benchmark's span tracer rebuilds every group as dataclasses.replace(g, add=, inv=)
+    g = BATCH_GROUPS[label]()
+
+    def f(p, q):
+        return "add"
+
+    def h(p):
+        return "inv"
+
+    r = dataclasses.replace(g, add=f, inv=h)
+    assert r.add is f and r.inv is h
+    assert r.structure is g.structure and r.modular is g.modular and r.name == g.name
+    for grp in (g, r):
+        assert grp.meta.keys() == g.structure.meta.keys()
+        assert all(np.array_equal(grp.meta[k], v) for k, v in g.structure.meta.items())
+
+
 def test_batch_shape_checked():
     g = group_preset("kappa_minkowski", kappa=1.0, d=1)
     with pytest.raises(DimensionMismatch):
