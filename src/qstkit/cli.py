@@ -10,8 +10,8 @@ failed, 2 on a usage/config error.
 At import the module loads numpy and the group modules (`liestructure`,
 `momentum`), which config parsing and `group` need.  Each `suite_<name>`
 and command handler imports the kernel modules it runs, so a one-shot
-command compiles and loads only those; `loop`, and with it scipy, only
-for `loop` and `suite mixing`.
+command compiles and loads only those; `loop` only for `loop` and
+`suite mixing`.  No command loads scipy.
 """
 
 from __future__ import annotations

@@ -7,15 +7,20 @@ closed-form comparisons are by parameter dependence (ratio constancy),
 never absolute normalization, since overall 2 pi loop factors are factored
 out throughout.
 
-scipy is imported by the functions that integrate or call a special
-function, when they run, so importing this module does not load it.  The
-CLI imports this module only in `loop` and `suite mixing`, the commands
-that run it.
+The quadratures and special functions are numpy and `math` code: an
+adaptive Gauss-Kronrod rule after QUADPACK, K_nu by the trapezoid rule and
+e^z E1(z) by its power series or continued fraction.  scipy and mpmath are
+the tests' independent oracles only.  The CLI imports this module only in
+`loop` and `suite mixing`, the commands that run it.
 """
 
 from __future__ import annotations
 
+import cmath
+import heapq
 import math
+import sys
+import types
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
@@ -35,43 +40,174 @@ RATIO_TOL = 1e-6
 QUAD_RTOL = 1e-3
 
 
-def _integrate():
-    """scipy.integrate, imported on first use, or the object bound as `loop.integrate`.
+def _gk_rule(nodes, wk, wg, order):
+    """A Gauss-Kronrod rule as `_gk_panel` reads it.
 
-    `qstkit.loop.integrate` stays a module attribute (the module `__getattr__`
-    resolves it), so a wrapper bound there, one that counts quad calls say,
-    sees every quadrature in this module.
+    `nodes` are the Kronrod nodes in (0, 1) in descending order; `wk` and
+    `wg` their weights and those of the embedded Gauss rule (0 at a
+    Kronrod-only node), with the weights of the node 0 last; `order` is the
+    order in which the rule sums the node pairs.  Returned: the two centre
+    weights, each node with its two weights in that order, and each node's
+    place in that order with its Kronrod weight, in node order.
     """
-    from scipy import integrate
-    return globals().get("integrate", integrate)
+    return (wk[-1], wg[-1], tuple((nodes[j], wk[j], wg[j]) for j in order),
+            tuple((order.index(j), wk[j]) for j in range(len(nodes))))
 
 
-def __getattr__(name):
-    # PEP 562: reading `loop.integrate` imports scipy then, not at module import
-    if name == "integrate":
-        return _integrate()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# QUADPACK's rules qk21 and qk15i (Piessens et al., QUADPACK, 1983)
+_GK21 = _gk_rule(
+    (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866, 0.148874338981631210884826001129720),
+    (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821),
+    (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+     0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+     0.0, 0.295524224714752870173892994651338, 0.0),
+    (1, 3, 5, 7, 9, 0, 2, 4, 6, 8),
+)
+_GK15 = _gk_rule(
+    (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245),
+    (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714),
+    (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+     0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327),
+    tuple(range(7)),
+)
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+# QUADPACK's stopping tolerance, absolute and relative (scipy's epsabs = epsrel default)
+_QUAD_TOL = 1.49e-8
+# -log of the smallest K_nu(x) that `_kv` returns nonzero: 2.303 (1021 log10 2 - 3)
+_KV_ELIM = 700.9217936944459
+
+
+def _gk_panel(f, a, b, rule):
+    """One Gauss-Kronrod panel, summed as qk21/qk15i sum it: (value, error estimate, resasc)."""
+    wc, gc, terms, spread = rule
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(c)
+    resk, resg = wc * fc, gc * fc
+    resabs = abs(resk)
+    us, vs = [], []
+    for x, k, g in terms:
+        u = f(c - h * x)
+        v = f(c + h * x)
+        us.append(u)
+        vs.append(v)
+        s = u + v
+        resg += g * s
+        resk += k * s
+        resabs += k * (abs(u) + abs(v))
+    mean = resk * 0.5
+    resasc = wc * abs(fc - mean)
+    for i, k in spread:
+        resasc += k * (abs(us[i] - mean) + abs(vs[i] - mean))
+    resabs, resasc = resabs * h, resasc * h
+    err = abs((resk - resg) * h)
+    if resasc and err:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50 * _EPS):
+        err = max(50 * _EPS * resabs, err)
+    return resk * h, err, resasc
+
+
+def _gauss_kronrod(f, a, b, limit=50, points=None):
+    """Adaptive Gauss-Kronrod quadrature of f over [a, b]: (value, abserr, neval, ok).
+
+    QUADPACK's qagse (qagpe with `points`, qagie for b = inf) without the
+    epsilon extrapolation: the panel with the largest error estimate is
+    bisected until the estimates sum to at most max(1.49e-8, 1.49e-8 |value|).
+    [a, inf) is mapped to t in (0, 1] by x = a + (1 - t)/t and takes the
+    15-point rule, a finite range the 21-point one.  ok is False when `limit`
+    panels are reached or a panel is too narrow to bisect.  A lone first
+    panel whose estimate is its resasc, the min above having chosen 1, is
+    bisected whatever its estimate reads, as in qagse and qagie.  The panels
+    keep QUADPACK's list order, the half with the larger estimate in its
+    parent's place, and the value is their sum in that order.
+    """
+    if b == math.inf:
+        g, rule, lo, hi = (lambda t: f(a + (1.0 - t) / t) / t / t), _GK15, 0.0, 1.0
+    else:
+        g, rule, lo, hi = f, _GK21, a, b
+    cuts = [lo, *sorted(p for p in points or () if lo < p < hi), hi]
+    values, heap, value, err = [], [], 0.0, 0.0
+    for x0, x1 in zip(cuts, cuts[1:]):
+        r, e, resasc = _gk_panel(g, x0, x1, rule)
+        heap.append((-e, len(values), x0, x1))
+        values.append(r)
+        value, err = value + r, err + e
+    heapq.heapify(heap)
+    untrusted, ok = len(values) == 1 and err == resasc != 0.0, True
+    while (untrusted or err > max(_QUAD_TOL, _QUAD_TOL * abs(value))) and len(values) < limit:
+        ne, slot, x0, x1 = heapq.heappop(heap)
+        mid = 0.5 * (x0 + x1)
+        r1, e1, _ = _gk_panel(g, x0, mid, rule)
+        r2, e2, _ = _gk_panel(g, mid, x1, rule)
+        value, err, untrusted = value + (r1 + r2) - values[slot], err + (e1 + e2) + ne, False
+        halves = [(r1, e1, x0, mid), (r2, e2, mid, x1)][::-1 if e2 > e1 else 1]
+        for i, (r, e, y0, y1) in zip((slot, len(values)), halves):
+            heapq.heappush(heap, (-e, i, y0, y1))
+        values[slot] = halves[0][0]
+        values.append(halves[1][0])
+        if max(abs(x0), abs(x1)) <= (1.0 + 100 * _EPS) * (abs(mid) + 1000 * _TINY):
+            ok = False
+            break
+    neval = (2 * len(rule[2]) + 1) * (2 * len(values) - len(cuts) + 1)
+    ok = ok and len(values) < limit and err <= max(_QUAD_TOL, _QUAD_TOL * abs(value))
+    return sum(values), err, neval, ok
+
+
+# `_quad` reads `integrate.quad` at each call, so an object bound here, one
+# that counts the quadratures say, sees every quadrature in this module
+integrate = types.SimpleNamespace(quad=_gauss_kronrod)
 
 
 def _quad(f, a, b, **kw):
-    """QUADPACK quadrature of f over [a, b]: (value, abserr, neval, converged).
+    """Adaptive Gauss-Kronrod quadrature of f over [a, b]: (value, abserr, neval, converged).
 
-    `converged` is False when QUADPACK sets its error flag ier > 0 (limit
-    reached, roundoff, bad integrand, no convergence, probable divergence;
-    Piessens et al., QUADPACK, 1983): scipy then returns a message after the
-    info dict instead of warning, since `full_output` is set.  It is False
-    too when the error estimate exceeds QUAD_RTOL |value|: ier = 0 is met
-    under scipy's absolute epsabs = 1.49e-8, which says nothing about a
-    value far below it.
+    `converged` is False when the adaptive rule stops unconverged (see
+    `_gauss_kronrod`), and also when the error estimate exceeds QUAD_RTOL
+    |value|: QUADPACK's stop rule meets an absolute 1.49e-8, which says
+    nothing about a value far below it.
     """
-    res = _integrate().quad(f, a, b, full_output=1, **kw)
-    return res[0], res[1], res[2]["neval"], len(res) == 3 and res[1] <= QUAD_RTOL * abs(res[0])
+    value, err, neval, ok = integrate.quad(f, a, b, **kw)
+    return value, err, neval, ok and err <= QUAD_RTOL * abs(value)
+
+
+def _kv(nu: float, x: float) -> float:
+    """K_nu(x), the modified Bessel function of the second kind, for x >= 0 (inf at 0).
+
+    K_nu(x) = ∫_0^inf e^{-x cosh t} cosh(nu t) dt by the trapezoid rule with
+    step min(0.05, 0.4/sqrt x), which converges exponentially for this
+    analytic integrand (Trefethen & Weideman, SIAM Review 56(3), 2014), cut
+    where x (cosh t - 1) > 745 and e^{-x cosh t} falls below the smallest
+    double relative to its peak e^{-x}.  It reads 0 below e^{-_KV_ELIM}, the
+    underflow bound of AMOS's zbesk (Amos, ACM TOMS 12, 1986) that scipy's
+    kv applies, so the two read 0 on the same range.
+    """
+    if x == 0.0:
+        return math.inf
+    h = min(0.05, 0.4 / math.sqrt(x))
+    t = np.arange(h, math.acosh(1.0 + 745.0 / x), h)
+    # x (cosh t - 1) = 2 x sinh^2(t/2), without the cancellation near t = 0
+    scaled = h * (0.5 + float(np.sum(np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t))))
+    return 0.0 if x - math.log(scaled) > _KV_ELIM else scaled * math.exp(-x)
 
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit n-sphere S^n."""
-    from scipy import special
-    return 2 * math.pi ** ((n + 1) / 2) / special.gamma((n + 1) / 2)
+    return 2 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
 @dataclass(frozen=True)
@@ -135,11 +271,13 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
     m = ks.mass
     L = reg.Lambda
     name = g.name
-    if reg.scheme == "schwinger":
+    soft = reg.scheme == "schwinger"
+    upper = np.inf if soft else L
+
+    def radial(integrand, hi, **kw):
         # soft exponential damping instead of the sharp radial cutoff
-        damp, upper = (lambda r: math.exp(-r * r / (L * L))), np.inf
-    else:
-        damp, upper = (lambda r: 1.0), L
+        f = (lambda r: math.exp(-r * r / (L * L)) * integrand(r)) if soft else integrand
+        return _quad(f, 0.0, hi, limit=200, **kw)
 
     if name.startswith("kappa_minkowski"):
         d = g.meta["d"]
@@ -147,9 +285,9 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
 
         def integrand(r):
             om = math.hypot(r, m)
-            return damp(r) * r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
+            return r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
 
-        val, err, _, ok = _quad(integrand, 0.0, upper, limit=200)
+        val, err, _, ok = radial(integrand, upper)
         return {"value": sphere_area(d - 1) * val, "error": sphere_area(d - 1) * err,
                 "converged": ok, "reduction": "wick-rotated radial, analytic inner k0"}
 
@@ -157,23 +295,22 @@ def propagator_integral(ks: KineticSpec, reg: RegulatorSpec) -> dict:
         D = g.dim if name == "commutative" else g.dim - 1  # Lebesgue spatial dims
 
         def integrand(r):
-            return damp(r) * r ** (D - 1) / (r * r + m * m)
+            return r ** (D - 1) / (r * r + m * m)
 
-        val, err, _, ok = _quad(integrand, 0.0, upper, limit=200,
-                                points=[m] if m < L and upper is not np.inf else None)
+        val, err, _, ok = radial(integrand, upper, points=[m] if m < upper < np.inf else None)
         return {"value": sphere_area(D - 1) * val, "error": sphere_area(D - 1) * err,
                 "converged": ok, "reduction": "euclidean radial"}
 
     if name == "su2_lambda":
         lam = g.meta["lam"]
-        rmax = 2 * math.pi / lam if upper is np.inf else min(L, 2 * math.pi / lam)
+        rmax = 2 * math.pi / lam if soft else min(L, 2 * math.pi / lam)
 
         def integrand(r):
             x = lam * r / 2
             s = 1.0 if x < 1e-8 else math.sin(x) / x
-            return damp(r) * r * r * s * s / (r * r + m * m)
+            return r * r * s * s / (r * r + m * m)
 
-        val, err, _, ok = _quad(integrand, 0.0, rmax, limit=200)
+        val, err, _, ok = radial(integrand, rmax)
         return {"value": sphere_area(2) * val, "error": sphere_area(2) * err,
                 "converged": ok, "reduction": "compact radial with su2 Haar density"}
 
@@ -217,10 +354,8 @@ def propagator_sweep(ks: KineticSpec, lambdas) -> dict:
 
 def kmink_bessel_closed_form(m: float, kappa: float, d: int) -> float:
     """4 pi (4 pi kappa m / d)^{(d-1)/2} K_{(d-1)/2}(m d / 2 kappa)."""
-    from scipy import special
     nu = (d - 1) / 2
-    return float(4 * math.pi * (4 * math.pi * kappa * m / d) ** nu
-                 * special.kv(nu, m * d / (2 * kappa)))
+    return 4 * math.pi * (4 * math.pi * kappa * m / d) ** nu * _kv(nu, m * d / (2 * kappa))
 
 
 def kmink_bessel_oracle(m: float, kappa: float, d: int) -> dict:
@@ -283,8 +418,7 @@ def _moyal_regulator(p, Theta, Lambda: float) -> float:
 
 def moyal_nonplanar_closed(c: float, m: float) -> float:
     """∫_0^inf a^{-2} e^{-a m^2 - c/a} da = 2 (m/sqrt(c)) K_1(2 m sqrt(c))."""
-    from scipy import special
-    return 2 * (m / math.sqrt(c)) * special.kv(1, 2 * m * math.sqrt(c))
+    return 2 * (m / math.sqrt(c)) * _kv(1, 2 * m * math.sqrt(c))
 
 
 def moyal_nonplanar(p, Theta, m: float, Lambda: float) -> dict:
@@ -319,27 +453,30 @@ def moyal_asymptotic_check(m: float, c: float) -> dict:
 # ---------------------------------------------------------------------------
 # kappa-Minkowski non-planar value at temporal probes (closed form)
 
-_G_SPLIT = 500.0  # |Re z| up to which e^z and E1(z) are both normal doubles
-
-
 def _g(z: complex) -> complex:
     """e^z E1(z), the scaled exponential integral, for z off the negative real axis.
 
-    Up to |Re z| = 500 it is scipy's exp1 times e^z; neither factor
-    overflows or underflows there.  Beyond, it is the continued fraction of
-    Abramowitz & Stegun 5.1.22 (even form, modified Lentz), which converges
-    in under ten terms at that |z| even next to the branch cut; at |z| ~ 20
-    next to the cut it has not converged after 10^4 terms, so it is not
-    used below the split.
+    Near 0, and near the negative real axis up to |z| = 60, it is the power
+    series E1(z) = -gamma - log z - sum_{k>=1} (-z)^k/(k k!) (A&S 5.1.11),
+    whose terms cancel little there, times e^z, which cannot overflow at
+    |z| < 60.  Elsewhere it is the continued fraction of A&S 5.1.22 (even
+    form, modified Lentz) for e^z E1(z) itself, so a large |Re z| overflows
+    nothing; the series region spares it its slow convergence next to the
+    cut (Zhang & Jin, Computation of Special Functions, 1996, E1Z).
     """
-    if abs(z.real) <= _G_SPLIT:
-        from scipy import special
-        return complex(np.exp(z) * special.exp1(z))
+    if abs(z) < 2.0 or (z.real < 0.0 and abs(z.imag) < -0.6 * z.real and abs(z) < 60.0):
+        term = s = -z
+        k = 1
+        while abs(term) > 1e-17 * k * abs(s):
+            k += 1
+            term *= -z / k
+            s += term / k
+        return cmath.exp(z) * (-0.5772156649015329 - cmath.log(z) - s)
     # 1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...))))
     b = z + 1.0
     c, h = 1e300, 1.0 / b
     dn = h
-    for i in range(1, 100):
+    for i in range(1, 1000):
         b += 2.0
         dn = 1.0 / (b - i * i * dn)
         c = b - i * i / c

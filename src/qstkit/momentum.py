@@ -148,9 +148,17 @@ def _sinc2(x):
 # ---------------------------------------------------------------------------
 # preset group laws
 
+def _kappa_modular(kappa: float, d: int):
+    """Delta(p) = e^{d p0/kappa}, the modular function of both kappa orderings."""
+    def mod(p):
+        return np.exp(d * np.asarray(p)[..., 0] / kappa)
+    return mod
+
+
 def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
     sc = preset("kappa_minkowski", kappa=kappa, d=d)
     n = d + 1
+    mod = _kappa_modular(kappa, d)
 
     def kadd(p, q):
         p, q = np.asarray(p), np.asarray(q)
@@ -159,9 +167,6 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
     def kinv(p):
         p = np.asarray(p)
         return -np.concatenate((p[..., :1], np.exp(p[..., :1] / kappa) * p[..., 1:]), axis=-1)
-
-    def mod(p):
-        return np.exp(d * np.asarray(p)[..., 0] / kappa)
 
     def hess():
         H = np.zeros((n, n, n), dtype=complex)
@@ -183,15 +188,13 @@ def _kappa_sum_group(kappa: float, d: int) -> GroupDescriptor:
     """kappa-Minkowski in the sum (symmetric) wave-packet ordering."""
     sc = preset("kappa_minkowski", kappa=kappa, d=d)
     n = d + 1
+    mod = _kappa_modular(kappa, d)
 
     def sadd(p, q):
         p, q = np.asarray(p), np.asarray(q)
         p0, q0 = p[..., :1], q[..., :1]
         pref = np.exp(-p0 / kappa) * g_right_to_sum((p0 + q0) / kappa)
         return pref * (_h_exp(p0 / kappa) * p + _h_mexp(q0 / kappa) * q)
-
-    def mod(p):
-        return np.exp(d * np.asarray(p)[..., 0] / kappa)
 
     def wl(p):
         # |(1 - e^{p0/kappa})/p0|^d; the printed expression is negative for

@@ -399,7 +399,7 @@ def test_cli_causality_largest_grid(capsys):
 
 
 def test_cli_commands_load_only_their_modules():
-    # each command imports the kernel modules it runs, and only `loop` loads scipy
+    # each command imports the kernel modules it runs, and none loads scipy
     code = ("import contextlib, io, json, sys\n"
             "def loaded():\n"
             "    return ({m.removeprefix('qstkit.') for m in sys.modules if m.startswith('qstkit')}\n"
@@ -427,8 +427,31 @@ def test_cli_commands_load_only_their_modules():
         ["matrix-basis", 0, ["moyal_matrix"]],
         ["gauge", 0, ["gauge", "waves"]],
         ["causality", 0, ["causality"]],
-        ["loop", 0, ["loop", "scipy"]],
+        ["loop", 0, ["loop"]],
     ]
+
+
+def test_no_cli_command_loads_scipy():
+    # scipy is a test-only oracle: no command, `suite all` included, imports it
+    code = ("import contextlib, io, json, sys\n"
+            "import qstkit.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        qstkit.cli.main(argv)\n"
+            "    print(argv[0], 'scipy' in sys.modules)\n")
+    commands = [["group", op, "--p", "0.7,0,0,0", "--q", "0.1,0.2,0,0"]
+                for op in ("add", "inv", "modular", "haar-check", "delta-solve")]
+    commands += [["hopf", "check"], ["matrix-basis", "--N", "4"], ["gauge", "dim-scan"],
+                 ["gauge", "sw"], ["causality", "--v", "0:0:1", "--grid", "64"],
+                 ["loop", "bessel-check"], ["loop", "mixing", "--space", "moyal"],
+                 ["loop", "mixing", "--space", "kappa"], ["loop", "mixing", "--space", "commutative"],
+                 ["suite", "all"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.split() == [w for argv in commands for w in (argv[0], "False")]
 
 
 @pytest.mark.parametrize("caller, expect", [(None, "4"), ("28", "28")])

@@ -1,12 +1,13 @@
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from loop_oracle import kappa_nonplanar_quad
-from qstkit import loop as L
+from qstkit import cli, loop as L
 from qstkit.momentum import group_preset
 
 
@@ -449,9 +450,77 @@ def test_quad_reports_a_flagged_integrand():
     assert converged is False and neval > 0
     assert L._quad(math.exp, 0.0, 1.0)[3] is True
     Theta = group_preset("moyal_extended", theta=1.0).meta["Theta"]
-    # the two smallest IR probes of the Moyal classifier: QUADPACK flags them
-    assert L.moyal_nonplanar(np.array([1e-3, 0, 0, 0]), Theta, 1.0, 1e8)["converged"] is False
+    # the smallest IR probe of the Moyal classifier: QUADPACK's extrapolation
+    # returns -7.21 there, flagged; the plain bisection converges on the K1 value
+    mm = L.moyal_nonplanar(np.array([1e-3, 0, 0, 0]), Theta, 1.0, 1e8)
+    assert mm["converged"] is True and mm["quad"] == pytest.approx(3999984.95102, rel=1e-9)
+    assert mm["rel_err"] < 1e-9
     assert L.moyal_nonplanar(np.array([1.0, 0, 0, 0]), Theta, 1.0, 100.0)["converged"] is True
     ks = L.KineticSpec(group_preset("commutative", dim=4), L.euclidean_signature(4), 1.0)
     assert L.propagator_integral(ks, L.RegulatorSpec(Lambda=10.0))["converged"] is True
     assert L.kmink_bessel_oracle(1.0, 1.0, 3)["converged"] is True
+
+
+def _quadpack_converged(value, err, ok):
+    return ok and err <= L.QUAD_RTOL * abs(value)
+
+
+def test_quad_seam_sees_every_quadrature(monkeypatch):
+    # a counting proxy bound as `loop.integrate`, the way a tracing harness
+    # binds one, sees each quadrature; a public `quad` would be traced twice
+    real, calls = L.integrate.quad, []
+    monkeypatch.setattr(L, "integrate", types.SimpleNamespace(
+        quad=lambda *a, **kw: calls.append(a[1:3]) or real(*a, **kw)))
+    L.mixing_classify("moyal")
+    assert len(calls) == 8
+    assert not hasattr(L, "quad")
+
+
+def test_quad_matches_quadpack_on_every_loop_integrand(monkeypatch):
+    # every quadrature of `suite mixing` and of `bessel-check --grid 0.001,1000`
+    from scipy import integrate
+    real, seen = L.integrate.quad, []
+
+    def both(f, a, b, **kw):
+        r = real(f, a, b, **kw)
+        seen.append((r, integrate.quad(f, a, b, full_output=1, **kw)))
+        return r
+
+    monkeypatch.setattr(L, "integrate", types.SimpleNamespace(quad=both))
+    cli.suite_mixing(cli.RunConfig())
+    L.bessel_oracle_compare(ms=(0.001, 1000.0), kappas=(0.001, 1000.0))
+    assert len(seen) == 51
+    for (value, err, _, ok), ref in seen:
+        assert value == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+        assert _quadpack_converged(value, err, ok) == _quadpack_converged(ref[0], ref[1], len(ref) == 3)
+
+
+def test_quad_stops_at_a_panel_too_narrow_to_bisect():
+    # bisection toward the pole at 0.3 reaches a panel one ulp wide after
+    # about 50 panels, and stops there unconverged instead of at the limit
+    val, err, neval, converged = L._quad(lambda x: 1.0 / abs(x - 0.3), 0.0, 1.0, limit=400)
+    assert converged is False and neval < 21 * 2 * 60
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_kv_matches_scipy(nu):
+    from scipy import special
+    xs = np.geomspace(1e-6, 700.0, 400)
+    ref = special.kv(nu, xs)
+    got = np.array([L._kv(nu, float(x)) for x in xs])
+    assert (ref == 0).sum() > 0 and np.array_equal(got == 0, ref == 0)
+    ok = ref > 0
+    assert np.max(np.abs(got[ok] / ref[ok] - 1.0)) <= 1e-13
+
+
+def test_scaled_exp1_matches_mpmath_densely():
+    # both sides of the imaginary axis, and next to the branch cut
+    import mpmath
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in np.concatenate([-np.geomspace(1e-3, 500, 40), np.geomspace(1e-3, 500, 40)]):
+            for y in np.concatenate([[0.0], -np.geomspace(1e-6, 1e4, 40)]):
+                z = complex(x, y)
+                ref = complex(mpmath.exp(z) * mpmath.e1(z))
+                worst = max(worst, abs(L._g(z) - ref) / abs(ref))
+    assert worst <= 1e-13
