@@ -20,9 +20,9 @@ HESSIAN_STEP = 1e-4  # finite-difference step of recover_from_group_law
 PRESET_NAMES = ("kappa_minkowski", "moyal_extended", "rho_minkowski", "su2_lambda")
 
 # Moyal fifth-slot conventions: increment of p5 under composition, as a
-# multiple of p.Theta.q.  "weyl" is the only one whose group law regenerates
-# the stored tensor (and it matches the integral star-product phase); the
-# other two reproduce the two other printed forms.
+# multiple c of p.Theta.q.  The preset stores the tensor its law regenerates,
+# C[:ns, :ns, ns] = -2i c Theta: i Theta for "weyl" (whose phase matches the
+# integral star product), -2i Theta for "real" and 2 Theta for "imaginary".
 MOYAL_PHASE_CONVENTIONS = {"weyl": -0.5, "real": 1.0, "imaginary": 1j}
 
 
@@ -86,8 +86,9 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
     """Return the structure constants of one of the four shipped space-times.
 
     kappa_minkowski: [x^0,x^j] = (i/kappa) x^j for j = 1..d (any d >= 1).
-    moyal_extended:  [x^mu,x^nu] = i Theta^{mu nu} x^5 with the unit slot
-                     appended (dim = even spatial + 1, default 5).
+    moyal_extended:  [x^mu,x^nu] = -2i c Theta^{mu nu} x^5 with the unit slot
+                     appended (dim = even spatial + 1, default 5); c is the
+                     phase convention's increment, so i Theta for "weyl".
     rho_minkowski:   dim 4, rotation-type bracket in the (x1,x2) plane.
     su2_lambda:      [x^j,x^k] = i lam eps^{jk}_l x^l, dim 3.
     """
@@ -121,7 +122,7 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
             Theta[2 * b, 2 * b + 1] = theta
             Theta[2 * b + 1, 2 * b] = -theta
         C = np.zeros((n, n, n), dtype=complex)
-        C[:ns, :ns, ns] = 1j * Theta
+        C[:ns, :ns, ns] = -2j * MOYAL_PHASE_CONVENTIONS[phase_convention] * Theta
         return StructureConstants(
             name, n, float(theta), C,
             meta={"theta": float(theta), "Theta": Theta,
@@ -169,42 +170,46 @@ def jacobi_check(sc: StructureConstants) -> dict:
     return {"max_violation": v, "passed": v <= JACOBI_TOL}
 
 
-def _hessian_fd(add, dim, mu, nu, h):
-    """d^2 (p [+] q)/dp_mu dq_nu at p = q = 0, central differences."""
-    ep = np.zeros(dim)
-    eq = np.zeros(dim)
-    ep[mu] = h
-    eq[nu] = h
-    fpp = add(ep, eq)
-    fpm = add(ep, -eq)
-    fmp = add(-ep, eq)
-    fmm = add(-ep, -eq)
-    return (np.asarray(fpp) - np.asarray(fpm) - np.asarray(fmp) + np.asarray(fmm)) / (4 * h * h)
+# signs of (p_mu, q_nu) at the four points of the mixed central difference
+_STENCIL = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+
+
+def _hessian_fd(add, dim, h):
+    """d^2 (p [+] q)_rho/dp_mu dq_nu at p = q = 0, shape (dim, dim, dim), central differences.
+
+    The law gets all 4 dim^2 stencil points in one call, as two arrays of
+    shape (dim, dim, 4, dim): [mu, nu, k] is (s_k h e_mu, t_k h e_nu) for
+    the k-th sign pair (s_k, t_k) of _STENCIL.
+    """
+    eye = h * np.eye(dim)
+    P = _STENCIL[:, 0, None] * eye[:, None, None, :]   # (dim, 1, 4, dim)
+    Q = _STENCIL[:, 1, None] * eye[None, :, None, :]   # (1, dim, 4, dim)
+    P, Q = np.broadcast_arrays(P, Q)
+    f = np.asarray(add(P, Q))
+    return (f[..., 0, :] - f[..., 1, :] - f[..., 2, :] + f[..., 3, :]) / (4 * h * h)
 
 
 def recover_from_group_law(g) -> StructureConstants:
     """Structure constants from a deformed addition law.
 
     C^{mu nu}_rho = -i (H^{mu nu}_rho - H^{nu mu}_rho) with H the mixed
-    Hessian of the group law at the origin.  The descriptor's exact Hessian
-    is used when provided; otherwise central finite differences at step
-    h = HESSIAN_STEP, with one Richardson step (h and h/2) for O(h^4) accuracy.
+    Hessian of the group law at the origin, from central finite differences
+    of g.add at step h = HESSIAN_STEP, with one Richardson step (h and h/2)
+    for O(h^4) accuracy.  ArithmeticError names the first (mu, nu) whose two
+    estimates differ by more than 1e-2 (1 + max |H(h/2)|).
     """
     dim = g.dim
-    if g.exact_hessian is not None:
-        H = g.exact_hessian()
-    else:
-        H = np.zeros((dim, dim, dim), dtype=complex)
-        for mu in range(dim):
-            for nu in range(dim):
-                d1 = _hessian_fd(g.add, dim, mu, nu, HESSIAN_STEP)
-                d2 = _hessian_fd(g.add, dim, mu, nu, HESSIAN_STEP / 2)
-                if np.max(np.abs(d2 - d1)) > 1e-2 * (1 + np.max(np.abs(d2))):
-                    raise ArithmeticError(
-                        f"Hessian estimate unstable at (mu,nu)=({mu},{nu}): "
-                        f"h and h/2 values differ by {np.max(np.abs(d2-d1)):.3e}"
-                    )
-                H[mu, nu] = (4 * d2 - d1) / 3
+    d1 = _hessian_fd(g.add, dim, HESSIAN_STEP)
+    d2 = _hessian_fd(g.add, dim, HESSIAN_STEP / 2)
+    gap = np.max(np.abs(d2 - d1), axis=-1)
+    unstable = np.argwhere(gap > 1e-2 * (1 + np.max(np.abs(d2), axis=-1)))
+    if len(unstable):
+        mu, nu = unstable[0]
+        raise ArithmeticError(
+            f"Hessian estimate unstable at (mu,nu)=({mu},{nu}): "
+            f"h and h/2 values differ by {gap[mu, nu]:.3e}"
+        )
+    H = (4 * d2 - d1) / 3
     C = -1j * (H - H.transpose(1, 0, 2))
     return StructureConstants(
         name=f"{g.name}:recovered",

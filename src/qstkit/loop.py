@@ -552,16 +552,10 @@ class TwoPointAssembly:
     nonplanar_poly = {
         (0, 0): Fraction(1), (0, -1): Fraction(1), (1, -2): Fraction(1), (1, -3): Fraction(1)}
 
-    def _weight(self, poly, q, k) -> float:
+    def planar_weight(self, q, k) -> float:
         dq = self.group.modular(np.asarray(q, float))
         dk = self.group.modular(np.asarray(k, float))
-        return float(sum(float(c) * dq ** a * dk ** b for (a, b), c in poly.items()))
-
-    def planar_weight(self, q, k) -> float:
-        return self._weight(self.planar_poly, q, k)
-
-    def nonplanar_weight(self, q, k) -> float:
-        return self._weight(self.nonplanar_poly, q, k)
+        return float(sum(float(c) * dq ** a * dk ** b for (a, b), c in self.planar_poly.items()))
 
     def commutative_coefficients(self) -> dict:
         """Exact rational collapse at D = 1, ⊞ = +."""

@@ -3,7 +3,8 @@
 Each space-time's momenta compose through a non-abelian group law ("⊞")
 obtained by exponentiating the coordinate algebra.  This module ships the
 closed forms for the four presets plus the commutative group, their Haar
-weights, modular functions and Jacobians, the right<->sum ordering
+weights and modular functions, the Haar invariance check (its Jacobians
+come from finite differences of the law itself), the right<->sum ordering
 transform for kappa-Minkowski, the non-planar delta solver and a truncated
 BCH composition that serves as the independent oracle for the closed
 forms and as the generic-group fallback.  `add_batch` and `inv_batch`
@@ -36,9 +37,10 @@ class GroupDescriptor:
     """A momentum group: composition, inverse, Haar weights, modular function.
 
     Every law acts on arrays of shape (..., dim), so one momentum is a batch
-    of one; add, jac_left and jac_right take two arrays of the same shape.
-    Scalar-valued laws (weights, modular function, Jacobians) return shape
-    (...), a NumPy scalar for one momentum.
+    of one; add takes two arrays of the same shape.  Scalar-valued laws
+    (weights, modular function) return shape (...), a NumPy scalar for one
+    momentum.  Derivatives are never stored: the Haar check and structure
+    recovery differentiate add.
     """
 
     name: str
@@ -49,9 +51,6 @@ class GroupDescriptor:
     haar_left: Callable
     haar_right: Callable
     modular: Callable
-    jac_left: Optional[Callable] = None   # |det d(q+p)/dp|
-    jac_right: Optional[Callable] = None  # |det d(p+q)/dp|
-    exact_hessian: Optional[Callable] = None
 
     @property
     def meta(self) -> dict:
@@ -86,7 +85,7 @@ def modular(g: GroupDescriptor, p):
 
 
 def _one(p, *_):
-    """The constant 1 for each momentum in p: unimodular weights and Jacobians."""
+    """The constant 1 for each momentum in p: unimodular weights."""
     return np.ones(np.shape(p)[:-1])[()]
 
 
@@ -157,7 +156,6 @@ def _kappa_modular(kappa: float, d: int):
 
 def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
     sc = preset("kappa_minkowski", kappa=kappa, d=d)
-    n = d + 1
     mod = _kappa_modular(kappa, d)
 
     def kadd(p, q):
@@ -168,19 +166,10 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
         p = np.asarray(p)
         return -np.concatenate((p[..., :1], np.exp(p[..., :1] / kappa) * p[..., 1:]), axis=-1)
 
-    def hess():
-        H = np.zeros((n, n, n), dtype=complex)
-        for j in range(1, n):
-            H[0, j, j] = -1.0 / kappa
-        return H
-
     return GroupDescriptor(
-        name="kappa_minkowski", dim=n, structure=sc,
+        name="kappa_minkowski", dim=d + 1, structure=sc,
         # the left Haar weight e^{d p0/kappa} is the modular function itself
         add=kadd, inv=kinv, haar_left=mod, haar_right=_one, modular=mod,
-        jac_left=lambda q, p: np.exp(-d * np.asarray(q)[..., 0] / kappa),
-        jac_right=_one,
-        exact_hessian=hess,
     )
 
 
@@ -239,27 +228,17 @@ def _rho_group(rho: float) -> GroupDescriptor:
         out[..., 1], out[..., 2] = r1, r2
         return out
 
-    def hess():
-        H = np.zeros((4, 4, 4), dtype=complex)
-        # d^2 (p+q)_1,2 / dp0 dq_j of R(rho p0) q at 0
-        H[0, 1, 2] = rho
-        H[0, 2, 1] = -rho
-        return H
-
     return GroupDescriptor(
         name="rho_minkowski", dim=4, structure=sc,
         add=radd, inv=rinv, haar_left=_one, haar_right=_one, modular=_one,
-        jac_left=_one, jac_right=_one,
-        exact_hessian=hess,
     )
 
 
 def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> GroupDescriptor:
     sc = preset("moyal_extended", theta=theta, dim=dim, phase_convention=phase_convention)
     Theta = sc.meta["Theta"]
-    c = MOYAL_PHASE_CONVENTIONS[phase_convention]
     ns = dim - 1
-    cTheta = c * Theta  # complex for the imaginary convention
+    cTheta = MOYAL_PHASE_CONVENTIONS[phase_convention] * Theta  # complex for "imaginary"
     # its nonzero entries, ordered by column as the sum p.Theta.q runs
     terms = [(i, j, cTheta[i, j]) for j, i in zip(*np.nonzero(Theta.T))]
 
@@ -272,16 +251,9 @@ def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> 
         out[..., ns] += sum(P[i] * v * Q[j] for i, j, v in terms)
         return out
 
-    def hess():
-        H = np.zeros((dim, dim, dim), dtype=complex)
-        H[:ns, :ns, ns] = c * Theta
-        return H
-
     return GroupDescriptor(
         name="moyal_extended", dim=dim, structure=sc,
         add=madd, inv=_minus, haar_left=_one, haar_right=_one, modular=_one,
-        jac_left=_one, jac_right=_one,
-        exact_hessian=hess,
     )
 
 
@@ -331,8 +303,6 @@ def _commutative_group(dim: int) -> GroupDescriptor:
         add=lambda p, q: np.asarray(p) + np.asarray(q),
         inv=_minus,
         haar_left=_one, haar_right=_one, modular=_one,
-        jac_left=_one, jac_right=_one,
-        exact_hessian=lambda: np.zeros((dim, dim, dim), dtype=complex),
     )
 
 
@@ -439,14 +409,15 @@ def _fd_jacobian_det(f, x):
 
 
 def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
-    """Pointwise Jacobian residual of Haar invariance.
+    """Pointwise Jacobian residual of Haar invariance, relative to 1 + |w(p)|.
 
-    left : |w(p) - w(q [+] p) * |det d(q [+] p)/dp||
-    right: |w(p) - w(p [+] q) * |det d(p [+] q)/dp||
+    left : |w(p) - w(q [+] p) * |det d(q [+] p)/dp|| / (1 + |w(p)|)
+    right: |w(p) - w(p [+] q) * |det d(p [+] q)/dp|| / (1 + |w(p)|)
+    The Jacobian determinant is always that of the law, by central
+    differences (_fd_jacobian_det), so a wrong law or a wrong weight shows.
     p and q are momenta or (n, dim) rows; the residual has one entry per row.
-    A weight override lets corrupted densities be probed.  A law without a
-    closed-form Jacobian that is complex at the stencil points raises
-    ValueError (see _fd_jacobian_det).
+    A weight override lets corrupted densities be probed.  A law that is
+    complex at the stencil points raises ValueError.
     """
     g.check_dim(p, q)
     p, q = np.broadcast_arrays(np.asarray(p, float), np.asarray(q, float))
@@ -454,20 +425,15 @@ def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
     if side == "left":
         w = weight if weight is not None else g.haar_left
         shifted = g.add(q, p)
-        if g.jac_left is not None:
-            det = g.jac_left(q, p)
-        else:
-            det = _fd_jacobian_det(lambda x: g.add(np.broadcast_to(qs, x.shape), x), p)
+        det = _fd_jacobian_det(lambda x: g.add(np.broadcast_to(qs, x.shape), x), p)
     elif side == "right":
         w = weight if weight is not None else g.haar_right
         shifted = g.add(p, q)
-        if g.jac_right is not None:
-            det = g.jac_right(p, q)
-        else:
-            det = _fd_jacobian_det(lambda x: g.add(x, np.broadcast_to(qs, x.shape)), p)
+        det = _fd_jacobian_det(lambda x: g.add(x, np.broadcast_to(qs, x.shape)), p)
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return np.abs(w(p) - w(shifted) * det)
+    wp = w(p)
+    return np.abs(wp - w(shifted) * det) / (1.0 + np.abs(wp))
 
 
 def modular_identity_residuals(g: GroupDescriptor, p, q) -> dict:

@@ -7,12 +7,18 @@ library now builds the same closed forms on the coordinate columns
 `p[..., i]`; the tests compare the two within 64 eps (1 + |x|).  The
 Lie bracket of the BCH series as first written, one three-operand einsum,
 is here too.
+
+The hand-written derivatives of the kappa (right ordering), rho, Moyal and
+commutative laws live here as well: the Jacobian determinants of the left
+and right translations and the mixed Hessian at the origin.  The library
+differentiates the laws numerically; the tests check these closed forms
+against that, and the stored structure constants against these exactly.
 """
 
 import numpy as np
 
 from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
-from qstkit.momentum import _sinc2
+from qstkit.momentum import _one, _sinc2
 
 
 def su2_laws(lam):
@@ -80,3 +86,48 @@ def rho_laws(rho):
 def bracket(C, u, v):
     """[u, v]_r = sum_mn u_m v_n C^{mn}_r over every (m, n, r), zero or not."""
     return np.einsum("...m,...n,mnr->...r", u, v, np.asarray(C, dtype=complex))
+
+
+# closed-form derivatives ---------------------------------------------------
+
+HAND_DERIVED = ("kappa_minkowski", "rho_minkowski", "moyal_extended", "commutative")
+
+
+def jacobians(g):
+    """(jac_left(q, p), jac_right(p, q)) of g: |det d(q [+] p)/dp| and |det d(p [+] q)/dp|.
+
+    kappa (right ordering): q [+] p = q + (p0, e^{-q0/kappa} p_s), so the left
+    determinant is e^{-d q0/kappa}; p [+] q is triangular in p with unit
+    diagonal.  The rho, Moyal and commutative translations are triangular with
+    unit diagonal on both sides.
+    """
+    if g.name == "kappa_minkowski":
+        kappa, d = g.meta["kappa"], g.meta["d"]
+        return (lambda q, p: np.exp(-d * np.asarray(q)[..., 0] / kappa)), _one
+    if g.name in HAND_DERIVED:
+        return _one, _one
+    raise ValueError(f"no closed-form Jacobians for {g.name}")
+
+
+def exact_hessian(g):
+    """H[mu, nu, rho] = d^2 (p [+] q)_rho / dp_mu dq_nu at p = q = 0."""
+    n = g.dim
+    H = np.zeros((n, n, n), dtype=complex)
+    if g.name == "kappa_minkowski":
+        for j in range(1, n):
+            H[0, j, j] = -1.0 / g.meta["kappa"]
+    elif g.name == "rho_minkowski":
+        # d^2 (p+q)_1,2 / dp0 dq_j of R(rho p0) q at 0
+        H[0, 1, 2] = g.meta["rho"]
+        H[0, 2, 1] = -g.meta["rho"]
+    elif g.name == "moyal_extended":
+        c = MOYAL_PHASE_CONVENTIONS[g.meta["phase_convention"]]
+        H[:n - 1, :n - 1, n - 1] = c * g.meta["Theta"]
+    elif g.name != "commutative":
+        raise ValueError(f"no closed-form Hessian for {g.name}")
+    return H
+
+
+def structure_from_hessian(H):
+    """C = -i (H - H^T in (mu, nu)), the tensor a law with mixed Hessian H regenerates."""
+    return -1j * (H - H.transpose(1, 0, 2))

@@ -180,6 +180,43 @@ def test_suite_group_nan_residual_fails_its_row(monkeypatch):
     assert not row["passed"] and np.isnan(row["residual"])
 
 
+def _kappa_of_minus_kappa(build):
+    """build, with the kappa laws replaced by those of -kappa: a group, but not the
+    one its Haar weights and structure constants describe."""
+    def group(name, **kw):
+        g = build(name, **kw)
+        if name != "kappa_minkowski":
+            return g
+        k = g.meta["kappa"]
+
+        def kadd(p, q):
+            return p + np.concatenate((q[..., :1], np.exp(p[..., :1] / k) * q[..., 1:]), axis=-1)
+
+        def kinv(p):
+            return -np.concatenate((p[..., :1], np.exp(-p[..., :1] / k) * p[..., 1:]), axis=-1)
+
+        return dataclasses.replace(g, add=kadd, inv=kinv)
+    return group
+
+
+def test_suite_group_fails_the_law_of_minus_kappa(monkeypatch):
+    monkeypatch.setattr(cli, "group_preset", _kappa_of_minus_kappa(group_preset))
+    expected = {f"{check}-{label}" for check in ("haar-invariance", "structure-roundtrip")
+                for label in ("kappa_minkowski-d1", "kappa_minkowski")}
+    for seed in range(5):
+        code, rep = cli.run_suite("group", cli.RunConfig(seed=seed))
+        assert code == 1
+        assert {r["check"] for r in rep["rows"] if not r["passed"]} == expected
+
+
+@pytest.mark.parametrize("kappa", [0.35, 0.4, 0.45, 0.5])
+def test_suite_group_passes_at_small_kappa(kappa):
+    # the Haar residual is relative to 1 + w(p), and the weights grow as e^{d p0/kappa}
+    for seed in range(5):
+        code, rep = cli.run_suite("group", cli.RunConfig(kappa=kappa, seed=seed))
+        assert code == 0, [r["check"] for r in rep["rows"] if not r["passed"]]
+
+
 def test_worst_propagates_nan():
     assert cli._worst(0.0, [1.0, 2.0], np.array([[3.0]])) == 3.0
     assert np.isnan(cli._worst(0.5, [np.nan, 0.1]))

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qstkit.liestructure import (PresetError, StructureConstants, jacobi_check,
-                                 preset, recover_from_group_law)
+import momentum_oracle as MO
+from qstkit.liestructure import (HESSIAN_STEP, MOYAL_PHASE_CONVENTIONS, PresetError,
+                                 StructureConstants, _hessian_fd, jacobi_check, preset,
+                                 recover_from_group_law)
 from qstkit.momentum import group_preset
 
 PRESETS = [
@@ -74,18 +77,66 @@ GROUPS = [
 @pytest.mark.parametrize("name,kw", GROUPS)
 def test_recover_from_group_law_fd(name, kw):
     g = group_preset(name, **kw)
-    # force the finite-difference path
-    fd = group_preset(name, **kw)
-    object.__setattr__(fd, "exact_hessian", None)
-    rec = recover_from_group_law(fd)
+    rec = recover_from_group_law(g)  # finite differences of the law itself
     assert np.max(np.abs(rec.C - g.structure.C)) < 1e-6
 
 
 @pytest.mark.parametrize("name,kw", GROUPS[:4])
 def test_recover_from_group_law_symbolic(name, kw):
     g = group_preset(name, **kw)
-    rec = recover_from_group_law(g)  # exact-Hessian path
-    assert np.max(np.abs(rec.C - g.structure.C)) == 0.0
+    C = MO.structure_from_hessian(MO.exact_hessian(g))  # the hand-written Hessian
+    assert np.max(np.abs(C - g.structure.C)) == 0.0
+
+
+ORACLE_GROUPS = GROUPS[:4] + [
+    ("kappa_minkowski", dict(kappa=0.4, d=2)),
+    ("rho_minkowski", dict(rho=-0.7)),
+    ("commutative", dict(dim=4)),
+] + [("moyal_extended", dict(theta=th, dim=n, phase_convention=c))
+     for c in MOYAL_PHASE_CONVENTIONS for th, n in ((0.3, 3), (-2.0, 7))]
+
+
+@pytest.mark.parametrize("name,kw", ORACLE_GROUPS)
+def test_oracle_hessian_matches_the_law(name, kw):
+    g = group_preset(name, **kw)
+    d1 = _hessian_fd(g.add, g.dim, HESSIAN_STEP)
+    d2 = _hessian_fd(g.add, g.dim, HESSIAN_STEP / 2)
+    assert np.max(np.abs((4 * d2 - d1) / 3 - MO.exact_hessian(g))) < 1e-6
+
+
+@pytest.mark.parametrize("conv", sorted(MOYAL_PHASE_CONVENTIONS))
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_moyal_structure_follows_its_law(conv, dim):
+    g = group_preset("moyal_extended", theta=0.8, dim=dim, phase_convention=conv)
+    rec = recover_from_group_law(g)
+    assert np.max(np.abs(rec.C - g.structure.C)) < 1e-6
+    assert jacobi_check(g.structure)["passed"]
+
+
+def test_hessian_stencil_is_one_call_per_step():
+    g = group_preset("kappa_minkowski", kappa=1.0, d=3)
+    shapes = []
+
+    def add(p, q):
+        shapes.append((p.shape, q.shape))
+        return g.add(p, q)
+
+    rec = recover_from_group_law(dataclasses.replace(g, add=add))
+    assert shapes == [((4, 4, 4, 4), (4, 4, 4, 4))] * 2
+    assert np.max(np.abs(rec.C - g.structure.C)) < 1e-6
+
+
+def test_unstable_hessian_names_the_first_pair():
+    g = group_preset("commutative", dim=3)
+
+    def add(p, q):  # p_1 q_2 and p_2 q_0 terms seen at step h only, not at h/2
+        out = np.asarray(p + q, float)
+        wide = np.abs(p) > 0.75 * HESSIAN_STEP
+        out[..., 0] += p[..., 1] * q[..., 2] * wide[..., 1] + p[..., 2] * q[..., 0] * wide[..., 2]
+        return out
+
+    with pytest.raises(ArithmeticError, match=r"\(mu,nu\)=\(1,2\)"):
+        recover_from_group_law(dataclasses.replace(g, add=add))
 
 
 def test_recover_kappa_value():

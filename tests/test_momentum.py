@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import momentum_oracle as MO
 from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
-from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, _bracket, add, add_batch,
+from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, _bracket, _fd_jacobian_det, add,
+                             add_batch,
                              bch_compose, delta_solve_nonplanar, dispersion, g_right_to_sum,
                              group_from_structure, group_preset, haar_invariance_check, inv,
                              inv_batch, modular, modular_identity_residuals,
@@ -94,6 +95,41 @@ def test_corrupted_weight_fails_left_invariance():
     p = np.array([0.2, 0.4])
     res = haar_invariance_check(g, q, p, "left", weight=lambda x: 1.0)
     assert res > 1e-3
+
+
+JACOBIAN_GROUPS = [
+    ("kappa_minkowski", dict(kappa=1.0, d=1)),
+    ("kappa_minkowski", dict(kappa=0.4, d=3)),
+    ("kappa_minkowski", dict(kappa=7.0, d=2)),
+    ("rho_minkowski", dict(rho=1.0)),
+    ("rho_minkowski", dict(rho=-0.7)),
+    ("moyal_extended", dict(theta=1.0)),
+    ("moyal_extended", dict(theta=-2.0, dim=7, phase_convention="real")),
+    ("commutative", dict(dim=4)),
+]
+
+
+@pytest.mark.parametrize("name,kw", JACOBIAN_GROUPS)
+def test_oracle_jacobians_match_the_law(name, kw):
+    g = group_preset(name, **kw)
+    jac_left, jac_right = MO.jacobians(g)
+    kappa = g.meta.get("kappa", 1.0)
+    rng = np.random.default_rng(14)
+    p, q = rng.normal(size=(2, 50, g.dim))
+    q[:, 0] = rng.uniform(-2 * kappa, 2 * kappa, size=50)  # |q0| <= 2 kappa
+    qs = q[:, None, None, :]
+    left = _fd_jacobian_det(lambda x: g.add(np.broadcast_to(qs, x.shape), x), p)
+    right = _fd_jacobian_det(lambda x: g.add(x, np.broadcast_to(qs, x.shape)), p)
+    assert np.max(np.abs(left / jac_left(q, p) - 1)) < 1e-8
+    assert np.max(np.abs(right / jac_right(p, q) - 1)) < 1e-8
+
+
+def test_haar_residual_is_relative_to_the_weight():
+    # a constant weight c against the left determinant e^{-q0}: |c - c/2| / (1 + c)
+    g = group_preset("kappa_minkowski", kappa=1.0, d=1)
+    q, p = np.array([LN2, 0.3]), np.array([0.2, 0.4])
+    res = haar_invariance_check(g, q, p, "left", weight=lambda x: np.full(x.shape[:-1], 1e6)[()])
+    assert res == pytest.approx(0.5e6 / (1 + 1e6), rel=1e-8)
 
 
 def test_noncommutativity_witness():
