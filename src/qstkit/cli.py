@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -390,7 +391,9 @@ def suite_mixing(cfg: RunConfig):
         checks.append((f"verdict-{space}", rep.verdict == expected, 0.0, rep.verdict))
     cmpr = LO.bessel_oracle_compare()
     checks.append(("bessel-ratio-constancy", cmpr["passed"], cmpr["max_rel_dev"]))
-    mm = LO.moyal_nonplanar(np.array([1.0, 0, 0, 0]),
+    # |p| = 1/theta keeps c = 1/4 + 1/Lambda^2 at every theta; at |p| = 1 and
+    # theta = 1e3 the value and its quadrature both underflow to 0
+    mm = LO.moyal_nonplanar(np.array([1.0 / cfg.theta, 0, 0, 0]),
                             group_preset("moyal_extended", theta=cfg.theta).meta["Theta"],
                             1.0, 100.0)
     checks.append(("moyal-schwinger-vs-bessel", mm["rel_err"] < 1e-6, mm["rel_err"]))
@@ -400,6 +403,18 @@ def suite_mixing(cfg: RunConfig):
         ok = (c["total"], c["planar"], c["nonplanar"]) == expect
         checks.append((f"diagram-count-{f}", ok, 0.0,
                        f"{c['total']}={c['planar']}p+{c['nonplanar']}np"))
+    asm = LO.TwoPointAssembly(group_preset("moyal_extended", theta=cfg.theta,
+                                           phase_convention="real"))
+    co, mr = asm.commutative_coefficients(), asm.moyal_reduction()
+    # 10 (p, k) draws with the phase slot 0
+    pk = np.random.default_rng(cfg.seed).normal(size=(2, 10, 5)) * [1, 1, 1, 1, 0]
+    res = _worst(asm.nonplanar_phase_residual(*pk))
+    exact = (co == {"planar": Fraction(1, 3), "nonplanar": Fraction(1, 6), "total": Fraction(1, 2)}
+             and mr["coefficient"] == Fraction(1, 6) and mr["planar_multiple"] == 2)
+    checks.append(("two-point-reduction", exact and res < 1e-12, res,
+                   f"{co['planar']}+{co['nonplanar']}={co['total']}"))
+    asym = LO.moyal_asymptotic_check(1.0, 1e-4)
+    checks.append(("moyal-small-c-asymptote", asym["within_2pct"], abs(asym["ratio"] - 1.0)))
     return _rows("mixing", checks)
 
 

@@ -4,8 +4,7 @@ The twisted derivations X0 = kappa(1 - E), X_j = P_j obey the E-twisted
 Leibniz rule; gauge fields are tuples of wave packets, gauge transforms are
 unit-modulus plane waves, and the field strength / covariance / dimension
 checks are carried out exactly on packets.  The first-order Seiberg-Witten
-map lives in a separate exact-polynomial representation, and the tangent-
-space curvature formula works on constant central connection coefficients.
+map lives in a separate exact-polynomial representation.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from typing import List
 
 import numpy as np
 
-from .liestructure import StructureConstants
-from .momentum import GroupDescriptor
 from .polyfield import Poly
-from .waves import WavePacket, act, dagger, plane_wave, star, unit_wave
+from .waves import WavePacket, act, dagger, star
 
 
 def _xop(mu: int, f: WavePacket) -> WavePacket:
@@ -63,11 +60,6 @@ class GaugeField:
     @property
     def dim(self):
         return len(self.components)
-
-
-def unitarity_residual(u: WavePacket) -> float:
-    e0 = unit_wave(u.group)
-    return max((star(u, dagger(u)) - e0).norm(), (star(dagger(u), u) - e0).norm())
 
 
 def field_strength(A: GaugeField) -> list:
@@ -118,21 +110,6 @@ def covariance_residual(A: GaugeField, u: WavePacket) -> float:
     return worst
 
 
-def hermiticity_residual(A: GaugeField) -> float:
-    """|A_mu^dagger - E^{-1}(A_mu)| per component (twisted Hermiticity)."""
-    worst = 0.0
-    for comp in A.components:
-        worst = max(worst, (dagger(comp) - _eop(comp, power=-1)).norm())
-    return worst
-
-
-def twisted_hermitian_wave(group: GroupDescriptor, p) -> WavePacket:
-    """e_p + e^{p0/kappa} e_{(-)p}: the minimal twisted-Hermitian packet."""
-    kappa = group.meta["kappa"]
-    p = np.asarray(p, float)
-    return plane_wave(group, p) + plane_wave(group, group.inv(p), math.exp(p[0] / kappa))
-
-
 def dimension_constraint_scan(d_values, kappa: float, p0_samples) -> dict:
     """max |e^{(4-d) p0/kappa} - 1| per d: zero for every p0 iff d = 4.
 
@@ -151,11 +128,6 @@ def dimension_constraint_scan(d_values, kappa: float, p0_samples) -> dict:
         rows[int(d)] = float(np.max(devs))
     zero_set = sorted(d for d, dev in rows.items() if dev == 0.0)
     return {"deviations": rows, "zero_set": zero_set}
-
-
-def prefactor_packet(group: GroupDescriptor, u: WavePacket, d: int) -> WavePacket:
-    """E^{d-2}(u) * E^2(u^dagger), the action's gauge-variation prefactor."""
-    return star(_eop(u, power=d - 2), _eop(dagger(u), power=2))
 
 
 # ---------------------------------------------------------------------------
@@ -330,34 +302,3 @@ def poly_field_from_json(text: str) -> PolyGaugeField:
             coeffs[tuple(exp)] = tuple(coef)
         comps.append(Poly(4 if nv is None else nv, coeffs))
     return PolyGaugeField(comps)
-
-
-# ---------------------------------------------------------------------------
-# tangent-space curvature for constant central connection coefficients
-
-@dataclass
-class ConnectionCoefficients:
-    Gamma: np.ndarray  # Gamma[mu][nu][rho] = Gamma^rho_{mu nu}, constant central
-    structure: StructureConstants
-
-    def __post_init__(self):
-        self.Gamma = np.asarray(self.Gamma, dtype=complex)
-        n = self.structure.dim
-        if self.Gamma.shape != (n, n, n):
-            raise ValueError("Gamma must be dim^3")
-
-
-def tangent_curvature(conn: ConnectionCoefficients) -> np.ndarray:
-    """R_{mu nu rho}^sigma = G^t_{nu rho} G^s_{mu t} - G^t_{mu rho} G^s_{nu t}
-    - C^t_{mu nu} G^s_{t rho}; the coordinate-action terms vanish for
-    constant coefficients."""
-    G = conn.Gamma  # G[mu, nu, rho] = Gamma^rho_{mu nu}
-    C = conn.structure.C
-    R = (np.einsum("nrt,mts->mnrs", G, G)
-         - np.einsum("mrt,nts->mnrs", G, G)
-         - np.einsum("mnt,trs->mnrs", C, G))
-    return R
-
-
-def curvature_antisymmetry_residual(R: np.ndarray) -> float:
-    return float(np.max(np.abs(R + R.transpose(1, 0, 2, 3))))

@@ -209,11 +209,6 @@ class Tensor(Sparse):
     def _show(self, key, coef):
         return f"[{coef}]({' ⊗ '.join(map(_word, key))})"
 
-    def flip(self):
-        """Swap the two slots (n = 2 only)."""
-        assert self.n == 2
-        return self.map_keys(lambda k: ((k[::-1], ONE),))
-
 
 # ---------------------------------------------------------------------------
 # Hopf structure maps (generator tables extended (anti)multiplicatively)

@@ -49,26 +49,6 @@ class StructureConstants:
     def antisymmetry_violation(self) -> float:
         return float(np.max(np.abs(self.C + self.C.transpose(1, 0, 2))))
 
-    def to_json(self) -> str:
-        entries = []
-        for mu in range(self.dim):
-            for nu in range(self.dim):
-                for rho in range(self.dim):
-                    c = self.C[mu, nu, rho]
-                    if c != 0:
-                        entries.append(
-                            {"mu": mu, "nu": nu, "rho": rho, "re": c.real, "im": c.imag}
-                        )
-        return json.dumps(
-            {
-                "name": self.name,
-                "dim": self.dim,
-                "deformation": self.deformation,
-                "entries": entries,
-            },
-            sort_keys=True,
-        )
-
     @staticmethod
     def from_json(text: str) -> "StructureConstants":
         data = json.loads(text)

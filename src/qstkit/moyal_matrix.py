@@ -117,15 +117,6 @@ def basis_element(m: int, n: int, theta: float, N: int) -> TruncatedElement:
     return _support(theta, N, np.array([e.m]), np.array([e.n]), np.ones(1, dtype=complex))
 
 
-def basis_product(m: int, n: int, k: int, l: int, theta: float, N: int):
-    """f_mn * f_kl = delta_nk f_ml; returns None for the zero product."""
-    MatrixBasisElement(m, n, theta, N)
-    MatrixBasisElement(k, l, theta, N)
-    if n != k:
-        return None
-    return MatrixBasisElement(m, l, theta, N)
-
-
 def star(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """The matrix product of a and b.
 

@@ -129,10 +129,6 @@ def abelian_twist(order: int) -> TSeries:
     return exp_series(t)
 
 
-def trivial_twist(order: int) -> TSeries:
-    return TSeries.unit(2, order)
-
-
 def twist_check(F: TSeries) -> dict:
     """2-cocycle, normalization and semiclassical conditions, exactly."""
     order = F.order

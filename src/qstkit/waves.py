@@ -10,7 +10,6 @@ delta(0) is kept symbolic throughout.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 
 import numpy as np
@@ -108,42 +107,13 @@ class WavePacket:
         """l1 amplitude norm (zero iff the packet is zero)."""
         return sum(map(abs, self._amps.tolist()))
 
-    def amplitude_at(self, p):
-        hit = np.flatnonzero(_close(self._moms, np.asarray(p)))
-        return complex(self._amps[hit[0]]) if len(hit) else 0j
-
-    def value_at(self, x):
-        """Pointwise evaluation sum_p a_p exp(i p.x)."""
-        return complex(self._amps @ np.exp(1j * (self._moms @ np.asarray(x))))
-
     def __repr__(self):
         inner = " + ".join(f"({a:.3g})e_{np.round(np.real(p), 6)}" for p, a in self.terms)
         return f"WavePacket[{self.group.name}: {inner or '0'}]"
 
 
-def packet_to_json(f: WavePacket) -> str:
-    return json.dumps({
-        "group": f.group.name,
-        "terms": [{"p": [float(np.real(x)) for x in p],
-                   "re": float(a.real), "im": float(a.imag)}
-                  for p, a in f.terms],
-    }, sort_keys=True)
-
-
-def packet_from_json(text: str, group: GroupDescriptor) -> WavePacket:
-    data = json.loads(text)
-    if data["group"] != group.name:
-        raise GroupMismatch(f"packet is on {data['group']!r}, not {group.name!r}")
-    return WavePacket(group, [(np.asarray(t["p"], float), t["re"] + 1j * t["im"])
-                              for t in data["terms"]])
-
-
 def plane_wave(group: GroupDescriptor, p, amp=1.0) -> WavePacket:
     return WavePacket(group, [(np.asarray(p), amp)])
-
-
-def unit_wave(group: GroupDescriptor) -> WavePacket:
-    return plane_wave(group, np.zeros(group.dim))
 
 
 def _pairs(f: WavePacket, g: WavePacket):
@@ -290,11 +260,6 @@ class DeltaSum:
         bits = [f"({amp:.4g})·δ({' [+] '.join(str(np.round(np.real(a), 4)) for a in atoms) or 0})"
                 for amp, atoms in self.terms]
         return f"DeltaSum[{' + '.join(bits) or 0}]"
-
-
-def integral(f: WavePacket) -> DeltaSum:
-    """∫ f = sum_p a_p delta(p)."""
-    return DeltaSum._of(f.group, f._moms[:, None], f._amps)
 
 
 def integral_star(f: WavePacket, g: WavePacket) -> DeltaSum:

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from qstkit import cli
 from qstkit.liestructure import preset
 from qstkit.momentum import group_preset
+from structure_json import structure_json
 
 
 def test_parse_config_minimal_defaults():
@@ -51,7 +54,7 @@ def test_parse_config_wrong_type_names_path(conf, path):
 
 def test_parse_config_inline_structure_round_trip():
     sc = preset("su2_lambda", lam=1.0)
-    text = json.dumps({"structure": json.loads(sc.to_json())})
+    text = json.dumps({"structure": json.loads(structure_json(sc))})
     cfg = cli.parse_config(text)
     assert cfg.inline_structure is not None
     assert np.max(np.abs(cfg.inline_structure.C - sc.C)) == 0.0
@@ -71,7 +74,7 @@ def test_run_suite_exit_codes_and_corrupted_structure():
     sc = preset("su2_lambda", lam=1.0)
     C = sc.C.copy()
     C[0, 1, 2] = -C[0, 1, 2]
-    bad = json.loads(sc.to_json())
+    bad = json.loads(structure_json(sc))
     bad["entries"] = [
         {"mu": m, "nu": n, "rho": r, "re": float(C[m, n, r].real), "im": float(C[m, n, r].imag)}
         for m in range(3) for n in range(3) for r in range(3) if C[m, n, r] != 0
@@ -180,6 +183,18 @@ def test_suite_group_nan_residual_fails_its_row(monkeypatch):
     assert not row["passed"] and np.isnan(row["residual"])
 
 
+def test_suite_group_nan_law_fails_its_haar_row_without_a_warning(monkeypatch):
+    # the finite-difference Jacobian determinant of a NaN law is NaN, silently
+    g = group_preset("kappa_minkowski", kappa=1.0, d=1)
+    broken = dataclasses.replace(g, add=lambda p, q: np.full(np.broadcast(p, q).shape, np.nan))
+    monkeypatch.setattr(cli, "_preset_groups", lambda cfg: [("kappa_minkowski-d1", broken)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = {r["check"]: r for r in cli.suite_group(cli.RunConfig(samples=20))}
+    row = rows["haar-invariance-kappa_minkowski-d1"]
+    assert not row["passed"] and np.isnan(row["residual"])
+
+
 def _kappa_of_minus_kappa(build):
     """build, with the kappa laws replaced by those of -kappa: a group, but not the
     one its Haar weights and structure constants describe."""
@@ -209,6 +224,41 @@ def test_suite_group_fails_the_law_of_minus_kappa(monkeypatch):
         assert {r["check"] for r in rep["rows"] if not r["passed"]} == expected
 
 
+def _failed_mixing_rows():
+    return {r["check"] for r in cli.suite_mixing(cli.RunConfig()) if not r["passed"]}
+
+
+def test_two_point_reduction_fails_on_a_changed_coefficient(monkeypatch):
+    from qstkit import loop as LO
+    poly = {**LO.TwoPointAssembly.nonplanar_poly, (1, -3): Fraction(2)}
+    monkeypatch.setattr(LO.TwoPointAssembly, "nonplanar_poly", poly)
+    assert _failed_mixing_rows() == {"two-point-reduction"}
+
+
+def test_two_point_reduction_fails_on_the_weyl_phase(monkeypatch):
+    def weyl(name, **kw):
+        return group_preset(name, **{**kw, "phase_convention": "weyl"})
+
+    monkeypatch.setattr(cli, "group_preset", weyl)
+    row = {r["check"]: r for r in cli.suite_mixing(cli.RunConfig())}["two-point-reduction"]
+    assert not row["passed"] and row["residual"] > 1e-3
+
+
+def test_small_c_asymptote_fails_with_k0_for_k1(monkeypatch):
+    from qstkit import loop as LO
+    monkeypatch.setattr(LO, "moyal_nonplanar_closed",
+                        lambda c, m: 2 * (m / math.sqrt(c)) * LO._kv(0, 2 * m * math.sqrt(c)))
+    assert "moyal-small-c-asymptote" in _failed_mixing_rows()
+
+
+@pytest.mark.parametrize("theta", ["1e-3", "1", "1e3", "1e6"])
+def test_suite_mixing_passes_at_any_theta(theta, capsys):
+    # at a fixed |p| = 1 the Schwinger check's value underflows to 0 from theta = 1e3 on
+    assert cli.main(["suite", "mixing", "--theta", theta, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 10 and all(r["passed"] == "True" for r in rows)
+
+
 @pytest.mark.parametrize("kappa", [0.35, 0.4, 0.45, 0.5])
 def test_suite_group_passes_at_small_kappa(kappa):
     # the Haar residual is relative to 1 + w(p), and the weights grow as e^{d p0/kappa}
@@ -229,7 +279,7 @@ def test_worst_propagates_nan():
 def test_run_suite_check_ids_unique():
     _, rep = cli.run_suite("all", cli.RunConfig(samples=40))
     ids = [r["check"] for r in rep["rows"]]
-    assert len(ids) == 81
+    assert len(ids) == 83
     assert len(set(ids)) == len(ids)
 
 
@@ -349,7 +399,7 @@ def test_parse_ranges():
 def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
     sc = preset("su2_lambda", lam=1.0)
     conf = tmp_path / "run.json"
-    conf.write_text(json.dumps({"structure": json.loads(sc.to_json())}))
+    conf.write_text(json.dumps({"structure": json.loads(structure_json(sc))}))
     assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
                      "--p", "0.1,0,0", "--q", "0.2,0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == pytest.approx([0.3, 0.0, 0.0])
@@ -373,7 +423,8 @@ def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
 def test_cli_group_inline_nonfinite_result_is_not_called_complex(op, tmp_path, capsys):
     # the BCH series overflows to NaN parts: the message names that, not complexity
     conf = tmp_path / "run.json"
-    conf.write_text(json.dumps({"structure": json.loads(preset("su2_lambda", lam=1.0).to_json())}))
+    sc = preset("su2_lambda", lam=1.0)
+    conf.write_text(json.dumps({"structure": json.loads(structure_json(sc))}))
     argv = ["--config", str(conf), "group", op, "--space", "inline",
             "--p", "1e200,1e200,0", "--q", "1e200,0,1e200"]
     assert cli.main(argv) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import momentum_oracle as MO
+from structure_json import structure_json
 from qstkit.liestructure import (HESSIAN_STEP, MOYAL_PHASE_CONVENTIONS, PresetError,
                                  StructureConstants, _hessian_fd, jacobi_check, preset,
                                  recover_from_group_law)
@@ -153,7 +154,7 @@ def test_abelian_law_recovers_zero():
 
 def test_json_round_trip():
     sc = preset("rho_minkowski", rho=0.7)
-    text = sc.to_json()
+    text = structure_json(sc)
     back = StructureConstants.from_json(text)
     assert back.dim == sc.dim
     assert back.deformation == sc.deformation

@@ -16,49 +16,16 @@ def kappa3():
     return group_preset("kappa_minkowski", kappa=1.0, d=3)
 
 
-def test_kinetic_kappa_form(kappa3):
-    ks = L.KineticSpec(kappa3, L.minkowski_signature(4), 1.0)
-    k = np.array([0.4, 0.5, -0.2, 0.7])
-    expect = -k[0] ** 2 + math.exp(k[0]) * float(np.dot(k[1:], k[1:])) + 1.0
-    assert L.kinetic_eval(ks, k) == pytest.approx(expect, rel=1e-14)
-    assert L.kinetic_eval(ks, np.zeros(4)) == 1.0  # m^2 at k = 0
-
-
-def test_kinetic_parity(kappa3):
-    rng = np.random.default_rng(0)
-    for name, kw, sig in [
-        ("kappa_minkowski", dict(kappa=1.0, d=3), L.minkowski_signature(4)),
-        ("rho_minkowski", dict(rho=1.0), L.minkowski_signature(4)),
-        ("moyal_extended", dict(theta=1.0), L.euclidean_signature(5)),
-        ("su2_lambda", dict(lam=1.0), L.euclidean_signature(3)),
-    ]:
-        g = group_preset(name, **kw)
-        ks = L.KineticSpec(g, sig, 0.5)
-        for _ in range(20):
-            k = rng.normal(size=g.dim) * 0.5
-            assert L.kinetic_parity_residual(ks, k) < 1e-12
-
-
-def test_kinetic_commutative_limit():
-    g = group_preset("kappa_minkowski", kappa=1e8, d=3)
-    ks = L.KineticSpec(g, L.minkowski_signature(4), 1.0)
-    k = np.array([0.4, 0.5, -0.2, 0.7])
-    expect = -k[0] ** 2 + float(np.dot(k[1:], k[1:])) + 1.0
-    assert L.kinetic_eval(ks, k) == pytest.approx(expect, rel=1e-6)
-
-
 def test_propagator_sweep_commutative_divergent():
     g = group_preset("commutative", dim=4)
-    ks = L.KineticSpec(g, L.euclidean_signature(4), 1.0)
-    sweep = L.propagator_sweep(ks, np.geomspace(10, 1e4, 8))
+    sweep = L.propagator_sweep(g, 1.0, np.geomspace(10, 1e4, 8))
     assert sweep["verdict"] == "divergent"
     assert sweep["slope"] == pytest.approx(2.0, abs=0.05)  # quadratic growth
 
 
 def test_propagator_sweep_kappa_convergent():
     g = group_preset("kappa_minkowski", kappa=1.0, d=3)
-    ks = L.KineticSpec(g, L.minkowski_signature(4), 1.0)
-    sweep = L.propagator_sweep(ks, np.geomspace(10, 1e4, 8))
+    sweep = L.propagator_sweep(g, 1.0, np.geomspace(10, 1e4, 8))
     assert sweep["verdict"] == "convergent"
 
 
@@ -66,8 +33,7 @@ def test_propagator_large_mass_vanishes():
     g = group_preset("kappa_minkowski", kappa=1.0, d=3)
     vals = []
     for m in (1.0, 10.0, 100.0):
-        ks = L.KineticSpec(g, L.minkowski_signature(4), m)
-        vals.append(L.propagator_integral(ks, L.RegulatorSpec(Lambda=1e3))["value"])
+        vals.append(L.propagator_integral(g, m, 1e3)["value"])
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-20
 
@@ -121,18 +87,14 @@ def test_moyal_asymptotic_small_c():
 
 
 def test_two_point_commutative_reduction(kappa3):
-    ks = L.KineticSpec(kappa3, L.minkowski_signature(4), 1.0)
-    asm = L.two_point_assemble(kappa3, ks)
-    co = asm.commutative_coefficients()
+    co = L.TwoPointAssembly(kappa3).commutative_coefficients()
     assert co["planar"] == Fraction(1, 3)
     assert co["nonplanar"] == Fraction(1, 6)
     assert co["total"] == Fraction(1, 2)
 
 
 def test_two_point_moyal_reduction():
-    g = group_preset("moyal_extended", theta=1.0, phase_convention="real")
-    ks = L.KineticSpec(g, L.euclidean_signature(5), 1.0)
-    asm = L.two_point_assemble(g, ks)
+    asm = L.TwoPointAssembly(group_preset("moyal_extended", theta=1.0, phase_convention="real"))
     mr = asm.moyal_reduction()
     assert mr["coefficient"] == Fraction(1, 6)
     assert mr["planar_multiple"] == Fraction(2)
@@ -144,13 +106,24 @@ def test_two_point_moyal_reduction():
 
 
 def test_two_point_kappa_planar_factor(kappa3):
-    ks = L.KineticSpec(kappa3, L.minkowski_signature(4), 1.0)
-    asm = L.two_point_assemble(kappa3, ks)
-    q = np.array([0.3, 0.1, -0.2, 0.4])
-    dq = math.exp(3 * q[0])  # Delta(q) = e^{d q0 / kappa}
-    # (1 + Delta(q)) factors out of the planar weight: ratio over the k-part
-    k = np.zeros(4)
-    assert asm.planar_weight(q, k) == pytest.approx((1 + dq) * 4.0)
+    # the planar polynomial is (1 + D(q))(3 + D(k)), with D the kappa modular function
+    rng = np.random.default_rng(3)
+    for q, k in rng.normal(size=(5, 2, 4)):
+        dq, dk = kappa3.modular(q), kappa3.modular(k)
+        weight = sum(float(c) * dq ** a * dk ** b
+                     for (a, b), c in L.TwoPointAssembly.planar_poly.items())
+        assert weight == pytest.approx((1 + dq) * (3 + dk), rel=1e-14)
+    assert dq == pytest.approx(math.exp(3 * q[0]))  # Delta(q) = e^{d q0 / kappa}
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_nonplanar_phase_residual_is_rounding_at_any_theta(theta):
+    asm = L.TwoPointAssembly(group_preset("moyal_extended", theta=theta, phase_convention="real"))
+    p, k = np.random.default_rng(2).normal(size=(2, 2000, 5)) * [1, 1, 1, 1, 0]
+    assert np.max(asm.nonplanar_phase_residual(p, k)) < 1e-14
+    # the Weyl phase -(1/2) p.Theta.k is not the real convention's
+    weyl = L.TwoPointAssembly(group_preset("moyal_extended", theta=theta))
+    assert np.min(weyl.nonplanar_phase_residual(p, k)) > 1e-12
 
 
 def test_mixing_verdicts():
@@ -186,7 +159,7 @@ def test_mixing_report_keeps_undecided_uv_criterion(space, monkeypatch):
     # an inconclusive cutoff sweep leaves criteria (i) and (ii) undecided
     real = L.propagator_sweep
     monkeypatch.setattr(L, "propagator_sweep",
-                        lambda ks, lambdas: {**real(ks, lambdas), "verdict": "inconclusive"})
+                        lambda g, m, lambdas: {**real(g, m, lambdas), "verdict": "inconclusive"})
     rep = L.mixing_classify(space)
     assert rep.planar_uv_divergent is None
     assert rep.as_dict()["planar_uv_divergent"] is None
@@ -294,49 +267,15 @@ def test_diagram_planarity_is_adjacency():
         assert d["planar"] == ((abs(i - j) % 4) in (1, 3))
 
 
-def test_sum_order_integrand_finite_at_k0_zero():
-    v0 = L.sum_order_integrand(0.0, [1.0, 0.0, 0.0], 1.0, 1.0, 3)
-    assert np.isfinite(v0)
-    # matches the smooth continuation from nearby k0
-    v1 = L.sum_order_integrand(1e-7, [1.0, 0.0, 0.0], 1.0, 1.0, 3)
-    assert v0 == pytest.approx(v1, rel=1e-6)
-    # and the sinh(x)/x factor at 0 gives exactly (-1/2kappa)^d / K
-    expect = (-0.5) ** 3 / (1.0 + 1.0)
-    assert v0 == pytest.approx(expect)
-
-
-def test_graviton_divergence_degree():
-    assert L.graviton_divergence_degree(1, 3) == 4
-    assert L.graviton_divergence_degree(2, 3) == 6
-    for Lp in (1, 2, 5):
-        assert L.graviton_divergence_degree(Lp, 1) == 2
-
-
 def test_kinetic_spec_validation(kappa3):
-    with pytest.raises(ValueError):
-        L.KineticSpec(kappa3, (1, -1), 1.0)  # wrong signature length
-    with pytest.raises(ValueError):
-        L.KineticSpec(kappa3, L.minkowski_signature(4), -1.0)
-    with pytest.raises(ValueError):
-        L.RegulatorSpec(Lambda=-1.0)
-
-
-def test_schwinger_scheme_tracks_sharp_cutoff():
-    g = group_preset("commutative", dim=4)
-    ks = L.KineticSpec(g, L.euclidean_signature(4), 1.0)
-    soft = [L.propagator_integral(ks, L.RegulatorSpec("schwinger", Lambda=Lam))["value"]
-            for Lam in (10.0, 100.0, 1000.0)]
-    # same quadratic growth as the sharp cutoff
-    slope = math.log(soft[2] / soft[1]) / math.log(10.0)
-    assert slope == pytest.approx(2.0, abs=0.05)
-    gk = group_preset("kappa_minkowski", kappa=1.0, d=3)
-    ksk = L.KineticSpec(gk, L.minkowski_signature(4), 1.0)
-    # convergent integral: the two regulators agree up to O(<r^2>/Lambda^2)
-    a = L.propagator_integral(ksk, L.RegulatorSpec("schwinger", Lambda=1e3))["value"]
-    b = L.propagator_integral(ksk, L.RegulatorSpec("sharp_cutoff", Lambda=1e3))["value"]
-    assert a == pytest.approx(b, rel=1e-4)
-    a6 = L.propagator_integral(ksk, L.RegulatorSpec("schwinger", Lambda=1e6))["value"]
-    assert abs(a6 - b) < abs(a - b)
+    # the mass of the kinetic operator and the cutoff are checked where they are used
+    with pytest.raises(ValueError, match="mass must be non-negative"):
+        L.propagator_integral(kappa3, -1.0, 10.0)
+    for Lam in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="Lambda must be positive"):
+            L.propagator_integral(kappa3, 1.0, Lam)
+    with pytest.raises(ValueError, match="no radial reduction"):
+        L.propagator_integral(group_preset("su2_lambda"), 1.0, 10.0)
 
 
 def test_kappa_nonplanar_uses_delta_solver_momenta():
@@ -456,8 +395,7 @@ def test_quad_reports_a_flagged_integrand():
     assert mm["converged"] is True and mm["quad"] == pytest.approx(3999984.95102, rel=1e-9)
     assert mm["rel_err"] < 1e-9
     assert L.moyal_nonplanar(np.array([1.0, 0, 0, 0]), Theta, 1.0, 100.0)["converged"] is True
-    ks = L.KineticSpec(group_preset("commutative", dim=4), L.euclidean_signature(4), 1.0)
-    assert L.propagator_integral(ks, L.RegulatorSpec(Lambda=10.0))["converged"] is True
+    assert L.propagator_integral(group_preset("commutative", dim=4), 1.0, 10.0)["converged"] is True
     assert L.kmink_bessel_oracle(1.0, 1.0, 3)["converged"] is True
 
 

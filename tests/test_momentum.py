@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import momentum_oracle as MO
 from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
+from momentum_oracle import g_right_to_sum, kappa_sum_group, ordering_transform
 from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, _bracket, _fd_jacobian_det, add,
-                             add_batch,
-                             bch_compose, delta_solve_nonplanar, dispersion, g_right_to_sum,
-                             group_from_structure, group_preset, haar_invariance_check, inv,
-                             inv_batch, modular, modular_identity_residuals,
-                             nonplanar_residual, ordering_transform)
+                             add_batch, bch_compose, delta_solve_nonplanar, group_from_structure,
+                             group_preset, haar_invariance_check, inv, modular,
+                             modular_identity_residuals, nonplanar_residual)
 
 LN2 = math.log(2.0)
 
@@ -165,7 +164,7 @@ def test_ordering_transform_identity_at_p0_zero():
 
 def test_ordering_transform_intertwines():
     gr = group_preset("kappa_minkowski", kappa=1.0, d=2)
-    gs = group_preset("kappa_minkowski", kappa=1.0, d=2, ordering="sum")
+    gs = kappa_sum_group(1.0, 2)
     rng = np.random.default_rng(2)
     for _ in range(25):
         p, q = rng.normal(size=3), rng.normal(size=3)
@@ -179,14 +178,14 @@ def test_ordering_transform_intertwines():
 
 
 def test_sum_ordered_add_finite_at_opposite_energies():
-    gs = group_preset("kappa_minkowski", kappa=1.0, d=1, ordering="sum")
+    gs = kappa_sum_group(1.0, 1)
     out = add(gs, [0.7, 1.0], [-0.7, 2.0])
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sum_ordered_haar_weight_positive():
-    gs = group_preset("kappa_minkowski", kappa=1.0, d=2, ordering="sum")
+    gs = kappa_sum_group(1.0, 2)
     for p0 in (-2.0, -0.1, 0.0, 0.1, 2.0):
         assert gs.haar_left(np.array([p0, 0.0, 0.0])) > 0
 
@@ -219,22 +218,10 @@ def test_delta_solve_rho_newton():
     assert np.max(np.abs(nonplanar_residual(g, p, q, r.k))) < 1e-10
 
 
-# dispersion -----------------------------------------------------------------
-
-def test_dispersion():
-    assert dispersion("P", 3.0, 1.0) == 9.0
-    assert dispersion("X", 1.0, 1.0) == 0.0
-    assert dispersion("X", 2.0, 1e12) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        dispersion("Z", 1.0, 1.0)
-    with pytest.raises(ValueError):
-        dispersion("P", 1.0, -1.0)
-
-
 # BCH oracle -----------------------------------------------------------------
 
 def test_bch_matches_kappa_sum_closed_form():
-    gs = group_preset("kappa_minkowski", kappa=1.0, d=1, ordering="sum")
+    gs = kappa_sum_group(1.0, 1)
     C = gs.structure.C
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -322,7 +309,7 @@ def test_group_axioms_property(seed):
 
 def test_sum_ordering_haar_invariance():
     # validates the absolute-value weight choice for the sum ordering
-    gs = group_preset("kappa_minkowski", kappa=1.0, d=2, ordering="sum")
+    gs = kappa_sum_group(1.0, 2)
     rng = np.random.default_rng(11)
     for _ in range(50):
         p, q = rng.normal(size=3), rng.normal(size=3)
@@ -358,7 +345,7 @@ def test_moyal_imaginary_convention_round_trip():
 BATCH_GROUPS = {
     "kappa d=1": lambda: group_preset("kappa_minkowski", kappa=1.0, d=1),
     "kappa d=3": lambda: group_preset("kappa_minkowski", kappa=1.5, d=3),
-    "kappa sum d=2": lambda: group_preset("kappa_minkowski", kappa=1.0, d=2, ordering="sum"),
+    "kappa sum d=2": lambda: kappa_sum_group(1.0, 2),
     "moyal": lambda: group_preset("moyal_extended", theta=1.0),
     "moyal imaginary": lambda: group_preset("moyal_extended", theta=1.0,
                                             phase_convention="imaginary"),
@@ -388,7 +375,6 @@ def test_batched_laws_match_row_by_row(label):
         np.testing.assert_allclose(batched, by_row, rtol=tol, atol=tol)
 
     same(add_batch(g, P, Q), rows(g.add, P, Q))
-    same(inv_batch(g, P), rows(g.inv, P))
     same(g.modular(P), rows(g.modular, P))
     same(g.haar_left(P), rows(g.haar_left, P))
     if g.name == "moyal_extended":
@@ -436,7 +422,6 @@ def test_blocked_batches_equal_one_call(label, n):
     g = BATCH_GROUPS[label]()
     P, Q = _blocked_momenta(g, n, seed=n)
     _assert_same_bits(add_batch(g, P, Q), g.add(P, Q))
-    _assert_same_bits(inv_batch(g, P), g.inv(P))
 
 
 def test_batches_above_block_rows_go_in_blocks():
@@ -449,14 +434,13 @@ def test_batches_above_block_rows_go_in_blocks():
         return wrapped
 
     base = group_preset("kappa_minkowski", kappa=1.0, d=1)
-    g = dataclasses.replace(base, add=counted(base.add), inv=counted(base.inv))
+    g = dataclasses.replace(base, add=counted(base.add))
     for n, sizes in ((BLOCK_ROWS, [BLOCK_ROWS]),
                      (3 * BLOCK_ROWS + 5, [BLOCK_ROWS] * 3 + [5])):
         P = np.ones((n, 2))
         calls.clear()
         add_batch(g, P, P)
-        inv_batch(g, P)
-        assert calls == sizes * 2
+        assert calls == sizes
 
 
 @pytest.mark.parametrize("label", sorted(BATCH_GROUPS))
@@ -483,7 +467,7 @@ def test_batch_shape_checked():
     with pytest.raises(DimensionMismatch):
         add_batch(g, np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(DimensionMismatch):
-        inv_batch(g, np.zeros((3, 3)))
+        add_batch(g, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 # component-major closed forms against the row-major oracle ------------------

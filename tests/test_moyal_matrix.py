@@ -8,12 +8,6 @@ import moyal_oracle as O
 from qstkit import moyal_matrix as MM
 
 
-def test_basis_product_rule():
-    assert MM.basis_product(0, 1, 1, 2, 1.0, 8).m == 0
-    assert MM.basis_product(0, 1, 1, 2, 1.0, 8).n == 2
-    assert MM.basis_product(0, 1, 0, 2, 1.0, 8) is None  # delta_{10} = 0
-
-
 def test_basis_product_matrix_form():
     N = 8
     a = MM.basis_element(0, 1, 1.0, N)

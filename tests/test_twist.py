@@ -64,7 +64,7 @@ def test_triangularity_qyb_braided():
 
 
 def test_trivial_twist():
-    st = T.twisted_structures(T.trivial_twist(4))
+    st = T.twisted_structures(T.TSeries.unit(2, 4))  # the trivial twist F = 1 ⊗ 1
     assert (st["R"] - T.TSeries.unit(2, 4)).is_zero()
     # Delta^F = Delta for the trivial twist
     assert (st["delta_F"](2, 1) - T.delta_mono(2, 1, 4)).is_zero()

@@ -13,7 +13,17 @@ from typing import Optional
 
 import numpy as np
 
-from qstkit.waves import WavePacket
+from qstkit.waves import WavePacket, plane_wave
+
+
+def unit_wave(group) -> WavePacket:
+    """e_0, the unit of the star product."""
+    return plane_wave(group, np.zeros(group.dim))
+
+
+def packet_value(f: WavePacket, x) -> complex:
+    """f at the point x: sum_p a_p exp(i p.x)."""
+    return complex(sum(a * np.exp(1j * np.dot(p, x)) for p, a in f.terms))
 
 
 @dataclass
