@@ -10,7 +10,9 @@ speed-of-light-analogue margin between two states.
 Every operator is applied matrix-free to an (n, ...) array of states: the
 derivative by FFT or by shifted slices, the multiplication operators as
 vectors, and the cone form through its separable rank-one expansion.  No
-path builds an n x n array.
+path builds an n x n array.  Each seeded family is drawn in one `uniform`
+call and built in one broadcast `gaussian_state` call, and the cone form
+is an `np.einsum` contraction: nothing here calls (threaded) BLAS.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ def build_operators(grid: GridSpec, kappa: float, a: int = 1) -> dict:
 
 
 def normalize(psi, grid: GridSpec):
+    """psi scaled to |psi|^2 h = 1 along its last axis."""
     psi = np.asarray(psi, dtype=complex)
-    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.h))
-    if nrm == 0:
+    nrm = np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1, keepdims=True) * grid.h)
+    if not np.all(nrm):
         raise ValueError("zero state")
     return psi / nrm
 
@@ -111,12 +114,23 @@ def expectation(op, psi, grid: GridSpec) -> complex:
     return complex(np.vdot(psi, op_psi) * grid.h)
 
 
-def gaussian_state(grid: GridSpec, center: float, width: float, phase_t: float = 0.0):
+def gaussian_state(grid: GridSpec, center, width, phase_t=0.0):
+    """Normalized e^{-(p0 - center)^2 / 4 width^2} e^{i phase_t p0} on the grid.
+
+    Scalar parameters give one (n,) state.  Parameters of shape (m,) give
+    an (n, m) family whose column j equals the scalar call on the j-th
+    values bit for bit: the family is built as (m, n) rows and normalized
+    along the contiguous axis, as a single state is, then transposed.
+    """
     p = grid.points()
-    psi = np.exp(-((p - center) ** 2) / (4 * width ** 2)).astype(complex)
-    if phase_t:
+    center, width, phase_t = (np.asarray(x, dtype=float)[..., None]
+                              for x in (center, width, phase_t))
+    # float_power calls libm pow, as a Python float's ** does; an array's
+    # ** 2 squares, which differs in the last bit for about 1 width in 1300
+    psi = np.exp(-((p - center) ** 2) / (4 * np.float_power(width, 2))).astype(complex)
+    if np.any(phase_t):
         psi = psi * np.exp(1j * phase_t * p)
-    return normalize(psi, grid)
+    return normalize(psi, grid).T
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +178,10 @@ def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1, seed: int =
 
     _check_branch(a)
     grid.validate_kappa(kappa)
-    rng = np.random.default_rng(seed)
-    state_family = []
-    for _ in range(8):
-        c = rng.uniform(-grid.window / 4, grid.window / 4)
-        w = rng.uniform(0.5, 1.0)
-        state_family.append(gaussian_state(grid, c, w))
-    psi = np.stack(state_family, axis=1)
+    # one (center, width) row per state, drawn in the order of a per-state loop
+    c, w = np.random.default_rng(seed).uniform([-grid.window / 4, 0.5],
+                                                [grid.window / 4, 1.0], size=(8, 2)).T
+    psi = gaussian_state(grid, c, w)
     m = psi.shape[1]
     phi = np.zeros((2, grid.n, 2 * m), dtype=complex)
     phi[0, :, :m] = psi  # (1, 0) x psi
@@ -197,15 +208,21 @@ def _cone_form(grid: GridSpec, kappa: float, a: int, alpha: float, beta: float,
     B = e^{-p/kappa} and C = beta a B +- beta: the sign-ambiguous
     spatial-derivative part +-beta sits inside the oscillatory factor.
     Expanded, K/i = sum_t u_t v_t^T over four rank-one terms, so
-    <psi, K psi> = i sum_t (u_t^T conj psi)(v_t^T psi).
+    <psi, K psi> = i sum_t (u_t^T conj psi)(v_t^T psi).  The u_t are real,
+    so u_t^T conj psi = conj(u_t^T psi): the eight real vectors are
+    contracted at once with the (re, im) columns of psi.view(float).
+    `np.einsum` without `optimize` runs numpy's own loops, never BLAS,
+    whose second thread would busy-wait after so small a product.
     """
     p = grid.points()
     A, B = np.exp(p / kappa), np.exp(-p / kappa)
     C = beta * a * B + branch * beta
     one = np.ones_like(p)
-    U = np.stack([one, C - alpha * p, -alpha * A, A * (alpha * p - C)])
-    V = np.stack([alpha * p, one, B * p, B])
-    q = np.sum((U @ psi.conj()) * (V @ psi), axis=0)
+    UV = np.stack([one, C - alpha * p, -alpha * A, A * (alpha * p - C),  # u_t
+                   alpha * p, one, B * p, B])  # v_t
+    x = np.ascontiguousarray(psi).view(float)  # (n, 2m): re, im interleaved
+    r = np.einsum("tj,jk->tk", UV, x).view(complex)  # u_t^T psi, v_t^T psi
+    q = np.sum(r[:4].conj() * r[4:], axis=0)
     return -q.imag * grid.h ** 2  # Re(i q)
 
 
@@ -224,14 +241,11 @@ def cone_condition(grid: GridSpec, kappa: float, a: int, alpha: float, beta: flo
     (-8.5e4 to -9e4 at seed 0), so the form fails even at beta = 0.
     """
     grid.validate_kappa(kappa)
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n_states):
-        c = rng.uniform(-grid.window / 2, grid.window / 2)
-        w = rng.uniform(0.5, 2.0)
-        t = rng.uniform(-2.0, 2.0) if phases else 0.0
-        states.append(gaussian_state(grid, c, w, t))
-    psi = np.stack(states, axis=1)
+    # one (center, width[, phase]) row per state, drawn in the order of a per-state loop
+    low, high = [-grid.window / 2, 0.5, -2.0], [grid.window / 2, 2.0, 2.0]
+    k = 3 if phases else 2
+    draws = np.random.default_rng(seed).uniform(low[:k], high[:k], size=(n_states, k))
+    psi = gaussian_state(grid, *draws.T)
     # + 0.0 turns the -0.0 of a real family into 0.0
     margins = {branch: float(np.min(_cone_form(grid, kappa, a, alpha, beta, branch, psi))) + 0.0
                for branch in (+1, -1)}

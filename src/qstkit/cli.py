@@ -382,12 +382,13 @@ def suite_matrix(cfg: RunConfig):
 def suite_mixing(cfg: RunConfig):
     from . import loop as LO
     checks = []
-    for space, expected in (("moyal", "MIXING"), ("kappa", "NO_MIXING"),
-                            ("commutative", "NO_MIXING")):
-        if space == "kappa":
-            rep = LO.mixing_classify("kappa", kappa=cfg.kappa, d=cfg.d)
-        else:
-            rep = LO.mixing_classify(space)
+    # the Moyal value depends on p through theta |p|: probes at theta |p| in
+    # [1e-3, 1] stay clear of the underflow of K1 at every theta
+    moyal = {"theta": cfg.theta, "p_grid": np.geomspace(1.0, 1e-3, 7) / abs(cfg.theta)}
+    for space, params, expected in (("moyal", moyal, "MIXING"),
+                                    ("kappa", {"kappa": cfg.kappa, "d": cfg.d}, "NO_MIXING"),
+                                    ("commutative", {}, "NO_MIXING")):
+        rep = LO.mixing_classify(space, **params)
         checks.append((f"verdict-{space}", rep.verdict == expected, 0.0, rep.verdict))
     cmpr = LO.bessel_oracle_compare()
     checks.append(("bessel-ratio-constancy", cmpr["passed"], cmpr["max_rel_dev"]))

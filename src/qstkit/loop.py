@@ -578,7 +578,9 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
     (i) UV divergence of ∫ lambda K^{-1} from a cutoff sweep; (ii) IR
     singularity of the non-planar value as p -> 0 (gated by (i), since the
     criterion is a singularity *caused by* the planar UV divergence);
-    (iii) UV finiteness of the non-planar value at fixed p != 0.
+    (iii) UV finiteness of the non-planar value at fixed p != 0.  For
+    "moyal", p_grid holds the |p| of the IR probes and (iii) probes at the
+    largest of them; for "kappa", it holds p0 / kappa.
     """
     evidence = {}
 
@@ -595,10 +597,12 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         evidence["ir_sequence"] = rows
         raw = _loglog_slope([r[0] for r in rows], [r[1] for r in rows])
         monotone = all(rows[j + 1][1] >= rows[j][1] for j in range(len(rows) - 1))
-        ii_raw = raw < -DIV_SLOPE if monotone else None
+        # K1(2 m sqrt c) underflows to exactly 0.0 once theta |p| is about 1e3,
+        # and a slope through log(1e-300) reads nothing: a zero leaves its criterion undecided
+        ii_raw = raw < -DIV_SLOPE if monotone and all(r[1] != 0.0 for r in rows) else None
         ii = _and(ii_raw, i_div)
 
-        p_fixed = np.array([1.0, 0.0, 0.0, 0.0])
+        p_fixed = np.array([float(np.max(pg)), 0.0, 0.0, 0.0])
         lrows = []
         for L in lam_grid:
             c = _moyal_regulator(p_fixed, Theta, float(L))
@@ -609,7 +613,7 @@ def mixing_classify(space: str, mass: float = 1.0, kappa: float = 1.0,
         theta_p = float(np.linalg.norm(Theta.T @ p_fixed))
         acting = [r for r in lrows if r[0] * theta_p >= NONPLANAR_REGIME]
         iii = None
-        if len(acting) >= 3:
+        if len(acting) >= 3 and all(r[1] != 0.0 for r in acting):
             iii = _converges(_loglog_slope([r[0] for r in acting], [r[1] for r in acting]))
 
         return MixingReport("moyal", i_div, growth, ii, raw, iii,

@@ -185,7 +185,8 @@ class DeltaSum:
 
     @classmethod
     def _of(cls, group, W, amps):
-        out = cls(group)
+        out = cls.__new__(cls)
+        out.group = group
         out._words = out._normal_form(W, amps, None)
         return out
 

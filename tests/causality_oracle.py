@@ -66,18 +66,45 @@ def dirac_operator(grid, kappa, a=1):
     return out
 
 
+def gaussian_state(grid, center, width, phase_t=0.0):
+    """One normalized Gaussian from Python-float parameters, as the model first built it."""
+    p = grid.points()
+    psi = np.exp(-((p - center) ** 2) / (4 * width ** 2)).astype(complex)
+    if phase_t:
+        psi = psi * np.exp(1j * phase_t * p)
+    return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.h))
+
+
+def axiom_family(grid, seed=0):
+    """The 8 states `lorentzian_axiom_check` draws from `seed`, one at a time."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(8):
+        c = rng.uniform(-grid.window / 4, grid.window / 4)
+        w = rng.uniform(0.5, 1.0)
+        states.append(gaussian_state(grid, c, w))
+    return states
+
+
+def cone_family(grid, n_states=200, seed=0, phases=False):
+    """The (n, n_states) family `cone_condition` draws from `seed`, one state at a time."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n_states):
+        c = rng.uniform(-grid.window / 2, grid.window / 2)
+        w = rng.uniform(0.5, 2.0)
+        t = rng.uniform(-2.0, 2.0) if phases else 0.0
+        states.append(gaussian_state(grid, c, w, t))
+    return np.column_stack(states)
+
+
 def krein_residual(grid, kappa, a=1, state_family=None, seed=0):
     """max over e_s x psi of ||(D^dag I + I D)(e_s x psi)|| sqrt(h), with the family
     `lorentzian_axiom_check` draws from `seed` when none is given."""
     Dop = dirac_operator(grid, kappa, a)
     I_big = np.kron(1j * C.GAMMA0, np.eye(grid.n))
     if state_family is None:
-        rng = np.random.default_rng(seed)
-        state_family = []
-        for _ in range(8):
-            c = rng.uniform(-grid.window / 4, grid.window / 4)
-            w = rng.uniform(0.5, 1.0)
-            state_family.append(C.gaussian_state(grid, c, w))
+        state_family = axiom_family(grid, seed)
     big = np.column_stack([np.kron(spinor, psi) for psi in state_family
                            for spinor in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
     res = Dop.conj().T @ (I_big @ big) + I_big @ (Dop @ big)
@@ -96,14 +123,7 @@ def cone_kernel(grid, kappa, a, alpha, beta, branch):
 
 def cone_branch_margins(grid, kappa, a, alpha, beta, n_states=200, seed=0, phases=False):
     """{+1, -1} -> min Re<psi, K psi> h^2 over the family `cone_condition` draws."""
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n_states):
-        c = rng.uniform(-grid.window / 2, grid.window / 2)
-        w = rng.uniform(0.5, 2.0)
-        t = rng.uniform(-2.0, 2.0) if phases else 0.0
-        states.append(C.gaussian_state(grid, c, w, t))
-    psi = np.column_stack(states)
+    psi = cone_family(grid, n_states, seed, phases)
     out = {}
     for branch in (+1, -1):
         K = cone_kernel(grid, kappa, a, alpha, beta, branch)

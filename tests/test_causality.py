@@ -214,6 +214,47 @@ def test_cone_real_family_reads_positive_zero(grid):
     assert all(np.copysign(1.0, m) == 1.0 for m in r["branch_margins"].values())
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_gaussian_family_columns_equal_scalar_calls(phases):
+    grid, m = C.GridSpec(64, 10.0, "spectral"), 3000
+    rng = np.random.default_rng(7)
+    c, w = rng.uniform(-3.0, 3.0, m), rng.uniform(0.5, 2.0, m)
+    t = rng.uniform(-2.0, 2.0, m) * (np.arange(m) % 5 > 0) if phases else np.zeros(m)
+    # widths where libm's pow(w, 2) and the product w * w round apart
+    assert any(x ** 2 != x * x for x in w.tolist())
+    family = C.gaussian_state(grid, c, w, t)
+    assert family.shape == (grid.n, m)
+    for j, args in enumerate(zip(c.tolist(), w.tolist(), t.tolist())):
+        want = _bits(O.gaussian_state(grid, *args))
+        assert np.array_equal(_bits(family[:, j]), want)
+        assert np.array_equal(_bits(C.gaussian_state(grid, *args)), want)
+
+
+def _spy_on_gaussians(monkeypatch):
+    seen, real = [], C.gaussian_state
+    monkeypatch.setattr(C, "gaussian_state", lambda *args: seen.append(real(*args)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_cone_family_equals_per_state_loop(grid, phases, monkeypatch):
+    want = O.cone_family(grid, 200, seed=5, phases=phases)
+    seen = _spy_on_gaussians(monkeypatch)
+    C.cone_condition(grid, 1.0, 1, 1.0, 0.5, n_states=200, seed=5, phases=phases)
+    assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(want))
+
+
+def test_axiom_family_equals_per_state_loop(grid, monkeypatch):
+    want = np.column_stack(O.axiom_family(grid, seed=3))
+    seen = _spy_on_gaussians(monkeypatch)
+    C.lorentzian_axiom_check(grid, 1.0, seed=3)
+    assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(want))
+
+
 def test_large_grid_allocates_no_dense_operator():
     n = 8192
     grid = C.GridSpec(n, 10.0, "spectral")

@@ -259,6 +259,19 @@ def test_suite_mixing_passes_at_any_theta(theta, capsys):
     assert len(rows) == 10 and all(r["passed"] == "True" for r in rows)
 
 
+def test_suite_mixing_classifies_moyal_at_the_configured_theta(monkeypatch):
+    from qstkit import loop as LO
+    real, calls = LO.mixing_classify, []
+    monkeypatch.setattr(LO, "mixing_classify",
+                        lambda space, **kw: calls.append((space, kw)) or real(space, **kw))
+    code, rep = cli.run_suite("mixing", cli.RunConfig(theta=1e3))
+    (space, kw), = [c for c in calls if c[0] == "moyal"]
+    assert kw["theta"] == 1e3
+    # probes at theta |p| in [1e-3, 1], where K1 does not underflow
+    assert np.allclose(kw["p_grid"] * 1e3, np.geomspace(1.0, 1e-3, 7))
+    assert code == 0 and rep["rows"][0]["detail"] == "MIXING"
+
+
 @pytest.mark.parametrize("kappa", [0.35, 0.4, 0.45, 0.5])
 def test_suite_group_passes_at_small_kappa(kappa):
     # the Haar residual is relative to 1 + w(p), and the weights grow as e^{d p0/kappa}
@@ -365,6 +378,14 @@ def test_cli_loop_mixing_inconclusive_exits_1(capsys):
     # on this short sweep the non-planar UV criterion stays undecided
     assert cli.main(["loop", "mixing", "--space", "moyal", "--lambda-grid", "10:20:3"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "INCONCLUSIVE"
+
+
+def test_cli_loop_mixing_moyal_underflow_exits_1(capsys):
+    # at theta = 1e3 the UV values and the t = 1 IR value underflow to 0.0
+    assert cli.main(["loop", "mixing", "--space", "moyal", "--theta", "1e3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "INCONCLUSIVE"
+    assert doc["nonplanar_ir_singular"] is None and doc["nonplanar_uv_finite"] is None
 
 
 def test_cli_loop_mixing_inconclusive_rows_fail(capsys):
@@ -563,6 +584,31 @@ def test_import_sets_the_blas_thread_timeout_before_numpy(caller, expect):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout == f"[{expect!r}]\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a BLAS worker thread needs a second CPU")
+def test_suite_all_makes_no_threaded_blas_call():
+    # With numpy loaded first, OpenBLAS keeps its default thread timeout, so a
+    # threaded call leaves an idle worker spinning for about 0.13 s: process
+    # CPU time (every thread) then exceeds the wall time of the run.
+    code = ("import json, time\n"
+            "import numpy\n"
+            "from qstkit.cli import RunConfig, run_suite\n"
+            "run_suite('all', RunConfig())\n"
+            "time.sleep(0.3)\n"
+            "c0, w0 = time.process_time(), time.perf_counter()\n"
+            "run_suite('all', RunConfig())\n"
+            "wall = time.perf_counter() - w0\n"
+            "time.sleep(0.3)\n"
+            "print(json.dumps([wall, time.process_time() - c0]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    wall, cpu = json.loads(proc.stdout)
+    assert cpu <= wall + 0.05
 
 
 def test_cli_loop_unknown_space_names_the_spaces(capsys):

@@ -143,6 +143,20 @@ def test_mixing_report_keeps_undecided_ir_criterion():
     assert rep.verdict == "INCONCLUSIVE"
 
 
+def test_moyal_underflowed_values_leave_criteria_undecided():
+    # at theta |p| ~ 1e3, K1(2 m sqrt c) underflows to exactly 0.0, and a
+    # slope through the clamped log(1e-300) would read "UV finite"
+    rep = L.mixing_classify("moyal", theta=1e3)
+    assert rep.evidence["ir_sequence"][0][1] == 0.0
+    assert all(v == 0.0 for _, v in rep.evidence["uv_sequence"])
+    assert rep.nonplanar_ir_singular is None and rep.nonplanar_uv_finite is None
+    assert rep.verdict == "INCONCLUSIVE"
+    # the same theta probed at theta |p| in [1e-3, 1] sees the mixing
+    rep = L.mixing_classify("moyal", theta=1e3, p_grid=np.geomspace(1e-3, 1e-6, 7))
+    assert rep.nonplanar_ir_singular is True and rep.nonplanar_uv_finite is True
+    assert rep.verdict == "MIXING"
+
+
 @pytest.mark.parametrize("grid", [[1.0, 1.5, 2.0], [1.0, 10.0, 100.0]])
 def test_moyal_uv_criterion_undecided_below_regulator_regime(grid):
     # with Lambda theta|p| < 10 on all but the top cutoff the non-planar value
