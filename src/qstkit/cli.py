@@ -336,15 +336,26 @@ def suite_twist(cfg: RunConfig):
     ])
 
 
-def _random_packets(WV, g, rng):
-    def packet(moms):
-        amps = rng.normal(size=(len(moms), 2))  # (re, im) per term, in term order
-        return WV.WavePacket(g, list(zip(moms, amps[:, 0] + 1j * amps[:, 1])))
+def _random_packets(WV, g, rng, count):
+    """`count` seeded (f, h) pairs as two stacks of `count` packets.
 
-    moms = rng.normal(size=(5, g.dim))
-    f = packet(moms)
-    pool = list(g.inv(moms[:3])) + list(rng.normal(size=(2, g.dim)))
-    return f, packet(pool)
+    f holds five random momenta, h the inverses of the first three and two
+    more, each term with a random complex amplitude.  Pair k reads the same
+    stream as if it were drawn alone, after pairs 0..k-1.
+    """
+    dim = g.dim
+    moms, famps, extra, hamps = np.split(rng.normal(size=(count, 7 * dim + 20)),
+                                         np.cumsum([5 * dim, 10, 2 * dim]), axis=1)
+    moms = moms.reshape(count, 5, dim)
+    pool = np.concatenate((g.inv(moms[:, :3]), extra.reshape(count, 2, dim)), axis=1)
+    labels = np.repeat(np.arange(count), 5)
+
+    def stack(moms, amps):
+        amps = amps.reshape(-1, 2)  # (re, im) per term, in term order
+        return WV.WavePacket.stack(g, moms.reshape(-1, dim), amps[:, 0] + 1j * amps[:, 1],
+                                   labels, count)
+
+    return stack(moms, famps), stack(pool, hamps)
 
 
 def suite_trace(cfg: RunConfig):
@@ -352,12 +363,12 @@ def suite_trace(cfg: RunConfig):
     checks = []
     rng = np.random.default_rng(cfg.seed)
     gk = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
-    ok = all(WV.twisted_trace_check(*_random_packets(WV, gk, rng)) for _ in range(100))
-    checks.append(("twisted-trace-kappa", ok))
+    checks.append(("twisted-trace-kappa",
+                   np.all(WV.twisted_trace_check(*_random_packets(WV, gk, rng, 100)))))
     for name, g in (("rho", group_preset("rho_minkowski", rho=cfg.rho)),
                     ("moyal", group_preset("moyal_extended", theta=cfg.theta))):
-        ok = all(WV.twisted_trace_check(*_random_packets(WV, g, rng)) for _ in range(30))
-        checks.append((f"plain-cyclicity-{name}", ok))
+        checks.append((f"plain-cyclicity-{name}",
+                       np.all(WV.twisted_trace_check(*_random_packets(WV, g, rng, 30)))))
     return _rows("trace", checks)
 
 
@@ -436,25 +447,23 @@ def suite_gauge(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     g = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
     tol = cfg.tolerances["gauge.residual"]
-    leibniz, reality = [], []
-    for _ in range(20):
-        f = WV.plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
-        h = WV.plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
-        for mu in range(4):
-            leibniz.append(GA.twisted_leibniz_residual(mu, f, h))
-            reality.append(GA.twisted_reality_residual(mu, f + h))
-    worst_l, worst_r = _worst(leibniz), _worst(reality)
+    # 20 pairs of random plane waves, then 5 draws of a unit plane wave u and a
+    # field of four; each one reads the stream of the draw made alone
+    pairs = rng.normal(size=(20, 2, 6))
+    f, h = (WV.plane_wave(g, pairs[:, i, :4], pairs[:, i, 4] + 1j * pairs[:, i, 5]) for i in (0, 1))
+    leibniz = [GA.twisted_leibniz_residual(mu, f, h) for mu in range(4)]
+    reality = [GA.twisted_reality_residual(mu, f + h) for mu in range(4)]
+    worst_l, worst_r = _worst(*leibniz), _worst(*reality)
     checks.append(("twisted-leibniz", worst_l < tol, worst_l))
     checks.append(("twisted-reality", worst_r < tol, worst_r))
-    covariance, flatness = [], []
-    for _ in range(5):
-        u = WV.plane_wave(g, rng.normal(size=4))
-        A = GA.GaugeField([WV.plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
-                           for _ in range(4)])
-        covariance.append(GA.covariance_residual(A, u))
-        F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WV.WavePacket(g)] * 4), u))
-        flatness += [F[m][n].norm() for m in range(4) for n in range(4)]
-    worst_c, worst_f = _worst(covariance), _worst(flatness)
+    draws = rng.normal(size=(5, 28))
+    u = WV.plane_wave(g, draws[:, :4])
+    comps = draws[:, 4:].reshape(5, 4, 6)
+    A = GA.GaugeField([WV.plane_wave(g, comps[:, c, :4], comps[:, c, 4] + 1j * comps[:, c, 5])
+                       for c in range(4)])
+    worst_c = _worst(GA.covariance_residual(A, u))
+    F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WV.WavePacket.zero(g, 5)] * 4), u))
+    worst_f = _worst(*(F[m][n].norm() for m in range(4) for n in range(4)))
     checks.append(("field-strength-covariance", worst_c < tol, worst_c))
     checks.append(("pure-gauge-flatness", worst_f < tol, worst_f))
     scan = GA.dimension_constraint_scan(range(1, 9), cfg.kappa, _P0_SAMPLES)

@@ -3,8 +3,10 @@
 The twisted derivations X0 = kappa(1 - E), X_j = P_j obey the E-twisted
 Leibniz rule; gauge fields are tuples of wave packets, gauge transforms are
 unit-modulus plane waves, and the field strength / covariance / dimension
-checks are carried out exactly on packets.  The first-order Seiberg-Witten
-map lives in a separate exact-polynomial representation.
+checks are carried out exactly on packets.  The packet checks take stacks
+of packets (see `waves`) and give one residual per label, a plain float
+for plain packets.  The first-order Seiberg-Witten map lives in a separate
+exact-polynomial representation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import List
 import numpy as np
 
 from .polyfield import Poly
-from .waves import WavePacket, act, dagger, star
+from .waves import WavePacket, _check_same, act, concat, dagger, star
 
 
 def _xop(mu: int, f: WavePacket) -> WavePacket:
@@ -28,15 +30,15 @@ def _eop(f: WavePacket, power: int = 1) -> WavePacket:
     return act("E", f, power=power)
 
 
-def twisted_leibniz_residual(mu: int, f: WavePacket, g: WavePacket) -> float:
-    """|X_mu(f*g) - X_mu(f)*g - E(f)*X_mu(g)| relative to the terms' scale."""
+def twisted_leibniz_residual(mu: int, f: WavePacket, g: WavePacket):
+    """|X_mu(f*g) - X_mu(f)*g - E(f)*X_mu(g)| relative to the terms' scale, per label."""
     lhs = _xop(mu, star(f, g))
     rhs = star(_xop(mu, f), g) + star(_eop(f), _xop(mu, g))
     return (lhs - rhs).norm() / (1.0 + lhs.norm() + rhs.norm())
 
 
-def twisted_reality_residual(mu: int, f: WavePacket) -> float:
-    """|(X_mu f)^dagger + E^{-1} X_mu (f^dagger)| relative to the terms' scale."""
+def twisted_reality_residual(mu: int, f: WavePacket):
+    """|(X_mu f)^dagger + E^{-1} X_mu (f^dagger)| relative to the terms' scale, per label."""
     lhs = dagger(_xop(mu, f))
     rhs = _eop(_xop(mu, dagger(f)), power=-1).scale(-1.0)
     return (lhs - rhs).norm() / (1.0 + lhs.norm() + rhs.norm())
@@ -44,18 +46,23 @@ def twisted_reality_residual(mu: int, f: WavePacket) -> float:
 
 @dataclass
 class GaugeField:
-    """Components A_mu, one wave packet per space-time direction."""
+    """Components A_mu, one wave packet (or stack) per space-time direction."""
 
     components: List[WavePacket]
 
     def __post_init__(self):
-        names = {c.group.name for c in self.components}
-        if len(names) != 1:
-            raise ValueError("all gauge-field components must share the group")
+        if not self.components:
+            raise ValueError("a gauge field needs components")
+        for c in self.components[1:]:  # one group and one label count
+            _check_same(self.components[0], c)
 
     @property
     def group(self):
         return self.components[0].group
+
+    @property
+    def count(self):
+        return self.components[0].count
 
     @property
     def dim(self):
@@ -63,21 +70,23 @@ class GaugeField:
 
 
 def field_strength(A: GaugeField) -> list:
-    """F_mn = X_m(A_n) - X_n(A_m) - i(E(A_m)*A_n - E(A_n)*A_m), antisymmetric."""
-    n = A.dim
-    F = [[None] * n for _ in range(n)]
-    for mu in range(n):
-        for nu in range(n):
-            if mu == nu:
-                F[mu][nu] = WavePacket(A.group)
-                continue
-            if nu < mu and F[nu][mu] is not None:
-                F[mu][nu] = F[nu][mu].scale(-1.0)
-                continue
-            comm = star(_eop(A.components[mu]), A.components[nu]) - \
-                star(_eop(A.components[nu]), A.components[mu])
-            F[mu][nu] = _xop(mu, A.components[nu]) - _xop(nu, A.components[mu]) \
-                + comm.scale(-1j)
+    """F_mn = X_m(A_n) - X_n(A_m) - i(E(A_m)*A_n - E(A_n)*A_m), antisymmetric.
+
+    The pairs m < n are one stack, so each term is one array pass.
+    """
+    n, comps = A.dim, A.components
+    pairs = [(m, k) for m in range(n) for k in range(m + 1, n)]
+    F = [[WavePacket.zero(A.group, A.count)] * n for _ in range(n)]
+    if not pairs:
+        return F
+    ems = [_eop(c) for c in comps]
+    lo, hi = concat([comps[m] for m, _ in pairs]), concat([comps[k] for _, k in pairs])
+    comm = star(concat([ems[m] for m, _ in pairs]), hi) \
+        - star(concat([ems[k] for _, k in pairs]), lo)
+    deriv = concat([_xop(m, comps[k]) for m, k in pairs]) \
+        - concat([_xop(k, comps[m]) for m, k in pairs])
+    for (m, k), Fmk in zip(pairs, (deriv + comm.scale(-1j)).split(len(pairs))):
+        F[m][k], F[k][m] = Fmk, Fmk.scale(-1.0)
     return F
 
 
@@ -86,28 +95,27 @@ def gauge_transform(A: GaugeField, u: WavePacket) -> GaugeField:
 
     The i on the inhomogeneous term is forced by A = i nabla(1) together
     with the -i in the field strength: with it the covariance identity
-    F(A^u) = E^2(u^dagger) * F(A) * u closes exactly.
+    F(A^u) = E^2(u^dagger) * F(A) * u closes exactly.  The components are
+    one stack.
     """
-    ud = dagger(u)
-    eud = _eop(ud)
-    comps = []
-    for mu in range(A.dim):
-        comps.append(star(star(eud, A.components[mu]), u)
-                     + star(eud, _xop(mu, u)).scale(1j))
-    return GaugeField(comps)
+    n = A.dim
+    eud = concat([_eop(dagger(u))] * n)
+    comps = star(star(eud, concat(A.components)), concat([u] * n)) \
+        + star(eud, concat([_xop(mu, u) for mu in range(n)])).scale(1j)
+    return GaugeField(comps.split(n))
 
 
-def covariance_residual(A: GaugeField, u: WavePacket) -> float:
-    """|F(A^u) - E^2(u^dagger) * F(A) * u| relative to the F scale."""
-    Fu = field_strength(gauge_transform(A, u))
-    F = field_strength(A)
-    e2ud = _eop(dagger(u), power=2)
-    worst = 0.0
-    for mu in range(A.dim):
-        for nu in range(A.dim):
-            target = star(star(e2ud, F[mu][nu]), u)
-            worst = max(worst, (Fu[mu][nu] - target).norm() / (1.0 + target.norm()))
-    return worst
+def covariance_residual(A: GaugeField, u: WavePacket):
+    """|F(A^u) - E^2(u^dagger) * F(A) * u| relative to the F scale, worst over mu, nu, per label.
+
+    The n² components are one stack.  A NaN residual of any component is the residual.
+    """
+    nn = A.dim ** 2
+    Fu = concat([c for row in field_strength(gauge_transform(A, u)) for c in row])
+    target = star(star(concat([_eop(dagger(u), power=2)] * nn),
+                       concat([c for row in field_strength(A) for c in row])), concat([u] * nn))
+    res = [d.norm() / (1.0 + t.norm()) for d, t in zip((Fu - target).split(nn), target.split(nn))]
+    return np.max(res, axis=0, initial=0.0)
 
 
 def dimension_constraint_scan(d_values, kappa: float, p0_samples) -> dict:

@@ -224,6 +224,74 @@ def test_suite_group_fails_the_law_of_minus_kappa(monkeypatch):
         assert {r["check"] for r in rep["rows"] if not r["passed"]} == expected
 
 
+def _failed_rows(suite):
+    code, rep = cli.run_suite(suite, cli.RunConfig())
+    return {r["check"] for r in rep["rows"] if not r["passed"]}
+
+
+def test_twisted_trace_fails_with_the_twist_power_lowered(monkeypatch):
+    from qstkit import waves as WV
+    real = WV.act
+    monkeypatch.setattr(WV, "act", lambda gen, f, index=0, power=1:
+                        real(gen, f, index, power - 1 if gen == "E" else power))
+    assert _failed_rows("trace") == {"twisted-trace-kappa"}
+    # every packet of the stack fails, not just one
+    g = group_preset("kappa_minkowski", d=3)
+    ok = WV.twisted_trace_check(*cli._random_packets(WV, g, np.random.default_rng(0), 100))
+    assert ok.shape == (100,) and not ok.any()
+
+
+def test_twisted_leibniz_fails_without_the_twist(monkeypatch):
+    from qstkit import gauge as GA
+    monkeypatch.setattr(GA, "_eop", lambda f, power=1: f)
+    assert "twisted-leibniz" in _failed_rows("gauge")
+
+
+def test_a_nan_amplitude_fails_the_gauge_rows(monkeypatch):
+    from qstkit import waves as WV
+    real = WV.plane_wave
+
+    def nan_in_the_third(g, p, amp=1.0):
+        amps = np.array(np.broadcast_to(amp, len(p)), dtype=complex)
+        amps[2] = np.nan
+        return real(g, p, amps)
+
+    monkeypatch.setattr(WV, "plane_wave", nan_in_the_third)
+    code, rep = cli.run_suite("gauge", cli.RunConfig())
+    rows = {r["check"]: r for r in rep["rows"]}
+    for check in ("twisted-leibniz", "twisted-reality", "field-strength-covariance",
+                  "pure-gauge-flatness"):
+        assert not rows[check]["passed"] and np.isnan(rows[check]["residual"])
+    assert code == 1
+
+
+def test_merge_count_does_not_grow_with_the_stack(monkeypatch):
+    from qstkit import gauge as GA, waves as WV
+    calls = []
+    real = WV._merge
+    monkeypatch.setattr(WV, "_merge", lambda *a: calls.append(1) or real(*a))
+
+    def merges(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    g = group_preset("kappa_minkowski", d=3)
+    counts = []
+    for n in (5, 50):
+        rng = np.random.default_rng(n)
+        f, h = cli._random_packets(WV, g, rng, n)
+        A = GA.GaugeField([WV.plane_wave(g, rng.normal(size=(n, 4)), rng.normal(size=n))
+                           for _ in range(4)])
+        u = WV.plane_wave(g, rng.normal(size=(n, 4)))
+        counts.append((merges(lambda: WV.twisted_trace_check(f, h)),
+                       merges(lambda: GA.covariance_residual(A, u))))
+    assert counts[0] == counts[1]
+    # a fifth of the 900 and 3,410 merges the suites made packet by packet
+    assert merges(lambda: cli.run_suite("trace", cli.RunConfig())) <= 900 // 5
+    assert merges(lambda: cli.run_suite("gauge", cli.RunConfig())) <= 3410 // 5
+
+
 def _failed_mixing_rows():
     return {r["check"] for r in cli.suite_mixing(cli.RunConfig()) if not r["passed"]}
 

@@ -100,6 +100,36 @@ def test_covariance_random_single_waves(grp):
         assert G.covariance_residual(A, u) < 1e-12
 
 
+def test_stacked_residuals_are_the_one_packet_residuals(grp):
+    rng = np.random.default_rng(6)
+    P, a = rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    a[0, 4] = np.nan
+    f, h = plane_wave(grp, P[0], a[0]), plane_wave(grp, P[1], a[1])
+    one = [(plane_wave(grp, P[0, k], a[0, k]), plane_wave(grp, P[1, k], a[1, k])) for k in range(6)]
+    for mu in range(4):
+        for res, want in ((G.twisted_leibniz_residual(mu, f, h),
+                           [G.twisted_leibniz_residual(mu, x, y) for x, y in one]),
+                          (G.twisted_reality_residual(mu, f + h),
+                           [G.twisted_reality_residual(mu, x + y) for x, y in one])):
+            # bit for bit, and the NaN only in its own label
+            assert np.array_equal(res, want, equal_nan=True)
+            assert np.isnan(res[4]) and np.all(np.delete(res, 4) < 1e-12)
+    A = G.GaugeField([f, h, f.scale(2j), h])
+    U = rng.normal(size=(6, 4))
+    res = G.covariance_residual(A, plane_wave(grp, U))
+    want = [G.covariance_residual(G.GaugeField([x, y, x.scale(2j), y]), plane_wave(grp, p))
+            for (x, y), p in zip(one, U)]
+    assert np.array_equal(res, want, equal_nan=True)
+    assert np.isnan(res[4]) and np.all(np.delete(res, 4) < 1e-12)
+
+
+def test_gauge_field_components_share_group_and_count(grp):
+    with pytest.raises(ValueError):
+        G.GaugeField([plane_wave(grp, [0.1, 0.2, 0.3, 0.4]), WavePacket.zero(grp, 2)])
+    with pytest.raises(ValueError):
+        G.GaugeField([unit_wave(grp), unit_wave(group_preset("kappa_minkowski", kappa=2.0, d=3))])
+
+
 def test_dimension_scan(grp):
     scan = G.dimension_constraint_scan(range(1, 9), 1.0, [0.25, 0.5, 1.0, -0.75])
     assert scan["zero_set"] == [4]

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waves_oracle import QuadSpec, numeric_star_oracle, packet_value, unit_wave
+from waves_oracle import (QuadSpec, RefPacket, delta_sum, numeric_star_oracle, packet_value,
+                          ref_act, ref_dagger, ref_integral_star, ref_star,
+                          ref_twisted_trace_check, unit_wave)
 from qstkit.momentum import group_preset
-from qstkit.waves import (DeltaSum, GroupMismatch, WavePacket, act, dagger, integral_star,
+from qstkit.waves import (GroupMismatch, WavePacket, act, concat, dagger, integral_star,
                           plane_wave, star, twisted_trace_check)
 
 LN2 = math.log(2.0)
@@ -137,6 +139,166 @@ def test_star_group_mismatch(kappa1):
         star(unit_wave(kappa1), unit_wave(other))
 
 
+def test_packets_on_different_groups_with_one_name_do_not_mix():
+    k1 = group_preset("kappa_minkowski", kappa=1.0, d=3)
+    k2 = group_preset("kappa_minkowski", kappa=2.0, d=3)
+    p = np.array([0.3, 0.1, -0.2, 0.5])
+    f, h = plane_wave(k1, p), plane_wave(k2, p)
+    for op in (WavePacket.__add__, star, integral_star):
+        with pytest.raises(GroupMismatch):
+            op(f, h)
+    with pytest.raises(GroupMismatch):
+        integral_star(f, f).equals(integral_star(h, h))
+    # one name, another dimension: a GroupMismatch, not a broadcast error
+    e = plane_wave(group_preset("kappa_minkowski", kappa=1.0, d=1), p[:2])
+    for op in (WavePacket.__add__, star):
+        with pytest.raises(GroupMismatch):
+            op(f, e)
+    # Moyal groups differ in theta; Theta arrays compare by value
+    m1, m1b = group_preset("moyal_extended", theta=1.0), group_preset("moyal_extended", theta=1.0)
+    m2 = group_preset("moyal_extended", theta=2.0)
+    q = np.array([0.3, 0.1, -0.2, 0.5, 0.0])
+    with pytest.raises(GroupMismatch):
+        plane_wave(m1, q) + plane_wave(m2, q)
+    assert len(plane_wave(m1, q) + plane_wave(m1b, q)) == 1
+    assert len(f + plane_wave(group_preset("kappa_minkowski", kappa=1.0, d=3), p)) == 1
+
+
+def test_a_momentum_of_the_wrong_length_is_refused(kappa3):
+    for build in (lambda p: WavePacket(kappa3, [(p, 1.0)]), lambda p: plane_wave(kappa3, p),
+                  lambda p: WavePacket.stack(kappa3, [p], [1.0], [0], 1)):
+        with pytest.raises(ValueError):
+            build([0.1, 0.2])
+    with pytest.raises(ValueError):
+        WavePacket.stack(kappa3, [[0.1, 0.2, 0.3, 0.4]], [1.0], [1], 1)  # label out of range
+
+
+def test_stacks_of_different_counts_do_not_mix(kappa1):
+    f = plane_wave(kappa1, [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError):
+        star(f, unit_wave(kappa1))
+
+
+def _stacks(g, rng, count=7):
+    """Two stacks of `count` packets, rows in shuffled order, and their rows per label.
+
+    Packet 3 of f is empty.  Each other packet of f has four momenta, a
+    repeat of its first within the merge tolerance, a copy of a momentum of
+    the next packet and a zero amplitude; packet 5 has a NaN amplitude.  h
+    holds the inverses of f's first three momenta and two more.
+    """
+    fm, fa, fl, hm, ha, hl = [], [], [], [], [], []
+    base = rng.normal(size=(count, 4, g.dim))
+    for k in range(count):
+        if k != 3:
+            m = [*base[k], base[k, 0] + 1e-14, base[(k + 1) % count, 1]]
+            a = rng.normal(size=6) + 1j * rng.normal(size=6)
+            a[2] = 0.0
+            if k == 5:
+                a[1] = np.nan
+            fm += m
+            fa += list(a)
+            fl += [k] * 6
+        m = [*np.asarray(g.inv(base[k, :3])), *rng.normal(size=(2, g.dim))]
+        hm += m
+        ha += list(rng.normal(size=5) + 1j * rng.normal(size=5))
+        hl += [k] * 5
+    out = []
+    for m, a, lab in ((fm, fa, fl), (hm, ha, hl)):
+        order = rng.permutation(len(a))
+        m, a, lab = np.array(m)[order], np.array(a)[order], np.array(lab)[order]
+        out.append((WavePacket.stack(g, m, a, lab, count),
+                    [RefPacket(g, m[lab == k], a[lab == k]) for k in range(count)]))
+    return out
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _rows_equal(stacked, refs):
+    """Label k of the stack holds the rows of refs[k], bit for bit and in order."""
+    labels = stacked.labels
+    assert np.all(np.diff(labels) >= 0)  # grouped by label
+    moms = np.array([m for m, _ in stacked.terms]).reshape(len(labels), -1)
+    amps = np.array([a for _, a in stacked.terms], dtype=complex)
+    return all(_same_bits(moms[labels == k], r.moms.reshape(-1, moms.shape[1]))
+               and _same_bits(amps[labels == k], r.amps) for k, r in enumerate(refs))
+
+
+def _sums_equal(stacked, refs):
+    """Label k of the stacked DeltaSum holds the words of refs[k], bit for bit and in order."""
+    for k, r in enumerate(refs):
+        for L, (words, amps, labels) in stacked._words.items():
+            rw, ra = r.words.get(L, (np.zeros((0, words.shape[1])), np.zeros(0, complex)))
+            if not (_same_bits(words[labels == k], rw) and _same_bits(amps[labels == k], ra)):
+                return False
+        if set(r.words) - set(stacked._words):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, kw", [("kappa_minkowski", dict(kappa=1.0, d=3)),
+                                      ("rho_minkowski", dict(rho=1.0)),
+                                      ("moyal_extended", dict(theta=1.0))])
+def test_stacks_equal_the_one_packet_reference_bit_for_bit(name, kw, seed):
+    g = group_preset(name, **kw)
+    rng = np.random.default_rng(seed)
+    (f, fr), (h, hr) = _stacks(g, rng)
+    assert len(f) < 6 * 6 and f.count == 7
+    assert _rows_equal(f, fr) and _rows_equal(h, hr)
+    assert _rows_equal(star(f, h), [ref_star(a, b) for a, b in zip(fr, hr)])
+    assert _rows_equal(star(h, f), [ref_star(b, a) for a, b in zip(fr, hr)])
+    assert _rows_equal(f + h, [a + b for a, b in zip(fr, hr)])
+    assert _rows_equal(f - f, [a + a.scale(-1.0) for a in fr])
+    assert _rows_equal(f.scale(0.5 - 2j), [a.scale(0.5 - 2j) for a in fr])
+    assert _rows_equal(dagger(f), [ref_dagger(a) for a in fr])
+    norms = f.norm()
+    assert _same_bits(norms, np.array([a.norm() for a in fr], dtype=float))
+    assert np.isnan(norms[5]) and not np.isnan(np.delete(norms, 5)).any() and norms[3] == 0.0
+    assert _sums_equal(integral_star(f, h), [ref_integral_star(a, b) for a, b in zip(fr, hr)])
+    twisted = act("E", h, power=3) if name == "kappa_minkowski" else h
+    twisted_r = [ref_act("E", b, power=3) if name == "kappa_minkowski" else b for b in hr]
+    assert _sums_equal(integral_star(twisted, f),
+                       [ref_integral_star(b, a) for a, b in zip(fr, twisted_r)])
+    eq = integral_star(f, h).equals(integral_star(h, f))
+    assert list(eq) == [ref_integral_star(a, b).equals(ref_integral_star(b, a))
+                        for a, b in zip(fr, hr)]
+    ok = twisted_trace_check(f, h)
+    assert list(ok) == [ref_twisted_trace_check(a, b) for a, b in zip(fr, hr)]
+    # the NaN stays in its own label: every other packet passes
+    assert list(ok) == [k != 5 for k in range(7)]
+    if name == "kappa_minkowski":
+        for gen, index, power in (("E", 0, 3), ("E", 0, -1), ("X", 0, 1), ("X", 2, 1), ("P", 1, 1)):
+            assert _rows_equal(act(gen, f, index=index, power=power),
+                               [ref_act(gen, a, index=index, power=power) for a in fr])
+
+
+def test_a_plain_packet_is_the_one_label_stack(kappa3):
+    rng = np.random.default_rng(9)
+    (f, fr), (h, hr) = _stacks(kappa3, rng, count=1)
+    assert _rows_equal(star(f, h), [ref_star(fr[0], hr[0])])
+    assert isinstance(f.norm(), float) and f.norm() == fr[0].norm()
+    assert twisted_trace_check(f, h) is ref_twisted_trace_check(fr[0], hr[0]) is True
+    g = plane_wave(kappa3, [[0.1, 0.2, 0.3, 0.4]], 2.0)
+    assert g.count == 1 and _rows_equal(g, [RefPacket(kappa3, [[0.1, 0.2, 0.3, 0.4]], [2.0])])
+
+
+def test_concat_and_split_relabel_without_merging(kappa3):
+    (f, fr), (h, hr) = _stacks(kappa3, np.random.default_rng(10))
+    both = concat([f, h, f])
+    assert both.count == 21 and _rows_equal(both, fr + hr + fr)
+    parts = both.split(3)
+    assert [p.count for p in parts] == [7, 7, 7]
+    assert _rows_equal(parts[0], fr) and _rows_equal(parts[1], hr) and _rows_equal(parts[2], fr)
+    with pytest.raises(ValueError):
+        both.split(2)
+    with pytest.raises(GroupMismatch):
+        concat([f, plane_wave(group_preset("kappa_minkowski", kappa=2.0, d=3), [0.1, 0.2, 0.3, 0.4])])
+
+
 def test_dagger(kappa1):
     ep = plane_wave(kappa1, [LN2, 1.0])
     d = dagger(ep)
@@ -210,8 +372,8 @@ def test_deltasum_equal_words_straddling_a_rounding_step(kappa1):
     # 8e-14 apart on either side of 1.5e-12: one momentum under the relative tolerance
     p = np.array([0.7, 1.5e-12 - 4e-14])
     q = np.array([0.7, 1.5e-12 + 4e-14])
-    lhs = DeltaSum(kappa1, [(1.0, (p, kappa1.inv(p)))])
-    rhs = DeltaSum(kappa1, [(1.0, (q, kappa1.inv(q)))])
+    lhs = delta_sum(kappa1, [(1.0, (p, kappa1.inv(p)))])
+    rhs = delta_sum(kappa1, [(1.0, (q, kappa1.inv(q)))])
     assert len(lhs) == 1
     assert lhs.equals(rhs)
 
@@ -271,8 +433,8 @@ def test_deltasum_confluence_random_rewrite_order(seed):
             atoms.append(np.zeros(3))
         amp = rng.normal() + 1j * rng.normal()
         terms.append((amp, atoms))
-    base = DeltaSum(g, terms)
-    shuffled = DeltaSum(g, terms, rng=np.random.default_rng(seed + 1))
+    base = delta_sum(g, terms)
+    shuffled = delta_sum(g, terms, rng=np.random.default_rng(seed + 1))
     assert base.equals(shuffled, tol=1e-9)
 
 

@@ -1,19 +1,25 @@
-"""Numeric star-product oracle for the plane-wave algebra (tests only).
+"""Oracles for the plane-wave algebra (tests only).
 
 `numeric_star_oracle` evaluates the integral star-product formula of a
 preset at one point x by quadrature: the inner oscillatory integral is done
 analytically against a Gaussian window, the remaining smooth integrals by
 Gauss-Hermite.  It approaches `qstkit.waves.star(f, g)(x)` as the damping
 width grows, which is what the tests check.
+
+`RefPacket` and `RefDeltaSum` are the one-packet algebra that `qstkit.waves`
+stacks: each object is one packet or one sum, merged on its own.  The
+stacked results must equal them label by label, bit for bit.  `delta_sum`
+builds a one-label DeltaSum from (amplitude, atoms) terms.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from qstkit.waves import WavePacket, plane_wave
+from qstkit.waves import MERGE_TOL, SUPPORT_TOL, DeltaSum, WavePacket, plane_wave
 
 
 def unit_wave(group) -> WavePacket:
@@ -151,3 +157,163 @@ def _moyal_block(p1, p2, q1, q2, theta, sigma, npts):
     # (1/(piθ)^2) (sqrt(2π)σ)^2 [z-integrals] * (sqrt(2π) w)^2 [y-Gaussian masses] = 1
     norm = (2 * math.pi * sigma * w) ** 2 / (math.pi * theta) ** 2 * (2 * math.pi) / (2 * math.pi)
     return norm * v1 * v2
+
+
+# ---------------------------------------------------------------------------
+# the one-packet reference algebra
+
+def _close(P, q):
+    """Which rows of P are the momentum q: max|p - q| <= MERGE_TOL·(1 + max|q|)."""
+    return np.abs(P - q).max(axis=-1, initial=0.0) <= MERGE_TOL * (1.0 + np.abs(q).max(initial=0.0))
+
+
+def ref_merge(moms, amps):
+    """One packet's merge: each row joins the first earlier kept row it is `_close` to.
+
+    Rows are compared only within a run of sorted sums of real parts, cut
+    where a gap is wider than two equal rows allow.
+    """
+    n = len(amps)
+    if n > 1:
+        key = moms.real.sum(axis=1)
+        order = key.argsort(kind="stable")
+        key = key[order]
+        widest = 1.0 + np.fmax.reduce(np.abs(moms), axis=None, initial=0.0)
+        linked = key[1:] - key[:-1] <= 2 * moms.shape[1] * MERGE_TOL * widest
+        if linked.any():
+            target = np.arange(n)
+            linked = np.concatenate(([False], linked, [False]))
+            for start, end in np.flatnonzero(linked[1:] != linked[:-1]).reshape(-1, 2).tolist():
+                run = np.sort(order[start:end + 1]).tolist()
+                reps = run[:1]
+                for j in run[1:]:
+                    hit = _close(moms[reps], moms[j])
+                    if hit.any():
+                        target[j] = reps[hit.argmax()]
+                    else:
+                        reps.append(j)
+            first = target == np.arange(n)
+            summed = amps[first]
+            np.add.at(summed, np.cumsum(first)[target[~first]] - 1, amps[~first])
+            moms, amps = moms[first], summed
+    keep = ~(np.abs(amps) <= MERGE_TOL)
+    return moms[keep], amps[keep]
+
+
+class RefPacket:
+    """One wave packet: (n, dim) momenta and (n,) amplitudes, merged on their own."""
+
+    def __init__(self, group, moms, amps):
+        self.group = group
+        self.moms, self.amps = ref_merge(np.asarray(moms), np.asarray(amps, dtype=complex))
+
+    def __add__(self, other):
+        return RefPacket(self.group, np.concatenate((self.moms, other.moms)),
+                         np.concatenate((self.amps, other.amps)))
+
+    def scale(self, z):
+        return RefPacket(self.group, self.moms, z * self.amps)
+
+    def norm(self):
+        return sum(map(abs, self.amps.tolist()))
+
+
+def _ref_pairs(f, g):
+    P, Q = f.moms, g.moms
+    return (np.repeat(P, len(Q), axis=0), np.tile(Q, (len(P), 1)),
+            np.outer(f.amps, g.amps).ravel())
+
+
+def ref_star(f, g):
+    P, Q, amps = _ref_pairs(f, g)
+    return RefPacket(f.group, f.group.add(P, Q), amps)
+
+
+def ref_dagger(f):
+    return RefPacket(f.group, f.group.inv(f.moms), np.conj(f.amps))
+
+
+def ref_act(gen, f, index=0, power=1):
+    kappa, p = f.group.meta["kappa"], f.moms
+    if gen == "E":
+        eig = np.exp(-power * p[:, 0] / kappa)
+    elif gen == "X" and index == 0:
+        eig = kappa * (1.0 - np.exp(-p[:, 0] / kappa))
+    else:
+        eig = p[:, index]
+    return RefPacket(f.group, p, eig * f.amps)
+
+
+class RefDeltaSum:
+    """One formal sum of delta words in normal form: {L: (words, amplitudes)}."""
+
+    def __init__(self, group, W, amps):
+        self.group, dim, self.words = group, group.dim, {}
+        nonzero = ~(np.abs(W).max(axis=-1) <= MERGE_TOL)
+        count = nonzero.sum(axis=1)
+        for L in np.unique(count).tolist():
+            rows = count == L
+            V, a = W[rows][nonzero[rows]].reshape(np.count_nonzero(rows), L, dim), amps[rows]
+            if L:
+                value = reduce(group.add, V.swapaxes(0, 1))
+                on = ~(np.abs(value).max(axis=-1) > SUPPORT_TOL)
+                V, a = V[on], a[on]
+            if L > 1:
+                V, a = self._canonical_rotation(V, a)
+            self.words[L] = ref_merge(V.reshape(len(a), L * dim), a)
+
+    def _canonical_rotation(self, W, amps):
+        m, L, dim = W.shape
+        R = W[:, (np.arange(L)[:, None] + np.arange(L)) % L].reshape(m * L, L * dim)
+        keys = np.concatenate((R.real, R.imag), axis=1).T[::-1]
+        order = np.lexsort(np.vstack((keys, np.repeat(np.arange(m), L))))
+        k = order[::L] % L
+        factors = np.cumprod(np.concatenate((np.ones((m, 1)), self.group.modular(W[:, :-1])),
+                                            axis=1), axis=1)
+        rows = np.arange(m)
+        return W[rows[:, None], (np.arange(L) + k[:, None]) % L], amps * factors[rows, k]
+
+    def is_zero(self):
+        return all(np.all(np.abs(a) <= MERGE_TOL) for _, a in self.words.values())
+
+    def equals(self, other, tol=1e-10):
+        for L in self.words.keys() | other.words.keys():
+            empty = (np.zeros((0, L * self.group.dim)), np.zeros(0, complex))
+            (A, a), (B, b) = self.words.get(L, empty), other.words.get(L, empty)
+            _, diff = ref_merge(np.concatenate((A, B)), np.concatenate((a, -b)))
+            if not np.all(np.abs(diff) <= tol):
+                return False
+        return True
+
+
+def ref_integral_star(f, g):
+    P, Q, amps = _ref_pairs(f, g)
+    return RefDeltaSum(f.group, np.stack((P, Q), axis=1), amps)
+
+
+def ref_twisted_trace_check(f, g):
+    twisted = ref_act("E", g, power=f.group.meta["d"]) \
+        if f.group.name.startswith("kappa_minkowski") else g
+    return ref_integral_star(f, g).equals(ref_integral_star(twisted, f))
+
+
+def delta_sum(group, terms, rng=None) -> DeltaSum:
+    """The one-label DeltaSum of (amplitude, atoms) terms.
+
+    An rng first shuffles the terms and rotates each word left by a random
+    number of atoms, delta(a ⊞ R) -> Delta(a) delta(R ⊞ a) per atom moved,
+    which the normal form must undo.
+    """
+    terms = [(complex(a), [np.asarray(x) for x in atoms]) for a, atoms in terms]
+    if rng is not None:
+        terms = [terms[i] for i in rng.permutation(len(terms))]
+        for i, (a, atoms) in enumerate(terms):
+            k = int(rng.integers(len(atoms))) if atoms else 0
+            terms[i] = (a * math.prod(complex(group.modular(x)) for x in atoms[:k]),
+                        atoms[k:] + atoms[:k])
+    L = max((len(atoms) for _, atoms in terms), default=0)
+    # padded with zero atoms, which the normal form drops
+    W = np.array([atoms + [np.zeros(group.dim)] * (L - len(atoms)) for _, atoms in terms])
+    return DeltaSum._of(group, W.reshape(len(terms), L, group.dim),
+                        np.array([a for a, _ in terms], dtype=complex),
+                        np.zeros(len(terms), np.intp), 1)
