@@ -5,7 +5,10 @@ x1 = a e^{-p0/kappa}.  The module checks the Lorentzian-triple axioms for
 the fundamental symmetry and the Dirac block operator, evaluates the
 causal-cone quadratic form for linear candidate functions f = alpha x0 +
 beta x1 on a seeded family of Gaussian states, and computes the
-speed-of-light-analogue margin between two states.
+speed-of-light-analogue margin between two states.  The operators and the
+axioms take the a = 1 branch: the a = -1 Dirac operator is the a = 1 one
+with its spinor components swapped, and the swap commutes with the
+fundamental symmetry.  The cone form takes either branch.
 
 Every operator is applied matrix-free to an (n, ...) array of states: the
 derivative by FFT or by shifted slices, the multiplication operators as
@@ -76,21 +79,15 @@ def _derivative(grid: GridSpec, f):
     return out.real if np.isrealobj(f) else out
 
 
-def _check_branch(a: int):
-    if a not in (1, -1):
-        raise ValueError("only the a = +/-1 representation branches are implemented")
-
-
-def build_operators(grid: GridSpec, kappa: float, a: int = 1) -> dict:
-    """x0 = -i d/dp0 (Hermitian on the grid) and x1 = a e^{-p0/kappa}.
+def build_operators(grid: GridSpec, kappa: float) -> dict:
+    """x0 = -i d/dp0 (Hermitian on the grid) and x1 = e^{-p0/kappa}, branch a = 1.
 
     "X0" is a function applying x0 to an (n, ...) array; "X1" is the diagonal
     of x1 as a vector.  Either one is an `op` for `expectation`.
     """
-    _check_branch(a)
     grid.validate_kappa(kappa)
     p = grid.points()
-    return {"X0": lambda f: -1j * _derivative(grid, f), "X1": a * np.exp(-p / kappa), "p": p}
+    return {"X0": lambda f: -1j * _derivative(grid, f), "X1": np.exp(-p / kappa), "p": p}
 
 
 def normalize(psi, grid: GridSpec):
@@ -139,21 +136,21 @@ def gaussian_state(grid: GridSpec, center, width, phase_t=0.0):
 GAMMA0 = np.array([[0, 1j], [1j, 0]])  # the fundamental symmetry is I = i gamma^0
 
 
-def _dirac_apply(grid: GridSpec, kappa: float, a: int, phi, adjoint: bool = False):
+def _dirac_apply(grid: GridSpec, kappa: float, phi, adjoint: bool = False):
     """D phi, or D^dagger phi, for D = [[0, X-],[X+, 0]] on a (2, n, m) spinor x state array.
 
     X+- = X0 +- X1 are anti-self-adjoint deformed derivations:
     X0 = i kappa(1 - e^{-p0/kappa}) (diagonal, exactly anti-Hermitian; its
     commutative limit is i p0, the Fourier side of d/dx0) and
-    X1 = J d/dp0 + J'/2 with J = dp0/dx1 = -(kappa/a) e^{p0/kappa}, the
-    symmetrized grid realization of d/dx1 through x1 = a e^{-p0/kappa}.
+    X1 = J d/dp0 + J'/2 with J = dp0/dx1 = -kappa e^{p0/kappa}, the
+    symmetrized grid realization of d/dx1 through x1 = e^{-p0/kappa}.
     The anti-Hermiticity defect of X1 is the discretization error
     J' - [D, J], which decays at the derivative-scheme order.  The adjoint
     uses (d/dp0)^T = -d/dp0: X0^dagger = conj(X0), X1^dagger = -d/dp0 J + J'/2.
     """
     p = grid.points()[:, None]
     x0 = 1j * kappa * (1.0 - np.exp(-p / kappa))
-    J = -(kappa / a) * np.exp(p / kappa)
+    J = -kappa * np.exp(p / kappa)
     half = 0.5 * (J / kappa)  # J'/2, since J' = J/kappa
     if adjoint:
         x0, s = x0.conj(), 1
@@ -164,7 +161,7 @@ def _dirac_apply(grid: GridSpec, kappa: float, a: int, phi, adjoint: bool = Fals
     return np.stack([x0 * phi[1] + s * x1(phi[1]), x0 * phi[0] - s * x1(phi[0])])
 
 
-def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1, seed: int = 0) -> dict:
+def lorentzian_axiom_check(grid: GridSpec, kappa: float, seed: int = 0) -> dict:
     """I^2 = 1 and I^dagger = I exactly; Krein residual ||(D^dag I + I D) Psi||.
 
     The residual is measured on interior Gaussian states (spinor x grid), so
@@ -176,7 +173,6 @@ def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1, seed: int =
     i_sq = float(np.max(np.abs(Imat @ Imat - np.eye(2))))
     i_herm = float(np.max(np.abs(Imat.conj().T - Imat)))
 
-    _check_branch(a)
     grid.validate_kappa(kappa)
     # one (center, width) row per state, drawn in the order of a per-state loop
     c, w = np.random.default_rng(seed).uniform([-grid.window / 4, 0.5],
@@ -190,8 +186,8 @@ def lorentzian_axiom_check(grid: GridSpec, kappa: float, a: int = 1, seed: int =
     def spin(x):
         return np.tensordot(Imat, x, axes=1)
 
-    res = (_dirac_apply(grid, kappa, a, spin(phi), adjoint=True)
-           + spin(_dirac_apply(grid, kappa, a, phi)))
+    res = (_dirac_apply(grid, kappa, spin(phi), adjoint=True)
+           + spin(_dirac_apply(grid, kappa, phi)))
     worst = float(np.max(np.linalg.norm(res, axis=(0, 1)))) * math.sqrt(grid.h)
     return {"I_squared_residual": i_sq, "I_hermiticity_residual": i_herm,
             "krein_residual": worst}
@@ -240,6 +236,8 @@ def cone_condition(grid: GridSpec, kappa: float, a: int, alpha: float, beta: flo
     of -3e4 to -1e5, depending on the seed, for every beta in [-1, 1]
     (-8.5e4 to -9e4 at seed 0), so the form fails even at beta = 0.
     """
+    if a not in (1, -1):
+        raise ValueError("only the a = +/-1 representation branches are implemented")
     grid.validate_kappa(kappa)
     # one (center, width[, phase]) row per state, drawn in the order of a per-state loop
     low, high = [-grid.window / 2, 0.5, -2.0], [grid.window / 2, 2.0, 2.0]

@@ -194,6 +194,7 @@ PARAMS = {
     "N": (None, _scalar(int, lambda v: 1 <= v <= MAX_N, f"between 1 and {MAX_N}")),
     "grid": (None, _scalar(int, lambda v: v <= MAX_GRID, f"at most {MAX_GRID}")),
     "mass": (None, _NON_NEGATIVE),
+    "k0": (None, _scalar(float, np.isfinite, "finite")),
     "v": (None, _parse_v_range),
     "d-range": (None, _parse_d_range),
     "lambda-grid": (None, _parse_lambda_grid),
@@ -700,7 +701,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--space", default="kappa_minkowski")
     g.add_argument("--p", type=_parse_reals, required=True)
     g.add_argument("--q", type=_parse_reals, default=S, help="add, haar-check, delta-solve")
-    g.add_argument("--k0", type=float, default=S, help="delta-solve")
+    g.add_argument("--k0", type=PARAMS["k0"][1], default=S, help="delta-solve")
 
     ho = sub.add_parser("hopf", help="kappa-Poincare Hopf axiom suite")
     ho.add_argument("check", nargs="?", default="check", choices=("check",))

@@ -340,7 +340,7 @@ def _fd_jacobian_det(f, x):
                                     / (2 * JACOBIAN_STEP)))
 
 
-def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
+def haar_invariance_check(g: GroupDescriptor, q, p, side="left"):
     """Pointwise Jacobian residual of Haar invariance, relative to 1 + |w(p)|.
 
     left : |w(p) - w(q [+] p) * |det d(q [+] p)/dp|| / (1 + |w(p)|)
@@ -348,18 +348,18 @@ def haar_invariance_check(g: GroupDescriptor, q, p, side="left", weight=None):
     The Jacobian determinant is always that of the law, by central
     differences (_fd_jacobian_det), so a wrong law or a wrong weight shows.
     p and q are momenta or (n, dim) rows; the residual has one entry per row.
-    A weight override lets corrupted densities be probed.  A law that is
-    complex at the stencil points raises ValueError.
+    A corrupted density is probed on `dataclasses.replace(g, haar_left=...)`.
+    A law that is complex at the stencil points raises ValueError.
     """
     g.check_dim(p, q)
     p, q = np.broadcast_arrays(np.asarray(p, float), np.asarray(q, float))
     qs = q[..., None, None, :]  # q against the stencil points of _fd_jacobian_det
     if side == "left":
-        w = weight if weight is not None else g.haar_left
+        w = g.haar_left
         shifted = g.add(q, p)
         det = _fd_jacobian_det(lambda x: g.add(np.broadcast_to(qs, x.shape), x), p)
     elif side == "right":
-        w = weight if weight is not None else g.haar_right
+        w = g.haar_right
         shifted = g.add(p, q)
         det = _fd_jacobian_det(lambda x: g.add(x, np.broadcast_to(qs, x.shape)), p)
     else:
@@ -539,14 +539,10 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
     return out
 
 
-def group_from_structure(sc: StructureConstants, order: int = 8) -> GroupDescriptor:
-    """Generic group law from structure constants via the truncated BCH series."""
-
-    def gadd(p, q):
-        return bch_compose(sc.C, p, q, order=order)
-
+def group_from_structure(sc: StructureConstants) -> GroupDescriptor:
+    """Generic group law from structure constants via bch_compose at its default order 8."""
     return GroupDescriptor(
         name=f"bch:{sc.name}", dim=sc.dim, structure=sc,
-        add=gadd, inv=_minus,
+        add=lambda p, q: bch_compose(sc.C, p, q), inv=_minus,
         haar_left=_one, haar_right=_one, modular=_one,
     )

@@ -18,25 +18,15 @@ not O(N^3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+# random dense g on which partition_check tests the unity sum_m f_mm * g = g
+UNITY_SAMPLES = 4
 
 
 class TruncationError(IndexError):
     pass
-
-
-@dataclass(frozen=True)
-class MatrixBasisElement:
-    m: int
-    n: int
-    theta: float
-    N: int
-
-    def __post_init__(self):
-        if not (0 <= self.m < self.N and 0 <= self.n < self.N):
-            raise TruncationError(f"indices ({self.m},{self.n}) outside truncation N={self.N}")
 
 
 class TruncatedElement:
@@ -113,8 +103,9 @@ def _max_diff(a: TruncatedElement, b: TruncatedElement) -> float:
 
 
 def basis_element(m: int, n: int, theta: float, N: int) -> TruncatedElement:
-    e = MatrixBasisElement(m, n, theta, N)
-    return _support(theta, N, np.array([e.m]), np.array([e.n]), np.ones(1, dtype=complex))
+    if not (0 <= m < N and 0 <= n < N):
+        raise TruncationError(f"indices ({m},{n}) outside truncation N={N}")
+    return _support(theta, N, np.array([m]), np.array([n]), np.ones(1, dtype=complex))
 
 
 def star(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
@@ -169,11 +160,11 @@ def trace_pairing(a: TruncatedElement, b: TruncatedElement) -> complex:
     return 2 * math.pi * a.theta * complex(s)
 
 
-def partition_check(N: int, theta: float = 1.0, n_samples: int = 4, seed: int = 0) -> dict:
+def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
     """Partition-of-unity axioms for the diagonal family {f_mm} at truncation N.
 
     positivity : f_mm = f_m0 * f_m0^dagger for every m < N
-    unity      : sum_m f_mm * g = g for every in-truncation g
+    unity      : sum_m f_mm * g = g on UNITY_SAMPLES random dense g
     commutation: chi * chi~ = chi~ * chi for diagonal pairs
     Local finiteness is vacuous at finite N.
     """
@@ -186,7 +177,7 @@ def partition_check(N: int, theta: float = 1.0, n_samples: int = 4, seed: int = 
     diag = np.arange(N)
     unit_sum = _support(theta, N, diag, diag, np.ones(N, dtype=complex))
     unity_err = 0.0
-    for _ in range(n_samples):
+    for _ in range(UNITY_SAMPLES):
         gmat = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         g = TruncatedElement(gmat, theta)
         unity_err = max(unity_err, _max_diff(star(unit_sum, g), g), _max_diff(star(g, unit_sum), g))

@@ -24,6 +24,8 @@ from .momentum import GroupDescriptor
 
 MERGE_TOL = 1e-12
 SUPPORT_TOL = 1e-9
+# largest amplitude of self - other at which DeltaSum.equals reads two sums equal
+EQUAL_TOL = 1e-10
 
 
 class GroupMismatch(ValueError):
@@ -371,8 +373,8 @@ class DeltaSum:
         """Per label: whether every amplitude is within MERGE_TOL of zero."""
         return self._all_within(self._words.values(), MERGE_TOL)
 
-    def equals(self, other: "DeltaSum", tol=1e-10):
-        """Per label: whether self - other merges to amplitudes all within tol."""
+    def equals(self, other: "DeltaSum"):
+        """Per label: whether self - other merges to amplitudes all within EQUAL_TOL."""
         _check_same(self, other)
         diffs = []
         for L in self._words.keys() | other._words.keys():
@@ -380,7 +382,7 @@ class DeltaSum:
             (A, a, la), (B, b, lb) = self._words.get(L, empty), other._words.get(L, empty)
             diffs.append(_merge(np.concatenate((A, B)), np.concatenate((a, -b)),
                                 np.concatenate((la, lb))))
-        return self._all_within(diffs, tol)
+        return self._all_within(diffs, EQUAL_TOL)
 
     def __repr__(self):
         bits = [f"({amp:.4g})·δ({' [+] '.join(str(np.round(np.real(a), 4)) for a in atoms) or 0})"
@@ -395,7 +397,7 @@ def integral_star(f: WavePacket, g: WavePacket) -> DeltaSum:
 
 
 def twisted_trace_check(f: WavePacket, g: WavePacket):
-    """∫ f*g == ∫ (E^d g)*f as DeltaSums within 1e-10, per label (kappa-Minkowski twisted trace).
+    """∫ f*g == ∫ (E^d g)*f as DeltaSums, per label (kappa-Minkowski twisted trace).
 
     For unimodular groups (Moyal, rho-Minkowski) the twist is trivial and
     this reduces to plain cyclicity of the integral.

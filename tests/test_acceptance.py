@@ -152,7 +152,7 @@ def test_acceptance_08_commutative_reduction():
 
 def test_acceptance_09_bessel_ratio():
     t0 = time.time()
-    rep = LO.bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0), ds=(2, 3))
+    rep = LO.bessel_oracle_compare(ms=(0.5, 1.0, 2.0), kappas=(0.5, 1.0, 2.0))
     runtime = time.time() - t0
     ok = rep["passed"] and rep["max_rel_dev"] < 1e-6 and runtime < 10.0
     _report(9, f"kappa-Minkowski Bessel ratio constant to 1e-6 over the grid ({runtime:.2f}s)", ok)

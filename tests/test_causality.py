@@ -28,10 +28,18 @@ def test_grid_validation():
         C.GridSpec(16, 10.0, "spectral").validate_kappa(1.2)
 
 
-def _both(grid, kappa, a=1):
+def _both(grid, kappa):
     """(operators, expectation) of the dense oracle and of the matrix-free model."""
-    return [(O.build_operators(grid, kappa, a), O.expectation),
-            (C.build_operators(grid, kappa, a), C.expectation)]
+    return [(O.build_operators(grid, kappa), O.expectation),
+            (C.build_operators(grid, kappa), C.expectation)]
+
+
+def _dirac_apply(grid, a, phi, adjoint):
+    """D phi (or D^dagger phi) on branch a: the model's a = 1 operator, and for
+    a = -1 that operator with the spinor components of phi and of the result swapped."""
+    if a == 1:
+        return C._dirac_apply(grid, 1.0, phi, adjoint)
+    return C._dirac_apply(grid, 1.0, phi[::-1], adjoint)[::-1]
 
 
 def test_x1_bounds(grid):
@@ -72,7 +80,7 @@ def test_phase_shift_translates_x0(grid):
 def test_kappa_infinite_limit_x1_identity():
     grid = C.GridSpec(128, 12.0, "central")
     assert np.max(np.abs(np.diag(O.build_operators(grid, 1e9, a=1)["X1"]) - 1.0)) < 1e-7
-    assert np.max(np.abs(C.build_operators(grid, 1e9, a=1)["X1"] - 1.0)) < 1e-7
+    assert np.max(np.abs(C.build_operators(grid, 1e9)["X1"] - 1.0)) < 1e-7
 
 
 def test_fundamental_symmetry_exact(grid):
@@ -126,11 +134,13 @@ def test_sll_requires_normalized(grid):
         C.sll_margin(psi, 2.0 * psi, grid, 1.0)
 
 
+def test_cone_condition_rejects_other_branches(grid):
+    for a in (0, 2, -2, 0.5):
+        with pytest.raises(ValueError, match="branches"):
+            C.cone_condition(grid, 1.0, a, 1.0, 0.5, n_states=20, phases=True)
+
+
 def test_dirac_representation_branches(grid):
-    with pytest.raises(ValueError):
-        C.build_operators(grid, 1.0, a=0)
-    with pytest.raises(ValueError):
-        C.lorentzian_axiom_check(grid, 1.0, a=0)
     n = grid.n
     up = np.zeros((2, n, 1), dtype=complex)
     up[0, :, 0] = C.gaussian_state(grid, 0.2, 1.0)
@@ -139,7 +149,7 @@ def test_dirac_representation_branches(grid):
         assert np.max(np.abs(D[:n, :n])) == 0.0  # off-diagonal block structure
         assert np.max(np.abs(D[n:, n:])) == 0.0
         for adjoint in (False, True):  # D and D^dagger map the upper spinor to the lower
-            out = C._dirac_apply(grid, 1.0, a, up, adjoint)
+            out = _dirac_apply(grid, a, up, adjoint)
             assert np.max(np.abs(out[0])) == 0.0
             assert np.max(np.abs(out[1])) > 0.0
 
@@ -169,7 +179,7 @@ def test_dirac_apply_matches_oracle_matrix(n, scheme, a):
     flat = phi.reshape(2 * n, 4)
     for adjoint, M in ((False, Dop), (True, Dop.conj().T)):
         want = M @ flat
-        got = C._dirac_apply(grid, 1.0, a, phi, adjoint).reshape(2 * n, 4)
+        got = _dirac_apply(grid, a, phi, adjoint).reshape(2 * n, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -177,7 +187,9 @@ def test_dirac_apply_matches_oracle_matrix(n, scheme, a):
 @pytest.mark.parametrize("n, scheme", ORACLE_GRIDS)
 def test_krein_residual_matches_oracle(n, scheme, a):
     grid = C.GridSpec(n, 10.0, scheme)
-    got = C.lorentzian_axiom_check(grid, 1.0, a, seed=3)["krein_residual"]
+    # the a = -1 residual is the a = 1 one: the spinor swap relating their Dirac
+    # operators commutes with I and maps the family e_s x psi onto itself
+    got = C.lorentzian_axiom_check(grid, 1.0, seed=3)["krein_residual"]
     want = O.krein_residual(grid, 1.0, a, seed=3)
     # the dense D^dagger carries the roundoff asymmetry of the DFT matrix, times |J| ~ e^10
     assert got == pytest.approx(want, rel=1e-12 if scheme == "central" else 1e-6)

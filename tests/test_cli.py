@@ -467,6 +467,31 @@ def test_cli_loop_mixing_inconclusive_rows_fail(capsys):
     assert rows and all(r["passed"] == "True" and r["detail"] == "NO_MIXING" for r in rows)
 
 
+@pytest.mark.parametrize("space, grid", [("commutative", "1e100:1e105:3"),
+                                         ("kappa", "1e150:1e160:3"),
+                                         ("moyal", "1e100:1e105:3")])
+def test_cli_loop_mixing_overflowing_cutoff_is_inconclusive(space, grid, capsys):
+    # r^{D-1} overflows a float at the top cutoff: that quadrature has no value
+    assert cli.main(["loop", "mixing", "--space", space, "--lambda-grid", grid]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))
+    assert err == "" and doc["verdict"] == "INCONCLUSIVE"
+    sweep = doc["evidence"]["planar_sweep"]
+    assert sweep["verdict"] == "inconclusive" and sweep["slope"] is None
+    assert sweep["rows"][-1][1:] == [None, False]
+
+
+def test_cli_k0_must_be_finite(capfd):
+    # a NaN k0 used to reach LAPACK, which printed its own lines before the error
+    for k0 in ("nan", "inf", "-inf", "1e400"):
+        argv = ["group", "delta-solve", "--space", "su2_lambda", "--p", "0.1,0.2,0.3",
+                "--q=0.1,0.2,0.3", f"--k0={k0}"]
+        assert cli.main(argv) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: argument --k0: must be finite")
+
+
 def test_cli_loop_mixing_kappa_massless_exit_2(capsys):
     # the k0 integrand 2 (1 + Delta) / k0^2 is not integrable at m = 0
     assert cli.main(["loop", "mixing", "--space", "kappa", "--mass", "0"]) == 2

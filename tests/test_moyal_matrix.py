@@ -147,11 +147,12 @@ def test_basis_elements_hold_no_matrix():
     assert MM.dagger(e).dense is None
 
 
-def test_partition_check_memory_is_below_one_matrix():
+def test_partition_check_memory_is_below_one_matrix(monkeypatch):
     N = 4096
+    monkeypatch.setattr(MM, "UNITY_SAMPLES", 0)  # a dense sample g is one N x N matrix
     tracemalloc.start()
     try:
-        rep = MM.partition_check(N, 1.0, n_samples=0)
+        rep = MM.partition_check(N, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

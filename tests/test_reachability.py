@@ -1,4 +1,5 @@
-"""Every public definition in `src/qstkit` has a reader.
+"""Every public definition in `src/qstkit` has a reader, and every defaulted
+parameter of one has a caller that sets it.
 
 An AST scan of the package: each public module-level function and class,
 and each public method of such a class, must be named somewhere in
@@ -9,6 +10,14 @@ the gate is for definitions nothing reads at all.  Tests do not count:
 a definition only tests reach is a test helper and belongs in `tests/`.
 There is no allowlist: a definition that checks a claim of the paper
 becomes a report row, anything else leaves `src`.
+
+The same holds for parameters: a numerical setting with one value in use
+is a constant, not a parameter.  Each defaulted parameter of a public
+function or method must be set, by keyword or by position, by some call
+in `src/qstkit` or `perfbench/` outside the function's own body; calls
+are matched by the callee's bare name, and one that unpacks `*` or `**`
+sets every parameter.  `EXEMPT_PARAMETERS` names the few that stay
+anyway, each with its reason.
 """
 
 from __future__ import annotations
@@ -49,9 +58,14 @@ def _definitions(tree, module):
                         yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
+def _trees() -> dict:
+    """The parsed modules of src/qstkit and perfbench/, by path."""
+    return {path: ast.parse(path.read_text()) for base in READERS
+            for path in sorted(base.glob("*.py"))}
+
+
 def unread_definitions() -> list:
-    trees = {path: ast.parse(path.read_text()) for base in READERS
-             for path in sorted(base.glob("*.py"))}
+    trees = _trees()
     names = Counter()
     for tree in trees.values():
         names += _names(tree)
@@ -69,3 +83,86 @@ def unread_definitions() -> list:
 def test_every_public_definition_has_a_reader():
     unread = unread_definitions()
     assert not unread, f"public definitions that src and perfbench never name: {unread}"
+
+
+# ---------------------------------------------------------------------------
+# parameters: a defaulted parameter that no call sets is a constant
+
+# (module.function, parameter) -> why a defaulted parameter that src and
+# perfbench never pass stays a parameter.  The table may shrink, never grow.
+EXEMPT_PARAMETERS = {
+    ("causality.cone_condition", "phases"):
+        "the phased family is the only one on which the cone form is not identically 0; "
+        "test_cone_margins_match_oracle checks _cone_form through it",
+    ("momentum.bch_compose", "order"):
+        "the tests' BCH reference sets it at orders 3 to 12; reference code stays",
+}
+MAX_EXEMPT_PARAMETERS = 2
+
+
+def _defaulted(node, method: bool):
+    """(name, position or None) of each defaulted parameter of a function node.
+
+    The position counts the arguments a call writes, so a method's `self`
+    (or a classmethod's `cls`) is left out; a keyword-only parameter has none.
+    """
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in node.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(trees) -> dict:
+    """Every call in `trees` by the bare name of its callee."""
+    out = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            out.setdefault(name, []).append(node)
+    return out
+
+
+def _passes(call, name: str, position) -> bool:
+    """Whether `call` sets the parameter: by keyword, by position, or by * or ** unpacking."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def defaulted_parameters() -> list:
+    """((module.function, parameter), passed) for each defaulted parameter of a public
+    function or method of `src/qstkit`: passed when a call in `src/qstkit` or
+    `perfbench/` outside the function's own body sets it."""
+    trees = _trees()
+    calls = _calls(trees.values())
+    out = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for qual, name, node in _definitions(tree, path.stem):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            own = {id(c) for c in ast.walk(node) if isinstance(c, ast.Call)}
+            method = qual.count(".") == 2
+            for param, position in _defaulted(node, method):
+                passed = any(_passes(c, param, position) for c in calls.get(name, ())
+                             if id(c) not in own)
+                out.append(((qual, param), passed))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = {key for key, passed in defaulted_parameters() if not passed}
+    knobs = sorted(unpassed - set(EXEMPT_PARAMETERS))
+    assert not knobs, f"defaulted parameters that src and perfbench never pass: {knobs}"
+    stale = sorted(set(EXEMPT_PARAMETERS) - unpassed)
+    assert not stale, f"exempt parameters that a call now passes (drop them): {stale}"
+    assert len(EXEMPT_PARAMETERS) <= MAX_EXEMPT_PARAMETERS
