@@ -1,10 +1,11 @@
 """Lie-algebra-type noncommutativity data: structure constants and presets.
 
 A quantum space-time of Lie-algebra type is fixed by a tensor C^{mu nu}_rho
-with [x^mu, x^nu] = C^{mu nu}_rho x^rho, plus one deformation scale.  Four
-presets are shipped: kappa-Minkowski in d spatial dimensions, the extended
-Moyal space (with the unit phase slot appended so the algebra closes
-linearly), rho-Minkowski, and the su(2) fuzzy space.
+with [x^mu, x^nu] = C^{mu nu}_rho x^rho, which carries the deformation
+scale.  Four presets are shipped: kappa-Minkowski in d spatial dimensions,
+the extended Moyal space (with the unit phase slot appended so the algebra
+closes linearly), rho-Minkowski, and the su(2) fuzzy space.  A preset's
+`meta` keeps its parameters.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class StructureConstants:
 
     name: str
     dim: int
-    deformation: float
     C: np.ndarray  # complex, shape (dim, dim, dim), indexed [mu, nu, rho]
     meta: dict = field(default_factory=dict, compare=False)
 
@@ -56,9 +56,7 @@ class StructureConstants:
         C = np.zeros((dim, dim, dim), dtype=complex)
         for e in data["entries"]:
             C[e["mu"], e["nu"], e["rho"]] = e["re"] + 1j * e["im"]
-        return StructureConstants(
-            name=data["name"], dim=dim, deformation=float(data["deformation"]), C=C
-        )
+        return StructureConstants(name=data["name"], dim=dim, C=C)
 
 
 def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
@@ -85,8 +83,7 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
         for j in range(1, n):
             C[0, j, j] = 1j / kappa
             C[j, 0, j] = -1j / kappa
-        return StructureConstants(name, n, float(kappa), C,
-                                  meta={"d": d, "kappa": float(kappa)})
+        return StructureConstants(name, n, C, meta={"d": d, "kappa": float(kappa)})
 
     if name == "moyal_extended":
         if theta is None or theta == 0:
@@ -103,11 +100,8 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
             Theta[2 * b + 1, 2 * b] = -theta
         C = np.zeros((n, n, n), dtype=complex)
         C[:ns, :ns, ns] = -2j * MOYAL_PHASE_CONVENTIONS[phase_convention] * Theta
-        return StructureConstants(
-            name, n, float(theta), C,
-            meta={"theta": float(theta), "Theta": Theta,
-                  "phase_convention": phase_convention},
-        )
+        return StructureConstants(name, n, C, meta={"theta": float(theta), "Theta": Theta,
+                                                     "phase_convention": phase_convention})
 
     if name == "rho_minkowski":
         if rho is None or rho == 0:
@@ -121,7 +115,7 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
         C[1, 0, 2] = 1j * rho
         C[0, 2, 1] = 1j * rho
         C[2, 0, 1] = -1j * rho
-        return StructureConstants(name, 4, float(rho), C, meta={"rho": float(rho)})
+        return StructureConstants(name, 4, C, meta={"rho": float(rho)})
 
     if name == "su2_lambda":
         if lam is None or lam == 0:
@@ -133,7 +127,7 @@ def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
                              ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)):
             eps[j, k, l] = s
         C = 1j * lam * eps
-        return StructureConstants(name, 3, float(lam), C, meta={"lam": float(lam)})
+        return StructureConstants(name, 3, C, meta={"lam": float(lam)})
 
     raise PresetError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
 
@@ -191,9 +185,4 @@ def recover_from_group_law(g) -> StructureConstants:
         )
     H = (4 * d2 - d1) / 3
     C = -1j * (H - H.transpose(1, 0, 2))
-    return StructureConstants(
-        name=f"{g.name}:recovered",
-        dim=dim,
-        deformation=g.structure.deformation,
-        C=C,
-    )
+    return StructureConstants(name=f"{g.name}:recovered", dim=dim, C=C)

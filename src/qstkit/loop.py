@@ -40,6 +40,8 @@ RATIO_TOL = 1e-6
 BESSEL_DS = (2, 3)
 # largest QUADPACK error estimate, relative to the value, of a converged quadrature
 QUAD_RTOL = 1e-3
+# math.exp(-x) is exactly 0.0 for every x >= _EXP_UNDERFLOW
+_EXP_UNDERFLOW = 746.0
 
 
 def _gk_rule(nodes, wk, wg, order):
@@ -223,7 +225,11 @@ def propagator_integral(group: GroupDescriptor, mass: float, Lambda: float) -> d
 
     kappa-Minkowski (Minkowski metric): after the exact spatial rescaling and
     the Wick rotation, the k0 integral is analytic, (pi/omega) e^{-d omega/2 kappa},
-    leaving the radial integral over |k_spatial|.
+    leaving the radial integral over |k_spatial|.  Its integrand is exactly 0.0
+    from r = 2 kappa _EXP_UNDERFLOW / d on, so a finite cutoff beyond that
+    radius is cut there: on a range far past it the rule would place no node
+    where the integrand is nonzero and read 0.  Lambda = inf needs no cut,
+    since the rule maps [0, inf) onto (0, 1].
     Commutative (Euclidean): Omega_{D-1} ∫ r^{D-1} / (r^2 + m^2) dr, D = dim.
     """
     if mass < 0:
@@ -240,7 +246,8 @@ def propagator_integral(group: GroupDescriptor, mass: float, Lambda: float) -> d
             om = math.hypot(r, mass)
             return r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
 
-        val, err, _, ok = _quad(integrand, 0.0, Lambda, limit=200)
+        hi = Lambda if Lambda == math.inf else min(Lambda, 2 * kappa * _EXP_UNDERFLOW / d)
+        val, err, _, ok = _quad(integrand, 0.0, hi, limit=200)
         return {"value": sphere_area(d - 1) * val, "error": sphere_area(d - 1) * err,
                 "converged": ok, "reduction": "wick-rotated radial, analytic inner k0"}
 
@@ -277,8 +284,10 @@ def _converges(slope: float):
 def propagator_sweep(group: GroupDescriptor, mass: float, lambdas) -> dict:
     """Cutoff sweep of the propagator integral with a divergence verdict.
 
-    Each row is (Lambda, value, converged); a quadrature QUADPACK flags makes
-    the verdict "inconclusive", whatever the slope reads, and a NaN value a NaN slope.
+    Each row is (Lambda, value, converged); a quadrature QUADPACK flags, or a
+    value of exactly 0.0 (an underflowed integral, whose slope through 1e-300
+    reads nothing), makes the verdict "inconclusive", whatever the slope
+    reads, and a NaN value a NaN slope.
     """
     rows = []
     for L in lambdas:
@@ -287,7 +296,7 @@ def propagator_sweep(group: GroupDescriptor, mass: float, lambdas) -> dict:
     values = [r[1] for r in rows]
     slope = (_loglog_slope([r[0] for r in rows], [max(v, 1e-300) for v in values])
              if not any(map(math.isnan, values)) else math.nan)
-    converges = _converges(slope) if all(r[2] for r in rows) else None
+    converges = _converges(slope) if all(r[2] and r[1] != 0.0 for r in rows) else None
     verdict = {True: "convergent", False: "divergent", None: "inconclusive"}[converges]
     return {"rows": rows, "slope": slope, "verdict": verdict}
 

@@ -247,7 +247,7 @@ def _su2_group(lam: float) -> GroupDescriptor:
 
 def _commutative_group(dim: int) -> GroupDescriptor:
     C = np.zeros((dim, dim, dim), dtype=complex)
-    sc = StructureConstants("commutative", dim, 0.0, C)
+    sc = StructureConstants("commutative", dim, C)
     return GroupDescriptor(
         name="commutative", dim=dim, structure=sc,
         add=lambda p, q: np.asarray(p) + np.asarray(q),

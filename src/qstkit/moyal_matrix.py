@@ -8,11 +8,10 @@ out-of-truncation indices are rejected, never projected, so the algebra
 stays exactly associative.  The diagonal family {f_mm} realizes the
 noncommutative partition of unity on this algebra.
 
-A basis element, the unit sum_m f_mm and their products are held as their
-support, (rows, cols, vals) arrays; only a generic element keeps a dense
-N x N matrix.  The product of two supports joins the first one's columns
-with the second one's rows, so checks on basis elements cost O(support),
-not O(N^3).
+Every element is held as its support, (rows, cols, vals) arrays.  The
+product of two supports joins the first one's columns with the second
+one's rows, so checks on basis elements cost O(support), not O(N^3), and
+no product goes through BLAS.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 
 import numpy as np
 
-# random dense g on which partition_check tests the unity sum_m f_mm * g = g
+# random g, every entry nonzero, on which partition_check tests the unity sum_m f_mm * g = g
 UNITY_SAMPLES = 4
 
 
@@ -32,24 +31,24 @@ class TruncationError(IndexError):
 class TruncatedElement:
     """An algebra element at truncation N, with theta.
 
-    Built from an N x N coefficient matrix g_mn it is dense (`dense` holds the
-    matrix).  Built by `sparse`, `basis_element` or a product of supports it
-    is sum_i vals[i] f_{rows[i] cols[i]} with each (row, col) pair once and
-    no zero value, and `dense` is None.  `coeff` is the matrix in both cases.
+    It is sum_i vals[i] f_{rows[i] cols[i]} with each (row, col) pair once
+    and no zero value.  Built from an N x N coefficient matrix g_mn it holds
+    the nonzero entries of g; `coeff` builds the matrix back.
     """
 
-    __slots__ = ("theta", "N", "dense", "rows", "cols", "vals")
+    __slots__ = ("theta", "N", "rows", "cols", "vals")
 
     def __init__(self, coeff, theta):
         coeff = np.asarray(coeff, dtype=complex)
         if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        self._fill(theta, coeff.shape[0], coeff, None, None, None)
+        rows, cols = np.nonzero(coeff)
+        self._fill(theta, coeff.shape[0], rows, cols, coeff[rows, cols])
 
-    def _fill(self, theta, N, dense, rows, cols, vals):
-        if not np.all(np.isfinite(vals if dense is None else dense)):
+    def _fill(self, theta, N, rows, cols, vals):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients must be finite")
-        self.theta, self.N, self.dense = theta, N, dense
+        self.theta, self.N = theta, N
         self.rows, self.cols, self.vals = rows, cols, vals
         return self
 
@@ -66,37 +65,35 @@ class TruncatedElement:
 
     @property
     def coeff(self) -> np.ndarray:
-        """The N x N coefficient matrix (built on each call for a support)."""
-        if self.dense is not None:
-            return self.dense
+        """The N x N coefficient matrix, built on each call."""
         c = np.zeros((self.N, self.N), dtype=complex)
         c[self.rows, self.cols] = self.vals
         return c
 
 
-def _dense(coeff, theta):
-    return object.__new__(TruncatedElement)._fill(theta, coeff.shape[0], coeff, None, None, None)
-
-
 def _support(theta, N, rows, cols, vals):
-    return object.__new__(TruncatedElement)._fill(theta, N, None, rows, cols, vals)
+    return object.__new__(TruncatedElement)._fill(theta, N, rows, cols, vals)
 
 
 def _summed(rows, cols, vals, N):
     """The support (rows, cols, vals) with repeated pairs summed and zeros dropped."""
     if len(vals) > 1:
-        keys, inv = np.unique(rows * N + cols, return_inverse=True)
-        summed = np.zeros(len(keys), dtype=complex)
-        np.add.at(summed, inv, vals)
-        rows, cols, vals = keys // N, keys % N, summed
+        # a stable sort keeps each pair's terms in their given order, and they sum in it
+        keys = rows * N + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        group = np.cumsum(first) - 1
+        summed = np.empty(group[-1] + 1, dtype=complex)
+        summed.real = np.bincount(group, vals.real[order])
+        summed.imag = np.bincount(group, vals.imag[order])
+        rows, cols, vals = rows[order][first], cols[order][first], summed
     keep = vals != 0
     return rows[keep], cols[keep], vals[keep]
 
 
 def _max_diff(a: TruncatedElement, b: TruncatedElement) -> float:
-    """max |a_mn - b_mn|; over the union of the supports when neither is dense."""
-    if a.dense is not None or b.dense is not None:
-        return float(np.max(np.abs(a.coeff - b.coeff)))
+    """max |a_mn - b_mn| over the union of the supports."""
     _, _, d = _summed(np.concatenate([a.rows, b.rows]), np.concatenate([a.cols, b.cols]),
                       np.concatenate([a.vals, -b.vals]), a.N)
     return float(np.max(np.abs(d), initial=0.0))
@@ -111,35 +108,20 @@ def basis_element(m: int, n: int, theta: float, N: int) -> TruncatedElement:
 def star(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """The matrix product of a and b.
 
-    Two dense factors make one matmul.  A support against a dense factor
-    places the dense factor's row n, scaled by vals, in row m for each
-    support entry (m, n) (columns for a support on the right).  Two supports
-    pair every (m, n) of a with every (n, l) of b and sum the terms per (m, l).
+    Every (m, n) of a meets every (n, l) of b, and the terms are summed per (m, l).
     """
     if a.N != b.N:
         raise ValueError(f"truncation mismatch: {a.N} vs {b.N}")
-    N = a.N
-    if a.dense is not None and b.dense is not None:
-        return _dense(a.dense @ b.dense, a.theta)
-    if a.dense is None and b.dense is None:
-        order = np.argsort(b.rows, kind="stable")
-        b_rows = b.rows[order]
-        lo = np.searchsorted(b_rows, a.cols, "left")
-        counts = np.searchsorted(b_rows, a.cols, "right") - lo
-        ia = np.repeat(np.arange(len(a.vals)), counts)
-        ib = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
-        return _support(a.theta, N, *_summed(a.rows[ia], b.cols[ib], a.vals[ia] * b.vals[ib], N))
-    out = np.zeros((N, N), dtype=complex)
-    if a.dense is None:
-        np.add.at(out, a.rows, a.vals[:, None] * b.dense[a.cols])
-    else:
-        np.add.at(out.T, b.cols, b.vals[:, None] * a.dense[:, b.rows].T)
-    return _dense(out, a.theta)
+    order = np.argsort(b.rows, kind="stable")
+    b_rows = b.rows[order]
+    lo = np.searchsorted(b_rows, a.cols, "left")
+    counts = np.searchsorted(b_rows, a.cols, "right") - lo
+    ia = np.repeat(np.arange(len(a.vals)), counts)
+    ib = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    return _support(a.theta, a.N, *_summed(a.rows[ia], b.cols[ib], a.vals[ia] * b.vals[ib], a.N))
 
 
 def dagger(a: TruncatedElement) -> TruncatedElement:
-    if a.dense is not None:
-        return _dense(a.dense.conj().T, a.theta)
     return _support(a.theta, a.N, a.cols, a.rows, a.vals.conj())
 
 
@@ -147,24 +129,16 @@ def trace_pairing(a: TruncatedElement, b: TruncatedElement) -> complex:
     """∫ a^dagger * b = 2 pi theta sum_mn conj(a_mn) b_mn."""
     if a.N != b.N:
         raise ValueError("truncation mismatch")
-    if a.dense is not None and b.dense is not None:
-        s = np.sum(np.conj(a.dense) * b.dense)
-    elif a.dense is not None:
-        s = np.sum(np.conj(a.dense[b.rows, b.cols]) * b.vals)
-    elif b.dense is not None:
-        s = np.sum(np.conj(a.vals) * b.dense[a.rows, a.cols])
-    else:
-        _, ia, ib = np.intersect1d(a.rows * a.N + a.cols, b.rows * b.N + b.cols,
-                                   assume_unique=True, return_indices=True)
-        s = np.sum(np.conj(a.vals[ia]) * b.vals[ib])
-    return 2 * math.pi * a.theta * complex(s)
+    _, ia, ib = np.intersect1d(a.rows * a.N + a.cols, b.rows * b.N + b.cols,
+                               assume_unique=True, return_indices=True)
+    return 2 * math.pi * a.theta * complex(np.sum(np.conj(a.vals[ia]) * b.vals[ib]))
 
 
 def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
     """Partition-of-unity axioms for the diagonal family {f_mm} at truncation N.
 
     positivity : f_mm = f_m0 * f_m0^dagger for every m < N
-    unity      : sum_m f_mm * g = g on UNITY_SAMPLES random dense g
+    unity      : sum_m f_mm * g = g on UNITY_SAMPLES random g with N^2 entries
     commutation: chi * chi~ = chi~ * chi for diagonal pairs
     Local finiteness is vacuous at finite N.
     """
@@ -178,8 +152,7 @@ def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
     unit_sum = _support(theta, N, diag, diag, np.ones(N, dtype=complex))
     unity_err = 0.0
     for _ in range(UNITY_SAMPLES):
-        gmat = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        g = TruncatedElement(gmat, theta)
+        g = TruncatedElement(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta)
         unity_err = max(unity_err, _max_diff(star(unit_sum, g), g), _max_diff(star(g, unit_sum), g))
 
     comm_err = 0.0
@@ -228,14 +201,18 @@ def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
         expect = 2 * math.pi * theta if (m == k and n == l) else 0.0
         e = max(e, abs(val - expect))
     errs["orthonormality"] = e
-    # associativity on random triples
+    # associativity on random triples of N-term supports with Gaussian-integer
+    # values: every product and sum is exact in float64, so a correct product reads 0
     e = 0.0
     for _ in range(10):
-        a, b, c = (TruncatedElement(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta)
-                   for _ in range(3))
-        lhs = star(star(a, b), c).coeff
-        rhs = star(a, star(b, c)).coeff
-        scale = max(1.0, float(np.max(np.abs(lhs))))
-        e = max(e, float(np.max(np.abs(lhs - rhs))) / scale)
+        a, b, c = (_integer_support(rng, theta, N) for _ in range(3))
+        e = max(e, _max_diff(star(star(a, b), c), star(a, star(b, c))))
     errs["associativity"] = e
     return errs
+
+
+def _integer_support(rng, theta, N):
+    """N terms at random (row, col), each value re + i im with re, im drawn from -3..3."""
+    rows, cols = rng.integers(0, N, size=(2, N))
+    re, im = rng.integers(-3, 4, size=(2, N))
+    return TruncatedElement.sparse(rows, cols, re + 1j * im, theta, N)

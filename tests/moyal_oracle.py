@@ -26,6 +26,15 @@ def basis_matrix(m, n, N):
     return c
 
 
+def _integer_matrix(rng, N):
+    """N terms at random (row, col) with values re + i im, re, im in -3..3; repeats summed."""
+    rows, cols = rng.integers(0, N, size=(2, N))
+    re, im = rng.integers(-3, 4, size=(2, N))
+    c = np.zeros((N, N), dtype=complex)
+    np.add.at(c, (rows, cols), re + 1j * im)
+    return c
+
+
 def trace_pairing(a, b, theta):
     return 2 * math.pi * theta * complex(np.sum(np.conj(a) * b))
 
@@ -86,12 +95,10 @@ def identity_checks(N, theta=1.0, seed=1):
         expect = 2 * math.pi * theta if (m == k and n == l) else 0.0
         e = max(e, abs(val - expect))
     errs["orthonormality"] = e
+    # the module's Gaussian-integer supports as matrices: every product is exact
     e = 0.0
     for _ in range(10):
-        a, b, c = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)) for _ in range(3))
-        lhs = (a @ b) @ c
-        rhs = a @ (b @ c)
-        scale = max(1.0, float(np.max(np.abs(lhs))))
-        e = max(e, float(np.max(np.abs(lhs - rhs))) / scale)
+        a, b, c = (_integer_matrix(rng, N) for _ in range(3))
+        e = max(e, float(np.max(np.abs((a @ b) @ c - a @ (b @ c)))))
     errs["associativity"] = e
     return errs

@@ -8,7 +8,7 @@ import json
 
 
 def structure_json(sc) -> str:
-    """{"name", "dim", "deformation", "entries": [{"mu", "nu", "rho", "re", "im"}]} of sc."""
+    """{"name", "dim", "entries": [{"mu", "nu", "rho", "re", "im"}]} of sc."""
     entries = []
     for mu in range(sc.dim):
         for nu in range(sc.dim):
@@ -16,5 +16,4 @@ def structure_json(sc) -> str:
                 c = sc.C[mu, nu, rho]
                 if c != 0:
                     entries.append({"mu": mu, "nu": nu, "rho": rho, "re": c.real, "im": c.imag})
-    return json.dumps({"name": sc.name, "dim": sc.dim, "deformation": sc.deformation,
-                       "entries": entries}, sort_keys=True)
+    return json.dumps({"name": sc.name, "dim": sc.dim, "entries": entries}, sort_keys=True)

@@ -471,14 +471,25 @@ def test_cli_loop_mixing_inconclusive_rows_fail(capsys):
                                          ("kappa", "1e150:1e160:3"),
                                          ("moyal", "1e100:1e105:3")])
 def test_cli_loop_mixing_overflowing_cutoff_is_inconclusive(space, grid, capsys):
-    # r^{D-1} overflows a float at the top cutoff: that quadrature has no value
-    assert cli.main(["loop", "mixing", "--space", space, "--lambda-grid", grid]) == 1
+    # r^{D-1} overflows a float at the top cutoff: that quadrature has no value.
+    # kappa's range is cut at 2 kappa 746/d, so only a huge kappa lets r reach 1e155
+    scale = ["--kappa", "1e160"] if space == "kappa" else []
+    assert cli.main(["loop", "mixing", "--space", space, *scale, "--lambda-grid", grid]) == 1
     out, err = capsys.readouterr()
     doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))
     assert err == "" and doc["verdict"] == "INCONCLUSIVE"
     sweep = doc["evidence"]["planar_sweep"]
     assert sweep["verdict"] == "inconclusive" and sweep["slope"] is None
     assert sweep["rows"][-1][1:] == [None, False]
+
+
+def test_cli_loop_mixing_kappa_far_cutoffs_carry_the_integral(capsys):
+    # cutoffs far past kappa once read 0.0, converged, and every row passed on it
+    argv = ["loop", "mixing", "--space", "kappa", "--lambda-grid", "1e20:1e40:3", "--format", "csv"]
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["check"] for r in rows] == ["lambda-1e+20", "lambda-1e+30", "lambda-1e+40"]
+    assert all(float(r["residual"]) == pytest.approx(7.3005542831929) for r in rows)
 
 
 def test_cli_k0_must_be_finite(capfd):
@@ -517,6 +528,19 @@ def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
     assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
                      "--p", "0.1,0,0", "--q", "0.2,0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == pytest.approx([0.3, 0.0, 0.0])
+
+
+def test_cli_inline_structure_needs_no_deformation(tmp_path, capsys):
+    # the tensor carries the scale, so a structure names none
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"structure": {
+        "name": "k", "dim": 2,
+        "entries": [{"mu": 0, "nu": 1, "rho": 1, "re": 0.0, "im": 1.0},
+                    {"mu": 1, "nu": 0, "rho": 1, "re": 0.0, "im": -1.0}]}}))
+    assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
+                     "--p", "0.5,0", "--q", "0.25,0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["result"] == pytest.approx([0.75, 0.0])
 
 
 def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
@@ -680,17 +704,24 @@ def test_import_sets_the_blas_thread_timeout_before_numpy(caller, expect):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a BLAS worker thread needs a second CPU")
-def test_suite_all_makes_no_threaded_blas_call():
+@pytest.mark.parametrize("setup, call", [
+    ("from qstkit.cli import RunConfig, run_suite",
+     "run_suite('all', RunConfig())"),
+    # the matrix kernels at kernel_scale's size
+    ("from qstkit.moyal_matrix import identity_checks, partition_check",
+     "identity_checks(256); partition_check(256)"),
+], ids=["suite-all", "matrix-n256"])
+def test_suite_all_makes_no_threaded_blas_call(setup, call):
     # With numpy loaded first, OpenBLAS keeps its default thread timeout, so a
     # threaded call leaves an idle worker spinning for about 0.13 s: process
     # CPU time (every thread) then exceeds the wall time of the run.
     code = ("import json, time\n"
             "import numpy\n"
-            "from qstkit.cli import RunConfig, run_suite\n"
-            "run_suite('all', RunConfig())\n"
+            f"{setup}\n"
+            f"{call}\n"
             "time.sleep(0.3)\n"
             "c0, w0 = time.process_time(), time.perf_counter()\n"
-            "run_suite('all', RunConfig())\n"
+            f"{call}\n"
             "wall = time.perf_counter() - w0\n"
             "time.sleep(0.3)\n"
             "print(json.dumps([wall, time.process_time() - c0]))\n")
@@ -767,11 +798,16 @@ def test_cli_config_jobs_is_an_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: /jobs: unknown key\n"
 
 
-def test_cli_matrix_basis_verdict_reads_the_configured_tolerance(capsys):
-    # associativity holds to float roundoff, not exactly: a zero tolerance fails it
-    argv = ["matrix-basis", "--N", "32", "--tol-override", "matrix.roundoff=0"]
-    assert cli.main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["passed"] is False
+def test_cli_matrix_roundoff_is_an_unknown_tolerance_key(tmp_path, capsys):
+    # every matrix-basis identity holds exactly, so no tolerance judges those rows
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"tolerances": {"matrix.roundoff": 0}}))
+    for argv in (["matrix-basis", "--N", "32", "--tol-override", "matrix.roundoff=0"],
+                 ["--config", str(conf), "suite", "matrix"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "unknown tolerance key" in err
 
 
 def test_cli_dim_scan_rows_pass_on_the_constraint(capsys):
@@ -787,10 +823,10 @@ def test_cli_dim_scan_rows_pass_on_the_constraint(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["suite", "twist"],
-    ["suite", "matrix", "--tol-override", "matrix.roundoff=0"],
+    ["suite", "matrix", "--seed", "3"],
     ["hopf", "check"],
     ["matrix-basis", "--N", "8"],
-    ["matrix-basis", "--tol-override", "matrix.roundoff=0"],
+    ["matrix-basis", "--N", "1"],
     ["loop", "bessel-check", "--grid", "1,2"],
     ["loop", "bessel-check", "--grid", "0.05,20"],
     ["loop", "mixing", "--space", "commutative"],

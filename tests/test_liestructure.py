@@ -49,7 +49,7 @@ def test_corrupted_tensor_fails_jacobi():
     sc = preset("su2_lambda", lam=1.0)
     C = sc.C.copy()
     C[0, 1, 2] = -C[0, 1, 2]  # flip one sign
-    bad = StructureConstants("corrupt", 3, 1.0, C)
+    bad = StructureConstants("corrupt", 3, C)
     assert jacobi_check(bad)["max_violation"] > 0.1
 
 
@@ -157,9 +157,11 @@ def test_json_round_trip():
     text = structure_json(sc)
     back = StructureConstants.from_json(text)
     assert back.dim == sc.dim
-    assert back.deformation == sc.deformation
     assert np.max(np.abs(back.C - sc.C)) == 0.0
     # and it is valid JSON with the documented shape
     data = json.loads(text)
-    assert set(data) == {"name", "dim", "deformation", "entries"}
+    assert set(data) == {"name", "dim", "entries"}
     assert all(set(e) == {"mu", "nu", "rho", "re", "im"} for e in data["entries"])
+    # a document that still carries a deformation scale parses as before
+    old = StructureConstants.from_json(json.dumps({**data, "deformation": 0.7}))
+    assert (old.name, old.dim) == (back.name, back.dim) and np.array_equal(old.C, back.C)

@@ -258,15 +258,42 @@ def test_quad_relative_error_bound():
                                             (0.2, "NO_MIXING")])
 def test_kappa_planar_sweep_flags_tiny_integrals(kappa, verdict):
     # at kappa = 0.05 the planar integrals are about 3e-14 with an error estimate
-    # of about their size; at 0.1 the Lambda = 1000 kappa row reads below the
-    # Lambda = 373 kappa row, which a positive integrand cannot give
+    # of about their size; at 0.1 the Lambda = 2.68 and 19.3 rows stay unconverged,
+    # while the Lambda = 1000 kappa row, cut where its integrand underflows,
+    # reads the closed form's 2.6692e-7
     rep = L.mixing_classify("kappa", kappa=kappa, d=3)
     assert rep.verdict == verdict
     sweep = rep.evidence["planar_sweep"]
     if kappa == 0.2:
         assert sweep["verdict"] == "convergent" and all(r[2] for r in sweep["rows"])
+    elif kappa == 0.1:
+        assert sweep["verdict"] == "inconclusive"
+        assert [r[0] for r in sweep["rows"] if not r[2]] == pytest.approx([2.6827, 19.307], rel=1e-4)
+        assert sweep["rows"][-1][1] == pytest.approx(2.6692e-7, rel=1e-4) and sweep["rows"][-1][2]
     else:
         assert sweep["verdict"] == "inconclusive" and sweep["rows"][-1][2] is False
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 10.0])
+def test_kappa_planar_integral_far_past_kappa_is_the_full_integral(kappa):
+    # from r = 2 kappa 746/d on the integrand is exactly 0.0; a cutoff far beyond
+    # it read 0.0, converged, before the range was cut there
+    g = group_preset("kappa_minkowski", kappa=kappa, d=3)
+    full = L.kmink_bessel_oracle(1.0, kappa, 3)["value"]
+    for Lam in (1e6 * kappa, 1e10, 1e40):
+        r = L.propagator_integral(g, 1.0, Lam)
+        assert r["converged"] and r["value"] == pytest.approx(full, rel=1e-13)
+    if kappa == 1.0:
+        assert L.propagator_integral(g, 1.0, 1e6)["value"] == pytest.approx(7.3005542831929)
+
+
+def test_kappa_sweep_of_underflowed_zeros_is_undecided():
+    # at kappa = 1e-3 every planar value underflows to exactly 0.0: the slope
+    # through the 1e-300 floor decides nothing
+    rep = L.mixing_classify("kappa", kappa=1e-3)
+    sweep = rep.evidence["planar_sweep"]
+    assert all(r[1] == 0.0 for r in sweep["rows"]) and sweep["verdict"] == "inconclusive"
+    assert rep.planar_uv_divergent is None and rep.verdict == "INCONCLUSIVE"
 
 
 def test_diagram_counts():

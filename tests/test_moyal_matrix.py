@@ -72,10 +72,10 @@ def test_identity_checks_N32():
     rep = MM.identity_checks(32, 1.0)
     assert set(rep) == {"delta_rule", "involution", "orthonormality", "associativity"}
     for val in rep.values():
-        assert val <= 1e-13
+        assert val == 0.0
 
 
-# --- support-aware elements against the dense oracle --------------------------
+# --- supports against the dense oracle ----------------------------------------
 
 @pytest.mark.parametrize("N", [1, 2, 8, 32, 256])
 @pytest.mark.parametrize("seed", range(5))
@@ -96,7 +96,7 @@ def _random_dense(rng, N):
 
 
 def _fast_paths_agree(seed, N=9):
-    """Products, dagger and pairing of supports and dense elements against plain numpy."""
+    """Products, dagger and pairing of sparse and full supports against plain numpy."""
     rng = np.random.default_rng(seed)
     a, b = _random_support(rng, N, 12), _random_support(rng, N, 12)
     d = _random_dense(rng, N)
@@ -122,7 +122,7 @@ def test_support_products_drop_cancelled_terms():
     a = MM.TruncatedElement.sparse([0, 0], [1, 2], [1.0, 1.0], 1.0, N)
     b = MM.TruncatedElement.sparse([1, 2], [3, 3], [1.0, -1.0], 1.0, N)
     prod = MM.star(a, b)  # f_03 - f_03 = 0
-    assert prod.dense is None and len(prod.vals) == 0
+    assert len(prod.vals) == 0
     assert np.all(prod.coeff == 0)
     b2 = MM.TruncatedElement.sparse([1, 2], [3, 3], [1.0, 2.0], 1.0, N)
     assert MM.star(a, b2).vals.tolist() == [3.0]  # f_03 + 2 f_03
@@ -139,12 +139,27 @@ def test_sparse_sums_repeats_and_rejects_bad_supports():
         MM.TruncatedElement.sparse([0, 1], [0], [1.0], 1.0, 3)
 
 
+def _support(e):
+    return e.rows.tolist(), e.cols.tolist(), e.vals.tolist()
+
+
 def test_basis_elements_hold_no_matrix():
     e = MM.basis_element(3, 5, 1.0, 8)
-    assert e.dense is None
-    assert (e.rows.tolist(), e.cols.tolist(), e.vals.tolist()) == ([3], [5], [1])
-    assert MM.star(e, MM.basis_element(5, 2, 1.0, 8)).dense is None
-    assert MM.dagger(e).dense is None
+    assert not hasattr(e, "dense")
+    assert _support(e) == ([3], [5], [1])
+    assert _support(MM.star(e, MM.basis_element(5, 2, 1.0, 8))) == ([3], [2], [1])
+    assert _support(MM.dagger(e)) == ([5], [3], [1])
+
+
+def test_a_matrix_is_held_as_its_nonzero_entries():
+    c = np.array([[0, 2j, 0], [1.5, 0, 0], [0, 0, -1]])
+    e = MM.TruncatedElement(c, 1.0)
+    assert _support(e) == ([0, 1, 2], [1, 0, 2], [2j, 1.5, -1])
+    assert np.array_equal(e.coeff, c)
+    with pytest.raises(ValueError, match="finite"):
+        MM.TruncatedElement(np.array([[0, math.nan], [0, 0]]), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        MM.TruncatedElement(np.zeros((2, 3)), 1.0)
 
 
 def test_partition_check_memory_is_below_one_matrix(monkeypatch):
@@ -178,9 +193,23 @@ def test_unconjugated_pairing_fails_on_complex_support(monkeypatch):
     real = MM.trace_pairing
 
     def no_conj(a, b):  # conjugating a's entries first cancels the pairing's conj
-        if a.dense is not None:
-            return real(MM.TruncatedElement(a.dense.conj(), a.theta), b)
         return real(MM.TruncatedElement.sparse(a.rows, a.cols, a.vals.conj(), a.theta, a.N), b)
 
     monkeypatch.setattr(MM, "trace_pairing", no_conj)
     assert not _fast_paths_agree(0)
+
+
+@pytest.mark.parametrize("N", [8, 32])
+@pytest.mark.parametrize("wrong", ["transposed", "conjugated"])
+def test_associativity_sees_a_wrong_product(wrong, N, monkeypatch):
+    # the Gaussian-integer triples make a correct product read exactly 0
+    real = MM.star
+
+    def star(a, b):
+        rows, cols, vals = (b.cols, b.rows, b.vals) if wrong == "transposed" else (
+            b.rows, b.cols, b.vals.conj())
+        return real(a, MM.TruncatedElement.sparse(rows, cols, vals, b.theta, b.N))
+
+    assert MM.identity_checks(N, 1.0)["associativity"] == 0.0
+    monkeypatch.setattr(MM, "star", star)
+    assert MM.identity_checks(N, 1.0)["associativity"] > 1.0
