@@ -111,8 +111,8 @@ def expectation(op, psi, grid: GridSpec) -> complex:
     return complex(np.vdot(psi, op_psi) * grid.h)
 
 
-def gaussian_state(grid: GridSpec, center, width, phase_t=0.0):
-    """Normalized e^{-(p0 - center)^2 / 4 width^2} e^{i phase_t p0} on the grid.
+def gaussian_state(grid: GridSpec, center, width):
+    """Normalized e^{-(p0 - center)^2 / 4 width^2} on the grid.
 
     Scalar parameters give one (n,) state.  Parameters of shape (m,) give
     an (n, m) family whose column j equals the scalar call on the j-th
@@ -120,13 +120,10 @@ def gaussian_state(grid: GridSpec, center, width, phase_t=0.0):
     along the contiguous axis, as a single state is, then transposed.
     """
     p = grid.points()
-    center, width, phase_t = (np.asarray(x, dtype=float)[..., None]
-                              for x in (center, width, phase_t))
+    center, width = (np.asarray(x, dtype=float)[..., None] for x in (center, width))
     # float_power calls libm pow, as a Python float's ** does; an array's
     # ** 2 squares, which differs in the last bit for about 1 width in 1300
     psi = np.exp(-((p - center) ** 2) / (4 * np.float_power(width, 2))).astype(complex)
-    if np.any(phase_t):
-        psi = psi * np.exp(1j * phase_t * p)
     return normalize(psi, grid).T
 
 
@@ -223,27 +220,25 @@ def _cone_form(grid: GridSpec, kappa: float, a: int, alpha: float, beta: float,
 
 
 def cone_condition(grid: GridSpec, kappa: float, a: int, alpha: float, beta: float,
-                   n_states: int = 200, seed: int = 0, phases: bool = False) -> dict:
+                   n_states: int = 200, seed: int = 0) -> dict:
     """min over a seeded Gaussian family of Re<psi, K psi>, per +- branch.
 
-    PASS iff both branch margins are >= -1e-8.  The default family varies
-    center and width only, so its states are real, and Re<psi, K psi> is
-    exactly 0 for a real state and any real kernel K/i: the default margin
-    reads 0.0 whatever alpha, beta and kappa, and its PASS shows nothing.
-    phases=True adds momentum displacement e^{i t p0}, the extended search
-    used to exhibit commutative-limit violations for |beta/alpha| > 1 at
-    large kappa.  At kappa = 1 on the n = 256 suite grid it finds margins
-    of -3e4 to -1e5, depending on the seed, for every beta in [-1, 1]
-    (-8.5e4 to -9e4 at seed 0), so the form fails even at beta = 0.
+    PASS iff both branch margins are >= -1e-8.  The family varies center
+    and width only, so its states are real, and Re<psi, K psi> is exactly 0
+    for a real state and any real kernel K/i: the margin reads 0.0 whatever
+    alpha, beta and kappa, and its PASS shows nothing.  States displaced by
+    e^{i t p0} (the phased family of tests/causality_oracle.py) are not
+    real: at kappa = 1 on the n = 256 suite grid their margins are -3e4 to
+    -1e5, depending on the seed, for every beta in [-1, 1], so the form
+    fails even at beta = 0.
     """
     if a not in (1, -1):
         raise ValueError("only the a = +/-1 representation branches are implemented")
     grid.validate_kappa(kappa)
-    # one (center, width[, phase]) row per state, drawn in the order of a per-state loop
-    low, high = [-grid.window / 2, 0.5, -2.0], [grid.window / 2, 2.0, 2.0]
-    k = 3 if phases else 2
-    draws = np.random.default_rng(seed).uniform(low[:k], high[:k], size=(n_states, k))
-    psi = gaussian_state(grid, *draws.T)
+    # one (center, width) row per state, drawn in the order of a per-state loop
+    c, w = np.random.default_rng(seed).uniform([-grid.window / 2, 0.5], [grid.window / 2, 2.0],
+                                                size=(n_states, 2)).T
+    psi = gaussian_state(grid, c, w)
     # + 0.0 turns the -0.0 of a real family into 0.0
     margins = {branch: float(np.min(_cone_form(grid, kappa, a, alpha, beta, branch, psi))) + 0.0
                for branch in (+1, -1)}

@@ -95,11 +95,12 @@ def _commutator(lo, hi):
 # ---------------------------------------------------------------------------
 # elements: normal-ordered words -> KScalar
 
-def _normalize_word(coef: KScalar, word: tuple, rng=None) -> list:
+def _normalize_word(coef: KScalar, word: tuple) -> list:
     """Rewrite a generator word to normal order; returns (mono, KScalar) pairs.
 
     A monomial may occur more than once; the pairs are summed by the
-    `Element` they are fed to.  Terminates for any reduction order: track
+    `Element` they are fed to.  Each step rewrites the leftmost misordered
+    pair or E E^{-1} cancellation.  Terminates for any reduction order: track
     (K-degree, J-degree, length, inversion count) lexicographically.  A swap
     keeps all degrees and drops the inversion count by one; every correction
     term from the table either lowers the K-degree ([K,K] -> J, [K,P0] -> P,
@@ -111,29 +112,19 @@ def _normalize_word(coef: KScalar, word: tuple, rng=None) -> list:
     work = [(coef, list(word))]
     while work:
         c, w = work.pop()
-        # find misordered adjacent pairs / E-cancellations
-        spots = []
         for idx in range(len(w) - 1):
             a, b = w[idx], w[idx + 1]
             if (a == E and b == EINV) or (a == EINV and b == E):
-                spots.append((idx, "cancel"))
-            elif _order_class(a) > _order_class(b):
-                spots.append((idx, "swap"))
-        if not spots:
-            out.append((tuple(w), c))
-            continue
-        if rng is None:
-            idx, kind = spots[0]
+                work.append((c, w[:idx] + w[idx + 2:]))
+                break
+            if _order_class(a) > _order_class(b):
+                # a b = b a + [a, b],  [a, b] = -[b, a] from the (lo, hi) table
+                work.append((c, w[:idx] + [b, a] + w[idx + 2:]))
+                for cc, ww in _commutator(b, a):
+                    work.append((c * (-cc), w[:idx] + list(ww) + w[idx + 2:]))
+                break
         else:
-            idx, kind = spots[int(rng.integers(len(spots)))]
-        if kind == "cancel":
-            work.append((c, w[:idx] + w[idx + 2:]))
-            continue
-        a, b = w[idx], w[idx + 1]
-        # a b = b a + [a, b],  [a, b] = -[b, a] from the (lo, hi) table
-        work.append((c, w[:idx] + [b, a] + w[idx + 2:]))
-        for cc, ww in _commutator(b, a):
-            work.append((c * (-cc), w[:idx] + list(ww) + w[idx + 2:]))
+            out.append((tuple(w), c))
     return out
 
 
@@ -141,16 +132,15 @@ class Element(Sparse):
     """Exact element of the kappa-Poincare enveloping algebra.
 
     Keys are normal-ordered generator words; `words` adds (KScalar, word)
-    pairs in any order, normal-ordered by the rewrite system (in a random
-    reduction order when an `rng` is given).
+    pairs in any order, normal-ordered by the rewrite system.
     """
 
     __slots__ = ()
 
-    def __init__(self, terms=(), words=None, rng=None):
+    def __init__(self, terms=(), words=None):
         if words:
             terms = [*Element(terms).terms.items(),
-                     *(p for c, w in words for p in _normalize_word(c, tuple(w), rng=rng))]
+                     *(p for c, w in words for p in _normalize_word(c, tuple(w)))]
         super().__init__(terms)
 
     def _like(self, pairs):
@@ -368,14 +358,13 @@ def printed_relations() -> dict:
     return rel
 
 
-def bialgebra_compat_check(name: str, relations=None) -> dict:
+def bialgebra_compat_check(name: str, relations: dict) -> dict:
     """Delta, counit and antipode compatibility of one printed relation.
 
     `passed` holds when the relation holds in the algebra and all three maps
-    respect it.  `relations` is a `printed_relations()` table to read it
-    from; by default the table is built for this call.
+    respect it.  `relations` is the `printed_relations()` table to read it from.
     """
-    a, b, rhs = (relations or printed_relations())[name]
+    a, b, rhs = relations[name]
     lhs = commutator_element(a, b)
     alg = lhs - rhs
     d_res = (coproduct(a) * coproduct(b) - coproduct(b) * coproduct(a)) - coproduct(rhs)

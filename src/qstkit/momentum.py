@@ -24,6 +24,7 @@ from .liestructure import MOYAL_PHASE_CONVENTIONS, StructureConstants, preset
 SERIES_CUT = 1e-4  # switch point for removable singularities
 JACOBIAN_STEP = 1e-5  # central-difference step of _fd_jacobian_det
 NEWTON_TOL = 1e-10  # delta_solve_nonplanar: largest |residual| of a solution
+NEWTON_STEP = 1e-6  # central-difference step of delta_solve_nonplanar's Newton Jacobian
 NEWTON_MAX_ITER = 60  # damped Newton steps of delta_solve_nonplanar's general path
 
 
@@ -283,11 +284,9 @@ BLOCK_ROWS = 8192
 def add_batch(g: GroupDescriptor, P, Q) -> np.ndarray:
     """Row-wise p ⊞ q for arrays of momenta, shape (n, dim), BLOCK_ROWS rows at a time.
 
-    Every law acts row by row, so each block's rows come out bit for bit as
-    in one call; the blocks only keep the law's column temporaries in cache.
-    A law may choose its dtype from the whole batch (bch_compose returns
-    real only when every row is), so a block whose dtype differs from the
-    first block's is never cast: the batch is then one call after all.
+    Every law acts row by row, and its dtype follows its inputs' alone, so
+    each block's rows come out bit for bit as in one call; the blocks only
+    keep the law's column temporaries in cache.
     """
     P, Q = np.asarray(P), np.asarray(Q)
     if P.ndim != 2 or P.shape[1] != g.dim or P.shape != Q.shape:
@@ -299,10 +298,8 @@ def add_batch(g: GroupDescriptor, P, Q) -> np.ndarray:
     out = np.empty((n,) + first.shape[1:], first.dtype)
     out[:BLOCK_ROWS] = first
     for start in range(BLOCK_ROWS, n, BLOCK_ROWS):
-        part = g.add(P[start:start + BLOCK_ROWS], Q[start:start + BLOCK_ROWS])
-        if part.dtype != out.dtype:
-            return g.add(P, Q)
-        out[start:start + BLOCK_ROWS] = part
+        out[start:start + BLOCK_ROWS] = g.add(P[start:start + BLOCK_ROWS],
+                                              Q[start:start + BLOCK_ROWS])
     return out
 
 
@@ -440,7 +437,6 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0) -> DeltaSol
         return DeltaSolveResult(False, None, abs(r0[0]),
                                 "energy component is constant in k and nonzero")
     kspat = np.zeros(n - 1)
-    h = 1e-6
     for _ in range(NEWTON_MAX_ITER):
         r = resid(kspat)
         if np.max(np.abs(r)) < NEWTON_TOL:
@@ -449,8 +445,8 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0) -> DeltaSol
         J = np.empty((n, n - 1))
         for j in range(n - 1):
             e = np.zeros(n - 1)
-            e[j] = h
-            J[:, j] = (resid(kspat + e) - resid(kspat - e)) / (2 * h)
+            e[j] = NEWTON_STEP
+            J[:, j] = (resid(kspat + e) - resid(kspat - e)) / (2 * NEWTON_STEP)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         lam = 1.0
         best = np.max(np.abs(r))
@@ -514,7 +510,8 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
     Composes exp(i p.x) exp(i q.x) in the Lie algebra [x^m, x^n] = C^{mn}_r x^r
     using the Bernoulli-number recursion for the graded pieces z_n; this is
     the symmetric (sum-type) wave-packet ordering.  p and q are (..., dim)
-    arrays; the result is real when every composed momentum is.
+    arrays, and the result is complex whatever they hold: for pure-imaginary
+    structure constants its imaginary parts are exactly 0.
     """
     bracket = _bracket(C)
     A = 1j * np.asarray(p, dtype=complex)
@@ -533,10 +530,7 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
                 if np.any(w):
                     acc = acc + coeff * w
         z.append(acc / (n + 1))
-    out = sum(z[1:]) / 1j
-    if np.all(np.max(np.abs(out.imag), axis=-1) < 1e-12 * (1 + np.max(np.abs(out.real), axis=-1))):
-        return out.real
-    return out
+    return sum(z[1:]) / 1j
 
 
 def group_from_structure(sc: StructureConstants) -> GroupDescriptor:

@@ -32,18 +32,21 @@ class TruncatedElement:
     """An algebra element at truncation N, with theta.
 
     It is sum_i vals[i] f_{rows[i] cols[i]} with each (row, col) pair once
-    and no zero value.  Built from an N x N coefficient matrix g_mn it holds
-    the nonzero entries of g; `coeff` builds the matrix back.
+    and no zero value.  Built from any support: repeated (row, col) pairs
+    are summed and zeros dropped; an index outside the truncation or a
+    value that is not finite is rejected.
     """
 
     __slots__ = ("theta", "N", "rows", "cols", "vals")
 
-    def __init__(self, coeff, theta):
-        coeff = np.asarray(coeff, dtype=complex)
-        if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        rows, cols = np.nonzero(coeff)
-        self._fill(theta, coeff.shape[0], rows, cols, coeff[rows, cols])
+    def __init__(self, rows, cols, vals, theta, N):
+        rows, cols = (np.asarray(x, dtype=np.intp).reshape(-1) for x in (rows, cols))
+        vals = np.asarray(vals, dtype=complex).reshape(-1)
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals differ in length")
+        if np.any((rows < 0) | (rows >= N) | (cols < 0) | (cols >= N)):
+            raise TruncationError(f"support outside truncation N={N}")
+        self._fill(theta, N, *_summed(rows, cols, vals, N))
 
     def _fill(self, theta, N, rows, cols, vals):
         if not np.all(np.isfinite(vals)):
@@ -51,24 +54,6 @@ class TruncatedElement:
         self.theta, self.N = theta, N
         self.rows, self.cols, self.vals = rows, cols, vals
         return self
-
-    @classmethod
-    def sparse(cls, rows, cols, vals, theta, N):
-        """sum_i vals[i] f_{rows[i] cols[i]}; repeated (row, col) pairs are summed."""
-        rows, cols = (np.asarray(x, dtype=np.intp).reshape(-1) for x in (rows, cols))
-        vals = np.asarray(vals, dtype=complex).reshape(-1)
-        if not len(rows) == len(cols) == len(vals):
-            raise ValueError("rows, cols and vals differ in length")
-        if np.any((rows < 0) | (rows >= N) | (cols < 0) | (cols >= N)):
-            raise TruncationError(f"support outside truncation N={N}")
-        return _support(theta, N, *_summed(rows, cols, vals, N))
-
-    @property
-    def coeff(self) -> np.ndarray:
-        """The N x N coefficient matrix, built on each call."""
-        c = np.zeros((self.N, self.N), dtype=complex)
-        c[self.rows, self.cols] = self.vals
-        return c
 
 
 def _support(theta, N, rows, cols, vals):
@@ -152,7 +137,9 @@ def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
     unit_sum = _support(theta, N, diag, diag, np.ones(N, dtype=complex))
     unity_err = 0.0
     for _ in range(UNITY_SAMPLES):
-        g = TruncatedElement(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta)
+        g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        rows, cols = np.nonzero(g)  # the full support, row-major: no sort needed
+        g = _support(theta, N, rows, cols, g[rows, cols])
         unity_err = max(unity_err, _max_diff(star(unit_sum, g), g), _max_diff(star(g, unit_sum), g))
 
     comm_err = 0.0
@@ -184,7 +171,7 @@ def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
         m, n, k, l = (int(x) for x in rng.integers(0, N, size=4))
         prod = star(basis_element(m, n, theta, N), basis_element(k, l, theta, N))
         expect = (basis_element(m, l, theta, N) if n == k
-                  else TruncatedElement.sparse((), (), (), theta, N))
+                  else TruncatedElement((), (), (), theta, N))
         e = max(e, _max_diff(prod, expect))
     errs["delta_rule"] = e
     # involution
@@ -215,4 +202,4 @@ def _integer_support(rng, theta, N):
     """N terms at random (row, col), each value re + i im with re, im drawn from -3..3."""
     rows, cols = rng.integers(0, N, size=(2, N))
     re, im = rng.integers(-3, 4, size=(2, N))
-    return TruncatedElement.sparse(rows, cols, re + 1j * im, theta, N)
+    return TruncatedElement(rows, cols, re + 1j * im, theta, N)

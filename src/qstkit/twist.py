@@ -4,9 +4,9 @@ The twist engine works with tensor powers of the polynomial algebra on two
 commuting primitive generators X, Y.  Coefficients are polynomials in the
 formal deformation symbol kbar, truncated at a tracked order N, with exact
 Gaussian-rational coefficients.  It verifies the 2-cocycle and
-normalization conditions, builds the twisted coproduct and antipode, the
-R-matrix F21 F^{-1}, and checks triangularity, quantum Yang-Baxter and the
-braided commutativity of the twisted product on a polynomial module.
+normalization conditions, builds the R-matrix F21 F^{-1}, and checks
+triangularity, quantum Yang-Baxter and the braided commutativity of the
+twisted product on a polynomial module.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ def apply_counit(T: TSeries, slot: int) -> TSeries:
                       TSeries(T.n - 1, T.order))
 
 
-def apply_antipode(T: TSeries, slot: int) -> TSeries:
-    """S(X^a Y^b) = (-1)^{a+b} X^a Y^b on one slot (primitive generators)."""
-    return T.map_keys(lambda k: ((k, KScalar.make((-1) ** sum(k[slot]))),))
-
-
 def embed(T: TSeries, slots, n: int) -> TSeries:
     """Place a 2-tensor into the given slots of an n-tensor (e.g. F13)."""
     def place(key):
@@ -151,28 +146,15 @@ def twist_check(F: TSeries) -> dict:
 
 
 def twisted_structures(F: TSeries) -> dict:
-    """Twisted coproduct/antipode data and the R-matrix, with checks.
+    """The R-matrix R = F21 F^{-1} of a twist, with checks.
 
-    Delta^F(x) = F Delta(x) F^{-1};  chi = F1 S(F2);  S^F = chi S chi^{-1};
-    R = F21 F^{-1}.  Returns the objects plus triangularity, quantum
-    Yang-Baxter and braided-commutativity verdicts (order by order).
+    Returns R plus its triangularity, quantum Yang-Baxter and
+    braided-commutativity verdicts, each exact at the twist's order.
     """
     order = F.order
     Finv = series_inverse(F)
     R = flip(F) * Finv
     Rinv = series_inverse(R)
-
-    # chi = m(id x S)(F): multiply slots after twisting the right one
-    chi = apply_antipode(F, 1).map_keys(
-        lambda k: ((((k[0][0] + k[1][0], k[0][1] + k[1][1]),), ONE),), TSeries(1, order))
-    chi_inv = series_inverse(chi)
-
-    def delta_F(a, b):
-        return F * delta_mono(a, b, order) * Finv
-
-    def S_F(a, b):
-        base = TSeries(1, order, {((a, b),): KScalar.make((-1) ** (a + b))})
-        return chi * base * chi_inv
 
     tri = (flip(R) * R - TSeries.unit(2, order)).is_zero()
     R12 = embed(R, (0, 1), 3)
@@ -183,9 +165,6 @@ def twisted_structures(F: TSeries) -> dict:
 
     return {
         "R": R,
-        "chi": chi,
-        "delta_F": delta_F,
-        "S_F": S_F,
         "triangular": tri,
         "quantum_yang_baxter": qyb,
         "braided_commutative": braided,

@@ -24,7 +24,8 @@ from .momentum import GroupDescriptor
 
 MERGE_TOL = 1e-12
 SUPPORT_TOL = 1e-9
-# largest amplitude of self - other at which DeltaSum.equals reads two sums equal
+# DeltaSum.equals reads two sums equal in a label when every amplitude of
+# self - other there is at most EQUAL_TOL (1 + s), s the label's largest |amplitude|
 EQUAL_TOL = 1e-10
 
 
@@ -363,10 +364,12 @@ class DeltaSum:
         return sum(len(amps) for _, amps, _ in self._words.values())
 
     def _all_within(self, parts, tol):
-        """Per label: whether each amplitude of the (words, amplitudes, labels) is within tol."""
+        """Per label: whether each amplitude of the (words, amplitudes, labels) is within
+        tol, a scalar or one value per label."""
+        tol = np.broadcast_to(tol, self.count)
         ok = np.ones(self.count, bool)
         for _, amps, labels in parts:
-            ok[labels[~(np.abs(amps) <= tol)]] = False
+            ok[labels[~(np.abs(amps) <= tol[labels])]] = False
         return _unstack(ok)
 
     def is_zero(self):
@@ -374,15 +377,21 @@ class DeltaSum:
         return self._all_within(self._words.values(), MERGE_TOL)
 
     def equals(self, other: "DeltaSum"):
-        """Per label: whether self - other merges to amplitudes all within EQUAL_TOL."""
+        """Per label: whether self - other merges to amplitudes all within EQUAL_TOL (1 + s).
+
+        s is the largest |amplitude| of either sum's words in that label, so the
+        test is relative for large amplitudes.  A NaN or inf amplitude fails its label.
+        """
         _check_same(self, other)
-        diffs = []
+        diffs, scale = [], np.zeros(self.count)
         for L in self._words.keys() | other._words.keys():
             empty = (np.zeros((0, L * self.group.dim)), np.zeros(0, complex), np.zeros(0, np.intp))
             (A, a, la), (B, b, lb) = self._words.get(L, empty), other._words.get(L, empty)
-            diffs.append(_merge(np.concatenate((A, B)), np.concatenate((a, -b)),
-                                np.concatenate((la, lb))))
-        return self._all_within(diffs, EQUAL_TOL)
+            amps, labels = np.concatenate((a, -b)), np.concatenate((la, lb))
+            np.fmax.at(scale, labels, np.abs(amps))
+            diffs.append(_merge(np.concatenate((A, B)), amps, labels))
+        # an inf scale gives a NaN tolerance, which no difference is within
+        return self._all_within(diffs, EQUAL_TOL * (1.0 + np.where(np.isinf(scale), np.nan, scale)))
 
     def __repr__(self):
         bits = [f"({amp:.4g})·δ({' [+] '.join(str(np.round(np.real(a), 4)) for a in atoms) or 0})"

@@ -5,12 +5,15 @@ element is an explicit N x N matrix, the star product is `@`, the dagger is
 `.conj().T` and the trace pairing sums over all N^2 entries.  They draw the
 same random numbers in the same order as `qstkit.moyal_matrix`, so the two
 must return equal dicts.  They cost O(N^3) time and O(N^2) memory per basis
-element, so the tests use them for N <= MAX_N only.
+element, so the tests use them for N <= MAX_N only.  `from_matrix` and
+`dense` convert between a coefficient matrix and the module's supports.
 """
 
 import math
 
 import numpy as np
+
+from qstkit.moyal_matrix import TruncatedElement
 
 MAX_N = 256
 
@@ -18,6 +21,20 @@ MAX_N = 256
 def _small(N):
     if N > MAX_N:
         raise ValueError(f"the dense oracle is for N <= {MAX_N}")
+
+
+def from_matrix(c, theta):
+    """The element sum_mn c_mn f_mn of a square coefficient matrix: its nonzero entries."""
+    c = np.asarray(c, dtype=complex)
+    rows, cols = np.nonzero(c)
+    return TruncatedElement(rows, cols, c[rows, cols], theta, c.shape[0])
+
+
+def dense(e):
+    """The N x N coefficient matrix of an element."""
+    c = np.zeros((e.N, e.N), dtype=complex)
+    c[e.rows, e.cols] = e.vals
+    return c
 
 
 def basis_matrix(m, n, N):

@@ -290,6 +290,17 @@ def test_generic_group_from_structure():
     assert np.max(np.abs(np.asarray(add(gb, p, q)) - np.asarray(add(g, p, q)))) < 1e-12
 
 
+def test_bch_law_dtype_does_not_depend_on_other_rows():
+    g = group_from_structure(group_preset("su2_lambda", lam=1.0).structure)
+    P, Q = np.random.default_rng(3).normal(size=(2, 6, 3)) * 0.3
+    P[-1] = np.nan
+    five, six = g.add(P[:5], Q[:5]), g.add(P, Q)
+    assert five.dtype == six.dtype == complex
+    assert np.array_equal(five, six[:5])
+    # pure-imaginary structure constants: the imaginary parts are exactly 0
+    assert not np.any(five.imag)
+
+
 # property tests -------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -398,8 +409,8 @@ def _blocked_momenta(g, n, seed):
     """Two (n, dim) stacks with a NaN row last, an identity composition in a
     later block (su2's dead branch) and, for Moyal, a complex phase slot there.
 
-    The NaN row makes bch_compose's last block complex while the blocks
-    before it are real, so "bch su2" checks that no block is cast.
+    The NaN row sits in the last block, so a law whose dtype followed its
+    rows would cast it into the first block's dtype.
     """
     P, Q = np.random.default_rng(seed).normal(size=(2, n, g.dim)) * 0.3
     j = n - 3  # in the last block once n > BLOCK_ROWS

@@ -16,8 +16,10 @@ is a constant, not a parameter.  Each defaulted parameter of a public
 function or method must be set, by keyword or by position, by some call
 in `src/qstkit` or `perfbench/` outside the function's own body; calls
 are matched by the callee's bare name, and one that unpacks `*` or `**`
-sets every parameter.  `EXEMPT_PARAMETERS` names the few that stay
-anyway, each with its reason.
+sets every parameter.  A public class's `__init__` is scanned too: a
+call sets its parameters when it names the class, or when it is a
+`super().__init__` call in a subclass.  `EXEMPT_PARAMETERS` names the few
+that stay anyway, each with its reason.
 """
 
 from __future__ import annotations
@@ -91,13 +93,10 @@ def test_every_public_definition_has_a_reader():
 # (module.function, parameter) -> why a defaulted parameter that src and
 # perfbench never pass stays a parameter.  The table may shrink, never grow.
 EXEMPT_PARAMETERS = {
-    ("causality.cone_condition", "phases"):
-        "the phased family is the only one on which the cone form is not identically 0; "
-        "test_cone_margins_match_oracle checks _cone_form through it",
     ("momentum.bch_compose", "order"):
         "the tests' BCH reference sets it at orders 3 to 12; reference code stays",
 }
-MAX_EXEMPT_PARAMETERS = 2
+MAX_EXEMPT_PARAMETERS = 1
 
 
 def _defaulted(node, method: bool):
@@ -129,6 +128,34 @@ def _calls(trees) -> dict:
     return out
 
 
+def _super_inits(trees) -> dict:
+    """Every `super().__init__` call by the bare names of its class's bases."""
+    out = {}
+    for cls in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        bases = [b.id if isinstance(b, ast.Name) else b.attr for b in cls.bases
+                 if isinstance(b, (ast.Name, ast.Attribute))]
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call) \
+                    and isinstance(node.func.value.func, ast.Name) \
+                    and node.func.value.func.id == "super":
+                for base in bases:
+                    out.setdefault(base, []).append(node)
+    return out
+
+
+def _functions(tree, module):
+    """(qualified name, names its callers call it by, node) of each public function,
+    public method and public class's `__init__`."""
+    for qual, name, node in _definitions(tree, module):
+        if isinstance(node, ast.FunctionDef):
+            yield qual, name, node
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                yield f"{qual}.__init__", name, item
+
+
 def _passes(call, name: str, position) -> bool:
     """Whether `call` sets the parameter: by keyword, by position, or by * or ** unpacking."""
     if any(isinstance(a, ast.Starred) for a in call.args) \
@@ -139,22 +166,21 @@ def _passes(call, name: str, position) -> bool:
 
 def defaulted_parameters() -> list:
     """((module.function, parameter), passed) for each defaulted parameter of a public
-    function or method of `src/qstkit`: passed when a call in `src/qstkit` or
-    `perfbench/` outside the function's own body sets it."""
+    function, method or constructor of `src/qstkit`: passed when a call in
+    `src/qstkit` or `perfbench/` outside the function's own body sets it."""
     trees = _trees()
     calls = _calls(trees.values())
+    supers = _super_inits(trees.values())
     out = []
     for path, tree in trees.items():
         if path.parent != SRC:
             continue
-        for qual, name, node in _definitions(tree, path.stem):
-            if not isinstance(node, ast.FunctionDef):
-                continue
+        for qual, name, node in _functions(tree, path.stem):
             own = {id(c) for c in ast.walk(node) if isinstance(c, ast.Call)}
             method = qual.count(".") == 2
+            callers = calls.get(name, []) + (supers.get(name, []) if node.name == "__init__" else [])
             for param, position in _defaulted(node, method):
-                passed = any(_passes(c, param, position) for c in calls.get(name, ())
-                             if id(c) not in own)
+                passed = any(_passes(c, param, position) for c in callers if id(c) not in own)
                 out.append(((qual, param), passed))
     return out
 
@@ -166,3 +192,10 @@ def test_every_defaulted_parameter_is_passed():
     stale = sorted(set(EXEMPT_PARAMETERS) - unpassed)
     assert not stale, f"exempt parameters that a call now passes (drop them): {stale}"
     assert len(EXEMPT_PARAMETERS) <= MAX_EXEMPT_PARAMETERS
+
+
+def test_constructor_parameters_are_scanned():
+    scanned = dict(defaulted_parameters())
+    assert scanned[("hopf_algebra.Element.__init__", "words")] is True
+    # Sparse is built only through its subclasses' super().__init__
+    assert scanned[("polyfield.Sparse.__init__", "terms")] is True

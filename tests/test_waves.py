@@ -9,6 +9,7 @@ from waves_oracle import (QuadSpec, RefPacket, delta_sum, numeric_star_oracle, p
                           ref_act, ref_dagger, ref_integral_star, ref_star,
                           ref_twisted_trace_check, unit_wave)
 from qstkit import waves
+from qstkit.cli import RunConfig, _random_packets, suite_trace
 from qstkit.momentum import group_preset
 from qstkit.waves import (GroupMismatch, WavePacket, act, concat, dagger, integral_star,
                           plane_wave, star, twisted_trace_check)
@@ -393,6 +394,37 @@ def test_twisted_trace_kappa(kappa3):
         f = _packet(kappa3, rng, 3, inverses_of=moms)
         g = _packet(kappa3, rng, 4, inverses_of=[kappa3.inv(m) for m in moms])
         assert twisted_trace_check(f, g)
+
+
+def _trace_packets(kappa, seed, count=100):
+    """The suite's seeded (f, h) stacks of the twisted-trace-kappa row."""
+    g = group_preset("kappa_minkowski", kappa=kappa, d=3)
+    return _random_packets(waves, g, np.random.default_rng(seed), count)
+
+
+@pytest.mark.parametrize("kappa, seeds", [(1.0, (1160, 1292, 2826)), (0.5, range(40))])
+def test_twisted_trace_equality_is_relative_to_the_amplitudes(kappa, seeds):
+    # their words reach |amplitude| 1e6 and differ by rounding, ~1e-10 absolute
+    for seed in seeds:
+        row = suite_trace(RunConfig(kappa=kappa, seed=seed))[0]
+        assert row["check"] == "twisted-trace-kappa" and row["passed"] is True, seed
+
+
+@pytest.mark.parametrize("kappa, seeds", [(1.0, (1160, 1292, 2826)), (0.5, range(0, 40, 4))])
+def test_twisted_trace_still_sees_a_wrong_twist(kappa, seeds):
+    for seed in seeds:
+        f, h = _trace_packets(kappa, seed)
+        lhs = integral_star(f, h)
+        # E^{d-1} instead of E^d: every packet holds inverse pairs, so every label fails
+        wrong = lhs.equals(integral_star(act("E", h, power=2), f))
+        assert not np.any(wrong), seed
+        # a NaN or inf amplitude fails its own label and no other
+        amps = np.array([a for _, a in f.terms])
+        amps[f.labels == 7] = np.nan
+        amps[np.flatnonzero(f.labels == 9)[0]] = np.inf
+        with np.errstate(invalid="ignore"):  # inf times a complex factor
+            ok = twisted_trace_check(f._reweighted(amps), h)
+        assert not ok[7] and not ok[9] and np.all(np.delete(ok, [7, 9])), seed
 
 
 def test_plain_cyclicity_fails_on_kappa(kappa3):

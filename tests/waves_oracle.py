@@ -277,6 +277,10 @@ class RefDeltaSum:
         return all(np.all(np.abs(a) <= MERGE_TOL) for _, a in self.words.values())
 
     def equals(self, other, tol=1e-10):
+        """Every merged amplitude of self - other within tol (1 + s), s the largest
+        |amplitude| of either sum; a NaN amplitude makes the sums unequal."""
+        amps = [a for _, a in (*self.words.values(), *other.words.values())]
+        tol = tol * (1.0 + np.max(np.abs(np.concatenate([np.zeros(0), *amps])), initial=0.0))
         for L in self.words.keys() | other.words.keys():
             empty = (np.zeros((0, L * self.group.dim)), np.zeros(0, complex))
             (A, a), (B, b) = self.words.get(L, empty), other.words.get(L, empty)
