@@ -269,8 +269,24 @@ def poly_field_to_jsonable(A: PolyGaugeField) -> list:
     out = []
     for comp in A.components:
         out.append([{"exp": list(e), "re": str(re), "im": str(im)}
-                    for e in sorted(comp.terms) for re, im in [comp.coefficient(e)]])
+                    for e, _ in sorted(comp.terms) for re, im in [comp.coefficient(e)]])
     return out
+
+
+MAX_DECIMAL_EXPONENT = 1000  # Fraction builds 10^|e|; a finite float has |e| <= 324
+
+
+def _coefficient(val, where: str) -> Fraction:
+    """A coefficient given as a number or a string such as "p/q", "1.5" or "2e-3"."""
+    text = str(val)
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdigit() and (len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"{where}: the decimal exponent of {val!r} exceeds "
+                         f"{MAX_DECIMAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: expected a finite number, got {val!r}") from None
 
 
 def poly_field_from_json(text: str) -> PolyGaugeField:
@@ -279,7 +295,6 @@ def poly_field_from_json(text: str) -> PolyGaugeField:
     A malformed document raises ValueError naming the key path of the bad value.
     """
     import json
-    from fractions import Fraction as Fr
     data = json.loads(text)
     at = ""
     if isinstance(data, dict):
@@ -299,14 +314,7 @@ def poly_field_from_json(text: str) -> PolyGaugeField:
             nv = len(exp) if nv is None else nv
             if len(exp) != nv:
                 raise ValueError(f"{where}/exp: expected {nv} exponents like the first term")
-            coef = []
-            for key, default in (("re", None), ("im", 0)):
-                val = term.get(key, default)
-                try:
-                    coef.append(Fr(str(val)))
-                except ValueError:
-                    raise ValueError(f"{where}/{key}: expected a finite number, "
-                                     f"got {val!r}") from None
-            coeffs[tuple(exp)] = tuple(coef)
+            coeffs[tuple(exp)] = tuple(_coefficient(term.get(key, default), f"{where}/{key}")
+                                       for key, default in (("re", None), ("im", 0)))
         comps.append(Poly(4 if nv is None else nv, coeffs))
     return PolyGaugeField(comps)

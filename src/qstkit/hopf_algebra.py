@@ -2,9 +2,10 @@
 
 Elements of the deformed Poincare enveloping algebra (d = 3 spatial
 dimensions, bicrossproduct-type basis) are sums of normal-ordered monomials
-K < J < P0 < P_j < E with coefficients that are Laurent polynomials in the
-deformation scale kappa over Gaussian rationals.  No floats anywhere: the
-rewrite system, coproduct, counit and antipode are all exact.
+K < J < P0 < P_j < E, each term keyed by its word and its power of the
+deformation scale kappa, with a Gaussian-rational coefficient.  No floats
+anywhere: the rewrite system, coproduct, counit and antipode are all exact.
+A scalar is a (kappa power, coefficient) pair.
 
 E and E^{-1} are independent formal generators with E E^{-1} = 1,
 [P, E] = [J, E] = 0, [K_j, E] = -(i/kappa) P_j E and the derived
@@ -18,8 +19,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-# KScalar, ONE, ZERO and I are re-exported for callers of this module
-from .polyfield import I, ONE, ZERO, KScalar, Sparse  # noqa: F401
+from .polyfield import _ONE, Sparse, _mul, _neg, _q
 
 # generator ids, in normal order
 K1, K2, K3, J1, J2, J3, P0, PX1, PX2, PX3, E, EINV = range(12)
@@ -28,11 +28,11 @@ GEN_NAMES = {K1: "K1", K2: "K2", K3: "K3", J1: "J1", J2: "J2", J3: "J3",
 _KS = (K1, K2, K3)
 _JS = (J1, J2, J3)
 _PS = (PX1, PX2, PX3)
-_I_K = KScalar.make(0, 1, -1)    # i / kappa
-_INV_K = KScalar.make(1, 0, -1)  # 1 / kappa
-_I_HALF_K = KScalar.make(0, Fraction(1, 2), 1)       # (i/2) kappa
-_NEG_I_HALF_K = -_I_HALF_K                            # -(i/2) kappa
-_I_HALF_INV_K = KScalar.make(0, Fraction(1, 2), -1)  # (i/2) / kappa
+# scalars as (kappa power, coefficient) pairs: 1, ±i, ±i/κ, 1/κ, ±(i/2)κ and ±(i/2)/κ
+_S1, _I, _NEG_I = (0, _ONE), (0, (0, 1, 1)), (0, (0, -1, 1))
+_I_K, _NEG_I_K, _INV_K = (-1, (0, 1, 1)), (-1, (0, -1, 1)), (-1, _ONE)
+_I_HALF_K, _NEG_I_HALF_K = (1, (0, 1, 2)), (1, (0, -1, 2))
+_I_HALF_INV_K, _NEG_I_HALF_INV_K = (-1, (0, 1, 2)), (-1, (0, -1, 2))
 
 
 def _eps(a, b, c):
@@ -41,8 +41,9 @@ def _eps(a, b, c):
 
 
 def _eps_sum(i, j, coef, word):
-    """sum_l eps_{ijl} coef word(l), as (KScalar, word) pairs."""
-    return [(coef if e > 0 else -coef, word(l)) for l in range(3) if (e := _eps(i, j, l))]
+    """sum_l eps_{ijl} coef word(l), as (scalar, word) pairs."""
+    return [(coef if e > 0 else (coef[0], _neg(coef[1])), word(l))
+            for l in range(3) if (e := _eps(i, j, l))]
 
 
 def _order_class(g):
@@ -62,18 +63,18 @@ def _word(mono):
 # commutator table [lo, hi] for order(lo) < order(hi); entries are word lists
 
 def _commutator(lo, hi):
-    """[lo, hi] as a list of (KScalar, word-tuple); words need not be normal."""
+    """[lo, hi] as a list of (scalar, word-tuple); words need not be normal."""
     if lo in _KS:
         i = lo - K1
         if hi in _KS:
-            return _eps_sum(i, hi - K1, -I, lambda l: (J1 + l,))  # -i eps J_l
+            return _eps_sum(i, hi - K1, _NEG_I, lambda l: (J1 + l,))  # -i eps J_l
         if hi in _JS:
-            return _eps_sum(i, hi - J1, I, lambda l: (K1 + l,))   # +i eps K_l
+            return _eps_sum(i, hi - J1, _I, lambda l: (K1 + l,))   # +i eps K_l
         if hi == P0:
-            return [(I, (PX1 + i,))]                               # i P_i
+            return [(_I, (PX1 + i,))]                               # i P_i
         if hi in _PS:
             j = hi - PX1
-            out = [(-_I_K, (PX1 + j, PX1 + i))]                    # -(i/κ) P_j P_i
+            out = [(_NEG_I_K, (PX1 + j, PX1 + i))]                  # -(i/κ) P_j P_i
             if i == j:
                 out.append((_I_HALF_K, ()))                        # +(i/2) κ
                 out.append((_NEG_I_HALF_K, (E, E)))                # -(i/2) κ E^2
@@ -81,22 +82,22 @@ def _commutator(lo, hi):
                     out.append((_I_HALF_INV_K, (PX1 + l, PX1 + l)))  # +(i/2κ) P_l P_l
             return out
         if hi == E:
-            return [(-_I_K, (PX1 + i, E))]
+            return [(_NEG_I_K, (PX1 + i, E))]
         if hi == EINV:
             return [(_I_K, (PX1 + i, EINV))]
     if lo in _JS and hi in _JS:
-        return _eps_sum(lo - J1, hi - J1, I, lambda l: (J1 + l,))     # +i eps J_l
+        return _eps_sum(lo - J1, hi - J1, _I, lambda l: (J1 + l,))     # +i eps J_l
     if lo in _JS and hi in _PS:
-        return _eps_sum(lo - J1, hi - PX1, I, lambda l: (PX1 + l,))   # +i eps P_l
+        return _eps_sum(lo - J1, hi - PX1, _I, lambda l: (PX1 + l,))   # +i eps P_l
     # all remaining pairs commute: [J,P0], [J,E], [P0,P], [P0,E], [P,P], [P,E]
     return []
 
 
 # ---------------------------------------------------------------------------
-# elements: normal-ordered words -> KScalar
+# elements: (normal-ordered word, kappa power) -> coefficient
 
-def _normalize_word(coef: KScalar, word: tuple) -> list:
-    """Rewrite a generator word to normal order; returns (mono, KScalar) pairs.
+def _normalize_word(coef: tuple, word: tuple) -> list:
+    """Rewrite a generator word times a scalar to normal order; returns ((mono, power), coef) pairs.
 
     A monomial may occur more than once; the pairs are summed by the
     `Element` they are fed to.  Each step rewrites the leftmost misordered
@@ -109,30 +110,30 @@ def _normalize_word(coef: KScalar, word: tuple) -> list:
     word.
     """
     out = []
-    work = [(coef, list(word))]
+    work = [(*coef, list(word))]
     while work:
-        c, w = work.pop()
+        n, c, w = work.pop()
         for idx in range(len(w) - 1):
             a, b = w[idx], w[idx + 1]
             if (a == E and b == EINV) or (a == EINV and b == E):
-                work.append((c, w[:idx] + w[idx + 2:]))
+                work.append((n, c, w[:idx] + w[idx + 2:]))
                 break
             if _order_class(a) > _order_class(b):
                 # a b = b a + [a, b],  [a, b] = -[b, a] from the (lo, hi) table
-                work.append((c, w[:idx] + [b, a] + w[idx + 2:]))
-                for cc, ww in _commutator(b, a):
-                    work.append((c * (-cc), w[:idx] + list(ww) + w[idx + 2:]))
+                work.append((n, c, w[:idx] + [b, a] + w[idx + 2:]))
+                for (cn, cc), ww in _commutator(b, a):
+                    work.append((n + cn, _mul(c, _neg(cc)), w[:idx] + list(ww) + w[idx + 2:]))
                 break
         else:
-            out.append((tuple(w), c))
+            out.append(((tuple(w), n), c))
     return out
 
 
 class Element(Sparse):
     """Exact element of the kappa-Poincare enveloping algebra.
 
-    Keys are normal-ordered generator words; `words` adds (KScalar, word)
-    pairs in any order, normal-ordered by the rewrite system.
+    Keys are (normal-ordered generator word, kappa power); `words` adds
+    (scalar, word) pairs in any order, normal-ordered by the rewrite system.
     """
 
     __slots__ = ()
@@ -147,18 +148,18 @@ class Element(Sparse):
         return Element(pairs)
 
     def _key_mul(self, m1, m2):
-        return _normalize_word(ONE, m1 + m2)
+        return _normalize_word(_S1, m1 + m2)
 
-    def _show(self, mono, coef):
-        return f"[{coef}]{_word(mono)}"
+    def _show(self, mono, power, coef):
+        return super()._show(_word(mono), power, coef)
 
 
-def unit(s: KScalar = ONE) -> Element:
-    return Element(terms={(): s})
+def unit() -> Element:
+    return Element(terms={((), 0): _ONE})
 
 
 def gen(g: int) -> Element:
-    return Element(terms={(g,): ONE})
+    return Element(terms={((g,), 0): _ONE})
 
 
 GENERATORS = {
@@ -173,11 +174,11 @@ GENERATORS = {
 # tensor elements
 
 def _outer(factors):
-    """(key tuple, coefficient product) for each choice of one pair per factor."""
-    out = [((), ONE)]
-    for pairs in factors:
-        out = [(k + (k2,), c2 if c is ONE else c if c2 is ONE else c * c2)
-               for k, c in out for k2, c2 in pairs]
+    """((key tuple, power sum), coefficient product) for each choice of one term per factor."""
+    out = [(((), 0), _ONE)]
+    for terms in factors:
+        out = [((k + (k2,), n + n2), c2 if c is _ONE else c if c2 is _ONE else _mul(c, c2))
+               for (k, n), c in out for (k2, n2), c2 in terms]
     return out
 
 
@@ -194,10 +195,10 @@ class Tensor(Sparse):
         return Tensor(self.n, pairs)
 
     def _key_mul(self, k1, k2):
-        return _outer(Element(_normalize_word(ONE, a + b)).terms.items() for a, b in zip(k1, k2))
+        return _outer(Element(_normalize_word(_S1, a + b)).terms.items() for a, b in zip(k1, k2))
 
-    def _show(self, key, coef):
-        return f"[{coef}]({' ⊗ '.join(map(_word, key))})"
+    def _show(self, key, power, coef):
+        return super()._show(f"({' ⊗ '.join(map(_word, key))})", power, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +207,28 @@ class Tensor(Sparse):
 def _delta_gen(g) -> Tensor:
     one = ()
     if g == P0 or g in _JS:
-        return Tensor(2, {((g,), one): ONE, (one, (g,)): ONE})
+        return Tensor(2, {(((g,), one), 0): _ONE, ((one, (g,)), 0): _ONE})
     if g in _PS:
-        return Tensor(2, {((g,), one): ONE, ((E,), (g,)): ONE})
+        return Tensor(2, {(((g,), one), 0): _ONE, (((E,), (g,)), 0): _ONE})
     if g in (E, EINV):
-        return Tensor(2, {((g,), (g,)): ONE})
+        return Tensor(2, {(((g,), (g,)), 0): _ONE})
     if g in _KS:
         # + (1/κ) eps_{jkl} P_k ⊗ J_l  (sign fixed by bialgebra compatibility
         # of the [P, K] relation; see notes)
-        eps = [(w, c) for k in range(3)
-               for c, w in _eps_sum(g - K1, k, _INV_K, lambda l: ((PX1 + k,), (J1 + l,)))]
-        return Tensor(2, [(((g,), one), ONE), (((E,), (g,)), ONE), *eps])
+        eps = [((w, n), c) for k in range(3)
+               for (n, c), w in _eps_sum(g - K1, k, _INV_K, lambda l: ((PX1 + k,), (J1 + l,)))]
+        return Tensor(2, [((((g,), one), 0), _ONE), ((((E,), (g,)), 0), _ONE), *eps])
     raise ValueError(g)
 
 
 def _antipode_gen(g) -> Element:
     if g == P0 or g in _JS:
-        return Element({(g,): -ONE})
+        return Element({((g,), 0): _neg(_ONE)})
     if g in (E, EINV):
         return gen(EINV if g == E else E)
     if g not in _PS + _KS:
         raise ValueError(g)
-    words = [(-ONE, (EINV, g))]
+    words = [((0, _neg(_ONE)), (EINV, g))]
     if g in _KS:
         # + (1/κ) E^{-1} eps_{jkl} P_k J_l, with the P-then-J ordering that
         # closes the coinverse identity
@@ -238,7 +239,7 @@ def _antipode_gen(g) -> Element:
 
 @cache
 def _delta_mono(mono) -> Tensor:
-    acc = Tensor(2, {((), ()): ONE})
+    acc = Tensor(2, {(((), ()), 0): _ONE})
     for g in mono:
         acc = acc * _delta_gen(g)
     return acc
@@ -257,8 +258,9 @@ def coproduct(el: Element) -> Tensor:
     return el.map_keys(lambda m: _delta_mono(m).terms.items(), Tensor(2))
 
 
-def counit(el: Element) -> KScalar:
-    return sum((c for m, c in el.terms.items() if _grouplike(m)), ZERO)
+def counit(el: Element) -> Element:
+    """The counit, as its multiple of the unit."""
+    return el.map_keys(lambda m: ((((), 0), _ONE),) if _grouplike(m) else ())
 
 
 def antipode(el: Element) -> Element:
@@ -271,22 +273,23 @@ def antipode(el: Element) -> Element:
 
 def _apply_slot(T: Tensor, slot: int, fn_tensor) -> Tensor:
     """Apply a map Element -> Tensor(2) to one slot, producing Tensor(n+1)."""
-    return T.map_keys(lambda k: [(k[:slot] + k2 + k[slot + 1:], c) for k2, c in
-                                 fn_tensor(Element({k[slot]: ONE})).terms.items()],
+    return T.map_keys(lambda k: [((k[:slot] + k2 + k[slot + 1:], n), c) for (k2, n), c in
+                                 fn_tensor(Element({(k[slot], 0): _ONE})).terms.items()],
                       Tensor(T.n + 1))
 
 
 def _contract_counit(T: Tensor, slot: int) -> Element:
     assert T.n == 2
-    return T.map_keys(lambda k: [(k[1 - slot], ONE)] if _grouplike(k[slot]) else [], Element())
+    return T.map_keys(lambda k: [((k[1 - slot], 0), _ONE)] if _grouplike(k[slot]) else [],
+                      Element())
 
 
 def _multiply_slots_with_map(T: Tensor, fn_left=None, fn_right=None) -> Element:
     """m((f ⊗ g) T) for slot maps f, g: Element -> Element (n = 2)."""
     f = fn_left or (lambda e: e)
     g = fn_right or (lambda e: e)
-    return T.map_keys(lambda k: (f(Element({k[0]: ONE})) * g(Element({k[1]: ONE}))).terms.items(),
-                      Element())
+    return T.map_keys(lambda k: (f(Element({(k[0], 0): _ONE}))
+                                 * g(Element({(k[1], 0): _ONE}))).terms.items(), Element())
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,8 @@ def hopf_axiom_suite(gen_name: str) -> dict:
     cu_r = _contract_counit(d, 1) - x
 
     eps_x = counit(x)
-    coin_l = _multiply_slots_with_map(d, fn_left=antipode) - unit(eps_x)
-    coin_r = _multiply_slots_with_map(d, fn_right=antipode) - unit(eps_x)
+    coin_l = _multiply_slots_with_map(d, fn_left=antipode) - eps_x
+    coin_r = _multiply_slots_with_map(d, fn_right=antipode) - eps_x
 
     flags = {"coassociativity": coassoc.is_zero(),
              "counit": cu_l.is_zero() and cu_r.is_zero(),
@@ -337,23 +340,23 @@ def printed_relations() -> dict:
     for j in range(3):
         for k in range(3):
             if j < k:
-                rel[f"[J{j+1},J{k+1}]"] = (gen(J1 + j), gen(J1 + k), eps_rhs(j, k, I, J1))
-                rel[f"[K{j+1},K{k+1}]"] = (gen(K1 + j), gen(K1 + k), eps_rhs(j, k, -I, J1))
-            rel[f"[J{j+1},K{k+1}]"] = (gen(J1 + j), gen(K1 + k), eps_rhs(j, k, I, K1))
-            rel[f"[P{j+1},J{k+1}]"] = (gen(PX1 + j), gen(J1 + k), eps_rhs(j, k, I, PX1))
+                rel[f"[J{j+1},J{k+1}]"] = (gen(J1 + j), gen(J1 + k), eps_rhs(j, k, _I, J1))
+                rel[f"[K{j+1},K{k+1}]"] = (gen(K1 + j), gen(K1 + k), eps_rhs(j, k, _NEG_I, J1))
+            rel[f"[J{j+1},K{k+1}]"] = (gen(J1 + j), gen(K1 + k), eps_rhs(j, k, _I, K1))
+            rel[f"[P{j+1},J{k+1}]"] = (gen(PX1 + j), gen(J1 + k), eps_rhs(j, k, _I, PX1))
             if j >= k:
                 rel[f"[P{j+1},P{k+1}]"] = (gen(PX1 + j), gen(PX1 + k), Element())
         rel[f"[P{j+1},E]"] = (gen(PX1 + j), gen(E), Element())
         rel[f"[J{j+1},E]"] = (gen(J1 + j), gen(E), Element())
-        rel[f"[K{j+1},E]"] = (gen(K1 + j), gen(E), Element(words=[(-_I_K, (PX1 + j, E))]))
-        rel[f"[K{j+1},P0]"] = (gen(K1 + j), gen(P0), gen(PX1 + j).scale(I))
+        rel[f"[K{j+1},E]"] = (gen(K1 + j), gen(E), Element(words=[(_NEG_I_K, (PX1 + j, E))]))
+        rel[f"[K{j+1},P0]"] = (gen(K1 + j), gen(P0), gen(PX1 + j).scale(_I))
         for k in range(3):
             words = [(_I_K, (PX1 + j, PX1 + k))]
             if j == k:
                 words.append((_NEG_I_HALF_K, ()))
                 words.append((_I_HALF_K, (E, E)))
                 for l in range(3):
-                    words.append((-_I_HALF_INV_K, (PX1 + l, PX1 + l)))
+                    words.append((_NEG_I_HALF_INV_K, (PX1 + l, PX1 + l)))
             rel[f"[P{j+1},K{k+1}]"] = (gen(PX1 + j), gen(K1 + k), Element(words=words))
     return rel
 
@@ -378,7 +381,7 @@ def bialgebra_compat_check(name: str, relations: dict) -> dict:
 
 def exp_series_E(order: int) -> Element:
     """Truncated series of e^{-P0/kappa} as an element in P0 powers."""
-    return Element({(P0,) * n: KScalar.make(Fraction((-1) ** n, factorial(n)), 0, -n)
+    return Element({((P0,) * n, -n): _q(Fraction((-1) ** n, factorial(n)))
                     for n in range(order + 1)})
 
 
@@ -388,7 +391,7 @@ def e_series_consistency(order: int) -> bool:
         sN = exp_series_E(order)
         sN1 = exp_series_E(order - 1)
         lhs = commutator_element(gen(K1 + j), sN)
-        rhs = (gen(PX1 + j) * sN1).scale(-_I_K)
+        rhs = (gen(PX1 + j) * sN1).scale(_NEG_I_K)
         if not (lhs - rhs).is_zero():
             return False
     return True

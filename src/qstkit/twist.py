@@ -1,12 +1,12 @@
 """Drinfel'd twists over a free abelian algebra, exact and order-truncated.
 
 The twist engine works with tensor powers of the polynomial algebra on two
-commuting primitive generators X, Y.  Coefficients are polynomials in the
-formal deformation symbol kbar, truncated at a tracked order N, with exact
-Gaussian-rational coefficients.  It verifies the 2-cocycle and
-normalization conditions, builds the R-matrix F21 F^{-1}, and checks
-triangularity, quantum Yang-Baxter and the braided commutativity of the
-twisted product on a polynomial module.
+commuting primitive generators X, Y.  Each term is keyed by its monomial and
+its power of the formal deformation symbol kbar, with an exact
+Gaussian-rational coefficient; powers above a tracked order N are dropped.
+It verifies the 2-cocycle and normalization conditions, builds the R-matrix
+F21 F^{-1}, and checks triangularity, quantum Yang-Baxter and the braided
+commutativity of the twisted product on a polynomial module.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-# KScalar, ONE, ZERO and I are re-exported for callers of this module
-from .polyfield import I, ONE, ZERO, KScalar, Sparse  # noqa: F401
+from .polyfield import _ONE, Sparse, _mul, _q
+
+_I_KBAR = (1, (0, 1, 1))  # i kbar, as a (kbar power, coefficient) pair
 
 
 class TSeries(Sparse):
     """n-fold tensor of the abelian algebra, kbar-truncated at a fixed order.
 
-    Keys are tuples of exponent pairs ((aX, aY), ...), one pair per slot.
-    """
+    Keys are (((aX, aY), ...) with one exponent pair per slot, kbar power)."""
 
     __slots__ = ("n", "order")
 
@@ -35,27 +35,24 @@ class TSeries(Sparse):
         return TSeries(self.n, self.order, pairs)
 
     def _key_mul(self, k1, k2):
-        return ((tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(k1, k2)), ONE),)
+        return (((tuple((a1 + a2, b1 + b2) for (a1, b1), (a2, b2) in zip(k1, k2)), 0), _ONE),)
 
     @staticmethod
     def unit(n, order):
-        return TSeries(n, order, {(((0, 0),) * n): ONE})
-
-    def constant_part(self):
-        """The kbar^0 component."""
-        return self.order_component(0)
+        return TSeries(n, order, {(((0, 0),) * n, 0): _ONE})
 
     def order_component(self, m):
-        return self._like((k, c.truncated(m, m)) for k, c in self.terms.items())
+        """The kbar^m component."""
+        return self._like(t for t in self.terms.items() if t[0][1] == m)
 
-    def _show(self, key, coef):
+    def _show(self, key, power, coef):
         mono = " ⊗ ".join(("X^%d Y^%d" % (a, b)).replace("X^0 ", "").replace(" Y^0", "") or "1"
                           for a, b in key)
-        return f"[{coef}]({mono})"
+        return super()._show(f"({mono})", power, coef)
 
 
 def _power_series(t: TSeries, coef) -> TSeries:
-    """1 + sum_k coef(k) t^k for k = 1..order, stopping once t^k vanishes."""
+    """1 + sum_k coef(k) t^k for k = 1..order, stopping once t^k vanishes; coef(k) is a scalar."""
     out = power = TSeries.unit(t.n, t.order)
     for k in range(1, t.order + 1):
         power = power * t
@@ -67,37 +64,37 @@ def _power_series(t: TSeries, coef) -> TSeries:
 
 def exp_series(t: TSeries) -> TSeries:
     """exp of a series with vanishing kbar^0 part (nilpotent by truncation)."""
-    if not t.constant_part().is_zero():
+    if not t.order_component(0).is_zero():
         raise ValueError("exp needs a series of order O(kbar)")
-    return _power_series(t, lambda k: KScalar.make(Fraction(1, factorial(k))))
+    return _power_series(t, lambda k: (0, _q(Fraction(1, factorial(k)))))
 
 
 def series_inverse(F: TSeries) -> TSeries:
     """Neumann inverse of 1 + O(kbar); fails on a non-unit constant term."""
     unit = TSeries.unit(F.n, F.order)
-    if not (F.constant_part() - unit).is_zero():
+    if not (F.order_component(0) - unit).is_zero():
         raise ValueError("series is not invertible: constant term is not 1")
-    return _power_series(F - unit, lambda k: KScalar.make((-1) ** k))
+    return _power_series(F - unit, lambda k: (0, ((-1) ** k, 0, 1)))
 
 
 # Hopf structure of the free abelian algebra (X, Y primitive) ----------------
 
 def delta_mono(a, b, order):
     """Delta(X^a Y^b) as a 2-tensor (binomial expansion of primitives)."""
-    return TSeries(2, order, {((i, j), (a - i, b - j)): KScalar.make(comb(a, i) * comb(b, j))
+    return TSeries(2, order, {(((i, j), (a - i, b - j)), 0): (comb(a, i) * comb(b, j), 0, 1)
                               for i in range(a + 1) for j in range(b + 1)})
 
 
 def apply_delta(T: TSeries, slot: int) -> TSeries:
     """Coproduct applied to one slot: n-tensor -> (n+1)-tensor."""
-    return T.map_keys(lambda k: [(k[:slot] + k2 + k[slot + 1:], c) for k2, c in
+    return T.map_keys(lambda k: [((k[:slot] + k2 + k[slot + 1:], n), c) for (k2, n), c in
                                  delta_mono(*k[slot], T.order).terms.items()],
                       TSeries(T.n + 1, T.order))
 
 
 def apply_counit(T: TSeries, slot: int) -> TSeries:
     """Counit on one slot: keeps only terms with the trivial monomial there."""
-    return T.map_keys(lambda k: [(k[:slot] + k[slot + 1:], ONE)] if k[slot] == (0, 0) else [],
+    return T.map_keys(lambda k: [((k[:slot] + k[slot + 1:], 0), _ONE)] if k[slot] == (0, 0) else [],
                       TSeries(T.n - 1, T.order))
 
 
@@ -107,21 +104,20 @@ def embed(T: TSeries, slots, n: int) -> TSeries:
         out = [(0, 0)] * n
         for pos, s in zip(slots, key):
             out[pos] = s
-        return ((tuple(out), ONE),)
+        return (((tuple(out), 0), _ONE),)
     return T.map_keys(place, TSeries(n, T.order))
 
 
 def flip(T: TSeries) -> TSeries:
     assert T.n == 2
-    return T.map_keys(lambda k: ((k[::-1], ONE),))
+    return T.map_keys(lambda k: (((k[::-1], 0), _ONE),))
 
 
 # twists ---------------------------------------------------------------------
 
 def abelian_twist(order: int) -> TSeries:
     """F = exp(i kbar X ⊗ Y) truncated at the given order."""
-    t = TSeries(2, order, {((1, 0), (0, 1)): KScalar.make(0, 1, 1)})
-    return exp_series(t)
+    return exp_series(TSeries(2, order, {(((1, 0), (0, 1)), 0): _ONE}).scale(_I_KBAR))
 
 
 def twist_check(F: TSeries) -> dict:
@@ -133,7 +129,7 @@ def twist_check(F: TSeries) -> dict:
     cocycle = diff.is_zero()
     norm_l = apply_counit(F, 0) - TSeries.unit(1, order)
     norm_r = apply_counit(F, 1) - TSeries.unit(1, order)
-    semiclassical = (F.constant_part() - TSeries.unit(2, order)).is_zero()
+    semiclassical = (F.order_component(0) - TSeries.unit(2, order)).is_zero()
     per_order = [diff.order_component(m).is_zero() for m in range(order + 1)]
     return {
         "order": order,
@@ -177,7 +173,8 @@ def twisted_structures(F: TSeries) -> dict:
 class ModulePoly(Sparse):
     """Polynomial in u, v with kbar-series coefficients; X acts as d/du, Y as d/dv.
 
-    Keys are exponent pairs (a, b) of u^a v^b; `*` is the pointwise product.
+    Keys are (exponent pair (a, b) of u^a v^b, kbar power); `*` is the
+    pointwise product.
     """
 
     __slots__ = ("order",)
@@ -190,11 +187,11 @@ class ModulePoly(Sparse):
         return ModulePoly(self.order, pairs)
 
     def _key_mul(self, k1, k2):
-        return (((k1[0] + k2[0], k1[1] + k2[1]), ONE),)
+        return ((((k1[0] + k2[0], k1[1] + k2[1]), 0), _ONE),)
 
     @staticmethod
     def monomial(order, a, b):
-        return ModulePoly(order, {(a, b): ONE})
+        return ModulePoly(order, {((a, b), 0): _ONE})
 
     def act(self, nx, ny):
         """(d/du)^nx (d/dv)^ny."""
@@ -202,20 +199,28 @@ class ModulePoly(Sparse):
             fac = perm(k[0], nx) * perm(k[1], ny)  # 0 when the power is too low
             if not fac:
                 return ()
-            return (((k[0] - nx, k[1] - ny), ONE if fac == 1 else KScalar.make(fac)),)
+            return ((((k[0] - nx, k[1] - ny), 0), _ONE if fac == 1 else (fac, 0, 1)),)
         return self.map_keys(d)
 
 
-def _star_pairs(F_inv: TSeries, f: ModulePoly, g: ModulePoly, coef=ONE):
-    """The (key, coefficient) pairs of coef (f * g), one star-product term at a time."""
+def _star_pairs(F_inv: TSeries, f: ModulePoly, g: ModulePoly, coef=(0, _ONE)):
+    """The ((key, power), coefficient) pairs of coef (f * g), one star-product term at a time.
+
+    `coef` is a (kbar power, coefficient) pair; powers above the order are skipped.
+    """
     order = f.order
-    for ((ax, ay), (bx, by)), c in F_inv.terms.items():
+    n0, c0 = coef
+    for (((ax, ay), (bx, by)), n), c in F_inv.terms.items():
+        n += n0
+        if n > order:
+            continue
         fa = f.act(ax, ay)
         if fa.is_zero():
             continue
-        c = c if coef is ONE else c.times(coef, order)
-        for k, kc in (fa * g.act(bx, by)).terms.items():
-            yield k, kc.times(c, order)
+        c = c if c0 is _ONE else _mul(c, c0)
+        for (k, m), kc in (fa * g.act(bx, by)).terms.items():
+            if m + n <= order:
+                yield (k, m + n), _mul(kc, c)
 
 
 def star_product(F_inv: TSeries, f: ModulePoly, g: ModulePoly) -> ModulePoly:
@@ -237,8 +242,8 @@ def braided_commutativity_check(Finv: TSeries, Rinv: TSeries) -> bool:
             f = ModulePoly.monomial(order, a1, b1)
             g = ModulePoly.monomial(order, a2, b2)
             lhs = star_product(Finv, f, g)
-            rhs = ModulePoly(order, (p for ((rx, ry), (sx, sy)), coef in Rinv.terms.items()
-                                     for p in _star_pairs(Finv, g.act(rx, ry), f.act(sx, sy), coef)))
+            rhs = ModulePoly(order, (p for (((rx, ry), (sx, sy)), n), c in Rinv.terms.items()
+                                     for p in _star_pairs(Finv, g.act(rx, ry), f.act(sx, sy), (n, c))))
             if not (lhs - rhs).is_zero():
                 return False
     return True

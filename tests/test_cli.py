@@ -618,6 +618,61 @@ def test_cli_gauge_sw_bad_input_exit_2(field, tmp_path, capsys):
     test_cli_group_bad_input_exit_2(["gauge", "sw", "--input", str(path)], capsys)
 
 
+# coefficients that Fraction cannot build, or could only build as a 10^|e| integer
+UNREADABLE_COEFFICIENTS = [
+    ({"re": "1/0"}, "/0/0/re"),
+    ({"re": 1, "im": "-5/0"}, "/0/0/im"),
+    ({"re": "1e999999999"}, "/0/0/re"),
+    ({"re": "1e-999999999"}, "/0/0/re"),
+    ({"re": "2", "im": "1E+9_999_999"}, "/0/0/im"),
+]
+
+
+def test_cli_gauge_sw_unreadable_coefficient_exit_2(tmp_path):
+    """Each bad coefficient gives exit 2 and one `error:` line naming its key path, at once.
+
+    The commands run in one fresh process with a time limit, so a parser that
+    builds 10^999999999 fails the test instead of stalling the suite.
+    """
+    paths = []
+    for i, (term, _) in enumerate(UNREADABLE_COEFFICIENTS):
+        path = tmp_path / f"field{i}.json"
+        path.write_text(json.dumps([[{"exp": [1, 0, 0, 0], **term}]]))
+        paths.append(str(path))
+    code = ("import contextlib, io, json, sys\n"
+            "from qstkit import cli\n"
+            "out = []\n"
+            "for path in sys.argv[1:]:\n"
+            "    o, e = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):\n"
+            "        rc = cli.main(['gauge', 'sw', '--input', path])\n"
+            "    out.append([rc, o.getvalue(), e.getvalue()])\n"
+            "print(json.dumps(out))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for (rc, out, err), (term, where) in zip(json.loads(proc.stdout), UNREADABLE_COEFFICIENTS):
+        assert rc == 2 and out == "", term
+        assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("value", [
+    "41/9", "-29/12", "0", "7", "-1/8", 0, -3, 2 ** 80, 0.1, -2.5, 1e300, -1.5e-320, 5e-324,
+    1.7976931348623157e308, 123.456e-7, "2e-3", "1.25", "1e1000", "-1E-1000",
+])
+def test_cli_gauge_sw_coefficients_parse_exactly(value):
+    """What `poly_field_to_jsonable` writes, and any finite JSON number, reads as Fraction(str(value))."""
+    from qstkit import gauge as GA
+    doc = json.dumps([[{"exp": [1, 0, 0, 0], "re": value, "im": value}]])
+    field = GA.poly_field_from_json(doc)
+    want = Fraction(str(json.loads(doc)[0][0]["re"]))
+    assert field.components[0].coefficient((1, 0, 0, 0)) == (want, want)
+    again = GA.poly_field_from_json(json.dumps(GA.poly_field_to_jsonable(field)))
+    assert again.components[0] == field.components[0]
+
+
 def test_cli_causality_largest_grid(capsys):
     assert cli.main(["causality", "--grid", "8192", "--v", "0:0.5:0.5"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

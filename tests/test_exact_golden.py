@@ -2,8 +2,10 @@
 
 The Hopf and twist engines and the Seiberg-Witten map compute in exact
 arithmetic, so their printed results are fixed bytes.  The digests below
-were taken from the Fraction-coefficient `KScalar`; any later change of
-the scalar type, the containers or the interpreter must reproduce them.
+were first taken from a nested container (basis keys to Laurent
+polynomials in the scale with Fraction coefficients) and held unchanged
+through the flat (key, power) container; any later change of the scalar
+type, the containers or the interpreter must reproduce them.
 """
 
 import hashlib

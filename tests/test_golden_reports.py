@@ -1,0 +1,134 @@
+"""Byte-for-byte golden reports of the CLI.
+
+Each case in `CASES` is a command line whose stdout, stderr and exit code
+are stored in `tests/golden/<name>.json`, together with the numpy version,
+Python version and platform they were recorded on.  The test runs every
+case through `cli.main(argv)` in this process, and the cases in `FRESH`
+also through the console entry point in a fresh interpreter, so the import
+path is covered too.  A mismatch prints each changed row (id, old and new
+`passed`, residual and detail), or the first differing lines of a report
+without rows, and names a changed numpy version; it never skips.
+
+`python tests/golden/regenerate.py` rewrites the files from the working
+tree.  A change that regenerates them lists every changed row, with its
+reason, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import difflib
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+# name -> argv; "{golden}" stands for the directory of the stored files
+CASES = {
+    **{f"suite-all-seed{s}": ["suite", "all", "--seed", str(s)] for s in range(5)},
+    "suite-all-seed0-csv": ["suite", "all", "--seed", "0", "--format", "csv"],
+    "hopf-check": ["hopf", "check"],
+    "hopf-check-csv": ["hopf", "check", "--format", "csv"],
+    "suite-twist": ["suite", "twist"],
+    "suite-gauge": ["suite", "gauge"],
+    "gauge-sw": ["gauge", "sw"],
+    "gauge-sw-input": ["gauge", "sw", "--input", "{golden}/sw_field.json"],
+    "gauge-dim-scan": ["gauge", "dim-scan"],
+}
+FRESH = ("suite-all-seed0", "gauge-sw-input")
+
+_ENTRY = "import sys; from qstkit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def argv_of(name: str) -> list:
+    return [a.replace("{golden}", str(GOLDEN)) for a in CASES[name]]
+
+
+def run_in_process(name: str) -> dict:
+    from qstkit import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv_of(name))
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def run_fresh(name: str) -> dict:
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ENTRY, *argv_of(name)], env=env, cwd=ROOT,
+                          capture_output=True, timeout=120)
+    # bytes decoded by hand: text mode would turn the CSV's \r\n into \n
+    return {"stdout": proc.stdout.decode(), "stderr": proc.stderr.decode(), "exit": proc.returncode}
+
+
+def environment() -> dict:
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "platform": platform.platform()}
+
+
+def load(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def _rows(text: str) -> dict:
+    """The report rows of a JSON or CSV report by (suite, check); {} for a report without rows."""
+    try:
+        rows = json.loads(text).get("rows")
+    except (ValueError, AttributeError):
+        rows = list(csv.DictReader(io.StringIO(text))) if text.startswith("suite,check,") else None
+    return {(r["suite"], r["check"]): r for r in rows} if isinstance(rows, list) else {}
+
+
+def explain(name: str, want: dict, got: dict) -> str:
+    """What differs between a stored case and a fresh run, row by row where there are rows."""
+    lines = [f"golden case {name!r} ({' '.join(CASES[name])}) differs:"]
+    env = environment()
+    if want["numpy"] != env["numpy"]:
+        lines.append(f"  numpy changed: recorded with {want['numpy']}, running {env['numpy']}")
+    if want["exit"] != got["exit"]:
+        lines.append(f"  exit code {want['exit']} -> {got['exit']}")
+    if want["stderr"] != got["stderr"]:
+        lines.append(f"  stderr {want['stderr']!r} -> {got['stderr']!r}")
+    if want["stdout"] != got["stdout"]:
+        old, new = _rows(want["stdout"]), _rows(got["stdout"])
+        changed = [k for k in [*old, *(k for k in new if k not in old)] if old.get(k) != new.get(k)]
+        for key in changed:
+            show = [(r["passed"], r["residual"], r["detail"]) if r else None
+                    for r in (old.get(key), new.get(key))]
+            lines.append(f"  row {key[0]}/{key[1]}: (passed, residual, detail) "
+                         f"{show[0]} -> {show[1]}")
+        if not changed:  # a report without rows, or a change outside them
+            diff = difflib.unified_diff(want["stdout"].splitlines(), got["stdout"].splitlines(),
+                                        "golden", "now", n=1, lineterm="")
+            lines += ["  " + ln for ln in list(diff)[:40]]
+    return "\n".join(lines)
+
+
+def _same(want: dict, got: dict) -> bool:
+    return all(want[k] == got[k] for k in ("stdout", "stderr", "exit"))
+
+
+def test_every_case_is_stored():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p.stem != "sw_field") == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    want, got = load(name), run_in_process(name)
+    assert _same(want, got), explain(name, want, got)
+
+
+@pytest.mark.parametrize("name", FRESH)
+def test_fresh_process_report_matches_golden(name):
+    want, got = load(name), run_fresh(name)
+    assert _same(want, got), explain(name, want, got)

@@ -1,9 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from qstkit import twist as T
-from qstkit.hopf_algebra import KScalar
+
+# coefficients as (re, im, d) triples; keys carry the kbar power
+ONE, MINUS_ONE, I, MINUS_I = (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)
 
 
 def test_cocycle_both_sides_equal_exponential():
@@ -12,9 +12,9 @@ def test_cocycle_both_sides_equal_exponential():
     rhs = T.embed(F, (1, 2), 3) * T.apply_delta(F, 1)
     assert (lhs - rhs).is_zero()
     t3 = T.TSeries(3, 3, {
-        ((1, 0), (0, 1), (0, 0)): KScalar({1: (Fraction(0), Fraction(1))}),
-        ((1, 0), (0, 0), (0, 1)): KScalar({1: (Fraction(0), Fraction(1))}),
-        ((0, 0), (1, 0), (0, 1)): KScalar({1: (Fraction(0), Fraction(1))}),
+        (((1, 0), (0, 1), (0, 0)), 1): I,
+        (((1, 0), (0, 0), (0, 1)), 1): I,
+        (((0, 0), (1, 0), (0, 1)), 1): I,
     })
     assert (lhs - T.exp_series(t3)).is_zero()
 
@@ -34,11 +34,11 @@ def test_normalization_and_order0():
     F = T.abelian_twist(4)
     assert (T.apply_counit(F, 0) - T.TSeries.unit(1, 4)).is_zero()
     assert (T.apply_counit(F, 1) - T.TSeries.unit(1, 4)).is_zero()
-    assert (F.constant_part() - T.TSeries.unit(2, 4)).is_zero()
+    assert (F.order_component(0) - T.TSeries.unit(2, 4)).is_zero()
 
 
 def test_non_invertible_series_rejected():
-    bad = T.TSeries(2, 3, {((1, 0), (0, 1)): T.ONE})  # zero constant term
+    bad = T.TSeries(2, 3, {(((1, 0), (0, 1)), 0): ONE})  # zero constant term
     with pytest.raises(ValueError):
         T.series_inverse(bad)
     with pytest.raises(ValueError):
@@ -49,8 +49,8 @@ def test_R_matrix_closed_form():
     F = T.abelian_twist(4)
     st = T.twisted_structures(F)
     gen = T.TSeries(2, 4, {
-        ((0, 1), (1, 0)): KScalar({1: (Fraction(0), Fraction(1))}),
-        ((1, 0), (0, 1)): KScalar({1: (Fraction(0), Fraction(-1))}),
+        (((0, 1), (1, 0)), 1): I,
+        (((1, 0), (0, 1)), 1): MINUS_I,
     })
     assert (st["R"] - T.exp_series(gen)).is_zero()
 
@@ -70,14 +70,14 @@ def _twisted_coproduct(F, a, b):
 
 def _chi(F):
     """chi = m(id ⊗ S)(F), with S(X^a Y^b) = (-1)^{a+b} X^a Y^b on the right slot."""
-    return F.map_keys(lambda k: ((((k[0][0] + k[1][0], k[0][1] + k[1][1]),),
-                                  KScalar.make((-1) ** sum(k[1]))),), T.TSeries(1, F.order))
+    return F.map_keys(lambda k: (((((k[0][0] + k[1][0], k[0][1] + k[1][1]),), 0),
+                                  ((-1) ** sum(k[1]), 0, 1)),), T.TSeries(1, F.order))
 
 
 def _twisted_antipode(F, a, b):
     """S^F(X^a Y^b) = chi S(X^a Y^b) chi^{-1}."""
     chi = _chi(F)
-    base = T.TSeries(1, F.order, {((a, b),): KScalar.make((-1) ** (a + b))})
+    base = T.TSeries(1, F.order, {(((a, b),), 0): ((-1) ** (a + b), 0, 1)})
     return chi * base * T.series_inverse(chi)
 
 
@@ -99,11 +99,11 @@ def test_twisted_coproduct_commuting_generators():
 def test_chi_and_twisted_antipode():
     F = T.abelian_twist(4)
     # chi = exp(-i kbar X Y) on the single-slot algebra
-    gen = T.TSeries(1, 4, {((1, 1),): KScalar({1: (Fraction(0), Fraction(-1))})})
+    gen = T.TSeries(1, 4, {(((1, 1),), 1): MINUS_I})
     assert (_chi(F) - T.exp_series(gen)).is_zero()
     # S^F on primitives X, Y still flips sign (chi commutes with X and Y)
     sX = _twisted_antipode(F, 1, 0)
-    assert (sX - T.TSeries(1, 4, {((1, 0),): KScalar.make(-1)})).is_zero()
+    assert (sX - T.TSeries(1, 4, {(((1, 0),), 0): MINUS_ONE})).is_zero()
 
 
 def test_star_product_on_module_matches_hand_expansion():
@@ -114,12 +114,12 @@ def test_star_product_on_module_matches_hand_expansion():
     g = T.ModulePoly.monomial(order, 0, 1)
     prod = T.star_product(Finv, f, g)
     expect = T.ModulePoly(order, {
-        (1, 1): T.ONE,
-        (0, 0): KScalar({1: (Fraction(0), Fraction(-1))}),
+        ((1, 1), 0): ONE,
+        ((0, 0), 1): MINUS_I,
     })
     assert (prod - expect).is_zero()
 
 
 def test_semiclassical_r_matrix():
     st = T.twisted_structures(T.abelian_twist(4))
-    assert (st["R"].constant_part() - T.TSeries.unit(2, 4)).is_zero()
+    assert (st["R"].order_component(0) - T.TSeries.unit(2, 4)).is_zero()
