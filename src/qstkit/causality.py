@@ -15,7 +15,8 @@ derivative by FFT or by shifted slices, the multiplication operators as
 vectors, and the cone form through its separable rank-one expansion.  No
 path builds an n x n array.  Each seeded family is drawn in one `uniform`
 call and built in one broadcast `gaussian_state` call, and the cone form
-is an `np.einsum` contraction: nothing here calls (threaded) BLAS.
+and the spin action are `np.einsum` contractions: nothing here calls
+(threaded) BLAS.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def lorentzian_axiom_check(grid: GridSpec, kappa: float, seed: int = 0) -> dict:
     phi[0, :, :m] = psi  # (1, 0) x psi
     phi[1, :, m:] = psi  # (0, 1) x psi
 
-    def spin(x):
-        return np.tensordot(Imat, x, axes=1)
+    def spin(x):  # einsum runs numpy's own loops; tensordot would call threaded zgemm
+        return np.einsum("ij,j...->i...", Imat, x)
 
     res = (_dirac_apply(grid, kappa, spin(phi), adjoint=True)
            + spin(_dirac_apply(grid, kappa, phi)))

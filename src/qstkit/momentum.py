@@ -135,13 +135,22 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
         """Delta(p) = e^{d p0/kappa}."""
         return np.exp(d * np.asarray(p)[..., 0] / kappa)
 
+    # column by column: the same float operations as one broadcast, without its temporaries
     def kadd(p, q):
         p, q = np.asarray(p), np.asarray(q)
-        return p + np.concatenate((q[..., :1], np.exp(-p[..., :1] / kappa) * q[..., 1:]), axis=-1)
+        e = np.exp(-p[..., 0] / kappa)
+        out = np.add(p, q, dtype=np.result_type(p, q, e))
+        for j in range(1, out.shape[-1]):
+            out[..., j] = p[..., j] + e * q[..., j]
+        return out
 
     def kinv(p):
         p = np.asarray(p)
-        return -np.concatenate((p[..., :1], np.exp(p[..., :1] / kappa) * p[..., 1:]), axis=-1)
+        e = np.exp(p[..., 0] / kappa)
+        out = np.negative(p, dtype=np.result_type(p, e))
+        for j in range(1, out.shape[-1]):
+            np.negative(e * p[..., j], out=out[..., j])
+        return out
 
     return GroupDescriptor(
         name="kappa_minkowski", dim=d + 1, structure=sc,

@@ -8,10 +8,12 @@ out-of-truncation indices are rejected, never projected, so the algebra
 stays exactly associative.  The diagonal family {f_mm} realizes the
 noncommutative partition of unity on this algebra.
 
-Every element is held as its support, (rows, cols, vals) arrays.  The
-product of two supports joins the first one's columns with the second
-one's rows, so checks on basis elements cost O(support), not O(N^3), and
-no product goes through BLAS.
+Every element is held as its support, (rows, cols, vals) arrays, in
+strictly increasing key order rows·N + cols.  The product of two supports
+joins the first one's columns with the second one's row ranges, so checks
+on basis elements cost O(support), not O(N^3), and no product goes
+through BLAS.  Two supports are compared and paired by matching their
+sorted keys, with no re-sort.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ class TruncationError(IndexError):
 class TruncatedElement:
     """An algebra element at truncation N, with theta.
 
-    It is sum_i vals[i] f_{rows[i] cols[i]} with each (row, col) pair once
-    and no zero value.  Built from any support: repeated (row, col) pairs
-    are summed and zeros dropped; an index outside the truncation or a
-    value that is not finite is rejected.
+    It is sum_i vals[i] f_{rows[i] cols[i]} with each (row, col) pair once,
+    in strictly increasing key order rows·N + cols, and no zero value.
+    Built from any support: the pairs are sorted, repeated pairs summed and
+    zeros dropped; an index outside the truncation or a value that is not
+    finite is rejected.  Every operation keeps the key order.
     """
 
     __slots__ = ("theta", "N", "rows", "cols", "vals")
@@ -61,10 +64,10 @@ def _support(theta, N, rows, cols, vals):
 
 
 def _summed(rows, cols, vals, N):
-    """The support (rows, cols, vals) with repeated pairs summed and zeros dropped."""
-    if len(vals) > 1:
+    """The support (rows, cols, vals) in key order, repeated pairs summed and zeros dropped."""
+    keys = rows * N + cols
+    if np.any(keys[1:] <= keys[:-1]):
         # a stable sort keeps each pair's terms in their given order, and they sum in it
-        keys = rows * N + cols
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         first = np.concatenate(([True], keys[1:] != keys[:-1]))
@@ -77,10 +80,23 @@ def _summed(rows, cols, vals, N):
     return rows[keep], cols[keep], vals[keep]
 
 
+def _matched(a: TruncatedElement, b: TruncatedElement):
+    """(ia, ib): the positions in a and in b of their common keys, in key order."""
+    ka, kb = a.rows * a.N + a.cols, b.rows * b.N + b.cols
+    ib = np.searchsorted(kb, ka)
+    hit = ib < len(kb)
+    hit[hit] = kb[ib[hit]] == ka[hit]
+    return np.flatnonzero(hit), ib[hit]
+
+
 def _max_diff(a: TruncatedElement, b: TruncatedElement) -> float:
     """max |a_mn - b_mn| over the union of the supports."""
-    _, _, d = _summed(np.concatenate([a.rows, b.rows]), np.concatenate([a.cols, b.cols]),
-                      np.concatenate([a.vals, -b.vals]), a.N)
+    if np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols):
+        return float(np.max(np.abs(a.vals - b.vals), initial=0.0))
+    ia, ib = _matched(a, b)
+    d = np.concatenate((a.vals, -b.vals))  # a's entries, then b's negated
+    d[ia] -= b.vals[ib]  # a common key holds a_mn - b_mn in a's slot
+    d[len(a.vals) + ib] = 0  # and nothing in b's
     return float(np.max(np.abs(d), initial=0.0))
 
 
@@ -97,25 +113,24 @@ def star(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """
     if a.N != b.N:
         raise ValueError(f"truncation mismatch: {a.N} vs {b.N}")
-    order = np.argsort(b.rows, kind="stable")
-    b_rows = b.rows[order]
-    lo = np.searchsorted(b_rows, a.cols, "left")
-    counts = np.searchsorted(b_rows, a.cols, "right") - lo
+    ptr = np.searchsorted(b.rows, np.arange(b.N + 1))  # b's row n is b[ptr[n]:ptr[n + 1]]
+    lo = ptr[a.cols]
+    counts = ptr[a.cols + 1] - lo
     ia = np.repeat(np.arange(len(a.vals)), counts)
-    ib = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    ib = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     return _support(a.theta, a.N, *_summed(a.rows[ia], b.cols[ib], a.vals[ia] * b.vals[ib], a.N))
 
 
 def dagger(a: TruncatedElement) -> TruncatedElement:
-    return _support(a.theta, a.N, a.cols, a.rows, a.vals.conj())
+    order = np.argsort(a.cols * a.N + a.rows)  # the transpose, back in key order
+    return _support(a.theta, a.N, a.cols[order], a.rows[order], a.vals[order].conj())
 
 
 def trace_pairing(a: TruncatedElement, b: TruncatedElement) -> complex:
     """∫ a^dagger * b = 2 pi theta sum_mn conj(a_mn) b_mn."""
     if a.N != b.N:
         raise ValueError("truncation mismatch")
-    _, ia, ib = np.intersect1d(a.rows * a.N + a.cols, b.rows * b.N + b.cols,
-                               assume_unique=True, return_indices=True)
+    ia, ib = _matched(a, b)
     return 2 * math.pi * a.theta * complex(np.sum(np.conj(a.vals[ia]) * b.vals[ib]))
 
 

@@ -103,6 +103,11 @@ def _merge(moms, amps, labels):
     return _nonzero(moms, amps, labels)
 
 
+def _abs_max(X):
+    """max |X| over the short last axis, column by column; a NaN propagates, as in .max."""
+    return reduce(np.maximum, np.moveaxis(np.abs(X), -1, 0))
+
+
 def _check_rows(group, moms, amps, labels, count):
     """Rows of a stack: (n, dim) momenta, n amplitudes and n labels in [0, count)."""
     if moms.shape != (len(amps), group.dim) or labels.shape != amps.shape:
@@ -315,15 +320,17 @@ class DeltaSum:
     def _normal_form(self, W, amps, labels):
         """{L: (words, amplitudes, labels)} for the (m, L, dim) words W."""
         dim, words = self.group.dim, {}
-        nonzero = ~(np.abs(W).max(axis=-1) <= MERGE_TOL)  # zero atoms drop out of their word
+        nonzero = ~(_abs_max(W) <= MERGE_TOL)  # zero atoms drop out of their word
         length = nonzero.sum(axis=1)
-        for L in np.unique(length).tolist():
+        for L in np.flatnonzero(np.bincount(length)).tolist():
             rows = length == L
-            V = W[rows][nonzero[rows]].reshape(np.count_nonzero(rows), L, dim)
+            V = W[rows]
+            if L < W.shape[1]:  # drop the zero atoms; a full-length word has none
+                V = V[nonzero[rows]].reshape(len(V), L, dim)
             a, lab = amps[rows], labels[rows]
             if L:
                 value = reduce(self.group.add, V.swapaxes(0, 1))
-                on = ~(np.abs(value).max(axis=-1) > SUPPORT_TOL)  # a NaN value stays in the sum
+                on = ~(_abs_max(value) > SUPPORT_TOL)  # a NaN value stays in the sum
                 V, a, lab = V[on], a[on], lab[on]
             if L > 1:
                 V, a = self._canonical_rotation(V, a)

@@ -735,6 +735,21 @@ def test_no_cli_command_loads_scipy():
     assert proc.stdout.split() == [w for argv in commands for w in (argv[0], "False")]
 
 
+def test_suite_all_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 14 ms in a fresh
+    # process: the report path does without it
+    code = ("import contextlib, io, sys\n"
+            "from qstkit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['suite', 'all'])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "0 False\n"
+
+
 @pytest.mark.parametrize("caller, expect", [(None, "4"), ("28", "28")])
 def test_import_sets_the_blas_thread_timeout_before_numpy(caller, expect):
     # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT when numpy loads it, so the value
@@ -765,7 +780,11 @@ def test_import_sets_the_blas_thread_timeout_before_numpy(caller, expect):
     # the matrix kernels at kernel_scale's size
     ("from qstkit.moyal_matrix import identity_checks, partition_check",
      "identity_checks(256); partition_check(256)"),
-], ids=["suite-all", "matrix-n256"])
+    # the causality kernels at kernel_scale's size
+    ("from qstkit.causality import GridSpec, cone_condition, lorentzian_axiom_check\n"
+     "grid = GridSpec(1024, 10.0)",
+     "lorentzian_axiom_check(grid, 1.0); cone_condition(grid, 1.0, 1, 1.0, 0.5)"),
+], ids=["suite-all", "matrix-n256", "causality-n1024"])
 def test_suite_all_makes_no_threaded_blas_call(setup, call):
     # With numpy loaded first, OpenBLAS keeps its default thread timeout, so a
     # threaded call leaves an idle worker spinning for about 0.13 s: process

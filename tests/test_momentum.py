@@ -608,3 +608,34 @@ def test_su2_law_allocates_no_more_than_oracle():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+# the kappa-Minkowski law column by column against its one-broadcast formula ---
+
+def _kappa_add_broadcast(kappa, p, q):
+    return p + np.concatenate((q[..., :1], np.exp(-p[..., :1] / kappa) * q[..., 1:]), axis=-1)
+
+
+def _kappa_inv_broadcast(kappa, p):
+    return -np.concatenate((p[..., :1], np.exp(p[..., :1] / kappa) * p[..., 1:]), axis=-1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("lead", [(), (50,), (6, 5)], ids=["one", "stack", "stencil"])
+@pytest.mark.parametrize("kind", ["float", "complex", "int", "float32"])
+def test_kappa_law_equals_the_broadcast_formula_bit_for_bit(d, lead, kind):
+    rng = np.random.default_rng(d + len(lead))
+    for kappa in (1.0, 0.37):
+        g = group_preset("kappa_minkowski", kappa=kappa, d=d)
+        p, q = (rng.normal(size=lead + (d + 1,)) * 3 for _ in range(2))
+        if kind == "complex":
+            p = p + 1j * rng.normal(size=p.shape)
+        elif kind == "int":
+            p, q = np.rint(p).astype(int), np.rint(q).astype(int)
+        elif kind == "float32":
+            p, q = p.astype(np.float32), q.astype(np.float32)
+        for new, old in ((g.add(p, q), _kappa_add_broadcast(kappa, p, q)),
+                         (g.add(q, p), _kappa_add_broadcast(kappa, q, p)),
+                         (g.inv(p), _kappa_inv_broadcast(kappa, p))):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert np.array_equal(new, old)

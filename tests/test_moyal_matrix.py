@@ -211,3 +211,59 @@ def test_associativity_sees_a_wrong_product(wrong, N, monkeypatch):
     assert MM.identity_checks(N, 1.0)["associativity"] == 0.0
     monkeypatch.setattr(MM, "star", star)
     assert MM.identity_checks(N, 1.0)["associativity"] > 1.0
+
+
+# --- key order: every support is sorted by rows·N + cols ----------------------
+
+def _in_key_order(e):
+    keys = e.rows * e.N + e.cols
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
+def test_every_operation_returns_strictly_increasing_keys():
+    N = 7
+    rng = np.random.default_rng(3)
+    rows, cols = rng.integers(0, N, size=(2, 40))  # unsorted, with repeated pairs
+    a = MM.TruncatedElement(rows, cols, rng.normal(size=40) + 1j, 1.0, N)
+    b = _random_support(rng, N, 30)
+    assert len(a.vals) < 40 and _in_key_order(a) and _in_key_order(b)
+    assert _in_key_order(MM.basis_element(5, 2, 1.0, N))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _in_key_order(MM.star(x, y))
+    assert len(a.vals) > 1 and _in_key_order(MM.dagger(a)) and _in_key_order(MM.dagger(b))
+    assert np.array_equal(O.dense(MM.dagger(a)), O.dense(a).conj().T)
+
+
+def _paired_supports(rng, N, kind):
+    """Two random supports whose key sets are equal, overlap, are disjoint or one is empty."""
+    keys = rng.permutation(N * N)
+    size = N * N // 3
+    pick = {"equal": (keys[:size], keys[:size]),
+            "overlapping": (keys[:size], keys[size // 2:size + size // 2]),
+            "disjoint": (keys[:size], keys[size:2 * size]),
+            "empty": (keys[:size], keys[:0]),
+            "both-empty": (keys[:0], keys[:0])}[kind]
+    return [MM.TruncatedElement(k // N, k % N, rng.normal(size=len(k)) + 1j * rng.normal(size=len(k)),
+                                0.7, N) for k in pick]
+
+
+@pytest.mark.parametrize("kind", ["equal", "overlapping", "disjoint", "empty", "both-empty"])
+@pytest.mark.parametrize("seed", range(3))
+def test_matched_keys_agree_with_the_dense_oracle(kind, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _paired_supports(rng, 9, kind)
+    for x, y in ((a, b), (b, a)):
+        assert MM._max_diff(x, y) == np.max(np.abs(O.dense(x) - O.dense(y)))
+        want = O.trace_pairing(O.dense(x), O.dense(y), 0.7)
+        assert abs(MM.trace_pairing(x, y) - want) <= 1e-12 * (1 + abs(want))
+
+
+def test_star_with_repeated_columns_matches_the_dense_product():
+    N = 6
+    rng = np.random.default_rng(5)
+    # a's entries share two columns, so each of b's rows 1 and 4 meets many of them
+    a = MM.TruncatedElement(np.arange(N).repeat(2), np.tile([1, 4], N),
+                            rng.normal(size=2 * N) + 1j * rng.normal(size=2 * N), 1.0, N)
+    b = _random_support(rng, N, 20)
+    assert np.allclose(O.dense(MM.star(a, b)), O.dense(a) @ O.dense(b), rtol=0, atol=1e-12)
+    assert np.allclose(O.dense(MM.star(b, a)), O.dense(b) @ O.dense(a), rtol=0, atol=1e-12)

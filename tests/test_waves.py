@@ -528,3 +528,25 @@ def test_oracle_rho():
     alg = packet_value(star(f, h), x)
     orc = numeric_star_oracle(f, h, x, QuadSpec(width=2e4, points=90))
     assert abs(alg - orc) < 1e-8
+
+
+def test_a_nan_in_any_coordinate_keeps_its_atom_and_its_word(kappa3):
+    # a zero atom is one with every |coordinate| <= MERGE_TOL, and a word is off
+    # the support when some |coordinate| of its value exceeds SUPPORT_TOL: a NaN
+    # in any coordinate answers both questions with "no", as a maximum over the
+    # coordinates that propagates NaN does
+    nan = math.nan
+    W = np.array([
+        [[0.0, 0.0, nan, 0.0], [0.3, 0.1, 0.2, 0.4]],  # zero but for a NaN in coordinate 2
+        [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, nan]],  # a zero atom, and a NaN in coordinate 3
+        [[-1000.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],  # value (-999, inf·0, inf·0, inf·0)
+        [[0.5, 0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],  # a zero atom, then off the support
+    ])
+    amps = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = waves.DeltaSum._of(kappa3, W, amps, np.zeros(4, np.intp), 1)
+    kept = {a.real: np.array(atoms) for a, atoms in ds.terms}  # no word rotates
+    assert sorted(kept) == [1.0, 2.0, 3.0]
+    assert kept[1.0].shape == (2, 4) and np.isnan(kept[1.0]).sum() == 1
+    assert kept[2.0].shape == (1, 4) and np.isnan(kept[2.0][0, 3])
+    assert kept[3.0].shape == (2, 4) and not np.isnan(kept[3.0]).any()
