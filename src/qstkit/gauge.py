@@ -273,16 +273,21 @@ def poly_field_to_jsonable(A: PolyGaugeField) -> list:
     return out
 
 
-MAX_DECIMAL_EXPONENT = 1000  # Fraction builds 10^|e|; a finite float has |e| <= 324
+# the digits of a field's numerators and denominators, in all: the SW map's
+# sums of products then stay under Python's 4,300-digit int-to-str limit
+MAX_COEFFICIENT_DIGITS = 2100
 
 
 def _coefficient(val, where: str) -> Fraction:
-    """A coefficient given as a number or a string such as "p/q", "1.5" or "2e-3"."""
+    """A coefficient given as a number or a string such as "p/q", "1.5" or "2e-3"; one
+    written with over MAX_COEFFICIENT_DIGITS digits, |exponent| included, is not built."""
     text = str(val)
-    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-    if digits.isdigit() and (len(digits) > 4 or int(digits) > MAX_DECIMAL_EXPONENT):
-        raise ValueError(f"{where}: the decimal exponent of {val!r} exceeds "
-                         f"{MAX_DECIMAL_EXPONENT}")
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    # Fraction builds 10^|exponent|; five leading digits of it already exceed the bound
+    digits = sum(ch.isdigit() for ch in mantissa) + (int(exponent[:5]) if exponent.isdigit() else 0)
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ValueError(f"{where}: the coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -295,8 +300,9 @@ def poly_field_from_json(text: str) -> PolyGaugeField:
     A malformed document raises ValueError naming the key path of the bad value.
     """
     import json
-    data = json.loads(text)
-    at = ""
+    # an integer too long for int() stays a string, for _coefficient to reject
+    data = json.loads(text, parse_int=lambda s: s if len(s) > MAX_COEFFICIENT_DIGITS else int(s))
+    at, total = "", 0
     if isinstance(data, dict):
         data, at = data.get("components"), "/components"
     if not isinstance(data, list):
@@ -314,7 +320,10 @@ def poly_field_from_json(text: str) -> PolyGaugeField:
             nv = len(exp) if nv is None else nv
             if len(exp) != nv:
                 raise ValueError(f"{where}/exp: expected {nv} exponents like the first term")
-            coeffs[tuple(exp)] = tuple(_coefficient(term.get(key, default), f"{where}/{key}")
-                                       for key, default in (("re", None), ("im", 0)))
+            coeffs[tuple(exp)] = z = tuple(_coefficient(term.get(key, default), f"{where}/{key}")
+                                           for key, default in (("re", None), ("im", 0)))
+            total += sum(len(str(n)) for q in z for n in (abs(q.numerator), q.denominator))
+            if total > MAX_COEFFICIENT_DIGITS:
+                raise ValueError(f"{where}: over {MAX_COEFFICIENT_DIGITS} coefficient digits in all")
         comps.append(Poly(4 if nv is None else nv, coeffs))
     return PolyGaugeField(comps)

@@ -8,15 +8,15 @@ triple of integers for (re + i im) / d with d > 0 and gcd(re, im, d) = 1,
 so equal elements have equal terms.  A scalar with a power is a (power,
 coefficient) pair.  `Sparse` implements the linear structure and the
 product once; each exact-algebra container (the Hopf engine's elements and
-tensors, the twist engine's series and module polynomials, and `Poly`, the
-exact polynomials of the Seiberg-Witten map) supplies only its space and
-the product of two basis keys.
+tensors, the twist engine's series, and `Poly`, the exact polynomials of the
+Seiberg-Witten map and of the twist engine's module) supplies only its space
+and the product of two basis keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
 # Gaussian rationals (re, im, d); each result is reduced by the gcd of its
 # three integers (Knuth, TAOCP vol. 2, 4.5.1).  The helpers stay private.
@@ -67,11 +67,15 @@ def _fractions(x):
     return Fraction(x[0], x[2]), Fraction(x[1], x[2])
 
 
+def _kappa(power):
+    """The printed power of the deformation scale: ·κ^power, or nothing at power 0."""
+    return "" if power == 0 else (f"·κ^{power}" if power != 1 else "·κ")
+
+
 def _fmt(power, x):
     """The printed coefficient: (re+imi), times κ^power when power != 0."""
     re, im = _fractions(x)
-    kpart = "" if power == 0 else (f"·κ^{power}" if power != 1 else "·κ")
-    return f"({re}{'+' if im >= 0 else ''}{im}i){kpart}"
+    return f"({re}{'+' if im >= 0 else ''}{im}i){_kappa(power)}"
 
 
 def _items(terms):
@@ -155,9 +159,10 @@ class Sparse:
 
 
 class Poly(Sparse):
-    """Polynomial in nvars variables, keyed by exponent tuples at power 0.
+    """Polynomial in nvars variables, keyed by (exponent tuple, power).
 
-    A coefficient is given as an int, a Fraction or an (re, im) pair of them."""
+    A coefficient is given as an int, a Fraction or an (re, im) pair of them,
+    at power 0; the twist engine's module terms also carry kbar powers."""
 
     __slots__ = ("nvars",)
 
@@ -200,10 +205,14 @@ class Poly(Sparse):
         c = self.terms.get((e, 0))
         return _fractions(c) if c else (Fraction(0), Fraction(0))
 
-    def deriv(self, i):
-        return self.map_keys(lambda e: (((e[:i] + (e[i] - 1,) + e[i + 1:], 0), _q(e[i])),))
+    def deriv(self, i, n=1):
+        """The n-th derivative in variable i; a term of degree below n in it drops."""
+        if n == 0:
+            return self
+        return self.map_keys(lambda e: (((e[:i] + (e[i] - n,) + e[i + 1:], 0),
+                                         (perm(e[i], n), 0, 1)),) if e[i] >= n else ())
 
     def _show(self, e, power, c):
         r, im = _fractions(c)
         mono = "".join(f"{'xyzw'[i]}^{n}" if n > 1 else "xyzw"[i] for i, n in enumerate(e) if n)
-        return (f"{r}" if not im else f"({r}+{im}i)") + mono
+        return (f"{r}" if not im else f"({r}+{im}i)") + mono + _kappa(power)

@@ -6,15 +6,16 @@ its power of the formal deformation symbol kbar, with an exact
 Gaussian-rational coefficient; powers above a tracked order N are dropped.
 It verifies the 2-cocycle and normalization conditions, builds the R-matrix
 F21 F^{-1}, and checks triangularity, quantum Yang-Baxter and the braided
-commutativity of the twisted product on a polynomial module.
+commutativity of the twisted product on the module of `Poly`s in u, v,
+where X = d/du and Y = d/dv act through `Poly.deriv`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial
 
-from .polyfield import _ONE, Sparse, _mul, _q
+from .polyfield import _ONE, Poly, Sparse, _mul, _q
 
 _I_KBAR = (1, (0, 1, 1))  # i kbar, as a (kbar power, coefficient) pair
 
@@ -170,62 +171,29 @@ def twisted_structures(F: TSeries) -> dict:
 
 # braided commutativity on the polynomial module -----------------------------
 
-class ModulePoly(Sparse):
-    """Polynomial in u, v with kbar-series coefficients; X acts as d/du, Y as d/dv.
-
-    Keys are (exponent pair (a, b) of u^a v^b, kbar power); `*` is the
-    pointwise product.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, order, terms=()):
-        self.order = order
-        super().__init__(terms)
-
-    def _like(self, pairs):
-        return ModulePoly(self.order, pairs)
-
-    def _key_mul(self, k1, k2):
-        return ((((k1[0] + k2[0], k1[1] + k2[1]), 0), _ONE),)
-
-    @staticmethod
-    def monomial(order, a, b):
-        return ModulePoly(order, {((a, b), 0): _ONE})
-
-    def act(self, nx, ny):
-        """(d/du)^nx (d/dv)^ny."""
-        def d(k):
-            fac = perm(k[0], nx) * perm(k[1], ny)  # 0 when the power is too low
-            if not fac:
-                return ()
-            return ((((k[0] - nx, k[1] - ny), 0), _ONE if fac == 1 else (fac, 0, 1)),)
-        return self.map_keys(d)
-
-
-def _star_pairs(F_inv: TSeries, f: ModulePoly, g: ModulePoly, coef=(0, _ONE)):
+def _star_pairs(F_inv: TSeries, f: Poly, g: Poly, coef=(0, _ONE)):
     """The ((key, power), coefficient) pairs of coef (f * g), one star-product term at a time.
 
-    `coef` is a (kbar power, coefficient) pair; powers above the order are skipped.
+    `coef` is a (kbar power, coefficient) pair; powers above the twist's order are skipped.
     """
-    order = f.order
+    order = F_inv.order
     n0, c0 = coef
     for (((ax, ay), (bx, by)), n), c in F_inv.terms.items():
         n += n0
         if n > order:
             continue
-        fa = f.act(ax, ay)
+        fa = f.deriv(0, ax).deriv(1, ay)
         if fa.is_zero():
             continue
         c = c if c0 is _ONE else _mul(c, c0)
-        for (k, m), kc in (fa * g.act(bx, by)).terms.items():
+        for (k, m), kc in (fa * g.deriv(0, bx).deriv(1, by)).terms.items():
             if m + n <= order:
                 yield (k, m + n), _mul(kc, c)
 
 
-def star_product(F_inv: TSeries, f: ModulePoly, g: ModulePoly) -> ModulePoly:
+def star_product(F_inv: TSeries, f: Poly, g: Poly) -> Poly:
     """f * g = m(F^{-1} (f ⊗ g)) with X = d/du, Y = d/dv on each slot."""
-    return ModulePoly(f.order, _star_pairs(F_inv, f, g))
+    return f._like(_star_pairs(F_inv, f, g))
 
 
 BRAIDED_SAMPLES = ((2, 1), (1, 2), (3, 0), (2, 2))  # the monomials u^a v^b checked, as (a, b)
@@ -236,14 +204,13 @@ def braided_commutativity_check(Finv: TSeries, Rinv: TSeries) -> bool:
 
     `Finv` and `Rinv` are the inverses of the twist and of its R-matrix.
     """
-    order = Finv.order
-    for (a1, b1) in BRAIDED_SAMPLES:
-        for (a2, b2) in BRAIDED_SAMPLES:
-            f = ModulePoly.monomial(order, a1, b1)
-            g = ModulePoly.monomial(order, a2, b2)
+    for ab in BRAIDED_SAMPLES:
+        for cd in BRAIDED_SAMPLES:
+            f, g = Poly(2, {ab: 1}), Poly(2, {cd: 1})
             lhs = star_product(Finv, f, g)
-            rhs = ModulePoly(order, (p for (((rx, ry), (sx, sy)), n), c in Rinv.terms.items()
-                                     for p in _star_pairs(Finv, g.act(rx, ry), f.act(sx, sy), (n, c))))
+            rhs = f._like(p for (((rx, ry), (sx, sy)), n), c in Rinv.terms.items()
+                          for p in _star_pairs(Finv, g.deriv(0, rx).deriv(1, ry),
+                                               f.deriv(0, sx).deriv(1, sy), (n, c)))
             if not (lhs - rhs).is_zero():
                 return False
     return True

@@ -182,11 +182,6 @@ class WavePacket:
         """(momentum, amplitude) of every row, label by label as stored."""
         return list(zip(self._moms, self._amps.tolist()))
 
-    @property
-    def labels(self):
-        """The packet of each row of `terms`."""
-        return self._labels.copy()
-
     def __len__(self):
         return len(self._amps)
 

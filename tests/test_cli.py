@@ -658,6 +658,47 @@ def test_cli_gauge_sw_unreadable_coefficient_exit_2(tmp_path):
         assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1, err
 
 
+def _two_component_field(re0):
+    """A_0 = re0 x_1 and A_1 = x_0, as the text of a JSON field."""
+    return '[[{"exp": [0, 1], "re": %s}], [{"exp": [1, 0], "re": 1}]]' % re0
+
+
+@pytest.mark.parametrize("re0, where", [
+    ('"1%s"' % ("0" * 3000), "/0/0/re"),  # parses, but the SW map's products do not print
+    ('"1/%s"' % ("3" * 5000), "/0/0/re"),  # too long for Fraction to read
+    ("7" * 5000, "/0/0/re"),  # a JSON integer too long for int()
+], ids=["3001-digit-numerator", "5000-digit-denominator", "5000-digit-json-integer"])
+def test_cli_gauge_sw_over_long_coefficient_exit_2(re0, where, tmp_path, capsys):
+    """An over-long coefficient is exit 2 with one `error:` line naming its key path,
+    never Python's integer-printing limit, and the value is not echoed."""
+    path = tmp_path / "field.json"
+    path.write_text(_two_component_field(re0))
+    assert cli.main(["gauge", "sw", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1, err
+    assert len(err) < 200 and "4300" not in err
+
+
+def _sw_digits(field_text):
+    """The most digits of a numerator or denominator of `gauge sw`'s A_hat on a field."""
+    from qstkit import gauge as GA
+    A_hat = GA.sw_map_order1(GA.poly_field_from_json(field_text), cli._SW_THETA)
+    return max(len(str(n)) for comp in A_hat.components for (e, _) in comp.terms
+               for q in comp.coefficient(e) for n in (abs(q.numerator), q.denominator))
+
+
+def test_cli_gauge_sw_digit_budget_bounds_the_output():
+    """Coefficients under the budget in all give an A_hat that prints; a sum of products
+    makes the output's denominators grow as p q^2, so one bound per coefficient is not enough."""
+    from qstkit import gauge as GA
+    half = (GA.MAX_COEFFICIENT_DIGITS - 8) // 2  # two 1/p coefficients, and "0" twice
+    p, q = 10 ** (half - 1) + 7, 10 ** (half - 1) + 9
+    text = '[[{"exp": [0, 1], "re": "1/%d"}], [{"exp": [1, 0], "re": "1/%d"}]]'
+    assert 3 * half - 3 <= _sw_digits(text % (p, q)) < 4300
+    with pytest.raises(ValueError, match="^/1/0: over .* coefficient digits in all$"):
+        GA.poly_field_from_json(text % (p * 10 ** 10, q))
+
+
 @pytest.mark.parametrize("value", [
     "41/9", "-29/12", "0", "7", "-1/8", 0, -3, 2 ** 80, 0.1, -2.5, 1e300, -1.5e-320, 5e-324,
     1.7976931348623157e308, 123.456e-7, "2e-3", "1.25", "1e1000", "-1E-1000",

@@ -44,6 +44,12 @@ CASES = {
     "gauge-sw": ["gauge", "sw"],
     "gauge-sw-input": ["gauge", "sw", "--input", "{golden}/sw_field.json"],
     "gauge-dim-scan": ["gauge", "dim-scan"],
+    **{f"suite-all-{name}{'-csv' * csv}": ["suite", "all", flag, value, *["--format", "csv"] * csv]
+       for name, flag, value in (("kappa0.5", "--kappa", "0.5"), ("kappa2", "--kappa", "2"),
+                                 ("theta1e3", "--theta", "1e3"))
+       for csv in (False, True)},
+    "causality": ["causality"],
+    "causality-csv": ["causality", "--format", "csv"],
 }
 FRESH = ("suite-all-seed0", "gauge-sw-input")
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qstkit import hopf_algebra as H
 from qstkit import twist as T
-from qstkit.polyfield import _add, _fractions, _mul, _neg, _q
+from qstkit.polyfield import Poly, _add, _fractions, _mul, _neg, _q
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -146,3 +146,28 @@ def test_one_key_holds_two_powers():
     assert s.order_component(0).terms == {(key, 0): (1, 0, 1)}
     assert _fr_terms(s * s) == _reference_mul(s, s, 2)
     assert len({k for k, _ in (s * s).terms}) == 1 and len((s * s).terms) == 3
+
+
+poly_terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), gaussians, max_size=6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(poly_terms, st.integers(0, 2))
+def test_higher_derivative_is_the_repeated_first_derivative(terms, i):
+    p = Poly(3, terms)
+    assert p.deriv(i, 0) == p  # n = 0 is the identity
+    assert p.deriv(i, 1) == p.deriv(i)
+    assert p.deriv(i, 2) == p.deriv(i).deriv(i)
+    assert p.deriv(i, 3) == p.deriv(i).deriv(i).deriv(i)
+    # a term of degree below n in x_i drops
+    for n in range(5):
+        assert p.deriv(i, n).terms.keys() == {(e[:i] + (e[i] - n,) + e[i + 1:], 0)
+                                              for e, _ in p.terms if e[i] >= n}
+    assert p.deriv(i, 5).is_zero()
+
+
+def test_derivative_keeps_the_power_and_drops_low_terms():
+    p = Poly(2)._like({((3, 1), 2): (1, 0, 1), ((1, 4), 0): (0, 1, 2)})  # x^3 y κ^2 + (i/2) x y^4
+    assert p.deriv(0, 2).terms == {((1, 1), 2): (6, 0, 1)}
+    assert p.deriv(1, 4).terms == {((1, 0), 0): (0, 12, 1)}
+    assert repr(p) == "(0+1/2i)xy^4 + 1x^3y·κ^2"

@@ -3,11 +3,14 @@ parameter of one has a caller that sets it.
 
 An AST scan of the package: each public module-level function and class,
 and each public method of such a class, must be named somewhere in
-`src/qstkit` outside its own definition, or in `perfbench/`.  A name is
-matched by identifier only (a load, an attribute, an import alias or a
-`__all__` string), so two definitions that share a name reach each other;
-the gate is for definitions nothing reads at all.  Tests do not count:
-a definition only tests reach is a test helper and belongs in `tests/`.
+`src/qstkit` outside its own definition, or in `perfbench/`.  A function
+or class is matched by identifier only (a load, an attribute, an import
+alias or a `__all__` string), so two definitions that share a name reach
+each other; the gate is for definitions nothing reads at all.  A method
+or property is read only through an attribute access `.name` or a string
+outside its class, so a local variable of the same name does not hide it.
+Tests do not count: a definition only tests reach is a test helper and
+belongs in `tests/`.
 There is no allowlist: a definition that checks a claim of the paper
 becomes a report row, anything else leaves `src`.
 
@@ -33,15 +36,16 @@ SRC = ROOT / "src" / "qstkit"
 READERS = (SRC, ROOT / "perfbench")
 
 
-def _names(tree) -> Counter:
-    """Every identifier `tree` reads, imports or exports by string."""
+def _names(tree, attributes_only=False) -> Counter:
+    """Every identifier `tree` reads, imports or exports by string; with
+    `attributes_only`, only those read as an attribute or named by a string."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not attributes_only:
             out[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
@@ -50,14 +54,15 @@ def _names(tree) -> Counter:
 
 
 def _definitions(tree, module):
-    """(qualified name, bare name, node) of each public function, class and method."""
+    """(qualified name, bare name, node, scope) of each public function, class and
+    method; the scope is the class of a method, and None otherwise."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, None
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name, item
+                        yield f"{module}.{node.name}.{item.name}", item.name, item, node
 
 
 def _trees() -> dict:
@@ -68,16 +73,22 @@ def _trees() -> dict:
 
 def unread_definitions() -> list:
     trees = _trees()
-    names = Counter()
+    names, attributes = Counter(), Counter()
     for tree in trees.values():
         names += _names(tree)
+        attributes += _names(tree, attributes_only=True)
     unread = []
     for path, tree in trees.items():
         if path.parent != SRC:
             continue
-        for qual, name, node in _definitions(tree, path.stem):
-            # a definition's own body (a recursive call, say) does not read it
-            if names[name] - _names(node)[name] <= 0:
+        for qual, name, node, scope in _definitions(tree, path.stem):
+            # a definition's own body (a recursive call, say) does not read it,
+            # nor does a method's own class
+            if scope is None:
+                read = names[name] - _names(node)[name]
+            else:
+                read = attributes[name] - _names(scope, attributes_only=True)[name]
+            if read <= 0:
                 unread.append(qual)
     return unread
 
@@ -85,6 +96,15 @@ def unread_definitions() -> list:
 def test_every_public_definition_has_a_reader():
     unread = unread_definitions()
     assert not unread, f"public definitions that src and perfbench never name: {unread}"
+
+
+def test_a_local_name_does_not_read_a_method(monkeypatch):
+    source = ("class A:\n    def labels(self):\n        return self.labels\n\n"
+              "def _f():\n    labels = 2\n    return A, labels{}\n")
+    for read, unread in (("", ["fake.A.labels"]), (" + A().labels", [])):
+        tree = ast.parse(source.format(read))
+        monkeypatch.setattr(f"{__name__}._trees", lambda: {SRC / "fake.py": tree})
+        assert unread_definitions() == unread, read
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +167,7 @@ def _super_inits(trees) -> dict:
 def _functions(tree, module):
     """(qualified name, names its callers call it by, node) of each public function,
     public method and public class's `__init__`."""
-    for qual, name, node in _definitions(tree, module):
+    for qual, name, node, _ in _definitions(tree, module):
         if isinstance(node, ast.FunctionDef):
             yield qual, name, node
             continue

@@ -1,6 +1,10 @@
+from fractions import Fraction
+from math import factorial, perm
+
 import pytest
 
 from qstkit import twist as T
+from qstkit.polyfield import Poly
 
 # coefficients as (re, im, d) triples; keys carry the kbar power
 ONE, MINUS_ONE, I, MINUS_I = (1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)
@@ -107,17 +111,46 @@ def test_chi_and_twisted_antipode():
 
 
 def test_star_product_on_module_matches_hand_expansion():
-    # f = u, g = v: u * v = uv + i kbar (du/du)(dv/dv) = uv + i kbar
+    # f = u, g = v under F^{-1} = exp(-i kbar X ⊗ Y): u * v = uv - i kbar (du/du)(dv/dv)
     order = 3
     Finv = T.series_inverse(T.abelian_twist(order))
-    f = T.ModulePoly.monomial(order, 1, 0)
-    g = T.ModulePoly.monomial(order, 0, 1)
-    prod = T.star_product(Finv, f, g)
-    expect = T.ModulePoly(order, {
-        ((1, 1), 0): ONE,
-        ((0, 0), 1): MINUS_I,
-    })
+    prod = T.star_product(Finv, Poly(2, {(1, 0): 1}), Poly(2, {(0, 1): 1}))
+    expect = Poly(2)._like({((1, 1), 0): ONE, ((0, 0), 1): MINUS_I})
     assert (prod - expect).is_zero()
+    assert repr(prod) == "(0+-1i)·κ + 1xy"  # the kbar power is printed
+
+
+def _closed_form_star(a, b, c, d, order):
+    """u^a v^b * u^c v^d under F^{-1} = exp(-i kbar X ⊗ Y), from integers alone:
+    the sum over k <= order of (-i kbar)^k / k! perm(a, k) perm(d, k) u^{a+c-k} v^{b+d-k}."""
+    out = {}
+    for k in range(min(order, a, d) + 1):
+        q = Fraction(perm(a, k) * perm(d, k), factorial(k))
+        re, im = [(q, 0), (0, -q), (-q, 0), (0, q)][k % 4]  # (-i)^k q
+        den = (re or im).denominator
+        out[((a + c - k, b + d - k), k)] = (int(re * den), int(im * den), den)
+    return out
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_star_product_equals_the_closed_form(order):
+    Finv = T.series_inverse(T.abelian_twist(order))
+    samples = (*T.BRAIDED_SAMPLES, (0, 0), (4, 3))
+    for a, b in samples:
+        for c, d in samples:
+            prod = T.star_product(Finv, Poly(2, {(a, b): 1}), Poly(2, {(c, d): 1}))
+            assert prod.terms == _closed_form_star(a, b, c, d, order), (a, b, c, d)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_braided_commutativity_sees_a_wrong_r_matrix(order):
+    F = T.abelian_twist(order)
+    Finv = T.series_inverse(F)
+    R = T.flip(F) * Finv
+    assert T.braided_commutativity_check(Finv, T.series_inverse(R))
+    assert not T.braided_commutativity_check(Finv, R)  # R in place of R^{-1}
+    assert not T.braided_commutativity_check(Finv, T.TSeries.unit(2, order))  # R = 1 ⊗ 1
+    assert not T.braided_commutativity_check(F, T.series_inverse(R))  # F in place of F^{-1}
 
 
 def test_semiclassical_r_matrix():

@@ -221,7 +221,7 @@ def _same_bits(x, y):
 
 def _rows_equal(stacked, refs):
     """Label k of the stack holds the rows of refs[k], bit for bit and in order."""
-    labels = stacked.labels
+    labels = stacked._labels
     assert np.all(np.diff(labels) >= 0)  # grouped by label
     moms = np.array([m for m, _ in stacked.terms]).reshape(len(labels), -1)
     amps = np.array([a for _, a in stacked.terms], dtype=complex)
@@ -420,8 +420,8 @@ def test_twisted_trace_still_sees_a_wrong_twist(kappa, seeds):
         assert not np.any(wrong), seed
         # a NaN or inf amplitude fails its own label and no other
         amps = np.array([a for _, a in f.terms])
-        amps[f.labels == 7] = np.nan
-        amps[np.flatnonzero(f.labels == 9)[0]] = np.inf
+        amps[f._labels == 7] = np.nan
+        amps[np.flatnonzero(f._labels == 9)[0]] = np.inf
         with np.errstate(invalid="ignore"):  # inf times a complex factor
             ok = twisted_trace_check(f._reweighted(amps), h)
         assert not ok[7] and not ok[9] and np.all(np.delete(ok, [7, 9])), seed
