@@ -216,51 +216,44 @@ def sw_field_strength_order1(A: PolyGaugeField, Theta) -> list:
 
 
 def sw_field_strength_from_hat(A: PolyGaugeField, Theta) -> list:
-    """F(A_hat) computed directly: d A_hat - d A_hat + Theta^{rs} d_r A_mu d_s A_nu.
+    """F(A_hat) computed directly: F of A_hat plus Theta^{rs} d_r A_mu d_s A_nu.
 
     The Moyal commutator -i[A_hat_mu, A_hat_nu]_star contributes
     Theta^{rs} d_r A_mu d_s A_nu at first order.
     """
     theta = _theta_entries(Theta, A.dim)
-    Ahat = sw_map_order1(A, Theta)
-    n = A.dim
-    out = [[Poly.zero(A.nvars)] * n for _ in range(n)]
-    for mu in range(n):
-        for nu in range(n):
-            hat = Ahat.components[nu].deriv(mu) - Ahat.components[mu].deriv(nu)
+    out = poly_field_strength(sw_map_order1(A, Theta))
+    for mu in range(A.dim):
+        for nu in range(A.dim):
             for rho, sg, c in theta:
-                hat = hat + (A.components[mu].deriv(rho) * A.components[nu].deriv(sg)).scale(c)
-            out[mu][nu] = hat
+                out[mu][nu] = out[mu][nu] + (A.components[mu].deriv(rho)
+                                             * A.components[nu].deriv(sg)).scale(c)
     return out
 
 
 def sw_consistency_residual(A: PolyGaugeField, alpha: Poly, Theta) -> list:
-    """Order-Theta gauge-equivalence residual, linearized in alpha.
+    """Order-Theta gauge-equivalence residual of `sw_map_order1`, linearized in alpha.
 
     hat A(A + d alpha) - hat A(A) - [d alpha_hat - Theta^{rs} d_r alpha d_s A_mu]
     with alpha_hat = alpha + (1/2) Theta^{rs} d_r alpha A_s; identically zero
-    as a polynomial for any inputs.
+    as a polynomial for any inputs.  The map is quadratic in A, so its
+    alpha-linear part is exactly (1/2)[hat A(A + d alpha) - hat A(A - d alpha)].
     """
     theta = _theta_entries(Theta, A.dim)
     n = A.dim
-    F = poly_field_strength(A)
     dalpha = [alpha.deriv(mu) for mu in range(n)]
+    shifted = ([a + da.scale(s) for a, da in zip(A.components, dalpha)] for s in (1, -1))
+    plus, minus = (sw_map_order1(PolyGaugeField(B), Theta).components for B in shifted)
+    # deformed transform d_mu alpha_hat - Theta^{rs} d_r alpha d_s A_mu
+    alpha_hat1 = Poly.zero(A.nvars)
+    for rho, sg, c in theta:
+        alpha_hat1 = alpha_hat1 + (dalpha[rho] * A.components[sg]).scale(Fraction(1, 2) * c)
     residuals = []
     for mu in range(n):
-        # alpha-linear part of hat A(A + d alpha) - hat A(A)
-        lhs = dalpha[mu]
-        for rho, sg, c in theta:
-            var = dalpha[rho] * (A.components[mu].deriv(sg) + F[sg][mu]) \
-                + A.components[rho] * dalpha[mu].deriv(sg)
-            lhs = lhs - var.scale(Fraction(1, 2) * c)
-        # deformed transform d_mu alpha_hat - Theta^{rs} d_r alpha d_s A_mu
-        alpha_hat1 = Poly.zero(A.nvars)
-        for rho, sg, c in theta:
-            alpha_hat1 = alpha_hat1 + (dalpha[rho] * A.components[sg]).scale(Fraction(1, 2) * c)
         rhs = dalpha[mu] + alpha_hat1.deriv(mu)
         for rho, sg, c in theta:
             rhs = rhs - (dalpha[rho] * A.components[mu].deriv(sg)).scale(c)
-        residuals.append(lhs - rhs)
+        residuals.append((plus[mu] - minus[mu]).scale(Fraction(1, 2)) - rhs)
     return residuals
 
 
@@ -280,7 +273,8 @@ MAX_COEFFICIENT_DIGITS = 2100
 
 def _coefficient(val, where: str) -> Fraction:
     """A coefficient given as a number or a string such as "p/q", "1.5" or "2e-3"; one
-    written with over MAX_COEFFICIENT_DIGITS digits, |exponent| included, is not built."""
+    written with over MAX_COEFFICIENT_DIGITS digits, |exponent| included, is not built.
+    An unreadable one is shown by its first 40 characters at most."""
     text = str(val)
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
@@ -291,7 +285,8 @@ def _coefficient(val, where: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{where}: expected a finite number, got {val!r}") from None
+        shown = repr(val) if len(text) <= 40 else f"{text[:40]!r}…"
+        raise ValueError(f"{where}: expected a finite number, got {shown}") from None
 
 
 def poly_field_from_json(text: str) -> PolyGaugeField:

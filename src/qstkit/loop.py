@@ -237,32 +237,27 @@ def propagator_integral(group: GroupDescriptor, mass: float, Lambda: float) -> d
     if not Lambda > 0:
         raise ValueError("Lambda must be positive")
     name = group.name
-
     if name.startswith("kappa_minkowski"):
-        d = group.meta["d"]
-        kappa = group.meta["kappa"]
+        d, kappa = group.meta["d"], group.meta["kappa"]
 
         def integrand(r):
             om = math.hypot(r, mass)
             return r ** (d - 1) * (math.pi / om) * math.exp(-d * om / (2 * kappa))
 
+        n, points = d - 1, None
         hi = Lambda if Lambda == math.inf else min(Lambda, 2 * kappa * _EXP_UNDERFLOW / d)
-        val, err, _, ok = _quad(integrand, 0.0, hi, limit=200)
-        return {"value": sphere_area(d - 1) * val, "error": sphere_area(d - 1) * err,
-                "converged": ok, "reduction": "wick-rotated radial, analytic inner k0"}
-
-    if name == "commutative":
+    elif name == "commutative":
         D = group.dim
 
         def integrand(r):
             return r ** (D - 1) / (r * r + mass * mass)
 
-        val, err, _, ok = _quad(integrand, 0.0, Lambda, limit=200,
-                                points=[mass] if mass < Lambda < np.inf else None)
-        return {"value": sphere_area(D - 1) * val, "error": sphere_area(D - 1) * err,
-                "converged": ok, "reduction": "euclidean radial"}
-
-    raise ValueError(f"no radial reduction for group {name!r}")
+        n, hi, points = D - 1, Lambda, [mass] if mass < Lambda < np.inf else None
+    else:
+        raise ValueError(f"no radial reduction for group {name!r}")
+    val, err, _, ok = _quad(integrand, 0.0, hi, limit=200, points=points)
+    area = sphere_area(n)
+    return {"value": area * val, "error": area * err, "converged": ok}
 
 
 def _loglog_slope(xs, ys):
@@ -679,43 +674,35 @@ def _adjacent(i, j):
     return (abs(i - j) % 4) in (1, 3)
 
 
+# the legs of the quartic vertex per field content
+_LEGS = {"real_phi4": ("real",) * 4,
+         "charged_orientable": ("phi+", "phi", "phi+", "phi"),
+         "charged_nonorientable": ("phi+", "phi+", "phi", "phi")}
+
+
+def _pairs(a, b):
+    """A real leg pairs with any leg, a phi+ leg only with a phi leg."""
+    return "real" in (a, b) or {a, b} == {"phi+", "phi"}
+
+
 def diagram_enumerate(field: str):
     """Wick contractions of one quartic vertex into the one-loop 2-point.
 
-    real_phi4            : legs phi phi phi phi
-    charged_orientable   : legs phi+ phi phi+ phi (external phi pairs with a
-                           phi+ leg, the loop pairs the remaining phi+ phi)
-    charged_nonorientable: legs phi+ phi+ phi phi
-    A contraction is planar iff the loop legs are cyclically adjacent.
+    The external p takes a real or phi+ leg, the external q a leg that pairs
+    with it, and the two loop legs pair with each other.  A contraction is
+    planar iff the loop legs are cyclically adjacent.
     """
-    if field == "real_phi4":
-        legs = ["phi"] * 4
-        p_slots = range(4)
-    elif field == "charged_orientable":
-        legs = ["phi+", "phi", "phi+", "phi"]
-        p_slots = [i for i, t in enumerate(legs) if t == "phi+"]
-    elif field == "charged_nonorientable":
-        legs = ["phi+", "phi+", "phi", "phi"]
-        p_slots = [i for i, t in enumerate(legs) if t == "phi+"]
-    else:
+    if field not in _LEGS:
         raise ValueError(f"unknown field content {field!r}")
-
+    legs = _LEGS[field]
     out = []
-    for ip in p_slots:
+    for ip in range(4):
         for iq in range(4):
-            if iq == ip:
-                continue
-            if field != "real_phi4" and legs[iq] != "phi":
-                continue
             loop = tuple(sorted(set(range(4)) - {ip, iq}))
-            if field != "real_phi4" and {legs[loop[0]], legs[loop[1]]} != {"phi+", "phi"}:
-                continue
-            out.append({
-                "p_leg": ip,
-                "q_leg": iq,
-                "loop_legs": loop,
-                "planar": _adjacent(*loop),
-            })
+            if legs[ip] != "phi" and iq != ip and _pairs(legs[ip], legs[iq]) \
+                    and _pairs(*(legs[i] for i in loop)):
+                out.append({"p_leg": ip, "q_leg": iq, "loop_legs": loop,
+                            "planar": _adjacent(*loop)})
     return out
 
 

@@ -411,30 +411,23 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0) -> DeltaSol
     p = np.asarray(p, float)
     q = np.asarray(q, float)
     n = g.dim
-    if np.allclose(p, 0) and np.allclose(q, 0):
-        k = np.zeros(n)
-        k[0] = k0
-        return DeltaSolveResult(True, k, 0.0, "trivial")
-
     if g.name == "kappa_minkowski":
         kappa = g.meta["kappa"]
         if abs(p[0] + q[0]) > NEWTON_TOL:
             return DeltaSolveResult(False, None, abs(p[0] + q[0]),
                                     "energy component p0+q0 is constant in k and nonzero")
         denom = 1.0 - math.exp(-p[0] / kappa)
-        if abs(denom) < 1e-14:
-            r = p[1:] + math.exp(-(p[0] + k0) / kappa) * q[1:]
-            if np.max(np.abs(r)) < NEWTON_TOL:
-                k = np.zeros(n)
-                k[0] = k0
-                return DeltaSolveResult(True, k, 0.0, "degenerate p0=0, residual already zero")
-            return DeltaSolveResult(False, None, float(np.max(np.abs(r))),
-                                    "p0=0 makes the spatial residual k-independent and nonzero")
         k = np.zeros(n)
         k[0] = k0
-        k[1:] = (p[1:] + math.exp(-(p[0] + k0) / kappa) * q[1:]) / denom
+        degenerate = abs(denom) < 1e-14  # p0 = 0: the residual does not depend on k
+        if not degenerate:
+            k[1:] = (p[1:] + math.exp(-(p[0] + k0) / kappa) * q[1:]) / denom
         res = float(np.max(np.abs(nonplanar_residual(g, p, q, k))))
-        return DeltaSolveResult(res < NEWTON_TOL, k, res, "closed form")
+        if degenerate and res >= NEWTON_TOL:
+            return DeltaSolveResult(False, None, res,
+                                    "p0=0 makes the spatial residual k-independent and nonzero")
+        return DeltaSolveResult(res < NEWTON_TOL, k, res, "degenerate p0=0, residual already zero"
+                                if degenerate else "closed form")
 
     # general path: damped Newton on the spatial components at fixed k0
     def resid(kspat):

@@ -503,6 +503,19 @@ def test_cli_k0_must_be_finite(capfd):
         assert err.startswith("error: argument --k0: must be finite")
 
 
+def test_cli_delta_solve_small_momenta_reports_the_residual_of_its_k(capsys):
+    from qstkit.momentum import NEWTON_TOL, nonplanar_residual
+    p, q = [1e-9, 2e-9, 0.0, 0.0], [-1e-9, 3e-9, 0.0, 0.0]
+    assert cli.main(["group", "delta-solve", "--d", "3", "--p=1e-9,2e-9,0,0",
+                     "--q=-1e-9,3e-9,0,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    g = group_preset("kappa_minkowski", kappa=1.0, d=3)
+    res = float(np.max(np.abs(nonplanar_residual(g, np.array(p), np.array(q),
+                                                 np.array(doc["result"])))))
+    assert doc["ok"] and doc["reason"] == "closed form"
+    assert res < NEWTON_TOL and doc["residual"] == res
+
+
 def test_cli_loop_mixing_kappa_massless_exit_2(capsys):
     # the k0 integrand 2 (1 + Delta) / k0^2 is not integrable at m = 0
     assert cli.main(["loop", "mixing", "--space", "kappa", "--mass", "0"]) == 2
@@ -656,6 +669,15 @@ def test_cli_gauge_sw_unreadable_coefficient_exit_2(tmp_path):
     for (rc, out, err), (term, where) in zip(json.loads(proc.stdout), UNREADABLE_COEFFICIENTS):
         assert rc == 2 and out == "", term
         assert err.startswith(f"error: {where}: ") and len(err.strip().splitlines()) == 1, err
+
+
+def test_cli_gauge_sw_long_unreadable_coefficient_is_not_echoed(tmp_path, capsys):
+    # the message shows a 40-character prefix of the value, not 5,000 characters
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps([[{"exp": [1, 0, 0, 0], "re": "x" * 5000}]]))
+    assert cli.main(["gauge", "sw", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: /0/0/re: expected a finite number, got '{'x' * 40}'…\n"
 
 
 def _two_component_field(re0):

@@ -223,6 +223,26 @@ def test_sw_consistency_random_polys(seed):
     assert all(r.is_zero() for r in res)
 
 
+def test_sw_consistency_fails_a_map_off_by_one_term(monkeypatch):
+    # the row vouches for the map `gauge sw` prints: a map with (1/7) A_0 d_0 A_1
+    # added to its A_hat_2 is not gauge-equivariant, so the residual must see it
+    right = G.sw_map_order1
+
+    def wrong(A, Theta):
+        hat = right(A, Theta).components
+        extra = (A.components[0] * A.components[1].deriv(0)).scale(Fraction(1, 7))
+        return G.PolyGaugeField([*hat[:2], hat[2] + extra, *hat[3:]])
+
+    monkeypatch.setattr(G, "sw_map_order1", wrong)
+    x = _vars()
+    A = G.PolyGaugeField([x[1] * x[2], x[0] * x[0], x[3] * x[1], x[0] * x[2]])
+    res = G.sw_consistency_residual(A, x[0] * x[1] + x[2] * x[2], THETA4)
+    assert [r.is_zero() for r in res] == [True, True, False, True]
+    from qstkit import cli
+    rows = {r["check"]: r for r in cli.suite_gauge(cli.RunConfig())}
+    assert not rows["sw-consistency-identically-zero"]["passed"]
+
+
 def test_sw_field_strength_two_paths():
     x = _vars()
     A = G.PolyGaugeField([x[1] * x[2], x[0].scale(2) + x[3] * x[3],

@@ -50,6 +50,24 @@ CASES = {
        for csv in (False, True)},
     "causality": ["causality"],
     "causality-csv": ["causality", "--format", "csv"],
+    **{f"loop-mixing-{space}": ["loop", "mixing", "--space", space]
+       for space in ("moyal", "kappa", "commutative")},
+    "loop-bessel-check": ["loop", "bessel-check"],
+    "group-delta-solve-kappa": ["group", "delta-solve", "--d", "3", "--p=0.5,1,0.2,0",
+                                "--q=-0.5,0,0.3,1", "--k0=0.25"],
+    "group-delta-solve-rho": ["group", "delta-solve", "--space", "rho_minkowski",
+                              "--p=0.9,0.4,-0.3,0.2",
+                              "--q=-0.9,-0.01364591442002075,0.4998137543321927,-0.2", "--k0=0.3"],
+    "group-delta-solve-su2": ["group", "delta-solve", "--space", "su2_lambda", "--p=0.1,0.2,0.3",
+                              "--q=-0.1,-0.2,-0.3"],
+    **{f"group-{op}-inline": ["--config", "{golden}/inputs/su2-structure.json", "group", op,
+                              "--space", "inline", "--p=0.1,0.2,-0.3", *["--q=0.4,-0.1,0.2"] * q]
+       for op, q in (("add", True), ("inv", False), ("haar-check", True))},
+    "matrix-basis-N8-seed5": ["matrix-basis", "--N", "8", "--seed", "5"],
+    # exit 2: the spectral causality grid refuses kappa = 0.3, a bad config value, a bad field
+    "suite-all-kappa0.3": ["suite", "all", "--kappa", "0.3"],
+    "config-bad-value": ["--config", "{golden}/inputs/bad-kappa.json", "suite", "group"],
+    "gauge-sw-bad-input": ["gauge", "sw", "--input", "{golden}/inputs/bad-field.json"],
 }
 FRESH = ("suite-all-seed0", "gauge-sw-input")
 

@@ -302,6 +302,31 @@ def test_diagram_counts():
     assert L.diagram_counts("charged_nonorientable") == {"total": 4, "planar": 2, "nonplanar": 2}
 
 
+# (p leg, q leg, loop legs, planar) of each contraction, in the order they are listed
+DIAGRAMS = {
+    "real_phi4": [(0, 1, (2, 3), True), (0, 2, (1, 3), False), (0, 3, (1, 2), True),
+                  (1, 0, (2, 3), True), (1, 2, (0, 3), True), (1, 3, (0, 2), False),
+                  (2, 0, (1, 3), False), (2, 1, (0, 3), True), (2, 3, (0, 1), True),
+                  (3, 0, (1, 2), True), (3, 1, (0, 2), False), (3, 2, (0, 1), True)],
+    "charged_orientable": [(0, 1, (2, 3), True), (0, 3, (1, 2), True),
+                           (2, 1, (0, 3), True), (2, 3, (0, 1), True)],
+    "charged_nonorientable": [(0, 2, (1, 3), False), (0, 3, (1, 2), True),
+                              (1, 2, (0, 3), True), (1, 3, (0, 2), False)],
+}
+
+
+@pytest.mark.parametrize("field", sorted(DIAGRAMS))
+def test_diagram_enumerate_table(field):
+    want = [{"p_leg": p, "q_leg": q, "loop_legs": loop, "planar": planar}
+            for p, q, loop, planar in DIAGRAMS[field]]
+    assert L.diagram_enumerate(field) == want
+
+
+def test_diagram_enumerate_unknown_field():
+    with pytest.raises(ValueError, match="unknown field content 'complex'"):
+        L.diagram_enumerate("complex")
+
+
 def test_diagram_planarity_is_adjacency():
     for d in L.diagram_enumerate("real_phi4"):
         i, j = d["loop_legs"]

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import momentum_oracle as MO
 from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
 from momentum_oracle import g_right_to_sum, kappa_sum_group, ordering_transform
-from qstkit.momentum import (BLOCK_ROWS, DimensionMismatch, _bracket, _fd_jacobian_det, add,
-                             add_batch, bch_compose, delta_solve_nonplanar, group_from_structure,
-                             group_preset, haar_invariance_check, inv, modular,
+from qstkit.momentum import (BLOCK_ROWS, NEWTON_TOL, DimensionMismatch, _bracket,
+                             _fd_jacobian_det, add, add_batch, bch_compose, delta_solve_nonplanar,
+                             group_from_structure, group_preset, haar_invariance_check, inv, modular,
                              modular_identity_residuals, nonplanar_residual)
 
 LN2 = math.log(2.0)
@@ -208,6 +208,34 @@ def test_delta_solve_trivial_and_no_solution():
     r2 = delta_solve_nonplanar(g, [0.5, 1.0], [0.1, 0.0])
     assert not r2.ok
     assert r2.residual == pytest.approx(0.6)
+
+
+def test_delta_solve_small_momenta_report_the_residual_of_k():
+    # p and q within 1e-8 of 0 are solved, not taken for p = q = 0: k = 0
+    # would leave a residual of 5e-9, fifty times the tolerance
+    g = group_preset("kappa_minkowski", kappa=1.0, d=3)
+    p, q = np.array([1e-9, 2e-9, 0, 0]), np.array([-1e-9, 3e-9, 0, 0])
+    r = delta_solve_nonplanar(g, p, q)
+    res = float(np.max(np.abs(nonplanar_residual(g, p, q, r.k))))
+    assert r.ok and res < NEWTON_TOL and r.residual == res
+    assert r.k[0] == 0.0 and r.k[1] == pytest.approx(5.0, rel=1e-6)
+
+
+def test_delta_solve_degenerate_kappa_reports_its_residual():
+    # p0 = 0: the spatial residual p_s + e^{-k0/kappa} q_s does not depend on k
+    g = group_preset("kappa_minkowski", kappa=1.0, d=3)
+    p, q = np.array([0.0, 3e-11, 0, 0]), np.zeros(4)
+    r = delta_solve_nonplanar(g, p, q, k0=0.5)
+    assert r.ok and r.residual == 3e-11 and list(r.k) == [0.5, 0, 0, 0]
+    r = delta_solve_nonplanar(g, np.zeros(4), np.zeros(4), k0=0.5)
+    assert r.ok and r.residual == 0.0 and list(r.k) == [0.5, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name", ["rho_minkowski", "su2_lambda", "moyal_extended", "commutative"])
+def test_delta_solve_zero_momenta_keep_k0(name):
+    g = group_preset(name)
+    r = delta_solve_nonplanar(g, np.zeros(g.dim), np.zeros(g.dim), k0=0.3)
+    assert r.ok and r.residual < NEWTON_TOL and list(r.k) == [0.3] + [0.0] * (g.dim - 1)
 
 
 def test_delta_solve_rho_newton():
