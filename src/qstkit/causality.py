@@ -220,6 +220,30 @@ def _cone_form(grid: GridSpec, kappa: float, a: int, alpha: float, beta: float,
     return -q.imag * grid.h ** 2  # Re(i q)
 
 
+def cone_sweep(grid: GridSpec, kappa: float, a: int, alpha: float, betas,
+               n_states: int = 200, seed: int = 0) -> list:
+    """The `cone_condition` dict of each beta in `betas`, on one seeded Gaussian family.
+
+    The family does not depend on beta, so it is drawn and built once, and
+    only `_cone_form` runs per (beta, branch).
+    """
+    if a not in (1, -1):
+        raise ValueError("only the a = +/-1 representation branches are implemented")
+    grid.validate_kappa(kappa)
+    # one (center, width) row per state, drawn in the order of a per-state loop
+    c, w = np.random.default_rng(seed).uniform([-grid.window / 2, 0.5], [grid.window / 2, 2.0],
+                                                size=(n_states, 2)).T
+    psi = gaussian_state(grid, c, w)
+    out = []
+    for beta in betas:
+        # + 0.0 turns the -0.0 of a real family into 0.0
+        margins = {branch: float(np.min(_cone_form(grid, kappa, a, alpha, beta, branch, psi))) + 0.0
+                   for branch in (+1, -1)}
+        margin = min(margins.values())
+        out.append({"margin": margin, "branch_margins": margins, "passed": margin >= -1e-8})
+    return out
+
+
 def cone_condition(grid: GridSpec, kappa: float, a: int, alpha: float, beta: float,
                    n_states: int = 200, seed: int = 0) -> dict:
     """min over a seeded Gaussian family of Re<psi, K psi>, per +- branch.
@@ -233,18 +257,7 @@ def cone_condition(grid: GridSpec, kappa: float, a: int, alpha: float, beta: flo
     -1e5, depending on the seed, for every beta in [-1, 1], so the form
     fails even at beta = 0.
     """
-    if a not in (1, -1):
-        raise ValueError("only the a = +/-1 representation branches are implemented")
-    grid.validate_kappa(kappa)
-    # one (center, width) row per state, drawn in the order of a per-state loop
-    c, w = np.random.default_rng(seed).uniform([-grid.window / 2, 0.5], [grid.window / 2, 2.0],
-                                                size=(n_states, 2)).T
-    psi = gaussian_state(grid, c, w)
-    # + 0.0 turns the -0.0 of a real family into 0.0
-    margins = {branch: float(np.min(_cone_form(grid, kappa, a, alpha, beta, branch, psi))) + 0.0
-               for branch in (+1, -1)}
-    margin = min(margins.values())
-    return {"margin": margin, "branch_margins": margins, "passed": margin >= -1e-8}
+    return cone_sweep(grid, kappa, a, alpha, (beta,), n_states, seed)[0]
 
 
 def sll_margin(psi1, psi2, grid: GridSpec, kappa: float) -> float:

@@ -496,8 +496,8 @@ def suite_causality(cfg: RunConfig):
                    ax["I_squared_residual"] == 0.0 and ax["I_hermiticity_residual"] == 0.0))
     checks.append(("krein-residual-refinement", r1 / r2 >= 2.0, r2, f"ratio={r1 / r2:.2f}"))
     grid = _causality_grid(cfg, 256)
-    for v in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        r = CA.cone_condition(grid, cfg.kappa, 1, 1.0, v, n_states=200, seed=cfg.seed)
+    vs = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    for v, r in zip(vs, CA.cone_sweep(grid, cfg.kappa, 1, 1.0, vs, n_states=200, seed=cfg.seed)):
         checks.append((f"cone-pass-v{v:+.1f}", r["passed"], r["margin"]))
     psi = CA.gaussian_state(grid, 0.4, 1.0)
     t = 0.6
@@ -637,10 +637,8 @@ def _cmd_causality(args, cfg):
     from . import causality as CA
     grid = _causality_grid(cfg, args.grid)
     grid.validate_kappa(cfg.kappa)  # a GridError is a usage error
-    rows = []
-    for v in args.v:
-        r = CA.cone_condition(grid, cfg.kappa, 1, 1.0, v, seed=cfg.seed)
-        rows.append(_row("causality", f"cone-v{v:+.2f}", r["passed"], r["margin"]))
+    rows = [_row("causality", f"cone-v{v:+.2f}", r["passed"], r["margin"])
+            for v, r in zip(args.v, CA.cone_sweep(grid, cfg.kappa, 1, 1.0, args.v, seed=cfg.seed))]
     return {"rows": rows, "passed": _all_passed(rows)}, rows
 
 

@@ -46,8 +46,22 @@ def _eps_sum(i, j, coef, word):
             for l in range(3) if (e := _eps(i, j, l))]
 
 
-def _order_class(g):
-    return E if g in (E, EINV) else g
+# the order class of each generator id: E and E^{-1} share one
+_ORDER_CLASS = (*range(E), E, E)
+
+
+def _ordered(m1, m2):
+    """Whether the word m1 + m2 of two normal-ordered monomials is itself normal-ordered.
+
+    Only the junction can be out of order.  It is in order when the class of
+    m1's last generator is below that of m2's first, or the two are the same
+    generator; equal classes of different generators are an E, E^{-1} pair,
+    which cancels.
+    """
+    if not (m1 and m2):
+        return True
+    a, b = m1[-1], m2[0]
+    return a == b or _ORDER_CLASS[a] < _ORDER_CLASS[b]
 
 
 def _grouplike(mono):
@@ -118,7 +132,7 @@ def _normalize_word(coef: tuple, word: tuple) -> list:
             if (a == E and b == EINV) or (a == EINV and b == E):
                 work.append((n, c, w[:idx] + w[idx + 2:]))
                 break
-            if _order_class(a) > _order_class(b):
+            if _ORDER_CLASS[a] > _ORDER_CLASS[b]:
                 # a b = b a + [a, b],  [a, b] = -[b, a] from the (lo, hi) table
                 work.append((n, c, w[:idx] + [b, a] + w[idx + 2:]))
                 for (cn, cc), ww in _commutator(b, a):
@@ -148,6 +162,15 @@ class Element(Sparse):
         return Element(pairs)
 
     def _key_mul(self, m1, m2):
+        """The product of two normal-ordered monomials, as ((mono, power), coef) pairs.
+
+        Every key of an `Element` is normal-ordered: the constructor takes
+        normal words or normalizes them, and products keep it so.  When the
+        junction of m1 and m2 is in order (`_ordered`), m1 + m2 is normal
+        already and is the product; otherwise the rewrite system orders it.
+        """
+        if _ordered(m1, m2):
+            return (((m1 + m2, 0), _ONE),)
         return _normalize_word(_S1, m1 + m2)
 
     def _show(self, mono, power, coef):
@@ -195,7 +218,10 @@ class Tensor(Sparse):
         return Tensor(self.n, pairs)
 
     def _key_mul(self, k1, k2):
-        return _outer(Element(_normalize_word(_S1, a + b)).terms.items() for a, b in zip(k1, k2))
+        """Slot by slot as `Element._key_mul`: an ordered junction is its concatenation."""
+        return _outer((((a + b, 0), _ONE),) if _ordered(a, b)
+                      else Element(_normalize_word(_S1, a + b)).terms.items()
+                      for a, b in zip(k1, k2))
 
     def _show(self, key, power, coef):
         return super()._show(f"({' ⊗ '.join(map(_word, key))})", power, coef)
@@ -272,9 +298,9 @@ def antipode(el: Element) -> Element:
 # tensor helpers for the axiom suite
 
 def _apply_slot(T: Tensor, slot: int, fn_tensor) -> Tensor:
-    """Apply a map Element -> Tensor(2) to one slot, producing Tensor(n+1)."""
+    """Apply a map monomial -> Tensor(2), such as `_delta_mono`, to one slot: Tensor(n+1)."""
     return T.map_keys(lambda k: [((k[:slot] + k2 + k[slot + 1:], n), c) for (k2, n), c in
-                                 fn_tensor(Element({(k[slot], 0): _ONE})).terms.items()],
+                                 fn_tensor(k[slot]).terms.items()],
                       Tensor(T.n + 1))
 
 
@@ -284,12 +310,13 @@ def _contract_counit(T: Tensor, slot: int) -> Element:
                       Element())
 
 
-def _multiply_slots_with_map(T: Tensor, fn_left=None, fn_right=None) -> Element:
-    """m((f ⊗ g) T) for slot maps f, g: Element -> Element (n = 2)."""
-    f = fn_left or (lambda e: e)
-    g = fn_right or (lambda e: e)
-    return T.map_keys(lambda k: (f(Element({(k[0], 0): _ONE}))
-                                 * g(Element({(k[1], 0): _ONE}))).terms.items(), Element())
+def _mono(m) -> Element:
+    return Element({(m, 0): _ONE})
+
+
+def _multiply_slots_with_map(T: Tensor, fn_left=_mono, fn_right=_mono) -> Element:
+    """m((f ⊗ g) T) for slot maps f, g: monomial -> Element, such as `_antipode_mono` (n = 2)."""
+    return T.map_keys(lambda k: (fn_left(k[0]) * fn_right(k[1])).terms.items(), Element())
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +326,16 @@ def hopf_axiom_suite(gen_name: str) -> dict:
     """Coassociativity, counit and coinverse identities for one generator; `passed`: all three."""
     x = GENERATORS[gen_name]
     d = coproduct(x)
-    co1 = _apply_slot(d, 0, coproduct)
-    co2 = _apply_slot(d, 1, coproduct)
+    co1 = _apply_slot(d, 0, _delta_mono)
+    co2 = _apply_slot(d, 1, _delta_mono)
     coassoc = co1 - co2
 
     cu_l = _contract_counit(d, 0) - x
     cu_r = _contract_counit(d, 1) - x
 
     eps_x = counit(x)
-    coin_l = _multiply_slots_with_map(d, fn_left=antipode) - eps_x
-    coin_r = _multiply_slots_with_map(d, fn_right=antipode) - eps_x
+    coin_l = _multiply_slots_with_map(d, fn_left=_antipode_mono) - eps_x
+    coin_r = _multiply_slots_with_map(d, fn_right=_antipode_mono) - eps_x
 
     flags = {"coassociativity": coassoc.is_zero(),
              "counit": cu_l.is_zero() and cu_r.is_zero(),
@@ -370,9 +397,11 @@ def bialgebra_compat_check(name: str, relations: dict) -> dict:
     a, b, rhs = relations[name]
     lhs = commutator_element(a, b)
     alg = lhs - rhs
-    d_res = (coproduct(a) * coproduct(b) - coproduct(b) * coproduct(a)) - coproduct(rhs)
+    da, db = coproduct(a), coproduct(b)
+    d_res = (da * db - db * da) - coproduct(rhs)
     e_res = counit(lhs) - counit(rhs)
-    s_res = (antipode(b) * antipode(a) - antipode(a) * antipode(b)) - antipode(rhs)
+    sa, sb = antipode(a), antipode(b)
+    s_res = (sb * sa - sa * sb) - antipode(rhs)
     res = {"algebra": alg, "coproduct": d_res, "counit": e_res, "antipode": s_res}
     flags = {k: r.is_zero() for k, r in res.items()}
     return {"relation": name, **flags, "passed": all(flags.values()),

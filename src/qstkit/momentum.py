@@ -536,9 +536,23 @@ def bch_compose(C: np.ndarray, p, q, order: int = 8):
 
 
 def group_from_structure(sc: StructureConstants) -> GroupDescriptor:
-    """Generic group law from structure constants via bch_compose at its default order 8."""
+    """Generic group law from structure constants via bch_compose at its default order 8.
+
+    Its Haar densities and modular function are 1, which needs a unimodular
+    structure: tr ad x^n = sum_m C^{nm}_m = 0 for every n.  On any other one
+    each of them raises ValueError, since Delta(exp X) = e^{tr ad X} != 1.
+    """
+    trace = np.einsum("nmm->n", sc.C)
+    bad = np.flatnonzero(trace)
+
+    def refused(*_):
+        n = int(bad[0])
+        raise ValueError(f"structure {sc.name!r} is not unimodular (tr ad x^{n} = "
+                         f"{complex(trace[n]):g}): its Haar weights and modular function "
+                         f"are not 1, and no other is implemented")
+    weight = refused if len(bad) else _one
     return GroupDescriptor(
         name=f"bch:{sc.name}", dim=sc.dim, structure=sc,
         add=lambda p, q: bch_compose(sc.C, p, q), inv=_minus,
-        haar_left=_one, haar_right=_one, modular=_one,
+        haar_left=weight, haar_right=weight, modular=weight,
     )

@@ -24,6 +24,9 @@ import numpy as np
 
 # random g, every entry nonzero, on which partition_check tests the unity sum_m f_mm * g = g
 UNITY_SAMPLES = 4
+# the positivity witnesses f_{m,k(m)} share k(m) = WITNESS_BLOCK floor(m / WITNESS_BLOCK),
+# so their one product holds N * WITNESS_BLOCK terms at most
+WITNESS_BLOCK = 32
 
 
 class TruncationError(IndexError):
@@ -100,12 +103,6 @@ def _max_diff(a: TruncatedElement, b: TruncatedElement) -> float:
     return float(np.max(np.abs(d), initial=0.0))
 
 
-def basis_element(m: int, n: int, theta: float, N: int) -> TruncatedElement:
-    if not (0 <= m < N and 0 <= n < N):
-        raise TruncationError(f"indices ({m},{n}) outside truncation N={N}")
-    return _support(theta, N, np.array([m]), np.array([n]), np.ones(1, dtype=complex))
-
-
 def star(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
     """The matrix product of a and b.
 
@@ -134,22 +131,39 @@ def trace_pairing(a: TruncatedElement, b: TruncatedElement) -> complex:
     return 2 * math.pi * a.theta * complex(np.sum(np.conj(a.vals[ia]) * b.vals[ib]))
 
 
+def _weights(n):
+    """n distinct nonzero Gaussian integers k + i(n + 1 - k), k = 1..n: complex, so a
+    missing conjugation shows, and with positive real parts, so no two cancel."""
+    k = np.arange(1, n + 1)
+    return k + 1j * (n + 1 - k)
+
+
 def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
     """Partition-of-unity axioms for the diagonal family {f_mm} at truncation N.
 
-    positivity : f_mm = f_m0 * f_m0^dagger for every m < N
+    positivity : f_mm = f_{m,k(m)} * f_{m,k(m)}^dagger for every m < N, with
+                 k(m) = B floor(m / B) and B = WITNESS_BLOCK; for N <= B every
+                 witness is f_m0.  One product g * g^dagger of the witness sum
+                 g = sum_m f_{m,k(m)} checks them all: f_{m,k} f_{k',m'} =
+                 delta_{kk'} f_{mm'}, so it must equal the block-diagonal
+                 all-ones element, whose diagonal is the f_mm.  It holds O(N B)
+                 terms, and a swapped product reads nonzero (f_0m f_m0 = f_00).
     unity      : sum_m f_mm * g = g on UNITY_SAMPLES random g with N^2 entries
-    commutation: chi * chi~ = chi~ * chi for diagonal pairs
+    commutation: chi * chi~ = chi~ * chi for two weighted diagonal sums over m < 6
     Local finiteness is vacuous at finite N.
     """
     rng = np.random.default_rng(seed)
-    pos_err = 0.0
-    for m in range(N):
-        fm0 = basis_element(m, 0, theta, N)
-        pos_err = max(pos_err, _max_diff(star(fm0, dagger(fm0)), basis_element(m, m, theta, N)))
+    m = np.arange(N)
+    k = m - m % WITNESS_BLOCK
+    g = _support(theta, N, m, k, np.ones(N, dtype=complex))
+    witness = star(g, dagger(g))
+    # row m of the block-diagonal all-ones element holds the columns k(m) .. k(m) + size(m) - 1
+    size = np.minimum(k + WITNESS_BLOCK, N) - k
+    cols = np.repeat(k - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    blocks = _support(theta, N, np.repeat(m, size), cols, np.ones(len(cols), dtype=complex))
+    pos_err = _max_diff(witness, blocks)
 
-    diag = np.arange(N)
-    unit_sum = _support(theta, N, diag, diag, np.ones(N, dtype=complex))
+    unit_sum = _support(theta, N, m, m, np.ones(N, dtype=complex))
     unity_err = 0.0
     for _ in range(UNITY_SAMPLES):
         g = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
@@ -157,12 +171,10 @@ def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
         g = _support(theta, N, rows, cols, g[rows, cols])
         unity_err = max(unity_err, _max_diff(star(unit_sum, g), g), _max_diff(star(g, unit_sum), g))
 
-    comm_err = 0.0
-    for m in range(min(N, 6)):
-        for n in range(min(N, 6)):
-            a = basis_element(m, m, theta, N)
-            b = basis_element(n, n, theta, N)
-            comm_err = max(comm_err, _max_diff(star(a, b), star(b, a)))
+    d = np.arange(min(N, 6))
+    w = _weights(len(d))
+    a, b = (_support(theta, N, d, d, x) for x in (w, w[::-1]))
+    comm_err = _max_diff(star(a, b), star(b, a))
 
     return {
         "N": N,
@@ -176,33 +188,42 @@ def partition_check(N: int, theta: float = 1.0, seed: int = 0) -> dict:
 def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
     """Product/involution/trace identities of the basis at truncation N.
 
+    Each family of random basis elements is one weighted sum with the
+    Gaussian-integer weights of `_weights`, so every product and pairing is
+    exact in float64 and a correct kernel reads exactly 0:
+    delta rule     : (sum_i a_i f_{m_i n_i}) * (sum_j b_j f_{k_j l_j}) against
+                     sum over the pairs (i, j) with n_i = k_j of a_i b_j f_{m_i l_j},
+                     on 50 draws (m, n, k, l): all 50 x 50 cross pairs
+    involution     : (sum_i a_i f_{m_i n_i})^dagger = sum_i conj(a_i) f_{n_i m_i}, 20 draws
+    orthonormality : <sum_i a_i f_{m_i n_i}, sum_j b_j f_{k_j l_j}> against 2 pi theta
+                     times the sum of conj(a_i) b_j over (m_i, n_i) = (k_j, l_j),
+                     on 30 draws: all 30 x 30 cross pairs
+    associativity  : (a * b) * c = a * (b * c) on 10 random triples of N-term supports
+    Each family is drawn in one `integers` call, which yields the numbers of
+    one call per draw: the bit generator keeps the unused half of a 64-bit
+    output between calls.
     Returns the largest error of each identity; the caller judges them.
     """
     rng = np.random.default_rng(seed)
     errs = {}
-    # delta rule on random index quadruples
-    e = 0.0
-    for _ in range(50):
-        m, n, k, l = (int(x) for x in rng.integers(0, N, size=4))
-        prod = star(basis_element(m, n, theta, N), basis_element(k, l, theta, N))
-        expect = (basis_element(m, l, theta, N) if n == k
-                  else TruncatedElement((), (), (), theta, N))
-        e = max(e, _max_diff(prod, expect))
-    errs["delta_rule"] = e
-    # involution
-    e = 0.0
-    for _ in range(20):
-        m, n = (int(x) for x in rng.integers(0, N, size=2))
-        e = max(e, _max_diff(dagger(basis_element(m, n, theta, N)), basis_element(n, m, theta, N)))
-    errs["involution"] = e
-    # orthonormality <f_mn, f_kl> = 2 pi theta delta_mk delta_nl
-    e = 0.0
-    for _ in range(30):
-        m, n, k, l = (int(x) for x in rng.integers(0, N, size=4))
-        val = trace_pairing(basis_element(m, n, theta, N), basis_element(k, l, theta, N))
-        expect = 2 * math.pi * theta if (m == k and n == l) else 0.0
-        e = max(e, abs(val - expect))
-    errs["orthonormality"] = e
+    m, n, k, l = rng.integers(0, N, size=(50, 4)).T
+    w = _weights(50)
+    v = w[::-1]
+    i, j = np.nonzero(n[:, None] == k[None, :])
+    expect = TruncatedElement(m[i], l[j], w[i] * v[j], theta, N)
+    errs["delta_rule"] = _max_diff(star(TruncatedElement(m, n, w, theta, N),
+                                        TruncatedElement(k, l, v, theta, N)), expect)
+    m, n = rng.integers(0, N, size=(20, 2)).T
+    w = _weights(20)
+    errs["involution"] = _max_diff(dagger(TruncatedElement(m, n, w, theta, N)),
+                                   TruncatedElement(n, m, w.conj(), theta, N))
+    m, n, k, l = rng.integers(0, N, size=(30, 4)).T
+    w = _weights(30)
+    v = w[::-1]
+    i, j = np.nonzero((m[:, None] == k[None, :]) & (n[:, None] == l[None, :]))
+    val = trace_pairing(TruncatedElement(m, n, w, theta, N), TruncatedElement(k, l, v, theta, N))
+    expect = 2 * math.pi * theta * complex(np.sum(w[i].conj() * v[j]))
+    errs["orthonormality"] = abs(val - expect)
     # associativity on random triples of N-term supports with Gaussian-integer
     # values: every product and sum is exact in float64, so a correct product reads 0
     e = 0.0

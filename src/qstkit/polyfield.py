@@ -99,12 +99,17 @@ class Sparse:
     order = None
 
     def __init__(self, terms=()):
-        out, order = {}, self.order
+        out, order, merged = {}, self.order, False
         for k, c in _items(terms):
             if order is not None and not 0 <= k[1] <= order:
                 continue
-            out[k] = _add(out[k], c) if k in out else c
-        self.terms = {k: c for k, c in out.items() if c[0] or c[1]}
+            if k in out:
+                out[k] = _add(out[k], c)
+                merged = True
+            elif c[0] or c[1]:
+                out[k] = c
+        # only a merge can leave a zero: a zero term is never stored
+        self.terms = {k: c for k, c in out.items() if c[0] or c[1]} if merged else out
 
     def _show(self, key, power, coef):
         return f"[{_fmt(power, coef)}]{key}"

@@ -6,7 +6,8 @@ element is an explicit N x N matrix, the star product is `@`, the dagger is
 same random numbers in the same order as `qstkit.moyal_matrix`, so the two
 must return equal dicts.  They cost O(N^3) time and O(N^2) memory per basis
 element, so the tests use them for N <= MAX_N only.  `from_matrix` and
-`dense` convert between a coefficient matrix and the module's supports.
+`dense` convert between a coefficient matrix and the module's supports, and
+`basis_element` is the one-term support f_mn.
 """
 
 import math
@@ -28,6 +29,11 @@ def from_matrix(c, theta):
     c = np.asarray(c, dtype=complex)
     rows, cols = np.nonzero(c)
     return TruncatedElement(rows, cols, c[rows, cols], theta, c.shape[0])
+
+
+def basis_element(m, n, theta, N):
+    """The basis element f_mn; an index outside the truncation raises TruncationError."""
+    return TruncatedElement([m], [n], [1.0], theta, N)
 
 
 def dense(e):

@@ -1,4 +1,5 @@
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,29 @@ def test_cone_family_equals_per_state_loop(grid, monkeypatch):
     seen = _spy_on_gaussians(monkeypatch)
     C.cone_condition(grid, 1.0, 1, 1.0, 0.5, n_states=200, seed=5)
     assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(want))
+
+
+def test_cone_sweep_runs_each_beta_on_one_family(grid, monkeypatch):
+    want = O.cone_family(grid, 50, seed=2)
+    calls, real = [], C._cone_form
+    monkeypatch.setattr(C, "_cone_form", lambda *args: calls.append(args) or real(*args))
+    betas = [-1.0, 0.25, 1.0]
+    out = C.cone_sweep(grid, 1.0, 1, 1.0, betas, n_states=50, seed=2)
+    assert len(out) == len(betas) and all(r["passed"] for r in out)
+    assert [args[4:6] for args in calls] == [(b, s) for b in betas for s in (+1, -1)]
+    psi = calls[0][6]
+    assert all(args[6] is psi for args in calls) and np.array_equal(_bits(psi), _bits(want))
+
+
+def test_cone_rows_build_one_family_per_sweep(monkeypatch, capsys):
+    from qstkit import cli
+    seen = _spy_on_gaussians(monkeypatch)
+    cli.suite_causality(cli.RunConfig())
+    assert [s.shape for s in seen if s.ndim == 2 and s.shape[1] == 200] == [(256, 200)]
+    seen.clear()
+    assert cli.main(["causality", "--v=-1:1:0.25"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 9
+    assert [s.shape for s in seen] == [(256, 200)]
 
 
 def test_axiom_family_equals_per_state_loop(grid, monkeypatch):

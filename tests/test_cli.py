@@ -556,6 +556,26 @@ def test_cli_inline_structure_needs_no_deformation(tmp_path, capsys):
     assert err == "" and json.loads(out)["result"] == pytest.approx([0.75, 0.0])
 
 
+@pytest.mark.parametrize("argv", [["modular", "--p", "1,0"],
+                                  ["haar-check", "--p", "1,2", "--q", "0.5,0.3"]])
+def test_cli_group_inline_refuses_haar_weights_of_a_non_unimodular_structure(argv, tmp_path,
+                                                                          capsys):
+    # C^{01}_1 = i = -C^{10}_1 composes like the ax+b group: tr ad x^0 = i, so
+    # Delta(exp X) = e^{tr ad X} is not 1, and neither Haar density is flat
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"structure": {
+        "name": "axb", "dim": 2,
+        "entries": [{"mu": 0, "nu": 1, "rho": 1, "re": 0.0, "im": 1.0},
+                    {"mu": 1, "nu": 0, "rho": 1, "re": 0.0, "im": -1.0}]}}))
+    test_cli_group_bad_input_exit_2(["--config", str(conf), "group", *argv, "--space", "inline"],
+                                    capsys)
+    sc = preset("su2_lambda", lam=1.0)  # traceless: its weights stay 1
+    conf.write_text(json.dumps({"structure": json.loads(structure_json(sc))}))
+    assert cli.main(["--config", str(conf), "group", "modular", "--space", "inline",
+                     "--p", "0.1,0.2,0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == 1.0
+
+
 def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
     # this algebra's BCH composition of (1, 2) and (0.5, 3) has a nonzero
     # imaginary part, which a real result vector cannot show and a real

@@ -64,6 +64,10 @@ CASES = {
                               "--space", "inline", "--p=0.1,0.2,-0.3", *["--q=0.4,-0.1,0.2"] * q]
        for op, q in (("add", True), ("inv", False), ("haar-check", True))},
     "matrix-basis-N8-seed5": ["matrix-basis", "--N", "8", "--seed", "5"],
+    "matrix-basis-N1": ["matrix-basis", "--N", "1"],
+    "matrix-basis-N64-seed3": ["matrix-basis", "--N", "64", "--seed", "3"],
+    "matrix-basis-N256-seed2-csv": ["matrix-basis", "--N", "256", "--seed", "2", "--format", "csv"],
+    "causality-v-sweep": ["causality", "--v=-1:1:0.25", "--grid", "512"],
     # exit 2: the spectral causality grid refuses kappa = 0.3, a bad config value, a bad field
     "suite-all-kappa0.3": ["suite", "all", "--kappa", "0.3"],
     "config-bad-value": ["--config", "{golden}/inputs/bad-kappa.json", "suite", "group"],

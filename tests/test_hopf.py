@@ -84,7 +84,7 @@ def test_hopf_axioms_per_generator(name):
 def test_coassociativity_P_structure():
     # both iterated coproducts of P_j read P⊗1⊗1 + E⊗P⊗1 + E⊗E⊗P
     d = H.coproduct(H.gen(H.PX2))
-    t = H._apply_slot(d, 0, H.coproduct)
+    t = H._apply_slot(d, 0, H._delta_mono)
     expect = H.Tensor(3, {
         (((H.PX2,), (), ()), 0): ONE,
         (((H.E,), (H.PX2,), ()), 0): ONE,
@@ -218,3 +218,28 @@ def test_the_kappa_power_of_a_term_is_honoured(monkeypatch, fresh_caches):
     assert rep["passed"] is False
     assert [n for n, r in rep["relations"].items() if not r["passed"]] == \
         ["[K1,K2]", "[K1,K3]", "[K2,K3]"]
+
+
+# --- products of normal monomials: an ordered junction is the concatenation ---
+
+def _normal_monomials(max_len):
+    """Every normal-ordered word of length <= max_len over the 12 generators, E^{-1} included."""
+    words, out = [()], [()]
+    for _ in range(max_len):
+        words = [w + (g,) for w in words for g in range(12)
+                 if H.Element(words=[(S1, w + (g,))]).terms.keys() == {(w + (g,), 0)}]
+        out += words
+    return out
+
+
+def test_junction_shortcut_equals_the_rewrite_system():
+    monos = _normal_monomials(2)
+    assert len(monos) == 90  # 1 + 12 + (12 squares + 65 pairs of increasing class)
+    T = H.Tensor(2)
+    for m1 in monos:
+        for m2 in monos:
+            want = H.Element(H._normalize_word(S1, m1 + m2))
+            assert H.Element(want._key_mul(m1, m2)) == want, (m1, m2)
+            slots = H.Tensor(2, H._outer([want.terms.items(),
+                                          H.Element(H._normalize_word(S1, m2 + m1)).terms.items()]))
+            assert H.Tensor(2, T._key_mul((m1, m2), (m2, m1))) == slots, (m1, m2)

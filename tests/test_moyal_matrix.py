@@ -10,25 +10,25 @@ from qstkit import moyal_matrix as MM
 
 def test_basis_product_matrix_form():
     N = 8
-    a = MM.basis_element(0, 1, 1.0, N)
-    b = MM.basis_element(1, 2, 1.0, N)
+    a = O.basis_element(0, 1, 1.0, N)
+    b = O.basis_element(1, 2, 1.0, N)
     prod = MM.star(a, b)
-    assert np.array_equal(O.dense(prod), O.dense(MM.basis_element(0, 2, 1.0, N)))
-    zero = MM.star(a, MM.basis_element(0, 2, 1.0, N))
+    assert np.array_equal(O.dense(prod), O.dense(O.basis_element(0, 2, 1.0, N)))
+    zero = MM.star(a, O.basis_element(0, 2, 1.0, N))
     assert np.all(O.dense(zero) == 0)
 
 
 def test_involution():
     N = 6
-    e = MM.basis_element(2, 4, 1.0, N)
-    assert np.array_equal(O.dense(MM.dagger(e)), O.dense(MM.basis_element(4, 2, 1.0, N)))
+    e = O.basis_element(2, 4, 1.0, N)
+    assert np.array_equal(O.dense(MM.dagger(e)), O.dense(O.basis_element(4, 2, 1.0, N)))
 
 
 def test_trace_pairing():
     N = 6
     theta = 0.7
-    f01 = MM.basis_element(0, 1, theta, N)
-    f10 = MM.basis_element(1, 0, theta, N)
+    f01 = O.basis_element(0, 1, theta, N)
+    f10 = O.basis_element(1, 0, theta, N)
     assert MM.trace_pairing(f01, f01) == pytest.approx(2 * math.pi * theta)
     assert MM.trace_pairing(f01, f10) == 0
     rng = np.random.default_rng(0)
@@ -39,9 +39,9 @@ def test_trace_pairing():
 
 def test_truncation_rejected_not_projected():
     with pytest.raises(MM.TruncationError):
-        MM.basis_element(8, 0, 1.0, 8)
+        O.basis_element(8, 0, 1.0, 8)
     with pytest.raises(ValueError):
-        MM.star(MM.basis_element(0, 0, 1.0, 4), MM.basis_element(0, 0, 1.0, 8))
+        MM.star(O.basis_element(0, 0, 1.0, 4), O.basis_element(0, 0, 1.0, 8))
 
 
 def test_partition_check_N32():
@@ -56,14 +56,14 @@ def test_positivity_witness_rule():
     # f_m0 * f_0m = f_mm via the delta_00 rule
     N = 8
     for m in range(N):
-        w = MM.star(MM.basis_element(m, 0, 1.0, N), MM.basis_element(0, m, 1.0, N))
-        assert np.array_equal(O.dense(w), O.dense(MM.basis_element(m, m, 1.0, N)))
+        w = MM.star(O.basis_element(m, 0, 1.0, N), O.basis_element(0, m, 1.0, N))
+        assert np.array_equal(O.dense(w), O.dense(O.basis_element(m, m, 1.0, N)))
 
 
 def test_diagonal_orthogonality():
     N = 8
-    f11 = MM.basis_element(1, 1, 1.0, N)
-    f22 = MM.basis_element(2, 2, 1.0, N)
+    f11 = O.basis_element(1, 1, 1.0, N)
+    f22 = O.basis_element(2, 2, 1.0, N)
     assert np.all(O.dense(MM.star(f11, f22)) == 0)
     assert np.all(O.dense(MM.star(f22, f11)) == 0)
 
@@ -144,10 +144,10 @@ def _support(e):
 
 
 def test_basis_elements_hold_no_matrix():
-    e = MM.basis_element(3, 5, 1.0, 8)
+    e = O.basis_element(3, 5, 1.0, 8)
     assert not hasattr(e, "dense") and not hasattr(e, "coeff")
     assert _support(e) == ([3], [5], [1])
-    assert _support(MM.star(e, MM.basis_element(5, 2, 1.0, 8))) == ([3], [2], [1])
+    assert _support(MM.star(e, O.basis_element(5, 2, 1.0, 8))) == ([3], [2], [1])
     assert _support(MM.dagger(e)) == ([5], [3], [1])
 
 
@@ -227,7 +227,7 @@ def test_every_operation_returns_strictly_increasing_keys():
     a = MM.TruncatedElement(rows, cols, rng.normal(size=40) + 1j, 1.0, N)
     b = _random_support(rng, N, 30)
     assert len(a.vals) < 40 and _in_key_order(a) and _in_key_order(b)
-    assert _in_key_order(MM.basis_element(5, 2, 1.0, N))
+    assert _in_key_order(O.basis_element(5, 2, 1.0, N))
     for x, y in ((a, b), (b, a), (a, a)):
         assert _in_key_order(MM.star(x, y))
     assert len(a.vals) > 1 and _in_key_order(MM.dagger(a)) and _in_key_order(MM.dagger(b))
@@ -267,3 +267,60 @@ def test_star_with_repeated_columns_matches_the_dense_product():
     b = _random_support(rng, N, 20)
     assert np.allclose(O.dense(MM.star(a, b)), O.dense(a) @ O.dense(b), rtol=0, atol=1e-12)
     assert np.allclose(O.dense(MM.star(b, a)), O.dense(b) @ O.dense(a), rtol=0, atol=1e-12)
+
+
+# --- batched families: one product per identity, and each still sees a wrong kernel
+
+def _star_calls(monkeypatch, N):
+    calls, real = [], MM.star
+    monkeypatch.setattr(MM, "star", lambda a, b: calls.append(1) or real(a, b))
+    MM.partition_check(N, 1.0)
+    MM.identity_checks(N, 1.0)
+    return len(calls)
+
+
+def test_star_calls_do_not_grow_with_N(monkeypatch):
+    assert _star_calls(monkeypatch, 8) == _star_calls(monkeypatch, 256)
+
+
+def test_positivity_witnesses_are_f_m0_up_to_one_block(monkeypatch):
+    seen, real = [], MM.star
+    monkeypatch.setattr(MM, "star", lambda a, b: seen.append((a, b)) or real(a, b))
+    MM.partition_check(MM.WITNESS_BLOCK, 1.0)
+    g = seen[0][0]
+    assert _support(g) == (list(range(MM.WITNESS_BLOCK)), [0] * MM.WITNESS_BLOCK,
+                           [1] * MM.WITNESS_BLOCK)
+
+
+@pytest.mark.parametrize("N", [4, 32, 256])
+def test_swapped_star_breaks_positivity_and_delta_rule(N, monkeypatch):
+    real = MM.star
+    monkeypatch.setattr(MM, "star", lambda a, b: real(b, a))
+    assert MM.partition_check(N, 1.0)["positivity_witness_error"] != 0
+    assert MM.identity_checks(N, 1.0)["delta_rule"] != 0
+
+
+def test_star_dropping_one_term_breaks_positivity(monkeypatch):
+    real = MM.star
+
+    def star(a, b):
+        r = real(a, b)
+        return MM.TruncatedElement(r.rows[1:], r.cols[1:], r.vals[1:], r.theta, r.N)
+
+    monkeypatch.setattr(MM, "star", star)
+    assert MM.partition_check(256, 1.0)["positivity_witness_error"] != 0
+
+
+@pytest.mark.parametrize("N", [4, 32, 256])
+def test_untransposed_dagger_breaks_batched_involution(N, monkeypatch):
+    monkeypatch.setattr(MM, "dagger", lambda a: MM.TruncatedElement(
+        a.rows, a.cols, a.vals.conj(), a.theta, a.N))
+    assert MM.identity_checks(N, 1.0)["involution"] != 0
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_unconjugated_pairing_breaks_orthonormality(N, monkeypatch):
+    real = MM.trace_pairing
+    monkeypatch.setattr(MM, "trace_pairing", lambda a, b: real(
+        MM.TruncatedElement(a.rows, a.cols, a.vals.conj(), a.theta, a.N), b))
+    assert MM.identity_checks(N, 1.0)["orthonormality"] != 0
