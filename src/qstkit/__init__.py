@@ -7,10 +7,11 @@ machinery with UV/IR-mixing classification, twisted gauge-structure checks
 and a discretized causality toy model.
 """
 
+import importlib
 import os
 
 # OpenBLAS reads this once, when numpy first loads it, so it must be set
-# before the import of .liestructure below and has no effect in a process
+# before anything in qstkit imports numpy and has no effect in a process
 # that loaded numpy before qstkit.  Its default of 28 keeps each idle worker
 # thread busy-waiting for 2^28 TSC cycles (about 0.13 s at 2.1 GHz) after
 # start-up and after every threaded BLAS call.  On a 2-vCPU host that spin
@@ -22,19 +23,23 @@ import os
 # thread, 84 ms on two with timeout 4).  A value the caller set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .liestructure import StructureConstants, preset, jacobi_check, recover_from_group_law  # noqa: E402
-from .momentum import GroupDescriptor, group_preset, add, inv, modular  # noqa: E402
-
-__all__ = [
-    "StructureConstants",
-    "preset",
-    "jacobi_check",
-    "recover_from_group_law",
-    "GroupDescriptor",
-    "group_preset",
-    "add",
-    "inv",
-    "modular",
-]
+# name -> the module that defines it; each loads on first access (PEP 562), so
+# `import qstkit` loads no numpy and the exact engine runs without it
+_EXPORTS = {
+    **dict.fromkeys(("StructureConstants", "preset", "jacobi_check", "recover_from_group_law"),
+                    "liestructure"),
+    **dict.fromkeys(("GroupDescriptor", "group_preset", "add", "inv", "modular"), "momentum"),
+}
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

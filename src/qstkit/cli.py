@@ -7,10 +7,12 @@ path: argparse and `PARAMS` check the input, a `COMMANDS` handler returns
 verdict: exit 0 when there are none or every row passed, 1 when a row
 failed, 2 on a usage/config error.
 
-At import the module loads numpy and the group modules (`liestructure`,
-`momentum`), which config parsing and `group` need.  Each `suite_<name>`
-and command handler imports the kernel modules it runs, so a one-shot
-command compiles and loads only those; `loop` only for `loop` and
+At import the module loads neither numpy nor any kernel module: parsing
+and emitting check scalars with `math`.  Each `suite_<name>` and command
+handler imports the modules it runs, numpy among them, so a one-shot
+command compiles and loads only those.  `hopf check`, `gauge sw`,
+`gauge dim-scan`, `suite hopf` and `suite twist` run on exact or scalar
+arithmetic and load no numpy; `loop` loads only for `loop` and
 `suite mixing`.  No command loads scipy.
 """
 
@@ -20,17 +22,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .liestructure import StructureConstants, jacobi_check, recover_from_group_law
-from .momentum import (add, delta_solve_nonplanar, group_from_structure, group_preset,
-                       haar_invariance_check, inv, modular, modular_identity_residuals,
-                       real_values)
+if TYPE_CHECKING:
+    from .liestructure import StructureConstants
 
 DEFAULT_TOLERANCES = {
     "group.assoc": 1e-9,
@@ -63,7 +63,7 @@ class RunConfig:
     out: str = ""
     fmt: str = "json"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    inline_structure: StructureConstants = None
+    inline_structure: StructureConstants | None = None
 
 
 def _scalar(typ, ok, domain):
@@ -89,8 +89,8 @@ def _scalar(typ, ok, domain):
 
 
 _DIM = _scalar(int, lambda v: 1 <= v <= MAX_DIM, f"between 1 and {MAX_DIM}")
-_NONZERO = _scalar(float, lambda v: np.isfinite(v) and v != 0, "finite and nonzero")
-_NON_NEGATIVE = _scalar(float, lambda v: np.isfinite(v) and v >= 0, "finite and non-negative")
+_NONZERO = _scalar(float, lambda v: math.isfinite(v) and v != 0, "finite and nonzero")
+_NON_NEGATIVE = _scalar(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 
 
 def _tolerances(val, where, base=DEFAULT_TOLERANCES):
@@ -107,6 +107,7 @@ def _tolerances(val, where, base=DEFAULT_TOLERANCES):
 
 def _structure(val, where):
     """A config's inline structure constants; the dim is checked before anything is allocated."""
+    from .liestructure import StructureConstants
     if isinstance(val, dict) and "dim" in val:
         _DIM(val["dim"], f"{where}/dim")
     try:
@@ -115,7 +116,9 @@ def _structure(val, where):
         raise ConfigError(f"{where}: not a structure-constant object ({exc!r})") from None
 
 
-def _parse_reals(text: str) -> np.ndarray:
+def _parse_reals(text: str):
+    """The array of a comma-separated list of reals."""
+    import numpy as np
     try:
         return np.array([float(x) for x in text.split(",")])
     except ValueError:
@@ -124,10 +127,10 @@ def _parse_reals(text: str) -> np.ndarray:
 
 def _parse_mk_grid(text: str) -> tuple:
     """The m and kappa values of `loop bessel-check --grid`."""
-    vals = _parse_reals(text)
-    if not (np.isfinite(vals).all() and (vals > 0).all()):
+    vals = tuple(_parse_reals(text).tolist())
+    if not all(math.isfinite(v) and v > 0 for v in vals):
         raise ConfigError(f"m and kappa must be finite and positive, got {text!r}")
-    return tuple(vals.tolist())
+    return vals
 
 
 def _parse_v_range(text: str) -> list:
@@ -136,7 +139,7 @@ def _parse_v_range(text: str) -> list:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigError(f"expected lo:hi:step, got {text!r}") from None
-    if not (np.isfinite([lo, hi, step]).all() and lo <= hi and step > 0):
+    if not (all(map(math.isfinite, (lo, hi, step))) and lo <= hi and step > 0):
         raise ConfigError(f"need finite lo <= hi and a positive step, got {text!r}")
     vs, v = [], lo
     while v <= hi + 1e-12:
@@ -158,7 +161,7 @@ def _parse_d_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_lambda_grid(text: str) -> np.ndarray:
+def _parse_lambda_grid(text: str):
     """The geometric cutoff grid of a `--lambda-grid lo:hi:n` option.
 
     The divergence slope is fitted on the upper half of the grid, so it needs
@@ -169,8 +172,9 @@ def _parse_lambda_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError(f"expected lo:hi:n, got {text!r}") from None
-    if not (np.isfinite([lo, hi]).all() and 0 < lo < hi and 3 <= n <= MAX_POINTS):
+    if not (all(map(math.isfinite, (lo, hi))) and 0 < lo < hi and 3 <= n <= MAX_POINTS):
         raise ConfigError(f"need finite 0 < lo < hi and 3 <= n <= {MAX_POINTS}, got {text!r}")
+    import numpy as np
     return np.geomspace(lo, hi, n)
 
 
@@ -178,7 +182,7 @@ def _parse_lambda_grid(text: str) -> np.ndarray:
 # it sets, None for a command option, and its check.  A check takes a JSON
 # value at a key path, or a flag's text as the argparse `type=`.
 PARAMS = {
-    "kappa": ("kappa", _scalar(float, lambda v: np.isfinite(v) and v > 0, "finite and positive")),
+    "kappa": ("kappa", _scalar(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")),
     "theta": ("theta", _NONZERO),
     "rho": ("rho", _NONZERO),
     "lam": ("lam", _NONZERO),
@@ -193,7 +197,7 @@ PARAMS = {
     "N": (None, _scalar(int, lambda v: 1 <= v <= MAX_N, f"between 1 and {MAX_N}")),
     "grid": (None, _scalar(int, lambda v: v <= MAX_GRID, f"at most {MAX_GRID}")),
     "mass": (None, _NON_NEGATIVE),
-    "k0": (None, _scalar(float, np.isfinite, "finite")),
+    "k0": (None, _scalar(float, math.isfinite, "finite")),
     "v": (None, _parse_v_range),
     "d-range": (None, _parse_d_range),
     "lambda-grid": (None, _parse_lambda_grid),
@@ -221,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
 def _row(suite, check, passed, residual=0.0, detail=""):
     """One report row; a residual that is not finite fails it."""
     residual = float(residual)
-    return {"suite": suite, "check": check, "passed": bool(passed and np.isfinite(residual)),
+    return {"suite": suite, "check": check, "passed": bool(passed and math.isfinite(residual)),
             "residual": residual, "detail": detail}
 
 
@@ -241,6 +245,7 @@ def _worst(*residuals):
     A NaN residual must fail its row: the builtin max would drop it.  So must
     a check over no samples, which has shown nothing.
     """
+    import numpy as np
     flat = np.concatenate([np.ravel(r) for r in residuals] or [[]])
     return float(np.max(flat)) if flat.size else np.nan
 
@@ -250,6 +255,7 @@ def _worst(*residuals):
 
 def _preset_groups(cfg: RunConfig):
     """(label, group) pairs; the label makes the group suite's check ids unique."""
+    from .momentum import group_preset
     return [
         ("kappa_minkowski-d1", group_preset("kappa_minkowski", kappa=cfg.kappa, d=1)),
         ("kappa_minkowski", group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)),
@@ -260,6 +266,9 @@ def _preset_groups(cfg: RunConfig):
 
 
 def suite_group(cfg: RunConfig):
+    import numpy as np
+    from .liestructure import jacobi_check, recover_from_group_law
+    from .momentum import group_preset, haar_invariance_check, modular_identity_residuals
     checks = []
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.tolerances
@@ -343,6 +352,7 @@ def _random_packets(WV, g, rng, count):
     more, each term with a random complex amplitude.  Pair k reads the same
     stream as if it were drawn alone, after pairs 0..k-1.
     """
+    import numpy as np
     dim = g.dim
     moms, famps, extra, hamps = np.split(rng.normal(size=(count, 7 * dim + 20)),
                                          np.cumsum([5 * dim, 10, 2 * dim]), axis=1)
@@ -359,7 +369,9 @@ def _random_packets(WV, g, rng, count):
 
 
 def suite_trace(cfg: RunConfig):
+    import numpy as np
     from . import waves as WV
+    from .momentum import group_preset
     checks = []
     rng = np.random.default_rng(cfg.seed)
     gk = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
@@ -390,7 +402,9 @@ def suite_matrix(cfg: RunConfig):
 
 
 def suite_mixing(cfg: RunConfig):
+    import numpy as np
     from . import loop as LO
+    from .momentum import group_preset
     checks = []
     # the Moyal value depends on p through theta |p|: probes at theta |p| in
     # [1e-3, 1] stay clear of the underflow of K1 at every theta
@@ -441,7 +455,9 @@ def _sw_field():
 
 
 def suite_gauge(cfg: RunConfig):
+    import numpy as np
     from . import gauge as GA, polyfield as PF, waves as WV
+    from .momentum import group_preset
     checks = []
     rng = np.random.default_rng(cfg.seed)
     g = group_preset("kappa_minkowski", kappa=cfg.kappa, d=3)
@@ -486,8 +502,11 @@ def _causality_grid(cfg: RunConfig, n: int, scheme: str = "spectral"):
 
 
 def suite_causality(cfg: RunConfig):
+    import numpy as np
     from . import causality as CA
     checks = []
+    grid = _causality_grid(cfg, 256)
+    grid.validate_kappa(cfg.kappa)  # before the central grids, which do not check kappa
     # I^2 - 1 and I^dagger - I do not depend on the grid: the n = 256 Krein call reads them
     coarse, ax = (CA.lorentzian_axiom_check(_causality_grid(cfg, n, "central"), cfg.kappa,
                                             seed=cfg.seed) for n in (128, 256))
@@ -495,7 +514,6 @@ def suite_causality(cfg: RunConfig):
     checks.append(("fundamental-symmetry-exact",
                    ax["I_squared_residual"] == 0.0 and ax["I_hermiticity_residual"] == 0.0))
     checks.append(("krein-residual-refinement", r1 / r2 >= 2.0, r2, f"ratio={r1 / r2:.2f}"))
-    grid = _causality_grid(cfg, 256)
     vs = (-1.0, -0.5, 0.0, 0.5, 1.0)
     for v, r in zip(vs, CA.cone_sweep(grid, cfg.kappa, 1, 1.0, vs, n_states=200, seed=cfg.seed)):
         checks.append((f"cone-pass-v{v:+.1f}", r["passed"], r["margin"]))
@@ -550,6 +568,9 @@ def _cmd_suite(args, cfg):
 
 def _cmd_group(args, cfg):
     """One momentum-group operation; ValueError on bad input or a non-finite result."""
+    import numpy as np
+    from .momentum import (add, delta_solve_nonplanar, group_from_structure, group_preset,
+                           haar_invariance_check, inv, modular, real_values)
     if args.space == "inline":
         if cfg.inline_structure is None:
             raise ValueError("--space inline needs a --config with a 'structure'")
@@ -623,7 +644,7 @@ def _cmd_gauge(args, cfg):
             A = _sw_field()
         return {"A_hat": GA.poly_field_to_jsonable(GA.sw_map_order1(A, _SW_THETA))}, None
     scan = GA.dimension_constraint_scan(args.d_range, cfg.kappa, _P0_SAMPLES)
-    bad = [d for d, dev in scan["deviations"].items() if not np.isfinite(dev)]
+    bad = [d for d, dev in scan["deviations"].items() if not math.isfinite(dev)]
     if bad:
         raise ValueError(f"gauge dim-scan: the deviation is not finite for d = {bad[0]} "
                          f"at kappa = {cfg.kappa}")
@@ -751,7 +772,7 @@ def _finite(doc):
         return {k: _finite(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
         return [_finite(v) for v in doc]
-    return None if isinstance(doc, float) and not np.isfinite(doc) else doc
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
 
 
 def _emit(doc, rows, fmt: str, out: str):

@@ -7,6 +7,10 @@ checks are carried out exactly on packets.  The packet checks take stacks
 of packets (see `waves`) and give one residual per label, a plain float
 for plain packets.  The first-order Seiberg-Witten map lives in a separate
 exact-polynomial representation.
+
+Only the packet half loads numpy: its functions import `waves` where they
+run, so the SW map, the polynomial fields and the dimension scan work
+without it.
 """
 
 from __future__ import annotations
@@ -14,24 +18,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from .polyfield import Poly
-from .waves import WavePacket, _check_same, act, concat, dagger, star
+
+if TYPE_CHECKING:
+    from .waves import WavePacket
 
 
 def _xop(mu: int, f: WavePacket) -> WavePacket:
+    from .waves import act
     return act("X", f, index=mu)
 
 
 def _eop(f: WavePacket, power: int = 1) -> WavePacket:
+    from .waves import act
     return act("E", f, power=power)
 
 
 def twisted_leibniz_residual(mu: int, f: WavePacket, g: WavePacket):
     """|X_mu(f*g) - X_mu(f)*g - E(f)*X_mu(g)| relative to the terms' scale, per label."""
+    from .waves import star
     lhs = _xop(mu, star(f, g))
     rhs = star(_xop(mu, f), g) + star(_eop(f), _xop(mu, g))
     return (lhs - rhs).norm() / (1.0 + lhs.norm() + rhs.norm())
@@ -39,6 +46,7 @@ def twisted_leibniz_residual(mu: int, f: WavePacket, g: WavePacket):
 
 def twisted_reality_residual(mu: int, f: WavePacket):
     """|(X_mu f)^dagger + E^{-1} X_mu (f^dagger)| relative to the terms' scale, per label."""
+    from .waves import dagger
     lhs = dagger(_xop(mu, f))
     rhs = _eop(_xop(mu, dagger(f)), power=-1).scale(-1.0)
     return (lhs - rhs).norm() / (1.0 + lhs.norm() + rhs.norm())
@@ -51,6 +59,7 @@ class GaugeField:
     components: List[WavePacket]
 
     def __post_init__(self):
+        from .waves import _check_same
         if not self.components:
             raise ValueError("a gauge field needs components")
         for c in self.components[1:]:  # one group and one label count
@@ -74,6 +83,7 @@ def field_strength(A: GaugeField) -> list:
 
     The pairs m < n are one stack, so each term is one array pass.
     """
+    from .waves import WavePacket, concat, star
     n, comps = A.dim, A.components
     pairs = [(m, k) for m in range(n) for k in range(m + 1, n)]
     F = [[WavePacket.zero(A.group, A.count)] * n for _ in range(n)]
@@ -98,6 +108,7 @@ def gauge_transform(A: GaugeField, u: WavePacket) -> GaugeField:
     F(A^u) = E^2(u^dagger) * F(A) * u closes exactly.  The components are
     one stack.
     """
+    from .waves import concat, dagger, star
     n = A.dim
     eud = concat([_eop(dagger(u))] * n)
     comps = star(star(eud, concat(A.components)), concat([u] * n)) \
@@ -110,6 +121,8 @@ def covariance_residual(A: GaugeField, u: WavePacket):
 
     The n² components are one stack.  A NaN residual of any component is the residual.
     """
+    import numpy as np
+    from .waves import concat, dagger, star
     nn = A.dim ** 2
     Fu = concat([c for row in field_strength(gauge_transform(A, u)) for c in row])
     target = star(star(concat([_eop(dagger(u), power=2)] * nn),
@@ -123,7 +136,8 @@ def dimension_constraint_scan(d_values, kappa: float, p0_samples) -> dict:
 
     This is the gauge-variation prefactor E^{d-2}(u) * E^2(u^dagger) on a
     plane-wave unitary u = e_p, evaluated exactly.  A deviation past the
-    float range is inf, and a NaN input gives NaN.
+    float range is inf, and a NaN input gives NaN: the builtin max alone
+    would drop it.
     """
     rows = {}
     for d in d_values:
@@ -133,7 +147,7 @@ def dimension_constraint_scan(d_values, kappa: float, p0_samples) -> dict:
                 devs.append(abs(math.exp((4 - d) * p0 / kappa) - 1.0))
             except OverflowError:
                 devs.append(math.inf)
-        rows[int(d)] = float(np.max(devs))
+        rows[int(d)] = math.nan if any(map(math.isnan, devs)) else max(devs)
     zero_set = sorted(d for d, dev in rows.items() if dev == 0.0)
     return {"deviations": rows, "zero_set": zero_set}
 

@@ -197,7 +197,9 @@ def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
     involution     : (sum_i a_i f_{m_i n_i})^dagger = sum_i conj(a_i) f_{n_i m_i}, 20 draws
     orthonormality : <sum_i a_i f_{m_i n_i}, sum_j b_j f_{k_j l_j}> against 2 pi theta
                      times the sum of conj(a_i) b_j over (m_i, n_i) = (k_j, l_j),
-                     on 30 draws: all 30 x 30 cross pairs
+                     on 30 draws: all 30 x 30 cross pairs; and the first sum
+                     paired with itself, whose matched pairs include every i = j,
+                     so its conjugation is checked at any N
     associativity  : (a * b) * c = a * (b * c) on 10 random triples of N-term supports
     Each family is drawn in one `integers` call, which yields the numbers of
     one call per draw: the bit generator keeps the unused half of a 64-bit
@@ -220,10 +222,13 @@ def identity_checks(N: int, theta: float = 1.0, seed: int = 1) -> dict:
     m, n, k, l = rng.integers(0, N, size=(30, 4)).T
     w = _weights(30)
     v = w[::-1]
-    i, j = np.nonzero((m[:, None] == k[None, :]) & (n[:, None] == l[None, :]))
-    val = trace_pairing(TruncatedElement(m, n, w, theta, N), TruncatedElement(k, l, v, theta, N))
-    expect = 2 * math.pi * theta * complex(np.sum(w[i].conj() * v[j]))
-    errs["orthonormality"] = abs(val - expect)
+    a, pair_errs = TruncatedElement(m, n, w, theta, N), []
+    for rows, cols, vals in ((k, l, v), (m, n, w)):  # the cross pairs, then a with itself
+        i, j = np.nonzero((m[:, None] == rows[None, :]) & (n[:, None] == cols[None, :]))
+        val = trace_pairing(a, TruncatedElement(rows, cols, vals, theta, N))
+        expect = 2 * math.pi * theta * complex(np.sum(w[i].conj() * vals[j]))
+        pair_errs.append(abs(val - expect))
+    errs["orthonormality"] = float(np.max(pair_errs))  # a NaN error stays NaN
     # associativity on random triples of N-term supports with Gaussian-integer
     # values: every product and sum is exact in float64, so a correct product reads 0
     e = 0.0

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstkit import cli
+from qstkit import cli, momentum
 from qstkit.liestructure import preset
 from qstkit.momentum import group_preset
 from structure_json import structure_json
@@ -215,7 +215,7 @@ def _kappa_of_minus_kappa(build):
 
 
 def test_suite_group_fails_the_law_of_minus_kappa(monkeypatch):
-    monkeypatch.setattr(cli, "group_preset", _kappa_of_minus_kappa(group_preset))
+    monkeypatch.setattr(momentum, "group_preset", _kappa_of_minus_kappa(group_preset))
     expected = {f"{check}-{label}" for check in ("haar-invariance", "structure-roundtrip")
                 for label in ("kappa_minkowski-d1", "kappa_minkowski")}
     for seed in range(5):
@@ -307,7 +307,7 @@ def test_two_point_reduction_fails_on_the_weyl_phase(monkeypatch):
     def weyl(name, **kw):
         return group_preset(name, **{**kw, "phase_convention": "weyl"})
 
-    monkeypatch.setattr(cli, "group_preset", weyl)
+    monkeypatch.setattr(momentum, "group_preset", weyl)
     row = {r["check"]: r for r in cli.suite_mixing(cli.RunConfig())}["two-point-reduction"]
     assert not row["passed"] and row["residual"] > 1e-3
 
@@ -756,6 +756,23 @@ def test_cli_gauge_sw_coefficients_parse_exactly(value):
     assert again.components[0] == field.components[0]
 
 
+def _fresh(*args):
+    """The finished run of `python *args` in a fresh interpreter, with `src` on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("name", ["causality", "all"])
+@pytest.mark.parametrize("kappa", ["0.05", "0.1"])
+def test_suite_causality_refuses_a_small_kappa_in_one_line(name, kappa):
+    # the spectral grid is checked before any kernel runs, so no numpy warning comes first
+    proc = _fresh("-m", "qstkit.cli", "suite", name, "--kappa", kappa)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: grid too coarse for e^{-p0/kappa}: spectral aliasing\n"
+
+
 def test_cli_causality_largest_grid(capsys):
     assert cli.main(["causality", "--grid", "8192", "--v", "0:0.5:0.5"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
@@ -763,11 +780,11 @@ def test_cli_causality_largest_grid(capsys):
 
 
 def test_cli_commands_load_only_their_modules():
-    # each command imports the kernel modules it runs, and none loads scipy
+    # each command imports the modules it runs, numpy among them, and none loads scipy
     code = ("import contextlib, io, json, sys\n"
             "def loaded():\n"
             "    return ({m.removeprefix('qstkit.') for m in sys.modules if m.startswith('qstkit')}\n"
-            "            | {'scipy'} & set(sys.modules))\n"
+            "            | {'numpy', 'scipy'} & set(sys.modules))\n"
             "import qstkit.cli\n"
             "steps, seen = [['import', 0, sorted(loaded())]], loaded()\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -779,20 +796,44 @@ def test_cli_commands_load_only_their_modules():
     commands = [["group", "add", "--p", "1,2,3,4", "--q", "0,1,0,0"], ["hopf", "check"],
                 ["matrix-basis", "--N", "4"], ["gauge", "dim-scan"],
                 ["causality", "--v", "0:0:1", "--grid", "64"], ["loop", "bessel-check", "--grid", "1"]]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    proc = _fresh("-c", code, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        ["import", 0, ["cli", "liestructure", "momentum", "qstkit"]],
-        ["group", 0, []],
+        ["import", 0, ["cli", "qstkit"]],
+        ["group", 0, ["liestructure", "momentum", "numpy"]],
         ["hopf", 0, ["hopf_algebra", "polyfield"]],
         ["matrix-basis", 0, ["moyal_matrix"]],
-        ["gauge", 0, ["gauge", "waves"]],
+        ["gauge", 0, ["gauge"]],
         ["causality", 0, ["causality"]],
         ["loop", 0, ["loop"]],
     ]
+
+
+def test_exact_commands_load_no_numpy():
+    # the Hopf and twist engines, the SW map and the dimension scan are exact or
+    # scalar arithmetic: none of them, nor the CLI around them, imports numpy
+    code = ("import contextlib, io, json, sys\n"
+            "import qstkit.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = qstkit.cli.main(argv)\n"
+            "    print(' '.join(argv), rc, 'numpy' in sys.modules)\n")
+    commands = [["hopf", "check"], ["suite", "hopf"], ["suite", "twist"], ["gauge", "sw"],
+                ["gauge", "dim-scan"]]
+    proc = _fresh("-c", code, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{' '.join(argv)} 0 False" for argv in commands]
+
+
+def test_import_qstkit_loads_no_numpy_and_exports_lazily():
+    code = ("import sys\n"
+            "import qstkit\n"
+            "print('numpy' in sys.modules, set(qstkit.__all__) <= set(dir(qstkit)))\n"
+            "print([n for n in qstkit.__all__ if getattr(qstkit, n).__name__ != n])\n"
+            "print(hasattr(qstkit, 'no_such_name'))\n")
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False True", "[]", "False"]
 
 
 def test_no_cli_command_loads_scipy():
@@ -844,7 +885,10 @@ def test_import_sets_the_blas_thread_timeout_before_numpy(caller, expect):
             "        if name == 'numpy' and not seen:\n"
             "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
             "sys.meta_path.insert(0, Spy())\n"
-            "import qstkit\n"
+            "import contextlib, io, qstkit.cli\n"
+            "assert not seen\n"  # import qstkit loads no numpy: the first command that needs it does
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    qstkit.cli.main(['group', 'add', '--p', '1,2,3,4', '--q', '0,1,0,0'])\n"
             "print(seen)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}

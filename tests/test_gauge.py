@@ -160,6 +160,20 @@ def test_dimension_scan_overflow_and_nan_are_not_finite():
     assert nan["zero_set"] == []
 
 
+def test_dimension_scan_keeps_nan_and_inf_in_any_order():
+    # the deviation of d is the largest over the samples, and a NaN sample is
+    # the deviation wherever it stands: the builtin max would drop it
+    nan = G.dimension_constraint_scan(range(1, 9), 1.0, [0.25, math.nan, 0.5])
+    assert all(math.isnan(dev) for dev in nan["deviations"].values())
+    assert nan["zero_set"] == []
+    big = G.dimension_constraint_scan([1, 4, 7], 1.0, [1.0, 1000.0])
+    assert big["deviations"] == {1: math.inf, 4: 0.0, 7: 1.0}
+    assert big["zero_set"] == [4]
+    both = G.dimension_constraint_scan([1, 4], 1.0, [1000.0, math.nan, 0.5])
+    assert math.isnan(both["deviations"][1]) and math.isnan(both["deviations"][4])
+    assert G.dimension_constraint_scan([4], 0.3, [0.25, -0.75, 5.0])["deviations"] == {4: 0.0}
+
+
 # Seiberg-Witten --------------------------------------------------------------
 
 def _vars():

@@ -39,6 +39,7 @@ CASES = {
     "suite-all-seed0-csv": ["suite", "all", "--seed", "0", "--format", "csv"],
     "hopf-check": ["hopf", "check"],
     "hopf-check-csv": ["hopf", "check", "--format", "csv"],
+    "suite-hopf": ["suite", "hopf"],
     "suite-twist": ["suite", "twist"],
     "suite-gauge": ["suite", "gauge"],
     "gauge-sw": ["gauge", "sw"],

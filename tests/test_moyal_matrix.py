@@ -318,7 +318,7 @@ def test_untransposed_dagger_breaks_batched_involution(N, monkeypatch):
     assert MM.identity_checks(N, 1.0)["involution"] != 0
 
 
-@pytest.mark.parametrize("N", [2, 4, 8])
+@pytest.mark.parametrize("N", [2, 4, 8, 32, 256])
 def test_unconjugated_pairing_breaks_orthonormality(N, monkeypatch):
     real = MM.trace_pairing
     monkeypatch.setattr(MM, "trace_pairing", lambda a, b: real(
