@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 # name -> the module that defines it; each loads on first access (PEP 562), so
 # `import qstkit` loads no numpy and the exact engine runs without it
 _EXPORTS = {
-    **dict.fromkeys(("StructureConstants", "preset", "jacobi_check", "recover_from_group_law"),
+    **dict.fromkeys(("StructureConstants", "jacobi_check", "recover_from_group_law"),
                     "liestructure"),
     **dict.fromkeys(("GroupDescriptor", "group_preset", "add", "inv", "modular"), "momentum"),
 }

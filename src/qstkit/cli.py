@@ -803,7 +803,7 @@ def main(argv=None) -> int:
         if rows is None and cfg.fmt == "csv":
             raise ConfigError(f"{args.cmd} {args.op} has no CSV form; use --format json")
         _emit(doc, rows, cfg.fmt, cfg.out)
-    except (OSError, ValueError) as exc:  # ConfigError, GridError and PresetError among them
+    except (OSError, ValueError) as exc:  # ConfigError, GridError and group_preset's among them
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0 if rows is None or _all_passed(rows) else 1

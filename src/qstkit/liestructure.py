@@ -1,11 +1,10 @@
-"""Lie-algebra-type noncommutativity data: structure constants and presets.
+"""Lie-algebra-type noncommutativity data: the structure-constant tensor.
 
 A quantum space-time of Lie-algebra type is fixed by a tensor C^{mu nu}_rho
 with [x^mu, x^nu] = C^{mu nu}_rho x^rho, which carries the deformation
-scale.  Four presets are shipped: kappa-Minkowski in d spatial dimensions,
-the extended Moyal space (with the unit phase slot appended so the algebra
-closes linearly), rho-Minkowski, and the su(2) fuzzy space.  A preset's
-`meta` keeps its parameters.
+scale.  This module holds the tensor type with its JSON reader, the Jacobi
+check, and the recovery of C from a group law's mixed Hessian.  The shipped
+space-times build their tensors next to their group laws, in `momentum`.
 """
 
 from __future__ import annotations
@@ -17,18 +16,6 @@ import numpy as np
 
 JACOBI_TOL = 1e-12
 HESSIAN_STEP = 1e-4  # finite-difference step of recover_from_group_law
-
-PRESET_NAMES = ("kappa_minkowski", "moyal_extended", "rho_minkowski", "su2_lambda")
-
-# Moyal fifth-slot conventions: increment of p5 under composition, as a
-# multiple c of p.Theta.q.  The preset stores the tensor its law regenerates,
-# C[:ns, :ns, ns] = -2i c Theta: i Theta for "weyl" (whose phase matches the
-# integral star product), -2i Theta for "real" and 2 Theta for "imaginary".
-MOYAL_PHASE_CONVENTIONS = {"weyl": -0.5, "real": 1.0, "imaginary": 1j}
-
-
-class PresetError(ValueError):
-    """Unknown preset name or inadmissible parameters/dimension."""
 
 
 @dataclass(frozen=True)
@@ -57,79 +44,6 @@ class StructureConstants:
         for e in data["entries"]:
             C[e["mu"], e["nu"], e["rho"]] = e["re"] + 1j * e["im"]
         return StructureConstants(name=data["name"], dim=dim, C=C)
-
-
-def preset(name: str, *, kappa=None, theta=None, rho=None, lam=None, d=None,
-           dim=None, phase_convention="weyl") -> StructureConstants:
-    """Return the structure constants of one of the four shipped space-times.
-
-    kappa_minkowski: [x^0,x^j] = (i/kappa) x^j for j = 1..d (any d >= 1).
-    moyal_extended:  [x^mu,x^nu] = -2i c Theta^{mu nu} x^5 with the unit slot
-                     appended (dim = even spatial + 1, default 5); c is the
-                     phase convention's increment, so i Theta for "weyl".
-    rho_minkowski:   dim 4, rotation-type bracket in the (x1,x2) plane.
-    su2_lambda:      [x^j,x^k] = i lam eps^{jk}_l x^l, dim 3.
-    """
-    if name == "kappa_minkowski":
-        if kappa is None or kappa <= 0:
-            raise PresetError("kappa must be positive")
-        d = 1 if d is None else int(d)
-        if dim is not None and dim != d + 1:
-            raise PresetError(f"kappa_minkowski with d={d} has dim {d+1}")
-        if d < 1:
-            raise PresetError("kappa_minkowski needs d >= 1")
-        n = d + 1
-        C = np.zeros((n, n, n), dtype=complex)
-        for j in range(1, n):
-            C[0, j, j] = 1j / kappa
-            C[j, 0, j] = -1j / kappa
-        return StructureConstants(name, n, C, meta={"d": d, "kappa": float(kappa)})
-
-    if name == "moyal_extended":
-        if theta is None or theta == 0:
-            raise PresetError("theta must be nonzero")
-        n = 5 if dim is None else int(dim)
-        if n < 3 or n % 2 == 0:
-            raise PresetError("moyal_extended needs an even spatial dim plus the phase slot")
-        if phase_convention not in MOYAL_PHASE_CONVENTIONS:
-            raise PresetError(f"unknown phase convention {phase_convention!r}")
-        ns = n - 1
-        Theta = np.zeros((ns, ns))
-        for b in range(ns // 2):
-            Theta[2 * b, 2 * b + 1] = theta
-            Theta[2 * b + 1, 2 * b] = -theta
-        C = np.zeros((n, n, n), dtype=complex)
-        C[:ns, :ns, ns] = -2j * MOYAL_PHASE_CONVENTIONS[phase_convention] * Theta
-        return StructureConstants(name, n, C, meta={"theta": float(theta), "Theta": Theta,
-                                                     "phase_convention": phase_convention})
-
-    if name == "rho_minkowski":
-        if rho is None or rho == 0:
-            raise PresetError("rho must be nonzero")
-        if dim is not None and dim != 4:
-            raise PresetError("rho_minkowski is four-dimensional")
-        C = np.zeros((4, 4, 4), dtype=complex)
-        # Signs tied to the group law vec(p) + R(+rho p0) vec(q); the
-        # coordinate bracket with the opposite sign corresponds to R(-rho p0).
-        C[0, 1, 2] = -1j * rho
-        C[1, 0, 2] = 1j * rho
-        C[0, 2, 1] = 1j * rho
-        C[2, 0, 1] = -1j * rho
-        return StructureConstants(name, 4, C, meta={"rho": float(rho)})
-
-    if name == "su2_lambda":
-        if lam is None or lam == 0:
-            raise PresetError("lambda must be nonzero")
-        if dim is not None and dim != 3:
-            raise PresetError("su2_lambda is three-dimensional")
-        eps = np.zeros((3, 3, 3))
-        for (j, k, l), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                             ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)):
-            eps[j, k, l] = s
-        C = 1j * lam * eps
-        return StructureConstants(name, 3, C, meta={"lam": float(lam)})
-
-    raise PresetError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
 
 
 def jacobi_check(sc: StructureConstants) -> dict:

@@ -507,14 +507,13 @@ class TwoPointAssembly:
 
         Unimodular: D = 1, so planar collapses to 8/24 = 2 * (1/6) and
         non-planar to 4/24 = 1/6 carrying the residual fifth-slot phase,
-        which is bilinear: 2 p.Theta.k at q = (-)p (real phase convention).
+        which is bilinear: 2 p.Theta.k at q = (-)p (real phase convention), as
+        nonplanar_phase_residual checks.
         """
         if self.group.name != "moyal_extended":
             raise ValueError("moyal_reduction needs the extended Moyal group")
         c = self.commutative_coefficients()
-        Theta = self.group.meta["Theta"]
-        return {"coefficient": c["nonplanar"], "planar_multiple": c["planar"] / c["nonplanar"],
-                "phase_bilinear": 2.0 * np.asarray(Theta)}
+        return {"coefficient": c["nonplanar"], "planar_multiple": c["planar"] / c["nonplanar"]}
 
     def nonplanar_phase_residual(self, p, k):
         """|slot 5 of p ⊞ k ⊞ (-)p ⊟ k - 2 p.Theta.k| / (1 + 2|Theta||p||k|), real convention.

@@ -1,12 +1,15 @@
-"""Closed-form deformed momentum groups.
+"""Closed-form deformed momentum groups: the catalogue of shipped space-times.
 
 Each space-time's momenta compose through a non-abelian group law ("⊞")
-obtained by exponentiating the coordinate algebra.  This module ships the
-closed forms for the four presets plus the commutative group, their Haar
-weights and modular functions, the Haar invariance check (its Jacobians
-come from finite differences of the law itself), the non-planar delta
-solver and a truncated BCH composition that serves as the independent
-oracle for the closed forms and as the generic-group fallback.
+obtained by exponentiating the coordinate algebra [x^mu, x^nu] =
+C^{mu nu}_rho x^rho.  One builder per preset (kappa-Minkowski, the extended
+Moyal space, rho-Minkowski, su(2) and the commutative space) checks its
+parameters and builds C next to the closed-form law, inverse, Haar weights
+and modular function; `group_preset` picks the builder by name.  The
+module also holds the Haar invariance check (its Jacobians come from
+finite differences of the law itself), the non-planar delta solver and a
+truncated BCH composition that serves as the independent oracle for the
+closed forms and as the generic-group fallback.
 `add_batch` applies a group's law to (n, dim) stacks, in blocks of
 BLOCK_ROWS rows that give bit for bit the values and dtype of one call.
 """
@@ -19,13 +22,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .liestructure import MOYAL_PHASE_CONVENTIONS, StructureConstants, preset
+from .liestructure import StructureConstants
 
 SERIES_CUT = 1e-4  # switch point for removable singularities
 JACOBIAN_STEP = 1e-5  # central-difference step of _fd_jacobian_det
 NEWTON_TOL = 1e-10  # delta_solve_nonplanar: largest |residual| of a solution
 NEWTON_STEP = 1e-6  # central-difference step of delta_solve_nonplanar's Newton Jacobian
 NEWTON_MAX_ITER = 60  # damped Newton steps of delta_solve_nonplanar's general path
+
+# Moyal fifth-slot conventions: increment of p5 under composition, as a
+# multiple c of p.Theta.q.  The group stores the tensor its law regenerates,
+# C[:ns, :ns, ns] = -2i c Theta: i Theta for "weyl" (whose phase matches the
+# integral star product), -2i Theta for "real" and 2 Theta for "imaginary".
+MOYAL_PHASE_CONVENTIONS = {"weyl": -0.5, "real": 1.0, "imaginary": 1j}
 
 
 class DimensionMismatch(ValueError):
@@ -126,10 +135,34 @@ def _sinc2(x):
 
 
 # ---------------------------------------------------------------------------
-# preset group laws
+# the preset catalogue: each builder checks its parameters, then builds C and the law
 
-def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
-    sc = preset("kappa_minkowski", kappa=kappa, d=d)
+def _finite(what: str, value, positive: bool = False) -> float:
+    """value as a float; ValueError unless it is finite and nonzero (with positive, > 0)."""
+    v = float(value)
+    if not math.isfinite(v) or v == 0 or (positive and v < 0):
+        raise ValueError(f"{what} must be finite and {'positive' if positive else 'nonzero'}")
+    return v
+
+
+def _fixed_dim(name: str, n: int, dim) -> None:
+    """ValueError when a dim is given and is not n, the dimension of the preset."""
+    if dim is not None and dim != n:
+        raise ValueError(f"{name} has dim {n}, not {dim}")
+
+
+def _kappa_group(kappa, d, dim=None) -> GroupDescriptor:
+    """[x^0, x^j] = (i/kappa) x^j for j = 1..d (any d >= 1)."""
+    kappa, d = _finite("kappa", kappa, positive=True), int(d)
+    _fixed_dim(f"kappa_minkowski with d={d}", d + 1, dim)
+    if d < 1:
+        raise ValueError("kappa_minkowski needs d >= 1")
+    n = d + 1
+    C = np.zeros((n, n, n), dtype=complex)
+    for j in range(1, n):
+        C[0, j, j] = 1j / kappa
+        C[j, 0, j] = -1j / kappa
+    sc = StructureConstants("kappa_minkowski", n, C, meta={"d": d, "kappa": kappa})
 
     def mod(p):
         """Delta(p) = e^{d p0/kappa}."""
@@ -159,8 +192,18 @@ def _kappa_group(kappa: float, d: int) -> GroupDescriptor:
     )
 
 
-def _rho_group(rho: float) -> GroupDescriptor:
-    sc = preset("rho_minkowski", rho=rho)
+def _rho_group(rho, dim=None) -> GroupDescriptor:
+    """dim 4, a rotation-type bracket in the (x1, x2) plane."""
+    rho = _finite("rho", rho)
+    _fixed_dim("rho_minkowski", 4, dim)
+    C = np.zeros((4, 4, 4), dtype=complex)
+    # Signs tied to the group law vec(p) + R(+rho p0) vec(q); the
+    # coordinate bracket with the opposite sign corresponds to R(-rho p0).
+    C[0, 1, 2] = -1j * rho
+    C[1, 0, 2] = 1j * rho
+    C[0, 2, 1] = 1j * rho
+    C[2, 0, 1] = -1j * rho
+    sc = StructureConstants("rho_minkowski", 4, C, meta={"rho": rho})
 
     # Each law builds its two rotated columns before it allocates the output.
     # In the other order the column temporaries fragment the malloc heap, and
@@ -194,10 +237,24 @@ def _rho_group(rho: float) -> GroupDescriptor:
     )
 
 
-def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> GroupDescriptor:
-    sc = preset("moyal_extended", theta=theta, dim=dim, phase_convention=phase_convention)
-    Theta = sc.meta["Theta"]
-    ns = dim - 1
+def _moyal_group(theta, dim=None, phase_convention="weyl") -> GroupDescriptor:
+    """[x^mu, x^nu] = -2i c Theta^{mu nu} x^5 with the unit slot appended (dim = even
+    spatial + 1, default 5); c is the phase convention's increment, so i Theta for "weyl"."""
+    theta = _finite("theta", theta)
+    n = 5 if dim is None else int(dim)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("moyal_extended needs an even spatial dim plus the phase slot")
+    if phase_convention not in MOYAL_PHASE_CONVENTIONS:
+        raise ValueError(f"unknown phase convention {phase_convention!r}")
+    ns = n - 1
+    Theta = np.zeros((ns, ns))
+    for b in range(ns // 2):
+        Theta[2 * b, 2 * b + 1] = theta
+        Theta[2 * b + 1, 2 * b] = -theta
+    C = np.zeros((n, n, n), dtype=complex)
+    C[:ns, :ns, ns] = -2j * MOYAL_PHASE_CONVENTIONS[phase_convention] * Theta
+    sc = StructureConstants("moyal_extended", n, C, meta={"theta": theta, "Theta": Theta,
+                                                          "phase_convention": phase_convention})
     cTheta = MOYAL_PHASE_CONVENTIONS[phase_convention] * Theta  # complex for "imaginary"
     # its nonzero entries, ordered by column as the sum p.Theta.q runs
     terms = [(i, j, cTheta[i, j]) for j, i in zip(*np.nonzero(Theta.T))]
@@ -212,13 +269,21 @@ def _moyal_group(theta: float, dim: int = 5, phase_convention: str = "weyl") -> 
         return out
 
     return GroupDescriptor(
-        name="moyal_extended", dim=dim, structure=sc,
+        name="moyal_extended", dim=n, structure=sc,
         add=madd, inv=_minus, haar_left=_one, haar_right=_one, modular=_one,
     )
 
 
-def _su2_group(lam: float) -> GroupDescriptor:
-    sc = preset("su2_lambda", lam=lam)
+def _su2_group(lam, dim=None) -> GroupDescriptor:
+    """[x^j, x^k] = i lam eps^{jk}_l x^l, dim 3."""
+    lam = _finite("lambda", lam)
+    _fixed_dim("su2_lambda", 3, dim)
+    eps = np.zeros((3, 3, 3))
+    for (j, k, l), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                         ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)):
+        eps[j, k, l] = s
+    C = 1j * lam * eps
+    sc = StructureConstants("su2_lambda", 3, C, meta={"lam": lam})
 
     def quaternion(p):
         """Scalar and vector components of the unit quaternion exp(i lam p.sigma / 2)."""
@@ -255,7 +320,8 @@ def _su2_group(lam: float) -> GroupDescriptor:
     )
 
 
-def _commutative_group(dim: int) -> GroupDescriptor:
+def _commutative_group(dim) -> GroupDescriptor:
+    dim = 4 if dim is None else int(dim)  # C = 0 in any dim
     C = np.zeros((dim, dim, dim), dtype=complex)
     sc = StructureConstants("commutative", dim, C)
     return GroupDescriptor(
@@ -268,17 +334,20 @@ def _commutative_group(dim: int) -> GroupDescriptor:
 
 def group_preset(name: str, *, kappa=1.0, theta=1.0, rho=1.0, lam=1.0, d=1,
                  dim=None, phase_convention="weyl") -> GroupDescriptor:
-    """Build the momentum group of a named space-time preset."""
+    """Build the momentum group of a named space-time preset, structure constants included.
+
+    Each preset reads only its own parameters; a bad one, or an unknown name, is a ValueError.
+    """
     if name == "kappa_minkowski":
-        return _kappa_group(float(kappa), int(d))
+        return _kappa_group(kappa, d, dim)
     if name == "rho_minkowski":
-        return _rho_group(float(rho))
+        return _rho_group(rho, dim)
     if name == "moyal_extended":
-        return _moyal_group(float(theta), 5 if dim is None else int(dim), phase_convention)
+        return _moyal_group(theta, dim, phase_convention)
     if name == "su2_lambda":
-        return _su2_group(float(lam))
+        return _su2_group(lam, dim)
     if name == "commutative":
-        return _commutative_group(4 if dim is None else int(dim))
+        return _commutative_group(dim)
     raise ValueError(f"unknown group preset {name!r}")
 
 
@@ -328,22 +397,31 @@ def real_values(x, what: str) -> np.ndarray:
     return np.real(x).astype(float)
 
 
-def _fd_jacobian_det(f, x):
-    """|det df/dx| at each momentum of x by central differences, step h = JACOBIAN_STEP.
+def _central_rows(f, x, h):
+    """Row j is (f(x + h e_j) - f(x - h e_j)) / 2h: the transposed Jacobian of f at each x.
 
     f gets all 2 dim stencil points in one call, as an array of shape
     (..., 2, dim, dim): [..., 0, j] is x + h e_j and [..., 1, j] is x - h e_j.
-    ValueError when f has a nonzero imaginary part there: the real part
-    alone is not the law, so its Jacobian would be a wrong answer.
+    Where f is inf on both sides the row reads NaN, without a warning.
     """
-    x = np.asarray(x, float)
-    step = JACOBIAN_STEP * np.eye(x.shape[-1])
-    vals = real_values(f(x[..., None, None, :] + np.stack((step, -step))), "the group law")
-    # row j holds d f / d x_j: the transposed Jacobian, with the same determinant;
-    # a NaN law gives a NaN determinant, which fails its check, without a warning
+    step = h * np.eye(x.shape[-1])
+    vals = f(x[..., None, None, :] + np.stack((step, -step)))
     with np.errstate(invalid="ignore"):
-        return np.abs(np.linalg.det((vals[..., 0, :, :] - vals[..., 1, :, :])
-                                    / (2 * JACOBIAN_STEP)))
+        return (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2 * h)
+
+
+def _fd_jacobian_det(f, x):
+    """|det df/dx| at each momentum of x by central differences, step h = JACOBIAN_STEP.
+
+    ValueError when f has a nonzero imaginary part at a stencil point: the
+    real part alone is not the law, so its Jacobian would be a wrong answer.
+    """
+    rows = _central_rows(lambda y: real_values(f(y), "the group law"),
+                         np.asarray(x, float), JACOBIAN_STEP)
+    # the transposed Jacobian has the same determinant; a NaN law gives a NaN
+    # determinant, which fails its check, without a warning
+    with np.errstate(invalid="ignore"):
+        return np.abs(np.linalg.det(rows))
 
 
 def haar_invariance_check(g: GroupDescriptor, q, p, side="left"):
@@ -431,8 +509,10 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0) -> DeltaSol
 
     # general path: damped Newton on the spatial components at fixed k0
     def resid(kspat):
-        k = np.concatenate(([k0], kspat))
-        return np.real(nonplanar_residual(g, p, q, k))
+        """The real residual at each spatial part in kspat, shape (..., n - 1)."""
+        k = np.concatenate((np.full(kspat.shape[:-1] + (1,), k0), kspat), axis=-1)
+        P, Q = np.broadcast_to(p, k.shape), np.broadcast_to(q, k.shape)
+        return np.real(nonplanar_residual(g, P, Q, k))
 
     r0 = resid(np.zeros(n - 1))
     if abs(r0[0]) > NEWTON_TOL and g.name in ("rho_minkowski", "commutative"):
@@ -444,11 +524,7 @@ def delta_solve_nonplanar(g: GroupDescriptor, p, q, k0: float = 0.0) -> DeltaSol
         if np.max(np.abs(r)) < NEWTON_TOL:
             k = np.concatenate(([k0], kspat))
             return DeltaSolveResult(True, k, float(np.max(np.abs(r))), "newton")
-        J = np.empty((n, n - 1))
-        for j in range(n - 1):
-            e = np.zeros(n - 1)
-            e[j] = NEWTON_STEP
-            J[:, j] = (resid(kspat + e) - resid(kspat - e)) / (2 * NEWTON_STEP)
+        J = _central_rows(resid, kspat, NEWTON_STEP).T  # all 2 (n - 1) points in one call
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         lam = 1.0
         best = np.max(np.abs(r))

@@ -24,8 +24,7 @@ import dataclasses
 
 import numpy as np
 
-from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
-from qstkit.momentum import _minus, _one, _series, _sinc2, group_preset
+from qstkit.momentum import MOYAL_PHASE_CONVENTIONS, _minus, _one, _series, _sinc2, group_preset
 
 
 def su2_laws(lam):

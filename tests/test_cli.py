@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from qstkit import cli, momentum
-from qstkit.liestructure import preset
 from qstkit.momentum import group_preset
 from structure_json import structure_json
 
@@ -53,7 +52,7 @@ def test_parse_config_wrong_type_names_path(conf, path):
 
 
 def test_parse_config_inline_structure_round_trip():
-    sc = preset("su2_lambda", lam=1.0)
+    sc = group_preset("su2_lambda", lam=1.0).structure
     text = json.dumps({"structure": json.loads(structure_json(sc))})
     cfg = cli.parse_config(text)
     assert cfg.inline_structure is not None
@@ -71,7 +70,7 @@ def test_run_suite_exit_codes_and_corrupted_structure():
     assert code == 0
     assert rep["passed"]
     # corrupted structure constants: jacobi failure, exit 1
-    sc = preset("su2_lambda", lam=1.0)
+    sc = group_preset("su2_lambda", lam=1.0).structure
     C = sc.C.copy()
     C[0, 1, 2] = -C[0, 1, 2]
     bad = json.loads(structure_json(sc))
@@ -535,7 +534,7 @@ def test_parse_ranges():
 
 
 def test_cli_group_inline_space_uses_the_config_structure(tmp_path, capsys):
-    sc = preset("su2_lambda", lam=1.0)
+    sc = group_preset("su2_lambda", lam=1.0).structure
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps({"structure": json.loads(structure_json(sc))}))
     assert cli.main(["--config", str(conf), "group", "add", "--space", "inline",
@@ -569,7 +568,7 @@ def test_cli_group_inline_refuses_haar_weights_of_a_non_unimodular_structure(arg
                     {"mu": 1, "nu": 0, "rho": 1, "re": 0.0, "im": -1.0}]}}))
     test_cli_group_bad_input_exit_2(["--config", str(conf), "group", *argv, "--space", "inline"],
                                     capsys)
-    sc = preset("su2_lambda", lam=1.0)  # traceless: its weights stay 1
+    sc = group_preset("su2_lambda", lam=1.0).structure  # traceless: its weights stay 1
     conf.write_text(json.dumps({"structure": json.loads(structure_json(sc))}))
     assert cli.main(["--config", str(conf), "group", "modular", "--space", "inline",
                      "--p", "0.1,0.2,0.3"]) == 0
@@ -594,7 +593,7 @@ def test_cli_group_inline_complex_result_exit_2(tmp_path, capsys):
 def test_cli_group_inline_nonfinite_result_is_not_called_complex(op, tmp_path, capsys):
     # the BCH series overflows to NaN parts: the message names that, not complexity
     conf = tmp_path / "run.json"
-    sc = preset("su2_lambda", lam=1.0)
+    sc = group_preset("su2_lambda", lam=1.0).structure
     conf.write_text(json.dumps({"structure": json.loads(structure_json(sc))}))
     argv = ["--config", str(conf), "group", op, "--space", "inline",
             "--p", "1e200,1e200,0", "--q", "1e200,0,1e200"]

@@ -64,6 +64,24 @@ CASES = {
     **{f"group-{op}-inline": ["--config", "{golden}/inputs/su2-structure.json", "group", op,
                               "--space", "inline", "--p=0.1,0.2,-0.3", *["--q=0.4,-0.1,0.2"] * q]
        for op, q in (("add", True), ("inv", False), ("haar-check", True))},
+    # each named preset's law, inverse and Haar weights, at non-default parameters
+    # (rho and lambda come from a config file: they have no flag)
+    **{f"group-{op}-{name}": [*flags, "group", op, "--space", space, f"--p={p}",
+                              *[f"--q={q}"] * (op != "inv")]
+       for name, space, flags, p, q in (
+           ("kappa-d1", "kappa_minkowski", ["--d", "1", "--kappa", "0.7"], "0.3,-0.7", "1.1,0.4"),
+           ("kappa-d3", "kappa_minkowski", ["--d", "3", "--kappa", "0.7"],
+            "0.3,-0.7,0.2,0.5", "1.1,0.4,-0.6,0.25"),
+           ("moyal", "moyal_extended", ["--theta", "0.4"],
+            "0.3,-0.7,0.2,0.5,0.1", "1.1,0.4,-0.6,0.25,-0.3"),
+           ("rho", "rho_minkowski", ["--config", "{golden}/inputs/rho-lam.json"],
+            "0.3,-0.7,0.2,0.5", "1.1,0.4,-0.6,0.25"),
+           ("su2", "su2_lambda", ["--config", "{golden}/inputs/rho-lam.json"],
+            "0.1,0.2,-0.3", "0.4,-0.1,0.2"),
+           ("commutative", "commutative", [], "0.3,-0.7,0.2,0.5", "1.1,0.4,-0.6,0.25"))
+       for op in ("add", "inv", "haar-check")},
+    "group-modular-kappa-d3": ["--d", "3", "--kappa", "0.7", "group", "modular",
+                               "--p=0.3,-0.7,0.2,0.5"],
     "matrix-basis-N8-seed5": ["matrix-basis", "--N", "8", "--seed", "5"],
     "matrix-basis-N1": ["matrix-basis", "--N", "1"],
     "matrix-basis-N64-seed3": ["matrix-basis", "--N", "64", "--seed", "3"],

@@ -6,10 +6,9 @@ import pytest
 
 import momentum_oracle as MO
 from structure_json import structure_json
-from qstkit.liestructure import (HESSIAN_STEP, MOYAL_PHASE_CONVENTIONS, PresetError,
-                                 StructureConstants, _hessian_fd, jacobi_check, preset,
+from qstkit.liestructure import (HESSIAN_STEP, StructureConstants, _hessian_fd, jacobi_check,
                                  recover_from_group_law)
-from qstkit.momentum import group_preset
+from qstkit.momentum import MOYAL_PHASE_CONVENTIONS, group_preset
 
 PRESETS = [
     ("kappa_minkowski", dict(kappa=1.0, d=1)),
@@ -22,13 +21,13 @@ PRESETS = [
 
 @pytest.mark.parametrize("name,kw", PRESETS)
 def test_presets_are_lie_algebras(name, kw):
-    sc = preset(name, **kw)
+    sc = group_preset(name, **kw).structure
     assert jacobi_check(sc)["passed"]
     assert sc.antisymmetry_violation() == 0.0
 
 
 def test_kappa_entries():
-    sc = preset("kappa_minkowski", kappa=1.0, d=1)
+    sc = group_preset("kappa_minkowski", kappa=1.0, d=1).structure
     assert sc.C[0, 1, 1] == 1j
     assert sc.C[1, 0, 1] == -1j
     # every other entry vanishes
@@ -39,14 +38,14 @@ def test_kappa_entries():
 
 
 def test_su2_entries_are_epsilon():
-    sc = preset("su2_lambda", lam=1.0)
+    sc = group_preset("su2_lambda", lam=1.0).structure
     assert sc.C[0, 1, 2] == 1j
     assert sc.C[1, 2, 0] == 1j
     assert sc.C[1, 0, 2] == -1j
 
 
 def test_corrupted_tensor_fails_jacobi():
-    sc = preset("su2_lambda", lam=1.0)
+    sc = group_preset("su2_lambda", lam=1.0).structure
     C = sc.C.copy()
     C[0, 1, 2] = -C[0, 1, 2]  # flip one sign
     bad = StructureConstants("corrupt", 3, C)
@@ -54,16 +53,24 @@ def test_corrupted_tensor_fails_jacobi():
 
 
 def test_preset_errors():
-    with pytest.raises(PresetError):
-        preset("kappa_minkowski", kappa=-1.0, d=1)
-    with pytest.raises(PresetError):
-        preset("moyal_extended", theta=0.0)
-    with pytest.raises(PresetError):
-        preset("rho_minkowski", rho=1.0, dim=5)
-    with pytest.raises(PresetError):
-        preset("nope", kappa=1.0)
-    with pytest.raises(PresetError):
-        preset("moyal_extended", theta=1.0, dim=4)
+    with pytest.raises(ValueError):
+        group_preset("kappa_minkowski", kappa=-1.0, d=1)
+    with pytest.raises(ValueError):
+        group_preset("moyal_extended", theta=0.0)
+    with pytest.raises(ValueError):
+        group_preset("rho_minkowski", rho=1.0, dim=5)
+    with pytest.raises(ValueError):
+        group_preset("nope", kappa=1.0)
+    with pytest.raises(ValueError):
+        group_preset("moyal_extended", theta=1.0, dim=4)
+    for name, kw in (("kappa_minkowski", dict(d=0)), ("kappa_minkowski", dict(d=3, dim=5)),
+                     ("su2_lambda", dict(dim=4)), ("moyal_extended", dict(dim=1)),
+                     ("moyal_extended", dict(phase_convention="complex"))):
+        with pytest.raises(ValueError):
+            group_preset(name, **kw)
+    # a dim that agrees with the preset's own is accepted
+    assert group_preset("kappa_minkowski", d=5, dim=6).dim == 6
+    assert group_preset("rho_minkowski", dim=4).dim == 4
 
 
 GROUPS = [
@@ -153,7 +160,7 @@ def test_abelian_law_recovers_zero():
 
 
 def test_json_round_trip():
-    sc = preset("rho_minkowski", rho=0.7)
+    sc = group_preset("rho_minkowski", rho=0.7).structure
     text = structure_json(sc)
     back = StructureConstants.from_json(text)
     assert back.dim == sc.dim

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentum_oracle as MO
-from qstkit.liestructure import MOYAL_PHASE_CONVENTIONS
 from momentum_oracle import g_right_to_sum, kappa_sum_group, ordering_transform
-from qstkit.momentum import (BLOCK_ROWS, NEWTON_TOL, DimensionMismatch, _bracket,
-                             _fd_jacobian_det, add, add_batch, bch_compose, delta_solve_nonplanar,
-                             group_from_structure, group_preset, haar_invariance_check, inv, modular,
-                             modular_identity_residuals, nonplanar_residual)
+from qstkit.momentum import (BLOCK_ROWS, MOYAL_PHASE_CONVENTIONS, NEWTON_TOL, DimensionMismatch,
+                             _bracket, _fd_jacobian_det, add, add_batch, bch_compose,
+                             delta_solve_nonplanar, group_from_structure, group_preset,
+                             haar_invariance_check, inv, modular, modular_identity_residuals,
+                             nonplanar_residual)
 
 LN2 = math.log(2.0)
 
@@ -29,6 +29,23 @@ def test_kappa_inv_example():
     assert np.allclose(inv(g, [LN2, 1.0]), [-LN2, -2.0])
     assert np.allclose(add(g, [LN2, 1.0], inv(g, [LN2, 1.0])), 0.0)
     assert np.allclose(inv(g, np.zeros(2)), 0.0)
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("kappa_minkowski", dict(kappa=math.inf, d=3)),
+    ("kappa_minkowski", dict(kappa=math.nan, d=3)),
+    ("kappa_minkowski", dict(kappa=-math.inf, d=1)),
+    ("rho_minkowski", dict(rho=math.nan)),
+    ("rho_minkowski", dict(rho=-math.inf)),
+    ("moyal_extended", dict(theta=math.inf)),
+    ("moyal_extended", dict(theta=math.nan, dim=3)),
+    ("su2_lambda", dict(lam=math.inf)),
+    ("su2_lambda", dict(lam=math.nan)),
+])
+def test_non_finite_preset_parameters_raise(name, kw):
+    # kappa = inf would be the commutative law, the others NaN momenta
+    with pytest.raises(ValueError, match="must be finite"):
+        group_preset(name, **kw)
 
 
 def test_identity_element():
@@ -245,6 +262,24 @@ def test_delta_solve_rho_newton():
     r = delta_solve_nonplanar(g, p, q, k0=0.3)
     assert r.ok
     assert np.max(np.abs(nonplanar_residual(g, p, q, r.k))) < 1e-10
+
+
+def test_newton_jacobian_is_one_call_per_step():
+    # the law sees each Jacobian's 2 (n - 1) stencil points at once, as in
+    # _fd_jacobian_det; the step's residual and line search run on one momentum
+    g = group_preset("rho_minkowski", rho=1.0)
+    shapes = []
+
+    def inv(p):
+        shapes.append(np.shape(p))
+        return g.inv(p)
+
+    p = np.array([0.9, 0.4, -0.3, 0.2])
+    r = delta_solve_nonplanar(dataclasses.replace(g, inv=inv), p, g.inv(p), k0=0.3)
+    assert r.ok and r.reason == "newton"
+    stencil = (2, 3, 4)
+    assert set(shapes) == {(4,), stencil}
+    assert all(a != stencil or b != stencil for a, b in zip(shapes, shapes[1:]))
 
 
 # BCH oracle -----------------------------------------------------------------
