@@ -234,6 +234,17 @@ def _rows(suite, checks):
     return [_row(suite, *c) for c in checks]
 
 
+def _check_ids(rows):
+    """Each (suite, check) id names one row of a report: a repeat is an input error."""
+    seen = set()
+    for r in rows:
+        key = (r["suite"], r["check"])
+        if key in seen:
+            raise ConfigError(f"row id {key[0]}/{key[1]} repeats: choose values that give "
+                              "distinct rows")
+        seen.add(key)
+
+
 def _all_passed(rows):
     """The verdict of a report: every row passed."""
     return all(r["passed"] for r in rows)
@@ -474,11 +485,11 @@ def suite_gauge(cfg: RunConfig):
     draws = rng.normal(size=(5, 28))
     u = WV.plane_wave(g, draws[:, :4])
     comps = draws[:, 4:].reshape(5, 4, 6)
-    A = GA.GaugeField([WV.plane_wave(g, comps[:, c, :4], comps[:, c, 4] + 1j * comps[:, c, 5])
-                       for c in range(4)])
+    A = WV.concat([WV.plane_wave(g, comps[:, c, :4], comps[:, c, 4] + 1j * comps[:, c, 5])
+                   for c in range(4)])
     worst_c = _worst(GA.covariance_residual(A, u))
-    F = GA.field_strength(GA.gauge_transform(GA.GaugeField([WV.WavePacket.zero(g, 5)] * 4), u))
-    worst_f = _worst(*(F[m][n].norm() for m in range(4) for n in range(4)))
+    F = GA.field_strength(GA.gauge_transform(WV.WavePacket.zero(g, A.count), u))
+    worst_f = _worst(F.norm())
     checks.append(("field-strength-covariance", worst_c < tol, worst_c))
     checks.append(("pure-gauge-flatness", worst_f < tol, worst_f))
     scan = GA.dimension_constraint_scan(range(1, 9), cfg.kappa, _P0_SAMPLES)
@@ -575,9 +586,10 @@ def _cmd_group(args, cfg):
         if cfg.inline_structure is None:
             raise ValueError("--space inline needs a --config with a 'structure'")
         grp = group_from_structure(cfg.inline_structure)
-    else:
+    else:  # d spatial dimensions: kappa-Minkowski and the commutative space read it
+        dim = cfg.d + 1 if args.space == "commutative" else None
         grp = group_preset(args.space, kappa=cfg.kappa, theta=cfg.theta,
-                           rho=cfg.rho, lam=cfg.lam, d=cfg.d)
+                           rho=cfg.rho, lam=cfg.lam, d=cfg.d, dim=dim)
     p, q = args.p, args.q
     if q is None and args.op not in ("inv", "modular"):
         raise ValueError(f"group {args.op}: --q is required")
@@ -802,6 +814,7 @@ def main(argv=None) -> int:
         doc, rows = COMMANDS[args.cmd](args, cfg)
         if rows is None and cfg.fmt == "csv":
             raise ConfigError(f"{args.cmd} {args.op} has no CSV form; use --format json")
+        _check_ids(rows or ())
         _emit(doc, rows, cfg.fmt, cfg.out)
     except (OSError, ValueError) as exc:  # ConfigError, GridError and group_preset's among them
         sys.stderr.write(f"error: {exc}\n")

@@ -1,12 +1,18 @@
 """Twisted gauge structures on kappa-Minkowski plane waves.
 
 The twisted derivations X0 = kappa(1 - E), X_j = P_j obey the E-twisted
-Leibniz rule; gauge fields are tuples of wave packets, gauge transforms are
-unit-modulus plane waves, and the field strength / covariance / dimension
-checks are carried out exactly on packets.  The packet checks take stacks
-of packets (see `waves`) and give one residual per label, a plain float
-for plain packets.  The first-order Seiberg-Witten map lives in a separate
-exact-polynomial representation.
+Leibniz rule; gauge transforms are unit-modulus plane waves, and the field
+strength / covariance / dimension checks are carried out exactly on
+packets.  The packet checks take stacks of packets (see `waves`) and give
+one residual per label, a plain float for plain packets.
+
+A gauge field of m labels is one stack of group.dim·m packets, component-
+major: component mu holds labels mu·m ... (mu+1)·m - 1, and
+`A.split(A.group.dim)` reads the components.  Its field strength is the
+stack of the dim(dim-1)/2 independent components F_mn, m < n, row-major,
+in the same layout.  The first-order Seiberg-Witten map lives in a
+separate exact-polynomial representation, whose field strength is the
+full antisymmetric matrix.
 
 Only the packet half loads numpy: its functions import `waves` where they
 run, so the SW map, the polynomial fields and the dimension scan work
@@ -52,82 +58,53 @@ def twisted_reality_residual(mu: int, f: WavePacket):
     return (lhs - rhs).norm() / (1.0 + lhs.norm() + rhs.norm())
 
 
-@dataclass
-class GaugeField:
-    """Components A_mu, one wave packet (or stack) per space-time direction."""
+def field_strength(A: WavePacket) -> WavePacket:
+    """F_mn = X_m(A_n) - X_n(A_m) - i(E(A_m)*A_n - E(A_n)*A_m) for m < n.
 
-    components: List[WavePacket]
-
-    def __post_init__(self):
-        from .waves import _check_same
-        if not self.components:
-            raise ValueError("a gauge field needs components")
-        for c in self.components[1:]:  # one group and one label count
-            _check_same(self.components[0], c)
-
-    @property
-    def group(self):
-        return self.components[0].group
-
-    @property
-    def count(self):
-        return self.components[0].count
-
-    @property
-    def dim(self):
-        return len(self.components)
-
-
-def field_strength(A: GaugeField) -> list:
-    """F_mn = X_m(A_n) - X_n(A_m) - i(E(A_m)*A_n - E(A_n)*A_m), antisymmetric.
-
-    The pairs m < n are one stack, so each term is one array pass.
+    A is a gauge field: the stack of its group.dim components A_mu,
+    component-major.  F is the stack of its dim(dim-1)/2 independent
+    components in the same layout, the pairs m < n row-major; F_nm = -F_mn
+    and F_mm = 0 are not built.  Each term is one array pass.
     """
-    from .waves import WavePacket, concat, star
-    n, comps = A.dim, A.components
+    from .waves import concat, star
+    n = A.group.dim
+    comps = A.split(n)
     pairs = [(m, k) for m in range(n) for k in range(m + 1, n)]
-    F = [[WavePacket.zero(A.group, A.count)] * n for _ in range(n)]
-    if not pairs:
-        return F
     ems = [_eop(c) for c in comps]
     lo, hi = concat([comps[m] for m, _ in pairs]), concat([comps[k] for _, k in pairs])
     comm = star(concat([ems[m] for m, _ in pairs]), hi) \
         - star(concat([ems[k] for _, k in pairs]), lo)
     deriv = concat([_xop(m, comps[k]) for m, k in pairs]) \
         - concat([_xop(k, comps[m]) for m, k in pairs])
-    for (m, k), Fmk in zip(pairs, (deriv + comm.scale(-1j)).split(len(pairs))):
-        F[m][k], F[k][m] = Fmk, Fmk.scale(-1.0)
-    return F
+    return deriv + comm.scale(-1j)
 
 
-def gauge_transform(A: GaugeField, u: WavePacket) -> GaugeField:
-    """A_mu -> E(u^dagger) * A_mu * u + i E(u^dagger) * X_mu(u).
+def gauge_transform(A: WavePacket, u: WavePacket) -> WavePacket:
+    """A_mu -> E(u^dagger) * A_mu * u + i E(u^dagger) * X_mu(u), all components at once.
 
     The i on the inhomogeneous term is forced by A = i nabla(1) together
     with the -i in the field strength: with it the covariance identity
-    F(A^u) = E^2(u^dagger) * F(A) * u closes exactly.  The components are
-    one stack.
+    F(A^u) = E^2(u^dagger) * F(A) * u closes exactly.
     """
     from .waves import concat, dagger, star
-    n = A.dim
+    n = A.group.dim
     eud = concat([_eop(dagger(u))] * n)
-    comps = star(star(eud, concat(A.components)), concat([u] * n)) \
+    return star(star(eud, A), concat([u] * n)) \
         + star(eud, concat([_xop(mu, u) for mu in range(n)])).scale(1j)
-    return GaugeField(comps.split(n))
 
 
-def covariance_residual(A: GaugeField, u: WavePacket):
-    """|F(A^u) - E^2(u^dagger) * F(A) * u| relative to the F scale, worst over mu, nu, per label.
+def covariance_residual(A: WavePacket, u: WavePacket):
+    """|F(A^u) - E^2(u^dagger) * F(A) * u| relative to the F scale, worst over m < n, per label.
 
-    The n² components are one stack.  A NaN residual of any component is the residual.
+    The independent components are one stack.  A NaN residual of any component is the residual.
     """
     import numpy as np
     from .waves import concat, dagger, star
-    nn = A.dim ** 2
-    Fu = concat([c for row in field_strength(gauge_transform(A, u)) for c in row])
-    target = star(star(concat([_eop(dagger(u), power=2)] * nn),
-                       concat([c for row in field_strength(A) for c in row])), concat([u] * nn))
-    res = [d.norm() / (1.0 + t.norm()) for d, t in zip((Fu - target).split(nn), target.split(nn))]
+    k = A.group.dim * (A.group.dim - 1) // 2
+    Fu = field_strength(gauge_transform(A, u))
+    target = star(star(concat([_eop(dagger(u), power=2)] * k), field_strength(A)),
+                  concat([u] * k))
+    res = [d.norm() / (1.0 + t.norm()) for d, t in zip((Fu - target).split(k), target.split(k))]
     return np.max(res, axis=0, initial=0.0)
 
 

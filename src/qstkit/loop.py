@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .momentum import GroupDescriptor, group_preset
+from .momentum import GroupDescriptor, group_preset, nonplanar_residual
 
 DIV_SLOPE = 0.1
 CONV_SLOPE = 0.02
@@ -526,7 +526,7 @@ class TwoPointAssembly:
         """
         g = self.group
         p, k = np.asarray(p, dtype=complex), np.asarray(k, dtype=complex)
-        word = g.add(g.add(g.add(p, k), g.inv(p)), g.inv(k))
+        word = nonplanar_residual(g, p, g.inv(p), k)
         ns = g.dim - 1
         ps, ks, Theta = p.real[..., :ns], k.real[..., :ns], g.meta["Theta"]
         expected = 2.0 * np.einsum("...i,ij,...j->...", ps, Theta, ks)

@@ -18,7 +18,7 @@ from qstkit.liestructure import recover_from_group_law
 from qstkit.momentum import (add_batch, group_preset, haar_invariance_check,
                              modular_identity_residuals)
 from qstkit.polyfield import Poly
-from qstkit.waves import WavePacket, plane_wave, twisted_trace_check
+from qstkit.waves import WavePacket, concat, plane_wave, twisted_trace_check
 
 PRESET_GROUPS = [
     ("kappa_minkowski d=1", dict(kappa=1.0, d=1), "kappa_minkowski"),
@@ -204,13 +204,13 @@ def test_acceptance_14_gauge_checks():
         for mu in range(4):
             ok &= GA.twisted_leibniz_residual(mu, f, h) < 1e-12
             ok &= GA.twisted_reality_residual(mu, f + h) < 1e-12
-    A0 = GA.GaugeField([WavePacket(g) for _ in range(4)])
+    A0 = WavePacket.zero(g, 4)  # a gauge field is the stack of its four components
     for _ in range(5):
         u = plane_wave(g, rng.normal(size=4))
         F = GA.field_strength(GA.gauge_transform(A0, u))
-        ok &= max(F[m][n].norm() for m in range(4) for n in range(4)) < 1e-12
-        A = GA.GaugeField([plane_wave(g, rng.normal(size=4),
-                                      rng.normal() + 1j * rng.normal()) for _ in range(4)])
+        ok &= max(F.norm()) < 1e-12
+        A = concat([plane_wave(g, rng.normal(size=4), rng.normal() + 1j * rng.normal())
+                    for _ in range(4)])
         ok &= GA.covariance_residual(A, u) < 1e-12
     x = [Poly.var(4, i) for i in range(4)]
     A = GA.PolyGaugeField([x[1] * x[2], x[0] * x[0], x[3], x[0] * x[2]])

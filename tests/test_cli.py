@@ -118,6 +118,17 @@ def test_cli_group_add(tmp_path, capsys):
     assert out["result"] == [0.0, 3.0]
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_cli_group_commutative_reads_d(d, capsys):
+    # d spatial dimensions give the commutative group dim d + 1, as in `loop mixing`
+    p, q = ",".join(["0.5"] * (d + 1)), ",".join(["0.25"] * (d + 1))
+    for op in (["add", f"--p={p}", f"--q={q}"], ["inv", f"--p={p}"]):
+        assert cli.main(["--d", str(d), "group", *op, "--space", "commutative"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]) == d + 1
+    assert cli.main(["--d", str(d), "group", "add", "--space", "commutative",
+                     "--p=0.1,0.2,0.3,0.4", "--q=0.1,0.2,0.3,0.4"]) == 2
+
+
 def test_cli_env_seed(tmp_path, monkeypatch):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -280,8 +291,8 @@ def test_merge_count_does_not_grow_with_the_stack(monkeypatch):
     for n in (5, 50):
         rng = np.random.default_rng(n)
         f, h = cli._random_packets(WV, g, rng, n)
-        A = GA.GaugeField([WV.plane_wave(g, rng.normal(size=(n, 4)), rng.normal(size=n))
-                           for _ in range(4)])
+        A = WV.concat([WV.plane_wave(g, rng.normal(size=(n, 4)), rng.normal(size=n))
+                       for _ in range(4)])
         u = WV.plane_wave(g, rng.normal(size=(n, 4)))
         counts.append((merges(lambda: WV.twisted_trace_check(f, h)),
                        merges(lambda: GA.covariance_residual(A, u))))
@@ -432,6 +443,9 @@ def test_cli_bessel_check_passed_is_json_bool(capsys):
     ["group", "modular", "--d", "1", "--p", "0.1,0", "--k0", "5"],
     ["group", "add", "--d", "1", "--p", "0.1,0", "--q", "0,2", "--k0", "5"],
     ["causality", "cone", "--v", "1:-1:0.5"],    # lo > hi: an empty range checks nothing
+    ["causality", "--v", "0.005:0.03:0.01"],      # values that name one row id twice
+    ["loop", "mixing", "--space", "commutative", "--lambda-grid", "1000000:1000002:3"],
+    ["loop", "bessel-check", "--grid", "1.0000001,1.0000002"],
 ])
 def test_cli_bad_option_exit_2(argv, capsys, tmp_path):
     if argv and isinstance(argv[0], dict):  # the contents of a --config file, then the command

@@ -10,7 +10,7 @@ from waves_oracle import unit_wave
 from qstkit import gauge as G
 from qstkit.momentum import group_preset
 from qstkit.polyfield import Poly
-from qstkit.waves import WavePacket, act, dagger, plane_wave, star
+from qstkit.waves import WavePacket, act, concat, dagger, plane_wave, star
 
 THETA4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
@@ -53,50 +53,56 @@ def test_twisted_reality_exact(grp):
         assert G.twisted_reality_residual(mu, e0) < 1e-15
 
 
+# a gauge field is the stack of its components; F is that of its components m < n, row-major
+PAIRS = [(m, n) for m in range(4) for n in range(m + 1, 4)]
+
+
 def test_field_strength_zero_field(grp):
-    A = G.GaugeField([WavePacket(grp) for _ in range(4)])
-    F = G.field_strength(A)
-    assert max(F[m][n].norm() for m in range(4) for n in range(4)) == 0.0
+    F = G.field_strength(WavePacket.zero(grp, 4))
+    assert F.count == len(PAIRS) == 6
+    assert max(F.norm()) == 0.0
+
+
+def _oracle(comps, mu, nu):
+    """F_mu,nu by its term expansion, one packet per term."""
+    direct = act("X", comps[nu], index=mu) - act("X", comps[mu], index=nu)
+    comm = star(act("E", comps[mu]), comps[nu]) - star(act("E", comps[nu]), comps[mu])
+    return direct + comm.scale(-1j)
 
 
 def test_field_strength_antisymmetry_and_oracle(grp):
     rng = np.random.default_rng(2)
-    A = G.GaugeField([_wave(grp, rng) for _ in range(4)])
-    F = G.field_strength(A)
-    for m in range(4):
-        for n in range(4):
-            assert (F[m][n] + F[n][m]).norm() < 1e-12
-    # independent term-expansion oracle for one component
-    mu, nu = 0, 2
-    direct = act("X", A.components[nu], index=mu) - act("X", A.components[mu], index=nu)
-    comm = star(act("E", A.components[mu]), A.components[nu]) - \
-        star(act("E", A.components[nu]), A.components[mu])
-    oracle = direct + comm.scale(-1j)
-    assert (F[mu][nu] - oracle).norm() < 1e-13
+    comps = [_wave(grp, rng) for _ in range(4)]
+    F = G.field_strength(concat(comps))
+    assert F.count == len(PAIRS)
+    # each stored component m < n is the expansion of F_mn and minus that of F_nm
+    for (mu, nu), Fmn in zip(PAIRS, F.split(len(PAIRS))):
+        assert (Fmn - _oracle(comps, mu, nu)).norm() < 1e-13
+        assert (Fmn + _oracle(comps, nu, mu)).norm() < 1e-12
 
 
 def test_pure_gauge_flatness(grp):
     rng = np.random.default_rng(3)
-    A0 = G.GaugeField([WavePacket(grp) for _ in range(4)])
+    A0 = WavePacket.zero(grp, 4)
     for _ in range(5):
         u = _wave(grp, rng, amp=False)
         F = G.field_strength(G.gauge_transform(A0, u))
-        assert max(F[m][n].norm() for m in range(4) for n in range(4)) < 1e-12
+        assert max(F.norm()) < 1e-12
 
 
 def test_unit_transform_is_identity(grp):
     rng = np.random.default_rng(4)
-    A = G.GaugeField([_wave(grp, rng) for _ in range(4)])
+    A = concat([_wave(grp, rng) for _ in range(4)])
     Au = G.gauge_transform(A, unit_wave(grp))
-    for mu in range(4):
-        assert (Au.components[mu] - A.components[mu]).norm() < 1e-13
+    assert Au.count == 4
+    assert max((Au - A).norm()) < 1e-13
 
 
 def test_covariance_random_single_waves(grp):
     rng = np.random.default_rng(5)
     for _ in range(8):
         u = _wave(grp, rng, amp=False)
-        A = G.GaugeField([_wave(grp, rng) for _ in range(4)])
+        A = concat([_wave(grp, rng) for _ in range(4)])
         assert G.covariance_residual(A, u) < 1e-12
 
 
@@ -114,20 +120,23 @@ def test_stacked_residuals_are_the_one_packet_residuals(grp):
             # bit for bit, and the NaN only in its own label
             assert np.array_equal(res, want, equal_nan=True)
             assert np.isnan(res[4]) and np.all(np.delete(res, 4) < 1e-12)
-    A = G.GaugeField([f, h, f.scale(2j), h])
+    A = concat([f, h, f.scale(2j), h])
     U = rng.normal(size=(6, 4))
     res = G.covariance_residual(A, plane_wave(grp, U))
-    want = [G.covariance_residual(G.GaugeField([x, y, x.scale(2j), y]), plane_wave(grp, p))
+    want = [G.covariance_residual(concat([x, y, x.scale(2j), y]), plane_wave(grp, p))
             for (x, y), p in zip(one, U)]
     assert np.array_equal(res, want, equal_nan=True)
     assert np.isnan(res[4]) and np.all(np.delete(res, 4) < 1e-12)
 
 
-def test_gauge_field_components_share_group_and_count(grp):
-    with pytest.raises(ValueError):
-        G.GaugeField([plane_wave(grp, [0.1, 0.2, 0.3, 0.4]), WavePacket.zero(grp, 2)])
-    with pytest.raises(ValueError):
-        G.GaugeField([unit_wave(grp), unit_wave(group_preset("kappa_minkowski", kappa=2.0, d=3))])
+def test_gauge_field_count_must_be_a_multiple_of_the_dim(grp):
+    u = unit_wave(grp)
+    for count in (1, 2, 3, 5, 6):
+        A = WavePacket.zero(grp, count)
+        for run in (lambda: G.field_strength(A), lambda: G.gauge_transform(A, u),
+                    lambda: G.covariance_residual(A, u)):
+            with pytest.raises(ValueError):
+                run()
 
 
 def test_dimension_scan(grp):

@@ -80,6 +80,9 @@ CASES = {
             "0.1,0.2,-0.3", "0.4,-0.1,0.2"),
            ("commutative", "commutative", [], "0.3,-0.7,0.2,0.5", "1.1,0.4,-0.6,0.25"))
        for op in ("add", "inv", "haar-check")},
+    # --d reaches the commutative group too: d spatial dimensions, so dim d + 1
+    "group-add-commutative-d1": ["--d", "1", "group", "add", "--space", "commutative",
+                                 "--p=0.1,0.2", "--q=0.3,0.4"],
     "group-modular-kappa-d3": ["--d", "3", "--kappa", "0.7", "group", "modular",
                                "--p=0.3,-0.7,0.2,0.5"],
     "matrix-basis-N8-seed5": ["matrix-basis", "--N", "8", "--seed", "5"],
