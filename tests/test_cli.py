@@ -358,13 +358,52 @@ def test_suite_group_passes_at_small_kappa(kappa):
         assert code == 0, [r["check"] for r in rep["rows"] if not r["passed"]]
 
 
-def test_worst_propagates_nan():
-    assert cli._worst(0.0, [1.0, 2.0], np.array([[3.0]])) == 3.0
-    assert np.isnan(cli._worst(0.5, [np.nan, 0.1]))
+def _verdict(*args, **kw):
+    row, = cli._rows("s", [cli.Check("c", *args, **kw)])
+    return row["passed"], row["residual"]
+
+
+def test_check_row_reads_its_worst_sample():
+    # the worst of a scalar, a list and a 2-D array, alone or together
+    assert _verdict(0.5) == (True, 0.5)
+    assert _verdict([1.0, 2.0]) == (True, 2.0)
+    assert _verdict(np.array([[3.0], [-1.0]])) == (True, 3.0)
+    assert _verdict([0.0, np.array([1.0, 2.0]), np.array([[3.0]])]) == (True, 3.0)
+    # a NaN anywhere fails the row, where the builtin max would drop it
+    for samples in (np.nan, [0.5, np.nan, 0.1], [np.array([0.5]), np.array([[np.nan]])]):
+        passed, residual = _verdict(samples)
+        assert not passed and np.isnan(residual)
     # a check over no samples has shown nothing: NaN, not 0.0, so its row fails
-    assert np.isnan(cli._worst([]))
-    assert np.isnan(cli._worst())
-    assert cli._row("group", "empty", True, cli._worst())["passed"] is False
+    for samples in ([], np.array([]), [np.zeros(0), np.zeros((2, 0))]):
+        passed, residual = _verdict(samples)
+        assert not passed and np.isnan(residual)
+    assert not _verdict(np.inf)[0]
+    # at residual == bound a tolerance ('<') fails and an exact bound ('<=') passes
+    assert _verdict(1e-9, 1e-9) == (False, 1e-9)
+    assert _verdict(1e-9, 1e-9, "<=") == (True, 1e-9)
+    assert _verdict(0.0, 0.0) == (False, 0.0) and _verdict(0.0, 0.0, "<=") == (True, 0.0)
+    # a witness must exceed its bound
+    assert _verdict(2e-6, 1e-6, ">") == (True, 2e-6) and not _verdict(1e-6, 1e-6, ">")[0]
+    # a kernel's verdict decides with no bound, and a NaN residual still fails it
+    assert _verdict(7.0, ok=True) == (True, 7.0) and _verdict(0.0, ok=False) == (False, 0.0)
+    passed, residual = _verdict(np.nan, ok=True)
+    assert not passed and np.isnan(residual)
+
+
+def test_moyal_schwinger_row_fails_an_unconverged_quadrature(monkeypatch):
+    from qstkit import loop as LO
+    real = LO.moyal_nonplanar
+    monkeypatch.setattr(LO, "moyal_nonplanar", lambda *a: {**real(*a), "converged": False})
+    assert _failed_mixing_rows() == {"moyal-schwinger-vs-bessel"}
+
+
+def test_partition_row_keeps_a_nan_error(monkeypatch):
+    from qstkit import moyal_matrix as MM
+    real = MM.partition_check
+    monkeypatch.setattr(MM, "partition_check", lambda *a, **kw: {
+        **real(*a, **kw), "unity_reconstruction_error": math.nan, "passed": False})
+    row = {r["check"]: r for r in cli.suite_matrix(cli.RunConfig())}["partition-of-unity-diagonal"]
+    assert not row["passed"] and np.isnan(row["residual"])
 
 
 def test_run_suite_check_ids_unique():

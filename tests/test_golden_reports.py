@@ -94,6 +94,16 @@ CASES = {
     "suite-all-kappa0.3": ["suite", "all", "--kappa", "0.3"],
     "config-bad-value": ["--config", "{golden}/inputs/bad-kappa.json", "suite", "group"],
     "gauge-sw-bad-input": ["gauge", "sw", "--input", "{golden}/inputs/bad-field.json"],
+    # exit 1: failing rows.  A zero tolerance fails even the rows that read exactly 0.0,
+    # since a tolerance is a strict bound; INCONCLUSIVE mixing rows fail; a structure
+    # that breaks Jacobi ([x0,x1] = [x0,x2] = i x1, [x1,x2] = i x0) fails its row
+    "suite-all-tol0-csv": ["suite", "all", "--format", "csv",
+                           *(f"--tol-override={key}=0" for key in (
+                               "group.assoc", "group.identity", "group.haar", "group.modular",
+                               "gauge.residual"))],
+    "loop-mixing-kappa0.1": ["loop", "mixing", "--space", "kappa", "--kappa", "0.1"],
+    "suite-group-non-jacobi": ["--config", "{golden}/inputs/non-jacobi-structure.json",
+                               "suite", "group"],
 }
 FRESH = ("suite-all-seed0", "gauge-sw-input")
 
