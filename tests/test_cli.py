@@ -308,8 +308,8 @@ def _failed_mixing_rows():
 
 def test_two_point_reduction_fails_on_a_changed_coefficient(monkeypatch):
     from qstkit import loop as LO
-    poly = {**LO.TwoPointAssembly.nonplanar_poly, (1, -3): Fraction(2)}
-    monkeypatch.setattr(LO.TwoPointAssembly, "nonplanar_poly", poly)
+    poly = {**LO.NONPLANAR_POLY, (1, -3): Fraction(2)}
+    monkeypatch.setattr(LO, "NONPLANAR_POLY", poly)
     assert _failed_mixing_rows() == {"two-point-reduction"}
 
 
@@ -340,13 +340,14 @@ def test_suite_mixing_passes_at_any_theta(theta, capsys):
 def test_suite_mixing_classifies_moyal_at_the_configured_theta(monkeypatch):
     from qstkit import loop as LO
     real, calls = LO.mixing_classify, []
-    monkeypatch.setattr(LO, "mixing_classify",
-                        lambda space, **kw: calls.append((space, kw)) or real(space, **kw))
+    monkeypatch.setattr(LO, "mixing_classify", lambda space, **kw: calls.append(
+        (space, kw, real(space, **kw))) or calls[-1][2])
     code, rep = cli.run_suite("mixing", cli.RunConfig(theta=1e3))
-    (space, kw), = [c for c in calls if c[0] == "moyal"]
-    assert kw["theta"] == 1e3
+    (space, kw, moyal), = [c for c in calls if c[0] == "moyal"]
+    assert kw == {"theta": 1e3}
     # probes at theta |p| in [1e-3, 1], where K1 does not underflow
-    assert np.allclose(kw["p_grid"] * 1e3, np.geomspace(1.0, 1e-3, 7))
+    probes = [t for t, _ in moyal.evidence["ir_sequence"]]
+    assert np.allclose(np.multiply(probes, 1e3), np.geomspace(1.0, 1e-3, 7))
     assert code == 0 and rep["rows"][0]["detail"] == "MIXING"
 
 
@@ -501,11 +502,41 @@ def test_cli_loop_mixing_inconclusive_exits_1(capsys):
 
 
 def test_cli_loop_mixing_moyal_underflow_exits_1(capsys):
-    # at theta = 1e3 the UV values and the t = 1 IR value underflow to 0.0
-    assert cli.main(["loop", "mixing", "--space", "moyal", "--theta", "1e3"]) == 1
+    # at m = 1e3 the UV values and the theta |p| = 1 IR value underflow to 0.0
+    assert cli.main(["loop", "mixing", "--space", "moyal", "--mass", "1e3"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "INCONCLUSIVE"
     assert doc["nonplanar_ir_singular"] is None and doc["nonplanar_uv_finite"] is None
+
+
+@pytest.mark.parametrize("theta", ["1e-300", "1e-6", "1e-3", "1", "1e3", "1e6", "1e300"])
+def test_cli_loop_mixing_moyal_agrees_with_the_suite(theta, capsys):
+    # the command probes on the suite's rule, theta |p| in [1e-3, 1]; with
+    # theta-blind probes it read INCONCLUSIVE, or raised at theta = 1e300
+    assert cli.main(["loop", "mixing", "--space", "moyal", "--theta", theta]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["verdict"] == "MIXING"
+    assert cli.main(["suite", "mixing", "--theta", theta]) == 0
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["verdict-moyal"]["detail"] == "MIXING"
+
+
+@pytest.mark.parametrize("grid", ["1e-170:1e-160:3", "1e200:1e300:3"])
+def test_cli_loop_mixing_moyal_extreme_cutoffs_are_inconclusive(grid, capsys):
+    # 1/Lambda^2 divided by zero below 1e-162 and overflowed above 1e154
+    argv = ["loop", "mixing", "--space", "moyal", "--lambda-grid", grid]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["verdict"] == "INCONCLUSIVE"
+
+
+def test_cli_loop_mixing_massless_moyal_mixes(capsys):
+    # 0 K1(0) read NaN in every IR and UV value; the massless value is 1/c
+    assert cli.main(["loop", "mixing", "--space", "moyal", "--mass", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "MIXING"
+    values = doc["evidence"]["ir_sequence"] + doc["evidence"]["uv_sequence"]
+    assert all(v is not None for _, v in values)
 
 
 def test_cli_loop_mixing_inconclusive_rows_fail(capsys):

@@ -54,6 +54,10 @@ CASES = {
     **{f"loop-mixing-{space}": ["loop", "mixing", "--space", space]
        for space in ("moyal", "kappa", "commutative")},
     "loop-bessel-check": ["loop", "bessel-check"],
+    "loop-bessel-check-csv": ["loop", "bessel-check", "--format", "csv"],
+    **{f"loop-mixing-moyal-{name}": ["loop", "mixing", "--space", "moyal", flag, value]
+       for name, flag, value in (("theta1e3", "--theta", "1e3"), ("theta1e-3", "--theta", "1e-3"),
+                                 ("mass0", "--mass", "0"))},
     "group-delta-solve-kappa": ["group", "delta-solve", "--d", "3", "--p=0.5,1,0.2,0",
                                 "--q=-0.5,0,0.3,1", "--k0=0.25"],
     "group-delta-solve-rho": ["group", "delta-solve", "--space", "rho_minkowski",
@@ -141,12 +145,19 @@ def load(name: str) -> dict:
 
 
 def _rows(text: str) -> dict:
-    """The report rows of a JSON or CSV report by (suite, check); {} for a report without rows."""
+    """The report rows of a JSON or CSV report by (suite, check); {} for a report without rows.
+
+    A JSON `rows` list whose entries are not all report rows, such as the
+    measurements of `loop bessel-check`, counts as no rows.
+    """
     try:
         rows = json.loads(text).get("rows")
     except (ValueError, AttributeError):
         rows = list(csv.DictReader(io.StringIO(text))) if text.startswith("suite,check,") else None
-    return {(r["suite"], r["check"]): r for r in rows} if isinstance(rows, list) else {}
+    if not (isinstance(rows, list) and all(isinstance(r, dict) and {"suite", "check"} <= r.keys()
+                                           for r in rows)):
+        return {}
+    return {(r["suite"], r["check"]): r for r in rows}
 
 
 def explain(name: str, want: dict, got: dict) -> str:
@@ -176,6 +187,15 @@ def explain(name: str, want: dict, got: dict) -> str:
 
 def _same(want: dict, got: dict) -> bool:
     return all(want[k] == got[k] for k in ("stdout", "stderr", "exit"))
+
+
+def test_explain_shows_lines_of_rows_that_are_not_report_rows():
+    # `loop bessel-check` keeps its measurements under `rows`: no suite, no check
+    want = {"numpy": environment()["numpy"], "exit": 0, "stderr": "",
+            "stdout": json.dumps({"rows": [{"d": 2, "ratio": 0.5}]}, indent=1)}
+    got = {**want, "stdout": json.dumps({"rows": [{"d": 2, "ratio": 0.25}]}, indent=1)}
+    lines = explain("loop-bessel-check", want, got).splitlines()
+    assert '  -   "ratio": 0.5' in lines and '  +   "ratio": 0.25' in lines
 
 
 def test_every_case_is_stored():

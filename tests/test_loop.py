@@ -1,6 +1,7 @@
 import itertools
 import math
 import types
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_bessel_closed_form_instance():
 
 def test_bessel_ratio_constancy():
     rep = L.bessel_oracle_compare()
-    assert rep["passed"]
+    assert rep["converged"]
     assert rep["max_rel_dev"] < 1e-6
     # the Wick normalization constant is exactly 1/2, independent of d
     for d, ratio in rep["ratios"].items():
@@ -81,28 +82,28 @@ def test_moyal_nonplanar_limits():
 
 def test_moyal_asymptotic_small_c():
     r = L.moyal_asymptotic_check(1.0, 1e-4)
-    assert r["within_2pct"]
+    assert abs(r["ratio"] - 1) < 0.02
     r2 = L.moyal_asymptotic_check(1.0, 1e-6)
     assert abs(r2["ratio"] - 1) < abs(r["ratio"] - 1)
 
 
-def test_two_point_commutative_reduction(kappa3):
-    co = L.TwoPointAssembly(kappa3).commutative_coefficients()
+def test_two_point_commutative_reduction():
+    co = L.commutative_coefficients()
     assert co["planar"] == Fraction(1, 3)
     assert co["nonplanar"] == Fraction(1, 6)
     assert co["total"] == Fraction(1, 2)
 
 
 def test_two_point_moyal_reduction():
-    asm = L.TwoPointAssembly(group_preset("moyal_extended", theta=1.0, phase_convention="real"))
-    mr = asm.moyal_reduction()
-    assert mr["coefficient"] == Fraction(1, 6)
-    assert mr["planar_multiple"] == Fraction(2)
+    g = group_preset("moyal_extended", theta=1.0, phase_convention="real")
+    co = L.commutative_coefficients()
+    assert co["nonplanar"] == Fraction(1, 6)
+    assert co["planar"] / co["nonplanar"] == Fraction(2)
     rng = np.random.default_rng(1)
     for _ in range(10):
         p = np.concatenate([rng.normal(size=4), [0.0]])
         k = np.concatenate([rng.normal(size=4), [0.0]])
-        assert asm.nonplanar_phase_residual(p, k) < 1e-12
+        assert L.nonplanar_phase_residual(g, p, k) < 1e-12
 
 
 def test_two_point_kappa_planar_factor(kappa3):
@@ -111,19 +112,19 @@ def test_two_point_kappa_planar_factor(kappa3):
     for q, k in rng.normal(size=(5, 2, 4)):
         dq, dk = kappa3.modular(q), kappa3.modular(k)
         weight = sum(float(c) * dq ** a * dk ** b
-                     for (a, b), c in L.TwoPointAssembly.planar_poly.items())
+                     for (a, b), c in L.PLANAR_POLY.items())
         assert weight == pytest.approx((1 + dq) * (3 + dk), rel=1e-14)
     assert dq == pytest.approx(math.exp(3 * q[0]))  # Delta(q) = e^{d q0 / kappa}
 
 
 @pytest.mark.parametrize("theta", [1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_nonplanar_phase_residual_is_rounding_at_any_theta(theta):
-    asm = L.TwoPointAssembly(group_preset("moyal_extended", theta=theta, phase_convention="real"))
+    real = group_preset("moyal_extended", theta=theta, phase_convention="real")
     p, k = np.random.default_rng(2).normal(size=(2, 2000, 5)) * [1, 1, 1, 1, 0]
-    assert np.max(asm.nonplanar_phase_residual(p, k)) < 1e-14
+    assert np.max(L.nonplanar_phase_residual(real, p, k)) < 1e-14
     # the Weyl phase -(1/2) p.Theta.k is not the real convention's
-    weyl = L.TwoPointAssembly(group_preset("moyal_extended", theta=theta))
-    assert np.min(weyl.nonplanar_phase_residual(p, k)) > 1e-12
+    weyl = group_preset("moyal_extended", theta=theta)
+    assert np.min(L.nonplanar_phase_residual(weyl, p, k)) > 1e-12
 
 
 def test_mixing_verdicts():
@@ -135,26 +136,60 @@ def test_mixing_verdicts():
     assert rep.planar_uv_divergent  # divergent planar, degenerate non-planar
 
 
-def test_mixing_report_keeps_undecided_ir_criterion():
-    # a non-monotone p grid leaves criterion (ii) undecided: None, not False
-    rep = L.mixing_classify("moyal", p_grid=[1.0, 0.1, 0.5, 0.01])
+def test_mixing_report_keeps_undecided_ir_criterion(monkeypatch):
+    # an IR sequence that is not monotone leaves criterion (ii) undecided: None,
+    # not False.  Below c = 1e-3 (theta |p| < 0.063) the values drop 1e4-fold
+    real = L.moyal_nonplanar_closed
+    monkeypatch.setattr(L, "moyal_nonplanar_closed",
+                        lambda c, m: real(c, m) / (1e4 if c < 1e-3 else 1.0))
+    rep = L.mixing_classify("moyal")
+    values = [v for _, v in rep.evidence["ir_sequence"]]
+    assert any(b < a for a, b in zip(values, values[1:]))
     assert rep.nonplanar_ir_singular is None
-    assert rep.as_dict()["nonplanar_ir_singular"] is None
+    assert asdict(rep)["nonplanar_ir_singular"] is None
     assert rep.verdict == "INCONCLUSIVE"
 
 
 def test_moyal_underflowed_values_leave_criteria_undecided():
-    # at theta |p| ~ 1e3, K1(2 m sqrt c) underflows to exactly 0.0, and a
-    # slope through the clamped log(1e-300) would read "UV finite"
-    rep = L.mixing_classify("moyal", theta=1e3)
+    # at m = 1e3 and theta |p| = 1, K1(2 m sqrt c) underflows to exactly 0.0,
+    # and a slope through the clamped log(1e-300) would read "UV finite"
+    rep = L.mixing_classify("moyal", mass=1e3)
     assert rep.evidence["ir_sequence"][0][1] == 0.0
     assert all(v == 0.0 for _, v in rep.evidence["uv_sequence"])
     assert rep.nonplanar_ir_singular is None and rep.nonplanar_uv_finite is None
     assert rep.verdict == "INCONCLUSIVE"
-    # the same theta probed at theta |p| in [1e-3, 1] sees the mixing
-    rep = L.mixing_classify("moyal", theta=1e3, p_grid=np.geomspace(1e-3, 1e-6, 7))
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1e-6, 1e-3, 1e3, 1e6, 1e300, -1e3])
+def test_moyal_probes_follow_theta(theta):
+    # the value depends on p through theta |p|: the probes sit at theta |p| in
+    # [1e-3, 1] at every theta, so no value underflows and both criteria decide
+    rep = L.mixing_classify("moyal", theta=theta)
+    probes = [t for t, _ in rep.evidence["ir_sequence"]]
+    assert np.allclose(np.multiply(probes, abs(theta)), np.geomspace(1.0, 1e-3, 7), rtol=1e-14)
+    assert all(v > 0 for _, v in rep.evidence["ir_sequence"] + rep.evidence["uv_sequence"])
     assert rep.nonplanar_ir_singular is True and rep.nonplanar_uv_finite is True
     assert rep.verdict == "MIXING"
+
+
+def test_massless_moyal_value_is_the_limit():
+    # 0 K1(0) = 0 inf was NaN; the integral of a^-2 e^{-c/a} is 1/c
+    Theta = group_preset("moyal_extended", theta=1.0).meta["Theta"]
+    for p, Lam in ((1.0, 100.0), (0.1, 10.0), (1e-3, 1e8)):
+        r = L.moyal_nonplanar(np.array([p, 0, 0, 0]), Theta, 0.0, Lam)
+        assert r["closed_form"] == 1.0 / r["c"]
+        assert r["converged"] and r["rel_err"] < 1e-9
+    assert L.moyal_nonplanar_closed(0.25, 1e-200) == pytest.approx(4.0, rel=1e-12)
+    rep = L.mixing_classify("moyal", mass=0.0)
+    values = rep.evidence["ir_sequence"] + rep.evidence["uv_sequence"]
+    assert all(math.isfinite(v) for _, v in values)
+    assert rep.verdict == "MIXING"
+
+
+def test_kv_at_infinity_is_zero():
+    # the trapezoid step 0.4/sqrt(x) is 0 at x = inf, and np.arange raised on it
+    assert L._kv(1, math.inf) == 0.0 and L._kv(0.5, math.inf) == 0.0
+    assert L.moyal_nonplanar_closed(math.inf, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("grid", [[1.0, 1.5, 2.0], [1.0, 10.0, 100.0]])
@@ -176,7 +211,7 @@ def test_mixing_report_keeps_undecided_uv_criterion(space, monkeypatch):
                         lambda g, m, lambdas: {**real(g, m, lambdas), "verdict": "inconclusive"})
     rep = L.mixing_classify(space)
     assert rep.planar_uv_divergent is None
-    assert rep.as_dict()["planar_uv_divergent"] is None
+    assert asdict(rep)["planar_uv_divergent"] is None
     # (ii) is gated by (i), so it is undecided too, except in the degenerate
     # commutative sector, where it is False by definition
     assert rep.nonplanar_ir_singular is (False if space == "commutative" else None)
@@ -216,24 +251,27 @@ def test_bessel_oracle_compare_fails_on_nan(monkeypatch):
                         lambda m, kappa, d: {**real(m, kappa, d), "value": math.nan} if d == 3
                         else real(m, kappa, d))
     rep = L.bessel_oracle_compare(ms=(1.0, 2.0), kappas=(1.0,))
-    assert rep["passed"] is False
     assert math.isnan(rep["max_rel_dev"])
-    assert [r["passed"] for r in rep["rows"]] == [True, True, False, False]
+    # the d = 2 rows are within the bound, the d = 3 rows NaN, which fails them
+    assert [r["rel_dev"] < cli.RATIO_TOL for r in rep["rows"]] == [True, True, False, False]
+    assert [math.isnan(r["rel_dev"]) for r in rep["rows"]] == [False, False, True, True]
 
 
-def test_bessel_rows_carry_the_one_verdict():
+def test_bessel_rows_carry_the_one_verdict(capsys):
     rep = L.bessel_oracle_compare(ms=(0.05, 20.0), kappas=(0.05, 20.0))
-    assert rep["passed"] is all(r["passed"] for r in rep["rows"]) is False
-    assert all(type(r["passed"]) is bool for r in rep["rows"])
     # QUADPACK meets its absolute tolerance on the d = 2, m = 20, kappa = 0.05
     # oracle (about 1.9e-174) with an error estimate of half the value
     bad = [(r["d"], r["m"], r["kappa"]) for r in rep["rows"] if not r["converged"]]
     assert (2, 20.0, 0.05) in bad
     assert rep["converged"] is False
-    # each row is judged against the mean of its d's converged rows, so the
+    # each row's rel_dev is against the mean of its d's converged rows, so the
     # two unconverged m = 20, kappa = 0.05 oracles fail alone
     assert bad == [(2, 20.0, 0.05), (3, 20.0, 0.05)]
-    assert [(r["d"], r["m"], r["kappa"]) for r in rep["rows"] if not r["passed"]] == bad
+    assert all(r["rel_dev"] < cli.RATIO_TOL for r in rep["rows"] if r["converged"])
+    assert cli.main(["loop", "bessel-check", "--grid", "0.05,20", "--format", "csv"]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[1] for r in rows if r.split(",")[2] == "False"] == [
+        "d2-m20-k0.05", "d3-m20-k0.05"]
 
 
 def test_bessel_rows_fail_without_a_converged_row(monkeypatch):
@@ -242,7 +280,7 @@ def test_bessel_rows_fail_without_a_converged_row(monkeypatch):
                         lambda m, kappa, d: {**real(m, kappa, d), "converged": d == 2})
     rep = L.bessel_oracle_compare(ms=(1.0, 2.0), kappas=(1.0,))
     assert math.isnan(rep["ratios"][3]) and math.isnan(rep["max_rel_dev"])
-    assert [r["passed"] for r in rep["rows"]] == [True, True, False, False]
+    assert [r["rel_dev"] < cli.RATIO_TOL for r in rep["rows"]] == [True, True, False, False]
 
 
 def test_quad_relative_error_bound():
